@@ -14,7 +14,8 @@ from .model import (Instance, PotentialEdge, PolytopeReport, OddSetCheckInfeasib
                     fractional_value, validate_polytope, vertex_loads,
                     instance_to_dict, instance_from_dict, dump_instance, load_instance)
 from .sampling import (SampledGraph, SupportTooLarge, sample, enumerate_support,
-                       support_probabilities, realization_block, graph_from_mask)
+                       support_probabilities, realization_block, realization_blocks,
+                       graph_from_mask)
 from .matching import (Matching, FractionalVertexCover, MatchingCutoffExceeded,
                        max_weight_matching_bipartite, max_weight_matching_general,
                        max_cardinality_matching, matching_value,
@@ -34,7 +35,7 @@ from .kernels import (KernelConfig, CheckReport, WeightedKernelConstant,
                       WEIGHTED_BIPARTITE_FLOOR, GENERAL_GRAPH_FLOOR)
 from .estimate import (RatioEstimate, ZeroDenominator, exact_ratio, mc_ratio,
                        expected_matching_value, per_edge_certificate,
-                       per_edge_masses_exact, ratio_floor)
+                       per_edge_certificates, per_edge_masses_exact, ratio_floor)
 from .gallery import (gen_karp_sipser, gen_pendant_star, gen_equal_split_star,
                       gen_random_point)
 from .cli import run_verify_suite

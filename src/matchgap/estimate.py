@@ -16,10 +16,10 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .matching import (matching_value, matching_values_over_subsets,
-                       max_weight_matching_bipartite)
+from .matching import (matching_values_over_subsets, max_weight_matching_bipartite,
+                       value_solver)
 from .model import Instance, fractional_value
-from .sampling import (SampledGraph, realization_block, sample,
+from .sampling import (SampledGraph, realization_blocks, sampled_graphs,
                        support_probabilities)
 from .schemes import SchemeConfig, unweighted_scheme, weighted_scheme
 
@@ -78,27 +78,22 @@ def expected_matching_value(inst: Instance) -> float:
     return float(probs @ matching_values_over_subsets(inst))
 
 
-def mc_ratio(inst: Instance, samples: int, seed: int, start_index: int = 0,
-             chunk: int = 256) -> RatioEstimate:
+def mc_ratio(inst: Instance, samples: int, seed: int,
+             start_index: int = 0) -> RatioEstimate:
     """Monte Carlo ratio estimate from `samples` independent draws.
 
     Sample i consumes counter stream start_index + i, so the estimate is a
     pure function of (seed, samples, start_index) no matter how the work
-    is split across workers.
+    is split into blocks or across workers.
     """
     if samples <= 0:
         raise ValueError("need at least one sample")
     denom = fractional_value(inst)
     if denom <= 0.0:
         raise ZeroDenominator("fractional value is zero; ratio undefined")
-    vals = np.empty(samples, dtype=np.float64)
-    pos = 0
-    while pos < samples:
-        count = min(chunk, samples - pos)
-        block = realization_block(inst, seed, start_index + pos, count)
-        for k in range(count):
-            vals[pos + k] = matching_value(SampledGraph(inst, block[k]))
-        pos += count
+    solve = value_solver(inst)
+    vals = np.fromiter((solve(g) for g in sampled_graphs(inst, seed, start_index, samples)),
+                       dtype=np.float64, count=samples)
     mean = float(vals.mean())
     if samples > 1:
         half = _Z95 * float(vals.std(ddof=1)) / math.sqrt(samples)
@@ -152,7 +147,7 @@ def _kernel_certificate_exact(inst: Instance, edge: int, scheme: str,
     value = kernels.inv_max_expectation(at_u, at_v)
     if scheme == "unweighted":
         value += _deterministic_transfers(inst, edge, cfg.c) / e.x
-    return value
+    return float(value)
 
 
 def _deterministic_transfers(inst: Instance, edge: int, c: float) -> float:
@@ -168,6 +163,68 @@ def _deterministic_transfers(inst: Instance, edge: int, c: float) -> float:
         if shared:
             net += shared * c * (x[j] ** 2 * xe - xe ** 2 * x[j])
     return net
+
+
+def _kernel_means_mc(inst: Instance, samples: int, seed: int) -> np.ndarray:
+    """Per edge e, the mean over samples 0..samples-1 of
+    1/max(deg u, deg v) in the sample with e forced realized (conditioning
+    on e by independence).
+
+    One block serves every edge: with realized degrees deg = R . incidence,
+    forcing e gives deg - r_e + 1 at both endpoints.  Sums run sample by
+    sample in index order.
+    """
+    ends = inst.endpoints
+    nv = inst.total_vertices
+    total = np.zeros(inst.num_edges, dtype=np.float64)
+    for block in realization_blocks(inst, seed, 0, samples):
+        rows, cols = np.nonzero(block)
+        base = rows * nv
+        deg = np.bincount(np.concatenate([base + ends[cols, 0], base + ends[cols, 1]]),
+                          minlength=len(block) * nv).reshape(len(block), nv)
+        inv = 1.0 / np.maximum(deg[:, ends[:, 0]] - block + 1, deg[:, ends[:, 1]] - block + 1)
+        inv[0] += total
+        total = np.cumsum(inv, axis=0)[-1]
+    return total / samples
+
+
+def _mass_sums_mc(inst: Instance, samples: int, seed: int, scheme: str,
+                  cfg: SchemeConfig) -> np.ndarray:
+    acc = np.zeros(inst.num_edges, dtype=np.float64)
+    for g in sampled_graphs(inst, seed, 0, samples):
+        acc += _scheme_masses(g, scheme, cfg)
+    return acc
+
+
+def _certificates(inst: Instance, edges: list[int], mode: str, scheme: str, bound: str,
+                  samples: int, seed: int, cfg: SchemeConfig) -> dict[int, float]:
+    if inst.kind != "bipartite":
+        raise TypeError("per-edge certificates require a bipartite instance")
+    if scheme == "unweighted" and not inst.is_unweighted:
+        raise ValueError("unweighted scheme requires unit weights")
+    if mode == "mc" and samples <= 0:
+        raise ValueError("need at least one sample")
+
+    if bound == "kernel":
+        if mode == "exact":
+            return {j: _kernel_certificate_exact(inst, j, scheme, cfg) for j in edges}
+        if mode == "mc":
+            means = _kernel_means_mc(inst, samples, seed)
+            if scheme == "unweighted":
+                return {j: float(means[j] + _deterministic_transfers(inst, j, cfg.c)
+                                 / inst.edges[j].x) for j in edges}
+            return {j: float(means[j]) for j in edges}
+        raise ValueError(f"unknown mode {mode!r}")
+
+    if bound != "mass":
+        raise ValueError(f"unknown bound {bound!r}")
+    if mode == "exact":
+        masses = per_edge_masses_exact(inst, scheme, cfg)
+    elif mode == "mc":
+        masses = _mass_sums_mc(inst, samples, seed, scheme, cfg) / samples
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    return {j: float(masses[j]) / (inst.edges[j].w * inst.edges[j].x) for j in edges}
 
 
 def per_edge_certificate(inst: Instance, edge: int, mode: str = "exact",
@@ -188,43 +245,22 @@ def per_edge_certificate(inst: Instance, edge: int, mode: str = "exact",
         raise TypeError("per-edge certificates require a bipartite instance")
     if not (0 <= edge < inst.num_edges):
         raise IndexError("edge index out of range")
-    e = inst.edges[edge]
-    if e.x == 0.0:
+    if inst.edges[edge].x == 0.0:
         raise ZeroDenominator("edge probability is zero; certificate undefined")
-    if scheme == "unweighted" and not inst.is_unweighted:
-        raise ValueError("unweighted scheme requires unit weights")
+    return _certificates(inst, [edge], mode, scheme, bound, samples, seed, cfg)[edge]
 
-    if bound == "kernel":
-        if mode == "exact":
-            return _kernel_certificate_exact(inst, edge, scheme, cfg)
-        if mode == "mc":
-            gu, gv = inst.endpoints[edge]
-            total = 0.0
-            for i in range(samples):
-                g = sample(inst, seed, i)
-                realized = np.array(g.realized)
-                realized[edge] = True  # condition on e by independence
-                forced = SampledGraph(inst, realized)
-                deg = forced.degrees
-                total += 1.0 / max(deg[gu], deg[gv])
-            value = total / samples
-            if scheme == "unweighted":
-                value += _deterministic_transfers(inst, edge, cfg.c) / e.x
-            return value
-        raise ValueError(f"unknown mode {mode!r}")
 
-    if bound != "mass":
-        raise ValueError(f"unknown bound {bound!r}")
-    if mode == "exact":
-        masses = per_edge_masses_exact(inst, scheme, cfg)
-        return float(masses[edge]) / (e.w * e.x)
-    if mode == "mc":
-        total = 0.0
-        for i in range(samples):
-            g = sample(inst, seed, i)
-            total += float(_scheme_masses(g, scheme, cfg)[edge])
-        return total / samples / (e.w * e.x)
-    raise ValueError(f"unknown mode {mode!r}")
+def per_edge_certificates(inst: Instance, mode: str = "exact",
+                          scheme: str = "weighted", bound: str = "mass",
+                          samples: int = 10000, seed: int = 0,
+                          cfg: SchemeConfig = SchemeConfig()) -> dict[int, float]:
+    """Certificates of every edge with x_e > 0, keyed by edge index.
+
+    Entry j equals ``per_edge_certificate(inst, j, ...)``; one enumeration
+    or one pass over the samples serves all edges.
+    """
+    edges = [j for j, e in enumerate(inst.edges) if e.x > 0]
+    return _certificates(inst, edges, mode, scheme, bound, samples, seed, cfg)
 
 
 def ratio_floor(inst: Instance) -> float:

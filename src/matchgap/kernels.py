@@ -18,9 +18,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .matching import matching_value, matching_values_over_subsets, max_weight_matching_general
+from .matching import matching_values_over_subsets, max_weight_matching_general, value_solver
 from .model import Instance, fractional_value
-from .sampling import SampledGraph, sample, support_probabilities
+from .sampling import SampledGraph, sampled_graphs, support_probabilities
 
 #: Floors certified by the three main bounds.  The advertised unweighted
 #: floor 0.476 equals the x -> 0 endpoint of the envelope; the envelope's
@@ -463,14 +463,15 @@ def phi_curve(inst: Instance, grid_points: int = 20, mode: str = "exact",
             probs = support_probabilities(inst.scale_probabilities(float(t)))
             out[i, 1] = float(probs @ nus)
     elif mode == "mc":
+        solve = value_solver(inst)
         for i, t in enumerate(ts):
             if t == 0.0:
                 out[i, 1] = 0.0
                 continue
             scaled = inst.scale_probabilities(float(t))
-            vals = np.empty(samples)
-            for k in range(samples):
-                vals[k] = matching_value(sample(scaled, seed, i * samples + k))
+            vals = np.fromiter((solve(g) for g in
+                                sampled_graphs(scaled, seed, i * samples, samples)),
+                               dtype=np.float64, count=samples)
             out[i, 1] = float(vals.mean())
     else:
         raise ValueError(f"unknown phi mode {mode!r}")

@@ -14,6 +14,7 @@ workhorse behind exact expectations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -267,38 +268,72 @@ def max_cardinality_matching(g: SampledGraph) -> int:
 
 
 def _kuhn_cardinality(g: SampledGraph) -> int:
-    inst = g.instance
     adj: dict[int, list[int]] = {}
-    for j in map(int, g.edge_indices):
-        e = inst.edges[j]
-        adj.setdefault(e.u, []).append(e.v)
+    for u, v in g.instance.endpoints[g.edge_indices].tolist():
+        adj.setdefault(u, []).append(v)
+    # A greedy pass matches every left vertex that has a free neighbour;
+    # augmenting from the rest then gives the maximum cardinality, which
+    # does not depend on the starting matching.
     mate: dict[int, int] = {}  # right -> left
-
-    def try_augment(u, seen):
-        for v in adj[u]:
-            if v in seen:
-                continue
-            seen.add(v)
-            if v not in mate or try_augment(mate[v], seen):
-                mate[v] = u
-                return True
-        return False
-
-    size = 0
+    rest = []
     for u in sorted(adj):
-        if try_augment(u, set()):
-            size += 1
-    return size
+        for v in adj[u]:
+            if v not in mate:
+                mate[v] = u
+                break
+        else:
+            rest.append(u)
+    return len(mate) + sum(_augment(u, adj, mate) for u in rest)
+
+
+def _augment(root: int, adj: dict[int, list[int]], mate: dict[int, int]) -> bool:
+    """Depth-first search for an augmenting path from `root`; flips it into
+    `mate` when found.  An explicit stack replaces recursion, so path
+    length is not bounded by the interpreter's recursion limit."""
+    seen: set[int] = set()
+    stack = [(root, iter(adj[root]))]  # left vertices of the current path
+    path: list[int] = []               # path[i]: right vertex stack[i] entered
+    while stack:
+        for v in stack[-1][1]:
+            if v not in seen:
+                seen.add(v)
+                break
+        else:
+            stack.pop()
+            if path:
+                path.pop()
+            continue
+        path.append(v)
+        owner = mate.get(v)
+        if owner is None:
+            for (u, _), w in zip(stack, path):
+                mate[w] = u
+            return True
+        stack.append((owner, iter(adj[owner])))
+    return False
+
+
+def _kuhn_value(g: SampledGraph) -> float:
+    return float(_kuhn_cardinality(g))
+
+
+def _primal_dual_value(g: SampledGraph) -> float:
+    return max_weight_matching_bipartite(g)[1]
+
+
+def value_solver(inst: Instance) -> Callable[[SampledGraph], float]:
+    """The solver `matching_value` applies to realizations of `inst`:
+    augmenting paths for unweighted bipartite, primal-dual for weighted
+    bipartite, exact search for general instances.  Monte Carlo loops
+    select it once per run."""
+    if inst.kind == "bipartite":
+        return _kuhn_value if inst.is_unweighted else _primal_dual_value
+    return max_weight_matching_general
 
 
 def matching_value(g: SampledGraph) -> float:
     """Maximum matching weight via the solver appropriate to the kind."""
-    if g.instance.kind == "bipartite":
-        if g.instance.is_unweighted:
-            return float(_kuhn_cardinality(g))
-        _, value, _ = max_weight_matching_bipartite(g)
-        return value
-    return max_weight_matching_general(g)
+    return value_solver(g.instance)(g)
 
 
 def matching_values_over_subsets(inst: Instance) -> np.ndarray:

@@ -6,6 +6,12 @@ order, worker count, or platform.  Streams are derived with the
 SplitMix64 finalizer, whose avalanche properties are more than adequate
 for Monte Carlo work and which vectorizes cleanly over numpy uint64
 arrays (unlike the stateful bit generators in numpy.random).
+
+Position `j` of stream `i` hashes ``stream_key(seed, i) + j * GAMMA``; its
+uniform is ``(bits >> 11) * 2**-53``.  `BernoulliBlocks` decides
+``uniform < x`` without forming the float: ``x * 2**53`` is exact in
+float64 and at most ``2**53``, so ``k * 2**-53 < x`` holds exactly when
+the integer ``k = bits >> 11`` is below ``ceil(x * 2**53)``.
 """
 
 from __future__ import annotations
@@ -20,13 +26,25 @@ _KEYMUL = np.uint64(0xD1342543DE82EF95)
 _INV_2_53 = 2.0 ** -53
 
 
+def _finalize(z: np.ndarray, tmp: np.ndarray) -> None:
+    """SplitMix64 avalanche of uint64 array `z` after the gamma step, in
+    place; `tmp` is scratch of the same shape."""
+    with np.errstate(over="ignore"):
+        for shift, mul in ((30, _MIX1), (27, _MIX2)):
+            np.right_shift(z, np.uint64(shift), out=tmp)
+            np.bitwise_xor(z, tmp, out=z)
+            np.multiply(z, mul, out=z)
+        np.right_shift(z, np.uint64(31), out=tmp)
+        np.bitwise_xor(z, tmp, out=z)
+
+
 def mix64(z) -> np.ndarray:
     """SplitMix64 finalizer: a bijective avalanche mix on uint64."""
+    z = np.array(z, dtype=np.uint64)  # a copy, mixed in place
     with np.errstate(over="ignore"):
-        z = np.asarray(z, dtype=np.uint64) + _GAMMA
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        return z ^ (z >> np.uint64(31))
+        np.add(z, _GAMMA, out=z)
+    _finalize(z, np.empty_like(z))
+    return z[()]  # a scalar stays a scalar
 
 
 def stream_key(seed: int, stream) -> np.ndarray:
@@ -52,3 +70,35 @@ def uniform_block(seed: int, streams, count: int) -> np.ndarray:
         pos = np.arange(count, dtype=np.uint64) * _GAMMA
         bits = mix64(keys[:, None] + pos[None, :])
     return (bits >> np.uint64(11)).astype(np.float64) * _INV_2_53
+
+
+class BernoulliBlocks:
+    """Bernoulli draws for rows of consecutive streams, hashed in place.
+
+    Row k of ``draw(first, rows)`` holds ``uniform(first + k, j) < x[j]``
+    for every position j, decided on integer thresholds.  The hashing
+    runs in scratch buffers allocated once for up to `max_rows` rows, and
+    each draw returns a view of one output buffer that the next draw
+    overwrites.
+    """
+
+    def __init__(self, seed: int, x, max_rows: int):
+        x = np.asarray(x, dtype=np.float64)
+        self._seed = seed
+        # (j + 1) * GAMMA: the position step and mix64's gamma step in one
+        with np.errstate(over="ignore"):
+            self._offsets = np.arange(1, x.size + 1, dtype=np.uint64) * _GAMMA
+        self._thresholds = np.ceil(x * 2.0 ** 53).astype(np.uint64)
+        self._z = np.empty((max_rows, x.size), dtype=np.uint64)
+        self._tmp = np.empty_like(self._z)
+        self._out = np.empty((max_rows, x.size), dtype=bool)
+
+    def draw(self, first: int, rows: int) -> np.ndarray:
+        """(rows, len(x)) bool view for streams first .. first+rows-1."""
+        keys = stream_key(self._seed, np.arange(first, first + rows, dtype=np.uint64))
+        z, tmp = self._z[:rows], self._tmp[:rows]
+        with np.errstate(over="ignore"):
+            np.add(keys[:, None], self._offsets, out=z)
+        _finalize(z, tmp)
+        np.right_shift(z, np.uint64(11), out=z)
+        return np.less(z, self._thresholds, out=self._out[:rows])

@@ -5,6 +5,14 @@ Sample ``index`` of a run consumes positions ``0..m-1`` of counter stream
 ``index``, so the realization is a pure function of (seed, index,
 edge position) and Monte Carlo results do not depend on worker count or
 evaluation order.
+
+Every Monte Carlo path draws through `realization_blocks`, which hashes
+as many samples at a time as fit in ``BLOCK_BYTES`` of uint64 work array
+(so the working set stays in a per-core cache) and decides edges with
+integer thresholds (see `rng`).  Its blocks are views of buffers reused
+for the next block: `SampledGraph` freezes the array it is given without
+copying it, so copy a row, or take its edge indices, before keeping it
+past the next block.
 """
 
 from __future__ import annotations
@@ -16,10 +24,14 @@ from typing import Iterator
 import numpy as np
 
 from .model import Instance
-from .rng import uniform_block, uniforms
+from .rng import BernoulliBlocks
 
 #: Exact enumeration refuses supports larger than 2**SUPPORT_CUTOFF.
 SUPPORT_CUTOFF = 20
+
+#: Bytes of one block's uint64 work array: a block holds
+#: max(1, BLOCK_BYTES // (8 m)) samples of an m-edge instance.
+BLOCK_BYTES = 512 * 1024
 
 
 class SupportTooLarge(RuntimeError):
@@ -59,21 +71,50 @@ class SampledGraph:
         return int(self.realized.sum())
 
 
+def realization_blocks(inst: Instance, seed: int, start: int,
+                       count: int) -> Iterator[np.ndarray]:
+    """Realizations of samples start..start+count-1, in order, as blocks.
+
+    Each block is a (rows, m) boolean array whose rows are consecutive
+    samples; together the blocks hold `count` rows.  Blocks are views of
+    one buffer that the next block overwrites.
+    """
+    rows = max(1, min(count, BLOCK_BYTES // max(8 * inst.num_edges, 1)))
+    draws = BernoulliBlocks(seed, inst.x, rows)
+    for first in range(start, start + count, rows):
+        yield draws.draw(first, min(rows, start + count - first))
+
+
+def sampled_graphs(inst: Instance, seed: int, start: int,
+                   count: int) -> Iterator[SampledGraph]:
+    """Samples start..start+count-1 in order, one `SampledGraph` each.
+
+    A yielded graph's realization is a row of a reused block: use it
+    before advancing the iterator, or copy it.
+    """
+    for block in realization_blocks(inst, seed, start, count):
+        for row in block:
+            yield SampledGraph(inst, row)
+
+
 def sample(inst: Instance, seed: int, index: int) -> SampledGraph:
     """Draw sample ``index`` of the run identified by ``seed``."""
-    u = uniforms(seed, index, inst.num_edges)
-    return SampledGraph(inst, u < inst.x)
+    # a one-sample run allocates its own block, which nothing reuses
+    return next(sampled_graphs(inst, seed, index, 1))
 
 
 def realization_block(inst: Instance, seed: int, start: int, count: int) -> np.ndarray:
     """(count, m) boolean matrix for samples start..start+count-1.
 
-    Row k equals sample(inst, seed, start + k).realized; the block form
-    only batches the hashing.
+    Row k equals sample(inst, seed, start + k).realized; unlike the blocks
+    of `realization_blocks` the matrix is the caller's own.
     """
-    u = uniform_block(seed, np.arange(start, start + count, dtype=np.uint64),
-                      inst.num_edges)
-    return u < inst.x[None, :]
+    out = np.empty((count, inst.num_edges), dtype=bool)
+    pos = 0
+    for block in realization_blocks(inst, seed, start, count):
+        out[pos:pos + len(block)] = block
+        pos += len(block)
+    return out
 
 
 def support_probabilities(inst: Instance) -> np.ndarray:

@@ -99,6 +99,18 @@ class TestCertify:
         assert all(r["passed"] for r in rows)
 
 
+    @pytest.mark.parametrize("mode,scheme", [("mc", "weighted"), ("mc", "unweighted"),
+                                             ("exact", "unweighted")])
+    def test_kernel_bound_json(self, capsys, mode, scheme):
+        code, out, _ = run(capsys, "certify", "--gen", "pendant_star", "--n", "3",
+                           "--eps", "0.3", "--bound", "kernel", "--mode", mode,
+                           "--scheme", scheme, "--samples", "200")
+        assert code == 0
+        rows = json.loads(out)
+        assert all(r["passed"] is True for r in rows)
+        assert all(float(r["certificate"]) > 0 for r in rows)
+
+
 class TestVerify:
     QUICK = ("--m-max", "2", "--gain-trials", "40", "--derivative-trials", "5",
              "--grid-step", "0.25", "--envelope-step", "0.01")

@@ -7,7 +7,7 @@ from matchgap import (Instance, PotentialEdge, SupportTooLarge, ZeroDenominator,
                       exact_ratio, expected_matching_value, mc_ratio,
                       per_edge_certificate, per_edge_masses_exact, ratio_floor,
                       weighted_kernel_constant)
-from matchgap import WEIGHTED_BIPARTITE_FLOOR
+from matchgap import SampledGraph, WEIGHTED_BIPARTITE_FLOOR, per_edge_certificates, sample, sampling
 from matchgap.gallery import gen_karp_sipser, gen_pendant_star, gen_random_point
 
 from conftest import brute_expected_matching
@@ -82,10 +82,14 @@ class TestMcRatio:
         b = mc_ratio(inst, 500, seed=9)
         assert a == b
 
-    def test_chunking_invariance(self):
+    def test_chunking_invariance(self, monkeypatch):
+        # blocks of 1 row, then of an odd row count that does not divide
+        # the sample count, give the bytes of the default block size
         inst = gen_random_point(4, 0.7, 4, "bipartite", weighted=False)
-        assert mc_ratio(inst, 300, seed=2, chunk=7).value == \
-            mc_ratio(inst, 300, seed=2, chunk=128).value
+        ref = mc_ratio(inst, 300, seed=2).to_dict()
+        for rows in (1, 7):
+            monkeypatch.setattr(sampling, "BLOCK_BYTES", rows * 8 * inst.num_edges)
+            assert repr(mc_ratio(inst, 300, seed=2).to_dict()) == repr(ref)
 
     def test_seed_stability_karp_sipser(self):
         # two independent runs agree within their own confidence intervals
@@ -141,6 +145,43 @@ class TestPerEdgeCertificates:
         mc = per_edge_certificate(inst, 0, "mc", "weighted", "kernel",
                                   samples=40_000, seed=11)
         assert mc == pytest.approx(exact, abs=0.01)
+
+    def test_kernel_mc_equals_per_sample_loop(self, monkeypatch):
+        # the per-sample reference: force e, count degrees, sum in order;
+        # blocks of 7 rows carry the running sums across block edges
+        inst = gen_pendant_star(5, 0.2)
+        samples, seed = 300, 7
+        monkeypatch.setattr(sampling, "BLOCK_BYTES", 7 * 8 * inst.num_edges)
+        for edge in range(inst.num_edges):
+            gu, gv = inst.endpoints[edge]
+            total = 0.0
+            for i in range(samples):
+                realized = sample(inst, seed, i).realized.copy()
+                realized[edge] = True
+                deg = SampledGraph(inst, realized).degrees
+                total += 1.0 / max(deg[gu], deg[gv])
+            got = per_edge_certificate(inst, edge, "mc", "weighted", "kernel",
+                                       samples=samples, seed=seed)
+            assert got == total / samples
+
+    @pytest.mark.parametrize("bound", ["mass", "kernel"])
+    def test_mc_needs_a_sample(self, bound):
+        with pytest.raises(ValueError, match="at least one sample"):
+            per_edge_certificate(gen_pendant_star(3, 0.4), 0, "mc", "weighted", bound,
+                                 samples=0)
+
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    @pytest.mark.parametrize("bound", ["mass", "kernel"])
+    @pytest.mark.parametrize("scheme", ["weighted", "unweighted"])
+    def test_all_edges_match_single_edge_floats(self, mode, bound, scheme):
+        inst = gen_pendant_star(4, 0.3)
+        certs = per_edge_certificates(inst, mode, scheme, bound, samples=200, seed=4)
+        assert list(certs) == [j for j, e in enumerate(inst.edges) if e.x > 0]
+        for j, cert in certs.items():
+            single = per_edge_certificate(inst, j, mode, scheme, bound,
+                                          samples=200, seed=4)
+            assert type(single) is float and type(cert) is float
+            assert cert == single
 
     def test_mass_dominates_kernel(self):
         for seed in range(15):

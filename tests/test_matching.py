@@ -178,6 +178,24 @@ class TestCardinality:
     def test_general_triangle(self):
         assert max_cardinality_matching(realized_all(cycle_instance(3))) == 1
 
+    @pytest.mark.parametrize("start", ["left", "right"])
+    @pytest.mark.parametrize("order", ["forward", "reversed"])
+    def test_long_path_beyond_recursion_limit(self, order, start):
+        # a path through 1,500 vertices a side; in one edge order per start
+        # side the greedy pass leaves a 1,500-edge augmenting path
+        n = 1500
+        edges = []
+        for i in range(n):
+            edges.append(PotentialEdge(i, i, 1.0, 1.0))
+            if i + 1 < n:
+                edges.append(PotentialEdge(i, i + 1, 1.0, 1.0) if start == "right"
+                             else PotentialEdge(i + 1, i, 1.0, 1.0))
+        if order == "reversed":
+            edges.reverse()
+        g = realized_all(Instance("bipartite", n, tuple(edges)))
+        assert max_cardinality_matching(g) == n
+        assert matching_value(g) == float(n)
+
 
 class TestMonotonicity:
     @pytest.mark.parametrize("seed", range(10))

@@ -6,8 +6,10 @@ import pytest
 
 from matchgap import (Instance, PotentialEdge, SupportTooLarge, enumerate_support,
                       sample, support_probabilities)
+from matchgap import sampling
 from matchgap.gallery import gen_random_point
-from matchgap.sampling import graph_from_mask, realization_block
+from matchgap.rng import uniform_block
+from matchgap.sampling import graph_from_mask, realization_block, realization_blocks
 
 
 def single_edge(x):
@@ -52,6 +54,40 @@ class TestSample:
                                        PotentialEdge(1, 2, 1.0, 1.0)))
         g = sample(inst, 0, 0)
         assert g.degrees.tolist() == [1, 2, 1]
+
+
+class TestRealizationBlocks:
+    """Block rows against the float reference ``uniform_block(...) < x``."""
+
+    X_VALUES = (0.0, 1.0, 0.3, 1.0 / 3.0)
+
+    @staticmethod
+    def rows(inst, seed, start, count):
+        return np.concatenate([b.copy() for b in realization_blocks(inst, seed, start, count)])
+
+    @pytest.mark.parametrize("x", X_VALUES)
+    def test_one_edge_rows_across_blocks(self, x):
+        # a block holds 65,536 one-edge rows; start is not a multiple of that
+        inst = single_edge(x)
+        start, count = 70_001, 140_000
+        want = uniform_block(5, np.arange(start, start + count), 1) < x
+        assert np.array_equal(self.rows(inst, 5, start, count), want)
+
+    @pytest.mark.parametrize("rows", [None, 2])
+    def test_wide_rows(self, monkeypatch, rows):
+        # 40,000 edges: one row per block by default, else two rows a block
+        n = 200
+        edges = tuple(PotentialEdge(u, v, self.X_VALUES[(u + v) % 4])
+                      for u in range(n) for v in range(n))
+        inst = Instance("bipartite", n, edges)
+        if rows is not None:
+            monkeypatch.setattr(sampling, "BLOCK_BYTES", rows * 8 * inst.num_edges)
+        start, count = 3, 5
+        want = uniform_block(7, np.arange(start, start + count), inst.num_edges) < inst.x
+        assert np.array_equal(self.rows(inst, 7, start, count), want)
+
+    def test_zero_count_yields_nothing(self):
+        assert list(realization_blocks(single_edge(0.5), 1, 4, 0)) == []
 
 
 class TestSupport:
