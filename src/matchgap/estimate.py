@@ -16,14 +16,18 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .matching import (matching_values_over_subsets, max_weight_matching_bipartite,
-                       value_solver)
+from .matching import cover_solver, matching_values_over_subsets, value_solver
 from .model import Instance, fractional_value
-from .sampling import (SampledGraph, realization_blocks, sampled_graphs,
+from .sampling import (block_degrees, realization_blocks, realized_edge_lists,
                        support_probabilities)
-from .schemes import SchemeConfig, unweighted_scheme, weighted_scheme
+from .schemes import SchemeConfig, block_edge_masses
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
+
+#: Support masks whose scheme masses are computed together; their work
+#: arrays stay in the tens of kilobytes (4,096 masks added ~4 MB of peak
+#: memory to exact mass certify on a 13-edge instance).
+_MASK_CHUNK = 256
 
 
 class ZeroDenominator(ValueError):
@@ -91,8 +95,8 @@ def mc_ratio(inst: Instance, samples: int, seed: int,
     denom = fractional_value(inst)
     if denom <= 0.0:
         raise ZeroDenominator("fractional value is zero; ratio undefined")
-    solve = value_solver(inst)
-    vals = np.fromiter((solve(g) for g in sampled_graphs(inst, seed, start_index, samples)),
+    vals = np.fromiter(map(value_solver(inst),
+                           realized_edge_lists(inst, seed, start_index, samples)),
                        dtype=np.float64, count=samples)
     mean = float(vals.mean())
     if samples > 1:
@@ -106,62 +110,73 @@ def mc_ratio(inst: Instance, samples: int, seed: int,
 
 # -- per-edge certificates ----------------------------------------------------
 
-def _scheme_masses(g: SampledGraph, scheme: str, cfg: SchemeConfig) -> np.ndarray:
-    _, nu, cover = max_weight_matching_bipartite(g)
-    if scheme == "weighted":
-        return weighted_scheme(g, cover).edge_mass
-    if scheme == "unweighted":
-        return unweighted_scheme(g, cover, cfg).edge_mass
-    raise ValueError(f"unknown scheme {scheme!r}")
-
-
 def per_edge_masses_exact(inst: Instance, scheme: str = "weighted",
                           cfg: SchemeConfig = SchemeConfig()) -> np.ndarray:
-    """Exact E[t_e] for every edge under the chosen scheme."""
+    """Exact E[t_e] for every edge under the chosen scheme: the scheme
+    masses of the masks with nonzero probability, weighted by it and
+    added in mask order."""
     if inst.kind != "bipartite":
         raise TypeError("per-edge certificates require a bipartite instance")
     probs = support_probabilities(inst)
-    m = inst.num_edges
-    bits = 1 << np.arange(m)
-    acc = np.zeros(m, dtype=np.float64)
-    for mask in range(1 << m):
-        p = probs[mask]
-        if p == 0.0:
-            continue
-        g = SampledGraph(inst, (mask & bits) != 0)
-        acc += p * _scheme_masses(g, scheme, cfg)
+    bits = 1 << np.arange(inst.num_edges)
+    masks = np.flatnonzero(probs)
+    chunks = (masks[i:i + _MASK_CHUNK] for i in range(0, len(masks), _MASK_CHUNK))
+    return _scheme_mass_sum(inst, (((c[:, None] & bits) != 0, probs[c]) for c in chunks),
+                            scheme, cfg)
+
+
+def _scheme_mass_sum(inst: Instance, blocks, scheme: str, cfg: SchemeConfig) -> np.ndarray:
+    """Per edge, the sum of p * (scheme mass) over the rows of `blocks`,
+    added row by row in order.  `blocks` yields (realization block, p per
+    row), p None for all ones."""
+    cover = cover_solver(inst)
+    acc = np.zeros(inst.num_edges, dtype=np.float64)
+    for block, p in blocks:
+        covers = np.array([cover(np.flatnonzero(row)) for row in block])
+        masses = block_edge_masses(inst, block, covers, scheme, cfg)
+        if p is not None:
+            masses *= p[:, None]
+        masses[0] += acc
+        acc = np.cumsum(masses, axis=0)[-1]
     return acc
 
 
+def _incident_edges(inst: Instance) -> list[list[int]]:
+    """Per global vertex, the indices of its incident edges, ascending."""
+    inc: list[list[int]] = [[] for _ in range(inst.total_vertices)]
+    for j, (a, b) in enumerate(inst.endpoints.tolist()):
+        inc[a].append(j)
+        inc[b].append(j)
+    return inc
+
+
 def _kernel_certificate_exact(inst: Instance, edge: int, scheme: str,
-                              cfg: SchemeConfig) -> float:
+                              cfg: SchemeConfig, inc: list[list[int]]) -> float:
     # Conditional on e being realized, the two endpoint degrees are
     # 1 + independent Poisson-binomial sums of the other incident edges.
     e = inst.edges[edge]
-    gu, gv = (int(v) for v in inst.endpoints[edge])
-    ends = inst.endpoints
-    at_u = [float(inst.x[j]) for j in range(inst.num_edges)
-            if j != edge and (int(ends[j][0]) == gu or int(ends[j][1]) == gu)]
-    at_v = [float(inst.x[j]) for j in range(inst.num_edges)
-            if j != edge and (int(ends[j][0]) == gv or int(ends[j][1]) == gv)]
+    gu, gv = inst.endpoints[edge].tolist()
+    at_u = [float(inst.x[j]) for j in inc[gu] if j != edge]
+    at_v = [float(inst.x[j]) for j in inc[gv] if j != edge]
     value = kernels.inv_max_expectation(at_u, at_v)
     if scheme == "unweighted":
-        value += _deterministic_transfers(inst, edge, cfg.c) / e.x
+        value += _deterministic_transfers(inst, edge, cfg.c, inc) / e.x
     return float(value)
 
 
-def _deterministic_transfers(inst: Instance, edge: int, c: float) -> float:
+def _deterministic_transfers(inst: Instance, edge: int, c: float,
+                             inc: list[list[int]]) -> float:
+    # edges sharing an endpoint with `edge`, in index order
     x = inst.x
-    ends = inst.endpoints
-    gu, gv = ends[edge]
+    gu, gv = inst.endpoints[edge].tolist()
     xe = x[edge]
+    at_u, at_v = set(inc[gu]), set(inc[gv])
     net = 0.0
-    for j in range(inst.num_edges):
+    for j in sorted(at_u | at_v):
         if j == edge:
             continue
-        shared = len({int(ends[j][0]), int(ends[j][1])} & {int(gu), int(gv)})
-        if shared:
-            net += shared * c * (x[j] ** 2 * xe - xe ** 2 * x[j])
+        shared = (j in at_u) + (j in at_v)
+        net += shared * c * (x[j] ** 2 * xe - xe ** 2 * x[j])
     return net
 
 
@@ -175,13 +190,9 @@ def _kernel_means_mc(inst: Instance, samples: int, seed: int) -> np.ndarray:
     sample in index order.
     """
     ends = inst.endpoints
-    nv = inst.total_vertices
     total = np.zeros(inst.num_edges, dtype=np.float64)
     for block in realization_blocks(inst, seed, 0, samples):
-        rows, cols = np.nonzero(block)
-        base = rows * nv
-        deg = np.bincount(np.concatenate([base + ends[cols, 0], base + ends[cols, 1]]),
-                          minlength=len(block) * nv).reshape(len(block), nv)
+        deg = block_degrees(inst, block)
         inv = 1.0 / np.maximum(deg[:, ends[:, 0]] - block + 1, deg[:, ends[:, 1]] - block + 1)
         inv[0] += total
         total = np.cumsum(inv, axis=0)[-1]
@@ -190,10 +201,10 @@ def _kernel_means_mc(inst: Instance, samples: int, seed: int) -> np.ndarray:
 
 def _mass_sums_mc(inst: Instance, samples: int, seed: int, scheme: str,
                   cfg: SchemeConfig) -> np.ndarray:
-    acc = np.zeros(inst.num_edges, dtype=np.float64)
-    for g in sampled_graphs(inst, seed, 0, samples):
-        acc += _scheme_masses(g, scheme, cfg)
-    return acc
+    """Per edge, the sum of its scheme mass over samples 0..samples-1,
+    added sample by sample in index order."""
+    blocks = realization_blocks(inst, seed, 0, samples)
+    return _scheme_mass_sum(inst, ((b, None) for b in blocks), scheme, cfg)
 
 
 def _certificates(inst: Instance, edges: list[int], mode: str, scheme: str, bound: str,
@@ -207,11 +218,13 @@ def _certificates(inst: Instance, edges: list[int], mode: str, scheme: str, boun
 
     if bound == "kernel":
         if mode == "exact":
-            return {j: _kernel_certificate_exact(inst, j, scheme, cfg) for j in edges}
+            inc = _incident_edges(inst)
+            return {j: _kernel_certificate_exact(inst, j, scheme, cfg, inc) for j in edges}
         if mode == "mc":
             means = _kernel_means_mc(inst, samples, seed)
             if scheme == "unweighted":
-                return {j: float(means[j] + _deterministic_transfers(inst, j, cfg.c)
+                inc = _incident_edges(inst)
+                return {j: float(means[j] + _deterministic_transfers(inst, j, cfg.c, inc)
                                  / inst.edges[j].x) for j in edges}
             return {j: float(means[j]) for j in edges}
         raise ValueError(f"unknown mode {mode!r}")

@@ -20,7 +20,7 @@ import numpy as np
 
 from .matching import matching_values_over_subsets, max_weight_matching_general, value_solver
 from .model import Instance, fractional_value
-from .sampling import SampledGraph, sampled_graphs, support_probabilities
+from .sampling import SampledGraph, realized_edge_lists, support_probabilities
 
 #: Floors certified by the three main bounds.  The advertised unweighted
 #: floor 0.476 equals the x -> 0 endpoint of the envelope; the envelope's
@@ -469,8 +469,7 @@ def phi_curve(inst: Instance, grid_points: int = 20, mode: str = "exact",
                 out[i, 1] = 0.0
                 continue
             scaled = inst.scale_probabilities(float(t))
-            vals = np.fromiter((solve(g) for g in
-                                sampled_graphs(scaled, seed, i * samples, samples)),
+            vals = np.fromiter(map(solve, realized_edge_lists(scaled, seed, i * samples, samples)),
                                dtype=np.float64, count=samples)
             out[i, 1] = float(vals.mean())
     else:

@@ -13,20 +13,19 @@ workhorse behind exact expectations.
 
 from __future__ import annotations
 
+import math
+from bisect import insort
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .model import Instance
-from .sampling import SampledGraph
+from .sampling import SUPPORT_CUTOFF, SampledGraph
 
 #: Exact general search accepts graphs within either cutoff.
 GENERAL_VERTEX_CUTOFF = 20
 GENERAL_EDGE_CUTOFF = 24
-
-#: subset sweeps share the sampler's support cutoff
-SUPPORT_LIMIT_BITS = 20
 
 _TIGHT = 1e-12
 
@@ -71,119 +70,183 @@ def max_weight_matching_bipartite(g: SampledGraph):
     inst = g.instance
     if inst.kind != "bipartite":
         raise TypeError("bipartite solver requires a bipartite instance")
-    n = inst.n
+    idx = g.edge_indices
+    # lists over the realized edges only; position k stands for edge idx[k]
+    tails, arcs = _bipartite_arcs(inst, idx)
+    mate_left, y_left, y_right = _primal_dual(range(len(arcs)), tails, arcs, inst.n)
+    value = _matched_weight(mate_left, arcs)
+    edges = tuple(idx[sorted(k for _, k in mate_left.values())].tolist())
+    return Matching(edges, value), value, FractionalVertexCover(_cover(y_left, y_right))
 
+
+def _bipartite_arcs(inst: Instance, idx: np.ndarray):
+    """Lists for `_primal_dual` over the edges `idx`: the left vertex of
+    each, and its arc (right vertex, weight, position in `idx`)."""
+    ends = inst.endpoints[idx]
+    arcs = zip((ends[:, 1] - inst.n).tolist(), inst.w[idx].tolist(), range(len(idx)))
+    return ends[:, 0].tolist(), list(arcs)
+
+
+def _primal_dual(idx, tails, arcs, n):
+    """Kuhn's primal-dual method on the edges at positions `idx`
+    (ascending) of `tails` and `arcs`; an arc's last entry is its position.
+
+    Left vertices start at their largest incident weight, right vertices
+    at zero; roots are taken in vertex order.  Returns (mate_left,
+    y_left, y_right): mate_left maps each matched left vertex to its
+    (right vertex, edge position), y_left holds the potential of every
+    left vertex with a realized edge and y_right that of every right
+    vertex.
+    """
     adj: dict[int, list[tuple[int, float, int]]] = {}
-    for j in map(int, g.edge_indices):
-        e = inst.edges[j]
-        adj.setdefault(e.u, []).append((e.v, e.w, j))
-
-    y_left = {u: max(w for _, w, _ in lst) for u, lst in adj.items()}
-    y_right: dict[int, float] = {}
+    y_left: dict[int, float] = {}
+    for j in idx:
+        u = tails[j]
+        arc = arcs[j]
+        if u in adj:
+            adj[u].append(arc)
+            if arc[1] > y_left[u]:
+                y_left[u] = arc[1]
+        else:
+            adj[u] = [arc]
+            y_left[u] = arc[1]
+    y_right = [0.0] * n
     mate_left: dict[int, tuple[int, int]] = {}   # u -> (v, edge)
-    mate_right: dict[int, tuple[int, int]] = {}  # v -> (u, edge)
+    mate_right: list = [None] * n                # v -> (u, edge), or None
 
     for root in sorted(adj):
-        if root in mate_left or y_left[root] <= _TIGHT:
+        yu = y_left[root]
+        if root in mate_left or yu <= _TIGHT:
             continue
-        _run_phase(root, adj, y_left, y_right, mate_left, mate_right)
+        # The first scan of the phase: when the root's first tight edge
+        # reaches a free right vertex, the phase matches it and ends.
+        for v, w, j in adj[root]:
+            if yu + y_right[v] - w <= _TIGHT:
+                if mate_right[v] is None:
+                    mate_left[root] = (v, j)
+                    mate_right[v] = (root, j)
+                break
+        if root not in mate_left:
+            _run_phase(root, adj, y_left, y_right, mate_left, mate_right)
+    return mate_left, y_left, y_right
 
+
+def _matched_weight(mate_left, arcs) -> float:
+    # one edge at a time in left-vertex order, which fixes the last bits
     value = 0.0
-    edges = []
     for u in sorted(mate_left):
-        v, j = mate_left[u]
-        edges.append(j)
-        value += inst.edges[j].w
-    edges.sort()
+        value += arcs[mate_left[u][1]][1]
+    return value
 
-    y = np.zeros(inst.total_vertices, dtype=np.float64)
+
+def _cover(y_left, y_right) -> np.ndarray:
+    n = len(y_right)
+    y = np.zeros(2 * n, dtype=np.float64)
     for u, val in y_left.items():
         y[u] = max(0.0, val)
-    for v, val in y_right.items():
-        y[n + v] = max(0.0, val)
-    return Matching(tuple(edges), value), value, FractionalVertexCover(y)
+    right = np.array(y_right)
+    y[n:] = np.where(right > 0.0, right, 0.0)  # the values of max(0.0, val), NaN included
+    return y
 
 
 def _run_phase(root, adj, y_left, y_right, mate_left, mate_right):
     """Grow one alternating tree from `root` in the tight subgraph.
 
+    The edge entering the tree is the first tight edge in (sorted
+    tree-left vertex, adjacency order).  Potentials change only at dual
+    adjustments, and the tree only grows, so an edge once found slack or
+    leading into the tree stays so until the next adjustment: every
+    tree-left vertex keeps a scan position that rewinds only there, and
+    the least slack seen per right vertex gives the adjustment without a
+    second pass over the tree's edges.
+
     Ends by matching the root (augment), or by driving some tree vertex's
     potential to zero, at which point that vertex can be left exposed
     without violating complementary slackness (release).
     """
-    tree_left = {root}
+    tree_left = [root]                           # sorted
+    scan = {root: 0}                             # u -> next adjacency position
     tree_right: dict[int, tuple[int, int]] = {}  # v -> (parent u, edge)
     parent_left: dict[int, int] = {}             # u -> matched v it entered from
-
-    def flip_to_root(v, u, j):
-        # Make (u, v) matched, then re-match the freed vertices up the tree.
-        while True:
-            prev = mate_left.get(u)
-            mate_left[u] = (v, j)
-            mate_right[v] = (u, j)
-            if u == root:
-                return
-            v = prev[0]
-            u, j = tree_right[v]
+    least: dict[int, float] = {}                 # v -> least slack since the adjustment
 
     while True:
         entered = None
-        for u in sorted(tree_left):
+        for u in tree_left:
+            lst = adj[u]
             yu = y_left[u]
-            for v, w, j in adj[u]:
-                if v not in tree_right and yu + y_right.get(v, 0.0) - w <= _TIGHT:
-                    entered = (u, v, j)
-                    break
-            if entered:
-                break
+            for k in range(scan[u], len(lst)):
+                v, w, j = lst[k]
+                if v not in tree_right:
+                    s = yu + y_right[v] - w
+                    if s <= _TIGHT:
+                        entered = u, v, j
+                        scan[u] = k
+                        break
+                    t = least.get(v)
+                    if t is None or s < t:
+                        least[v] = s
+            else:
+                scan[u] = len(lst)
+                continue
+            break
 
         if entered is not None:
             u, v, j = entered
             tree_right[v] = (u, j)
-            if v not in mate_right:
-                flip_to_root(v, u, j)
+            if mate_right[v] is None:
+                _flip_to_root(root, v, u, j, tree_right, mate_left, mate_right)
                 return
             u2 = mate_right[v][0]
-            tree_left.add(u2)
+            insort(tree_left, u2)
+            scan[u2] = 0
             parent_left[u2] = v
             continue
 
         # No tight edge leaves the tree: lower left / raise right potentials.
-        slack = np.inf
-        for u in tree_left:
-            yu = y_left[u]
-            for v, w, j in adj[u]:
-                if v not in tree_right:
-                    slack = min(slack, yu + y_right.get(v, 0.0) - w)
-        floor = min(y_left[u] for u in tree_left)
+        slack = math.inf
+        for v, s in least.items():
+            if s < slack and v not in tree_right:
+                slack = s
+        floor = min([y_left[u] for u in tree_left])
         delta = min(slack, floor)
         for u in tree_left:
             y_left[u] -= delta
         for v in tree_right:
-            y_right[v] = y_right.get(v, 0.0) + delta
+            y_right[v] += delta
 
         if floor <= slack:
             # Some potential hit zero: that vertex may stay exposed.
-            released = min(u for u in tree_left if y_left[u] <= _TIGHT)
+            released = next(u for u in tree_left if y_left[u] <= _TIGHT)
             if released == root:
                 return
             v = parent_left[released]
             del mate_left[released]
             u, j = tree_right[v]
-            flip_to_root(v, u, j)
+            _flip_to_root(root, v, u, j, tree_right, mate_left, mate_right)
             return
+        least.clear()
+        scan = dict.fromkeys(tree_left, 0)
 
 
-def _compact_realized(g: SampledGraph):
-    """Relabel the vertices touched by realized edges to 0..k-1."""
-    inst = g.instance
-    idx = g.edge_indices
-    ends = inst.endpoints[idx]
-    verts = np.unique(ends)
-    lookup = {int(v): i for i, v in enumerate(verts)}
-    edges = [(lookup[int(a)], lookup[int(b)], float(inst.w[j]))
-             for (a, b), j in zip(ends, idx)]
-    return len(verts), edges
+def _flip_to_root(root, v, u, j, tree_right, mate_left, mate_right):
+    # Make (u, v) matched, then re-match the freed vertices up the tree.
+    while True:
+        prev = mate_left.get(u)
+        mate_left[u] = (v, j)
+        mate_right[v] = (u, j)
+        if u == root:
+            return
+        v = prev[0]
+        u, j = tree_right[v]
+
+
+def _compact(ends, w):
+    """Relabel the vertices touched by the realized edges `ends` (with
+    weights `w`) to 0..k-1 in vertex order."""
+    verts = sorted({v for e in ends for v in e})
+    lookup = {v: i for i, v in enumerate(verts)}
+    return len(verts), [(lookup[a], lookup[b], x) for (a, b), x in zip(ends, w)]
 
 
 def max_weight_matching_general(g: SampledGraph) -> float:
@@ -193,7 +256,12 @@ def max_weight_matching_general(g: SampledGraph) -> float:
     GENERAL_VERTEX_CUTOFF vertices carry edges, falling back to
     branch-and-bound over edges up to GENERAL_EDGE_CUTOFF edges.
     """
-    nv, edges = _compact_realized(g)
+    inst = g.instance
+    idx = g.edge_indices
+    return _general_value(*_compact(inst.endpoints[idx].tolist(), inst.w[idx].tolist()))
+
+
+def _general_value(nv, edges) -> float:
     if not edges:
         return 0.0
     if nv <= GENERAL_VERTEX_CUTOFF:
@@ -253,24 +321,19 @@ def max_cardinality_matching(g: SampledGraph) -> int:
     """Maximum matching cardinality: augmenting paths for bipartite input,
     exact search (within cutoffs) for general input."""
     inst = g.instance
+    ends = inst.endpoints[g.edge_indices].tolist()
     if inst.kind == "bipartite":
-        return _kuhn_cardinality(g)
-    nv, edges = _compact_realized(g)
-    if not edges:
-        return 0
-    unit = [(a, b, 1.0) for a, b, _ in edges]
-    if nv <= GENERAL_VERTEX_CUTOFF:
-        return int(round(_nu_vertex_dp(nv, unit)))
-    if len(edges) <= GENERAL_EDGE_CUTOFF:
-        return int(round(_nu_edge_branch(unit)))
-    raise MatchingCutoffExceeded(
-        f"exact search cutoff exceeded: {nv} vertices, {len(edges)} edges")
+        return _kuhn_cardinality(ends)
+    return int(round(_general_value(*_compact(ends, [1.0] * len(ends)))))
 
 
-def _kuhn_cardinality(g: SampledGraph) -> int:
+def _kuhn_cardinality(pairs) -> int:
     adj: dict[int, list[int]] = {}
-    for u, v in g.instance.endpoints[g.edge_indices].tolist():
-        adj.setdefault(u, []).append(v)
+    for u, v in pairs:
+        if u in adj:
+            adj[u].append(v)
+        else:
+            adj[u] = [v]
     # A greedy pass matches every left vertex that has a free neighbour;
     # augmenting from the rest then gives the maximum cardinality, which
     # does not depend on the starting matching.
@@ -313,27 +376,41 @@ def _augment(root: int, adj: dict[int, list[int]], mate: dict[int, int]) -> bool
     return False
 
 
-def _kuhn_value(g: SampledGraph) -> float:
-    return float(_kuhn_cardinality(g))
-
-
-def _primal_dual_value(g: SampledGraph) -> float:
-    return max_weight_matching_bipartite(g)[1]
-
-
-def value_solver(inst: Instance) -> Callable[[SampledGraph], float]:
-    """The solver `matching_value` applies to realizations of `inst`:
-    augmenting paths for unweighted bipartite, primal-dual for weighted
-    bipartite, exact search for general instances.  Monte Carlo loops
-    select it once per run."""
+def value_solver(inst: Instance) -> Callable[[np.ndarray], float]:
+    """The solver `matching_value` applies to realizations of `inst`, as a
+    function of the ascending array of realized edge indices: augmenting
+    paths for unweighted bipartite, primal-dual for weighted bipartite,
+    exact search for general instances.  The primal-dual's per-instance
+    lists are built here, so Monte Carlo loops select it once per run."""
+    # Kuhn and exact search gather the realized edges per sample:
+    # per-instance lists of a 40,000-edge instance cost cache misses and
+    # peak memory
+    ends, w = inst.endpoints, inst.w
     if inst.kind == "bipartite":
-        return _kuhn_value if inst.is_unweighted else _primal_dual_value
-    return max_weight_matching_general
+        if inst.is_unweighted:
+            return lambda idx: float(_kuhn_cardinality(ends[idx].tolist()))
+        tails, arcs = _bipartite_arcs(inst, np.arange(inst.num_edges))
+        n = inst.n
+        return lambda idx: _matched_weight(_primal_dual(idx.tolist(), tails, arcs, n)[0], arcs)
+    return lambda idx: _general_value(*_compact(ends[idx].tolist(), w[idx].tolist()))
+
+
+def cover_solver(inst: Instance) -> Callable[[np.ndarray], np.ndarray]:
+    """The cover of `max_weight_matching_bipartite` for realizations of a
+    bipartite `inst`, as a function of the ascending array of realized
+    edge indices."""
+    tails, arcs = _bipartite_arcs(inst, np.arange(inst.num_edges))
+    n = inst.n
+    return lambda idx: _cover(*_primal_dual(idx.tolist(), tails, arcs, n)[1:])
 
 
 def matching_value(g: SampledGraph) -> float:
     """Maximum matching weight via the solver appropriate to the kind."""
-    return value_solver(g.instance)(g)
+    inst = g.instance
+    if inst.kind == "bipartite" and not inst.is_unweighted:
+        # the wrapper reads the realized edges only, not per-instance lists
+        return max_weight_matching_bipartite(g)[1]
+    return value_solver(inst)(g.edge_indices)
 
 
 def matching_values_over_subsets(inst: Instance) -> np.ndarray:
@@ -345,8 +422,8 @@ def matching_values_over_subsets(inst: Instance) -> np.ndarray:
     vectorized over all lower masks.
     """
     m = inst.num_edges
-    if m > SUPPORT_LIMIT_BITS:
-        raise MatchingCutoffExceeded(f"subset sweep needs 2**{m} entries; cutoff is 2**{SUPPORT_LIMIT_BITS}")
+    if m > SUPPORT_CUTOFF:
+        raise MatchingCutoffExceeded(f"subset sweep needs 2**{m} entries; cutoff is 2**{SUPPORT_CUTOFF}")
     ends = inst.endpoints
     compat = np.zeros(m, dtype=np.int64)
     for j in range(m):

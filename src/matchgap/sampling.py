@@ -12,7 +12,8 @@ as many samples at a time as fit in ``BLOCK_BYTES`` of uint64 work array
 integer thresholds (see `rng`).  Its blocks are views of buffers reused
 for the next block: `SampledGraph` freezes the array it is given without
 copying it, so copy a row, or take its edge indices, before keeping it
-past the next block.
+past the next block.  Monte Carlo solvers read each sample as the
+array of realized edge indices (`realized_edge_lists`).
 """
 
 from __future__ import annotations
@@ -59,12 +60,7 @@ class SampledGraph:
     @cached_property
     def degrees(self) -> np.ndarray:
         """Realized degree per global vertex id."""
-        deg = np.zeros(self.instance.total_vertices, dtype=np.int64)
-        ends = self.instance.endpoints[self.edge_indices]
-        if ends.size:
-            np.add.at(deg, ends[:, 0], 1)
-            np.add.at(deg, ends[:, 1], 1)
-        return deg
+        return block_degrees(self.instance, self.realized[None])[0]
 
     @property
     def num_realized(self) -> int:
@@ -85,22 +81,30 @@ def realization_blocks(inst: Instance, seed: int, start: int,
         yield draws.draw(first, min(rows, start + count - first))
 
 
-def sampled_graphs(inst: Instance, seed: int, start: int,
-                   count: int) -> Iterator[SampledGraph]:
-    """Samples start..start+count-1 in order, one `SampledGraph` each.
-
-    A yielded graph's realization is a row of a reused block: use it
-    before advancing the iterator, or copy it.
-    """
+def realized_edge_lists(inst: Instance, seed: int, start: int,
+                        count: int) -> Iterator[np.ndarray]:
+    """Samples start..start+count-1 in order, each as the ascending array
+    of its realized edge indices (the caller's own, not a block view)."""
     for block in realization_blocks(inst, seed, start, count):
         for row in block:
-            yield SampledGraph(inst, row)
+            yield np.flatnonzero(row)
+
+
+def block_degrees(inst: Instance, block: np.ndarray) -> np.ndarray:
+    """(rows, total_vertices) realized degrees of the rows of a block."""
+    rows, cols = np.nonzero(block)
+    ends = inst.endpoints
+    nv = inst.total_vertices
+    base = rows * nv
+    deg = np.bincount(np.concatenate([base + ends[cols, 0], base + ends[cols, 1]]),
+                      minlength=len(block) * nv)
+    return deg.reshape(len(block), nv)
 
 
 def sample(inst: Instance, seed: int, index: int) -> SampledGraph:
     """Draw sample ``index`` of the run identified by ``seed``."""
     # a one-sample run allocates its own block, which nothing reuses
-    return next(sampled_graphs(inst, seed, index, 1))
+    return SampledGraph(inst, next(realization_blocks(inst, seed, index, 1))[0])
 
 
 def realization_block(inst: Instance, seed: int, start: int, count: int) -> np.ndarray:

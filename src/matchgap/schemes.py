@@ -17,7 +17,8 @@ from functools import cached_property
 import numpy as np
 
 from .matching import FractionalVertexCover
-from .sampling import SampledGraph
+from .model import Instance
+from .sampling import SampledGraph, block_degrees
 
 DEFAULT_TRANSFER = 1.0 / 6.0
 
@@ -68,16 +69,10 @@ def weighted_scheme(g: SampledGraph, cover: FractionalVertexCover) -> MassVector
     Isolated vertices keep their mass (optimal covers put zero there, but
     the convention avoids dividing by a zero degree).
     """
-    inst = g.instance
     deg = g.degrees
     y = cover.y
-    edge_mass = np.zeros(inst.num_edges, dtype=np.float64)
-    idx = g.edge_indices
-    if idx.size:
-        ends = inst.endpoints[idx]
-        edge_mass[idx] = y[ends[:, 0]] / deg[ends[:, 0]] + y[ends[:, 1]] / deg[ends[:, 1]]
-    vertex_mass = np.where(deg == 0, y, 0.0)
-    return MassVector(vertex_mass, edge_mass)
+    edge_mass = _spread(g.instance, g.realized[None], y[None], deg[None])[0]
+    return MassVector(np.where(deg == 0, y, 0.0), edge_mass)
 
 
 def unweighted_scheme(g: SampledGraph, cover: FractionalVertexCover,
@@ -90,10 +85,37 @@ def unweighted_scheme(g: SampledGraph, cover: FractionalVertexCover,
         c * sum_{f ~ e} (x_f^2 * x_e - x_e^2 * x_f)
     summed over potential edges f sharing u or v.
     """
-    inst = g.instance
+    base = weighted_scheme(g, cover)
+    return MassVector(base.vertex_mass, base.edge_mass + cfg.c * _transfers(g.instance))
+
+
+def block_edge_masses(inst: Instance, block: np.ndarray, covers: np.ndarray,
+                      scheme: str, cfg: SchemeConfig = SchemeConfig()) -> np.ndarray:
+    """Edge masses of the weighted or unweighted scheme, one row per row
+    of a realization block; ``covers[k]`` is the optimal cover of row k.
+
+    Row k equals ``weighted_scheme(g, cover).edge_mass`` (or the
+    unweighted one) for that realization and cover.
+    """
+    masses = _spread(inst, block, covers, block_degrees(inst, block))
+    if scheme == "unweighted":
+        return masses + cfg.c * _transfers(inst)
+    if scheme != "weighted":
+        raise ValueError(f"unknown scheme {scheme!r}")
+    return masses
+
+
+def _spread(inst, block, y, deg):
+    # y_u / deg_u + y_v / deg_v on realized edges, zero elsewhere
+    a, b = inst.endpoints[:, 0], inst.endpoints[:, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(block, y[:, a] / deg[:, a] + y[:, b] / deg[:, b], 0.0)
+
+
+def _transfers(inst: Instance) -> np.ndarray:
+    """Net quadratic transfer into every edge, before the factor c."""
     if not inst.is_unweighted:
         raise ValueError("quadratic-transfer scheme requires unit weights")
-    base = weighted_scheme(g, cover)
     x = inst.x
     ends = inst.endpoints
     s1 = np.zeros(inst.total_vertices)
@@ -104,9 +126,8 @@ def unweighted_scheme(g: SampledGraph, cover: FractionalVertexCover,
     np.add.at(s2, ends[:, 1], x ** 2)
     # income minus outgo against the neighborhood sums, both endpoints
     a, b = ends[:, 0], ends[:, 1]
-    net = (x * (s2[a] - x ** 2) - x ** 2 * (s1[a] - x)
-           + x * (s2[b] - x ** 2) - x ** 2 * (s1[b] - x))
-    return MassVector(base.vertex_mass, base.edge_mass + cfg.c * net)
+    return (x * (s2[a] - x ** 2) - x ** 2 * (s1[a] - x)
+            + x * (s2[b] - x ** 2) - x ** 2 * (s1[b] - x))
 
 
 def audit_masses(t: MassVector, cover: FractionalVertexCover, nu: float,

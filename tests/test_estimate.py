@@ -7,7 +7,10 @@ from matchgap import (Instance, PotentialEdge, SupportTooLarge, ZeroDenominator,
                       exact_ratio, expected_matching_value, mc_ratio,
                       per_edge_certificate, per_edge_masses_exact, ratio_floor,
                       weighted_kernel_constant)
-from matchgap import SampledGraph, WEIGHTED_BIPARTITE_FLOOR, per_edge_certificates, sample, sampling
+from matchgap import (SampledGraph, SchemeConfig, WEIGHTED_BIPARTITE_FLOOR, estimate,
+                      max_weight_matching_bipartite, per_edge_certificates,
+                      per_edge_masses_exact, sample, sampling, support_probabilities,
+                      unweighted_scheme, weighted_scheme)
 from matchgap.gallery import gen_karp_sipser, gen_pendant_star, gen_random_point
 
 from conftest import brute_expected_matching
@@ -84,12 +87,15 @@ class TestMcRatio:
 
     def test_chunking_invariance(self, monkeypatch):
         # blocks of 1 row, then of an odd row count that does not divide
-        # the sample count, give the bytes of the default block size
-        inst = gen_random_point(4, 0.7, 4, "bipartite", weighted=False)
-        ref = mc_ratio(inst, 300, seed=2).to_dict()
-        for rows in (1, 7):
-            monkeypatch.setattr(sampling, "BLOCK_BYTES", rows * 8 * inst.num_edges)
-            assert repr(mc_ratio(inst, 300, seed=2).to_dict()) == repr(ref)
+        # the sample count, give the bytes of the default block size, for
+        # each of the three solvers (Kuhn, primal-dual, exact search)
+        for kind, weighted in (("bipartite", False), ("bipartite", True), ("general", True)):
+            inst = gen_random_point(4, 0.7, 4, kind, weighted=weighted)
+            ref = repr(mc_ratio(inst, 300, seed=2).to_dict())
+            for rows in (1, 7):
+                monkeypatch.setattr(sampling, "BLOCK_BYTES", rows * 8 * inst.num_edges)
+                assert repr(mc_ratio(inst, 300, seed=2).to_dict()) == ref, (kind, weighted, rows)
+            monkeypatch.undo()
 
     def test_seed_stability_karp_sipser(self):
         # two independent runs agree within their own confidence intervals
@@ -164,6 +170,41 @@ class TestPerEdgeCertificates:
                                        samples=samples, seed=seed)
             assert got == total / samples
 
+    @pytest.mark.parametrize("scheme", ["weighted", "unweighted"])
+    def test_mass_mc_equals_per_sample_loop(self, monkeypatch, scheme):
+        # the per-sample reference: solve, run the scheme, add in order;
+        # blocks of 7 rows carry the running sums across block edges
+        inst = (gen_random_point(4, 0.6, 12, "bipartite") if scheme == "weighted"
+                else gen_pendant_star(5, 0.2))
+        samples, seed = 300, 5
+        monkeypatch.setattr(sampling, "BLOCK_BYTES", 7 * 8 * inst.num_edges)
+        run = weighted_scheme if scheme == "weighted" else unweighted_scheme
+        total = np.zeros(inst.num_edges)
+        for i in range(samples):
+            g = sample(inst, seed, i)
+            total += run(g, max_weight_matching_bipartite(g)[2]).edge_mass
+        for edge, e in enumerate(inst.edges):
+            got = per_edge_certificate(inst, edge, "mc", scheme, "mass",
+                                       samples=samples, seed=seed)
+            assert got == float(total[edge] / samples) / (e.w * e.x)
+
+    @pytest.mark.parametrize("scheme", ["weighted", "unweighted"])
+    def test_mass_exact_equals_per_mask_loop(self, monkeypatch, scheme):
+        # the per-mask reference: solve, run the scheme, add p * mass in
+        # mask order; chunks of 7 masks carry the sums across chunk edges
+        inst = (gen_random_point(3, 0.8, 40, "bipartite") if scheme == "weighted"
+                else gen_pendant_star(4, 0.3))
+        monkeypatch.setattr(estimate, "_MASK_CHUNK", 7)
+        run = weighted_scheme if scheme == "weighted" else unweighted_scheme
+        probs = support_probabilities(inst)
+        bits = 1 << np.arange(inst.num_edges)
+        total = np.zeros(inst.num_edges)
+        for mask in range(1 << inst.num_edges):
+            if probs[mask] != 0.0:
+                g = SampledGraph(inst, (mask & bits) != 0)
+                total += probs[mask] * run(g, max_weight_matching_bipartite(g)[2]).edge_mass
+        assert per_edge_masses_exact(inst, scheme).tobytes() == total.tobytes()
+
     @pytest.mark.parametrize("bound", ["mass", "kernel"])
     def test_mc_needs_a_sample(self, bound):
         with pytest.raises(ValueError, match="at least one sample"):
@@ -192,6 +233,28 @@ class TestPerEdgeCertificates:
                 mass = per_edge_certificate(inst, j, "exact", "weighted", "mass")
                 kern = per_edge_certificate(inst, j, "exact", "weighted", "kernel")
                 assert mass >= kern - 1e-9
+
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_unweighted_kernel_equals_all_edge_scan(self, mode):
+        # the reference scans every edge for the ones sharing an endpoint
+        # and adds their transfers in edge order
+        from matchgap import inv_max_expectation
+        inst = gen_random_point(8, 0.7, 21, "bipartite", weighted=False)
+        x, ends, c = inst.x, inst.endpoints, SchemeConfig().c
+        weighted = per_edge_certificates(inst, mode, "weighted", "kernel", samples=50, seed=2)
+        got = per_edge_certificates(inst, mode, "unweighted", "kernel", samples=50, seed=2)
+        for e, cert in got.items():
+            near = [[j for j in range(inst.num_edges) if j != e and v in ends[j]]
+                    for v in ends[e]]
+            net = 0.0
+            for j in range(inst.num_edges):
+                shared = len(set(ends[j].tolist()) & set(ends[e].tolist())) if j != e else 0
+                if shared:
+                    net += shared * c * (x[j] ** 2 * x[e] - x[e] ** 2 * x[j])
+            base = (inv_max_expectation([float(x[j]) for j in near[0]],
+                                        [float(x[j]) for j in near[1]])
+                    if mode == "exact" else weighted[e])
+            assert cert == float(base + net / inst.edges[e].x)
 
     def test_unweighted_kernel_includes_transfers(self):
         inst = gen_pendant_star(3, 0.4)  # unit weights

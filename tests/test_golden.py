@@ -8,8 +8,12 @@ certificates printed `np.float64(...)` in CSV at that time (and could
 not be written as JSON at all); the fixture holds the plain float repr
 the fixed CLI prints, with the same digits.
 
-Re-record with ``PYTHONPATH=src python tests/test_golden.py`` only after
-arguing an intended output change.
+The first twelve command lines were recorded from the per-sample
+sampler; the last three from the dict-based primal-dual solver that
+preceded the list-based one.  ``PYTHONPATH=src python
+tests/test_golden.py`` records command lines missing from the fixture
+and keeps every recorded entry; delete an entry to re-record it, and
+only after arguing an intended output change.
 """
 
 import json
@@ -46,6 +50,12 @@ COMMANDS = [
     " --samples 150 --seed 5 --format csv",
     # report: verify suite (sample()) plus a Karp-Sipser mc sweep
     "report --instances 3 --karp-n 8 --samples 100 --seed 1",
+    # primal-dual on a larger weighted instance; exact mass and exact
+    # kernel certificates
+    "mc --gen random_point --kind bipartite --n 40 --density 0.2 --samples 500 --seed 7",
+    "certify --gen pendant_star --n 6 --eps 0.2 --bound mass --scheme weighted --mode exact",
+    "certify --gen pendant_star --n 30 --eps 0.1 --bound kernel --scheme weighted"
+    " --mode exact --format csv",
 ]
 
 
@@ -65,8 +75,11 @@ if __name__ == "__main__":
     import contextlib
     import io
 
-    record = {}
+    with open(FIXTURE) as fh:
+        record = json.load(fh)
     for command in COMMANDS:
+        if command in record:
+            continue
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             rc = main(command.split())

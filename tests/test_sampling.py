@@ -9,7 +9,8 @@ from matchgap import (Instance, PotentialEdge, SupportTooLarge, enumerate_suppor
 from matchgap import sampling
 from matchgap.gallery import gen_random_point
 from matchgap.rng import uniform_block
-from matchgap.sampling import graph_from_mask, realization_block, realization_blocks
+from matchgap.sampling import (block_degrees, graph_from_mask, realization_block,
+                               realization_blocks, realized_edge_lists)
 
 
 def single_edge(x):
@@ -88,6 +89,27 @@ class TestRealizationBlocks:
 
     def test_zero_count_yields_nothing(self):
         assert list(realization_blocks(single_edge(0.5), 1, 4, 0)) == []
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_realized_edge_lists_across_blocks(self, monkeypatch, rows):
+        # one array per sample, equal to that sample's edge indices, also
+        # for samples with no realized edge and across block edges
+        inst = gen_random_point(4, 0.6, 8, "bipartite")
+        monkeypatch.setattr(sampling, "BLOCK_BYTES", rows * 8 * inst.num_edges)
+        lists = [idx.tolist() for idx in realized_edge_lists(inst, 3, 11, 40)]
+        assert len(lists) == 40 and [] in lists
+        for k, idx in enumerate(lists):
+            assert idx == sample(inst, 3, 11 + k).edge_indices.tolist()
+
+    def test_block_degrees(self):
+        inst = gen_random_point(4, 0.6, 8, "general")
+        block = realization_block(inst, 2, 0, 9)
+        deg = block_degrees(inst, block)
+        for k in range(9):
+            want = np.zeros(inst.total_vertices, dtype=np.int64)
+            for j in np.nonzero(block[k])[0]:
+                want[inst.endpoints[j]] += 1
+            assert np.array_equal(deg[k], want)
 
 
 class TestSupport:
