@@ -18,7 +18,7 @@ import numpy as np
 from . import kernels
 from .matching import cover_solver, matching_values_over_subsets, value_solver
 from .model import Instance, fractional_value
-from .sampling import (block_degrees, realization_blocks, realized_edge_lists,
+from .sampling import (block_degrees, realization_blocks, sample_values,
                        support_probabilities)
 from .schemes import SchemeConfig, block_edge_masses
 
@@ -88,16 +88,14 @@ def mc_ratio(inst: Instance, samples: int, seed: int,
 
     Sample i consumes counter stream start_index + i, so the estimate is a
     pure function of (seed, samples, start_index) no matter how the work
-    is split into blocks or across workers.
+    is split into blocks or across workers (`sampling.sample_values`).
     """
     if samples <= 0:
         raise ValueError("need at least one sample")
     denom = fractional_value(inst)
     if denom <= 0.0:
         raise ZeroDenominator("fractional value is zero; ratio undefined")
-    vals = np.fromiter(map(value_solver(inst),
-                           realized_edge_lists(inst, seed, start_index, samples)),
-                       dtype=np.float64, count=samples)
+    vals = sample_values(inst, value_solver(inst), seed, start_index, samples)
     mean = float(vals.mean())
     if samples > 1:
         half = _Z95 * float(vals.std(ddof=1)) / math.sqrt(samples)
@@ -166,17 +164,15 @@ def _kernel_certificate_exact(inst: Instance, edge: int, scheme: str,
 
 def _deterministic_transfers(inst: Instance, edge: int, c: float,
                              inc: list[list[int]]) -> float:
-    # edges sharing an endpoint with `edge`, in index order
-    x = inst.x
+    # a term per edge sharing an endpoint, added one by one in index order;
+    # float_power is C pow() like a scalar's ** (an array's ** 2 squares)
     gu, gv = inst.endpoints[edge].tolist()
-    xe = x[edge]
-    at_u, at_v = set(inc[gu]), set(inc[gv])
+    js, shared = np.unique(inc[gu] + inc[gv], return_counts=True)
+    keep = js != edge
+    xe, xj = inst.x[edge], inst.x[js[keep]]
     net = 0.0
-    for j in sorted(at_u | at_v):
-        if j == edge:
-            continue
-        shared = (j in at_u) + (j in at_v)
-        net += shared * c * (x[j] ** 2 * xe - xe ** 2 * x[j])
+    for term in (shared[keep] * c * (np.float_power(xj, 2) * xe - xe ** 2 * xj)).tolist():
+        net += term
     return net
 
 

@@ -108,7 +108,7 @@ class Instance:
             out[j, 1] = e.v + self.n if self.kind == "bipartite" else e.v
         return out
 
-    @property
+    @cached_property
     def is_unweighted(self) -> bool:
         return bool(np.all(self.w == 1.0))
 

@@ -13,14 +13,17 @@ integer thresholds (see `rng`).  Its blocks are views of buffers reused
 for the next block: `SampledGraph` freezes the array it is given without
 copying it, so copy a row, or take its edge indices, before keeping it
 past the next block.  Monte Carlo solvers read each sample as the
-array of realized edge indices (`realized_edge_lists`).
+array of realized edge indices (`realized_edge_lists`) in `sample_values`.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import threading
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -33,6 +36,11 @@ SUPPORT_CUTOFF = 20
 #: Bytes of one block's uint64 work array: a block holds
 #: max(1, BLOCK_BYTES // (8 m)) samples of an m-edge instance.
 BLOCK_BYTES = 512 * 1024
+
+#: Least work of a run that `sample_values` splits, in edge draws: samples x
+#: (edges + 256 x expected realized edges; a solver takes 200-300 draws' time
+#: per realized edge).  On a 2-vCPU VM splits paid off at 2**25, not 2**24.
+SPLIT_MIN_WORK = 1 << 25
 
 
 class SupportTooLarge(RuntimeError):
@@ -88,6 +96,62 @@ def realized_edge_lists(inst: Instance, seed: int, start: int,
     for block in realization_blocks(inst, seed, start, count):
         for row in block:
             yield np.flatnonzero(row)
+
+
+def sample_values(inst: Instance, solve: Callable[[np.ndarray], float], seed: int,
+                  start: int, count: int) -> np.ndarray:
+    """float64 array of solve(realized edge indices) for samples
+    start..start+count-1, in order.
+
+    A run of at least ``SPLIT_MIN_WORK`` is cut into one sample range per
+    CPU in the affinity mask, each solved in a forked worker.  On one CPU,
+    without ``os.fork`` or beside other threads (unsafe to fork) the loop
+    runs serially.  Either way a failure raises as in the serial loop.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, count)
+    if (workers > 1 and hasattr(os, "fork") and threading.active_count() == 1
+            and count * (inst.num_edges + 256 * inst.x.sum()) >= SPLIT_MIN_WORK):
+        cuts = [start + count * k // workers for k in range(workers + 1)]
+        return _forked_values(inst, solve, seed, cuts)
+    return _solved(inst, solve, seed, start, count)
+
+
+def _solved(inst, solve, seed, first, n) -> np.ndarray:
+    return np.fromiter(map(solve, realized_edge_lists(inst, seed, first, n)), float, n)
+
+
+def _forked_values(inst, solve, seed, cuts) -> np.ndarray:
+    workers = []  # (pid, pipe read end) per range between consecutive cuts
+    try:
+        for first, stop in zip(cuts, cuts[1:]):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # pipe back the array or what solve raised; no exit handlers
+                try:
+                    try:
+                        out = _solved(inst, solve, seed, first, stop - first)
+                    except Exception as exc:
+                        out = exc
+                    with open(w, "wb") as fh:
+                        fh.write(pickle.dumps(out))
+                finally:
+                    os._exit(0)
+            os.close(w)
+            workers.append((pid, open(r, "rb")))
+        parts = []
+        for _, fh in workers:  # in range order: the lowest failing range raises
+            data = fh.read()
+            out = pickle.loads(data) if data else RuntimeError("a sample worker died")
+            if isinstance(out, Exception):
+                raise out
+            parts.append(out)
+        return np.concatenate(parts)
+    finally:  # SIGKILL (9) stops the workers left after a failure
+        for pid, fh in workers:
+            fh.close()
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
 
 
 def block_degrees(inst: Instance, block: np.ndarray) -> np.ndarray:

@@ -256,6 +256,36 @@ class TestPerEdgeCertificates:
                     if mode == "exact" else weighted[e])
             assert cert == float(base + net / inst.edges[e].x)
 
+    def test_transfers_bitwise_equal_per_pair_loop(self):
+        # the per-pair loop that the vectorized terms replaced, on a dense
+        # instance whose probabilities include values where the scalar
+        # x ** 2 (C pow) and x * x differ in the last bit
+        def per_pair(inst, edge, c, inc):
+            x = inst.x
+            gu, gv = inst.endpoints[edge].tolist()
+            xe = x[edge]
+            at_u, at_v = set(inc[gu]), set(inc[gv])
+            net = 0.0
+            for j in sorted(at_u | at_v):
+                if j == edge:
+                    continue
+                shared = (j in at_u) + (j in at_v)
+                net += shared * c * (x[j] ** 2 * xe - xe ** 2 * x[j])
+            return net
+
+        n = 24
+        xs = np.random.default_rng(5).random(n * n) / n
+        assert any(v ** 2 != v * v for v in xs.tolist())
+        dense = Instance("bipartite", n, tuple(PotentialEdge(u, v, float(xs[u * n + v]))
+                                               for u in range(n) for v in range(n)))
+        for inst in (dense, gen_pendant_star(40, 0.1),
+                     gen_random_point(8, 0.7, 21, "bipartite", weighted=False)):
+            inc = estimate._incident_edges(inst)
+            for c in (SchemeConfig().c, 0.3):
+                for e in range(inst.num_edges):
+                    assert repr(float(estimate._deterministic_transfers(inst, e, c, inc))) == \
+                        repr(float(per_pair(inst, e, c, inc))), (inst.n, e, c)
+
     def test_unweighted_kernel_includes_transfers(self):
         inst = gen_pendant_star(3, 0.4)  # unit weights
         base = per_edge_certificate(inst, 0, "exact", "weighted", "kernel")

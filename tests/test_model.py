@@ -44,6 +44,14 @@ class TestConstruction:
         inst = bip(2, (1, 1, 0.5, 1.0))
         assert inst.endpoints[0].tolist() == [1, 3]
 
+    @pytest.mark.parametrize("weights, expected", [((), True), ((1.0, 1.0), True),
+                                                   ((1.0, 2.0), False), ((0.5,), False)])
+    def test_is_unweighted_is_a_cached_bool(self, weights, expected):
+        inst = bip(2, *((j, j, 0.5, w) for j, w in enumerate(weights)))
+        assert inst.is_unweighted is expected
+        assert inst.is_unweighted is expected  # the cached value, same type
+        assert type(inst.is_unweighted) is bool
+
 
 class TestFractionalValue:
     def test_single_edge(self):

@@ -1,11 +1,15 @@
 import itertools
 import math
+import os
+import re
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from matchgap import (Instance, PotentialEdge, SupportTooLarge, enumerate_support,
-                      sample, support_probabilities)
+from matchgap import (Instance, MatchingCutoffExceeded, PotentialEdge, SupportTooLarge,
+                      enumerate_support, mc_ratio, phi_curve, sample, support_probabilities)
 from matchgap import sampling
 from matchgap.gallery import gen_random_point
 from matchgap.rng import uniform_block
@@ -110,6 +114,110 @@ class TestRealizationBlocks:
             for j in np.nonzero(block[k])[0]:
                 want[inst.endpoints[j]] += 1
             assert np.array_equal(deg[k], want)
+
+
+class TestSampleValuesSplit:
+    """`sampling.sample_values` splits a run by sample range over forked
+    workers; the tests force the split with ``SPLIT_MIN_WORK = 0`` and
+    set the affinity mask to the worker count."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """One entry per worker forked."""
+        made = []
+        real = os.fork
+        monkeypatch.setattr(os, "fork", lambda: made.append(1) or real())
+        return made
+
+    @staticmethod
+    def cpus(monkeypatch, k):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+
+    def test_same_bytes_at_any_worker_count(self, monkeypatch, forks, capfd):
+        # Kuhn, primal-dual, exact search, and phi's per-grid-point runs;
+        # 301 samples do not divide evenly into 2 or 3 ranges
+        monkeypatch.setattr(sampling, "SPLIT_MIN_WORK", 0)
+        insts = [gen_random_point(4, 0.7, 4, kind, weighted=weighted)
+                 for kind, weighted in (("bipartite", False), ("bipartite", True),
+                                        ("general", True))]
+        outputs = []
+        for workers in (1, 2, 3):
+            self.cpus(monkeypatch, workers)
+            outputs.append([repr(mc_ratio(inst, 301, seed=2, start_index=5).to_dict())
+                            for inst in insts]
+                           + [phi_curve(insts[1], 4, "mc", samples=101, seed=3).tobytes()])
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
+        assert len(forks) == (2 + 3) * (len(insts) + 4)  # phi at t = 0 draws nothing
+        assert capfd.readouterr() == ("", "")
+
+    def test_solver_exception_reaches_caller(self, monkeypatch, forks, capfd):
+        # 40 disjoint edges of probability 0.9: every sample exceeds the
+        # exact-search cutoffs, with a message that names its own vertex
+        # and edge counts; the split must raise the first sample's
+        inst = Instance("general", 80, tuple(PotentialEdge(2 * i, 2 * i + 1, 0.9)
+                                             for i in range(40)))
+        with pytest.raises(MatchingCutoffExceeded) as serial:
+            mc_ratio(inst, 30, seed=1)
+        monkeypatch.setattr(sampling, "SPLIT_MIN_WORK", 0)
+        for workers in (2, 3):
+            self.cpus(monkeypatch, workers)
+            with pytest.raises(MatchingCutoffExceeded) as split:
+                mc_ratio(inst, 30, seed=1)
+            assert type(split.value) is type(serial.value)
+            assert str(split.value) == str(serial.value)
+        assert len(forks) == 2 + 3
+        assert capfd.readouterr() == ("", "")
+
+    def test_lowest_failing_range_wins(self, monkeypatch, forks):
+        # both one-sample ranges fail, each naming its sample; the first
+        # sample's failure arrives last but is the one the serial loop raises
+        inst = Instance("bipartite", 20, tuple(PotentialEdge(i, i, 0.5) for i in range(20)))
+        first, second = realized_edge_lists(inst, 4, 0, 2)
+        assert first.tolist() != second.tolist()
+
+        def solve(idx):
+            if idx.tolist() == first.tolist():
+                time.sleep(0.3)
+            raise ValueError(f"sample {idx.tolist()}")
+
+        monkeypatch.setattr(sampling, "SPLIT_MIN_WORK", 0)
+        self.cpus(monkeypatch, 2)
+        with pytest.raises(ValueError, match=re.escape(f"sample {first.tolist()}")):
+            sampling.sample_values(inst, solve, 4, 0, 2)
+        assert len(forks) == 2
+
+    def test_dead_worker_is_reported(self, monkeypatch):
+        # the solver ends any process but this one without a result
+        inst = Instance("bipartite", 2, (PotentialEdge(0, 0, 0.5), PotentialEdge(1, 1, 0.5)))
+        here = os.getpid()
+        monkeypatch.setattr(sampling, "SPLIT_MIN_WORK", 0)
+        self.cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="a sample worker died"):
+            sampling.sample_values(inst, lambda idx: 0.0 if os.getpid() == here else os._exit(3),
+                                   0, 0, 4)
+
+    def test_serial_path(self, monkeypatch, forks):
+        inst = gen_random_point(4, 0.7, 4, "bipartite")
+        ref = repr(mc_ratio(inst, 200, seed=2).to_dict())
+        self.cpus(monkeypatch, 2)
+        assert repr(mc_ratio(inst, 200, seed=2).to_dict()) == ref  # too small
+        monkeypatch.setattr(sampling, "SPLIT_MIN_WORK", 0)
+        self.cpus(monkeypatch, 1)
+        assert repr(mc_ratio(inst, 200, seed=2).to_dict()) == ref  # one CPU
+        self.cpus(monkeypatch, 2)
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            assert repr(mc_ratio(inst, 200, seed=2).to_dict()) == ref  # another thread
+        finally:
+            stop.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        monkeypatch.delattr(os, "fork")
+        assert repr(mc_ratio(inst, 200, seed=2).to_dict()) == ref  # no fork
+        assert forks == []
 
 
 class TestSupport:
