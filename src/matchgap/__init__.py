@@ -13,9 +13,8 @@ grids and instance sweeps.
 from .model import (Instance, PotentialEdge, PolytopeReport, OddSetCheckInfeasible,
                     fractional_value, validate_polytope, vertex_loads,
                     instance_to_dict, instance_from_dict, dump_instance, load_instance)
-from .sampling import (SampledGraph, SupportTooLarge, sample, enumerate_support,
-                       support_probabilities, realization_block, realization_blocks,
-                       graph_from_mask)
+from .sampling import (SampledGraph, SupportTooLarge, sample, support_probabilities,
+                       realization_block, realization_blocks)
 from .matching import (Matching, FractionalVertexCover, MatchingCutoffExceeded,
                        max_weight_matching_bipartite, max_weight_matching_general,
                        max_cardinality_matching, matching_value,

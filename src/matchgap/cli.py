@@ -172,26 +172,19 @@ def run_verify_suite(cfg: KernelConfig = KernelConfig(), c: float = 1.0 / 6.0,
         for m in (1, 2):
             reports.append(kernels.verify_equal_split(x0, m, bern_grid_step, c, tolerance))
 
-    worst = None
-    for k in range(gain_trials):
-        m = 2 + k % 7
-        u = uniforms(seed, k, m)
-        p = (u / u.sum()).tolist()
-        rep = kernels.check_gain_ratios(p, tolerance=tolerance)
-        if worst is None or rep.min_value < worst.min_value:
-            worst = rep
-    if worst is not None:
-        worst.parameters["trials"] = gain_trials
-        worst.parameters["seed"] = seed
-        reports.append(worst)
+    def gain_check(k):  # on a random mean-1 Bernoulli vector of length 2..8
+        u = uniforms(seed, k, 2 + k % 7)
+        return kernels.check_gain_ratios((u / u.sum()).tolist(), tolerance=tolerance)
+
+    reports += _worst(gain_check, gain_trials, seed)
 
     reports.append(kernels.check_unweighted_envelope(cfg, tolerance=tolerance))
 
-    const = kernels.weighted_kernel_constant(cfg.poisson_tail_cutoff)
+    const = kernels.weighted_kernel_constant()
     gap = abs(const.closed_form - const.series_value)
     reports.append(CheckReport(
         check="weighted_kernel_constant",
-        parameters={"poisson_tail_cutoff": cfg.poisson_tail_cutoff, "tolerance": 1e-12},
+        parameters={"poisson_tail_cutoff": kernels.POISSON_TAIL_CUTOFF, "tolerance": 1e-12},
         min_value=const.closed_form,
         argmin=None,
         passed=bool(gap <= 1e-12 and const.closed_form >= 0.4481),
@@ -207,23 +200,27 @@ def run_verify_suite(cfg: KernelConfig = KernelConfig(), c: float = 1.0 / 6.0,
         details={},
     ))
 
-    worst_d = None
-    for k in range(derivative_trials):
+    def derivative_check(k):
         inst = gallery.gen_random_point(2 + k % 5, 0.6, seed * 100003 + k, "general")
-        g = sample(inst, seed + 1, k)
-        rep = kernels.check_local_derivative_bound(g, tolerance)
-        if worst_d is None or rep.min_value < worst_d.min_value:
-            worst_d = rep
-    if worst_d is not None:
-        worst_d.parameters["trials"] = derivative_trials
-        worst_d.parameters["seed"] = seed
-        reports.append(worst_d)
+        return kernels.check_local_derivative_bound(sample(inst, seed + 1, k), tolerance)
+
+    reports += _worst(derivative_check, derivative_trials, seed)
 
     phi_inst = gallery.gen_random_point(4, 0.5, seed + 7, "general")
     if phi_inst.num_edges > 0 and fractional_value(phi_inst) > 0:
         reports.append(kernels.check_phi_differential(phi_inst, grid_points=50,
                                                       tolerance=tolerance))
     return reports
+
+
+def _worst(check, trials: int, seed: int) -> list[CheckReport]:
+    """The first of check(0), ..., check(trials - 1) with the least
+    min_value, tagged with the trial count and seed; none for no trials."""
+    worst = min(map(check, range(trials)), key=lambda r: r.min_value, default=None)
+    if worst is None:
+        return []
+    worst.parameters.update(trials=trials, seed=seed)
+    return [worst]
 
 
 def _cmd_verify(args) -> int:

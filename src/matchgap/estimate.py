@@ -69,9 +69,7 @@ def exact_ratio(inst: Instance) -> RatioEstimate:
     denom = fractional_value(inst)
     if denom <= 0.0:
         raise ZeroDenominator("fractional value is zero; ratio undefined")
-    probs = support_probabilities(inst)  # raises SupportTooLarge beyond cutoff
-    nus = matching_values_over_subsets(inst)
-    value = float(probs @ nus) / denom
+    value = expected_matching_value(inst) / denom
     return RatioEstimate(value=value, ci_low=value, ci_high=value,
                          method="exact", samples=0, seed=None)
 
@@ -134,9 +132,15 @@ def _scheme_mass_sum(inst: Instance, blocks, scheme: str, cfg: SchemeConfig) -> 
         masses = block_edge_masses(inst, block, covers, scheme, cfg)
         if p is not None:
             masses *= p[:, None]
-        masses[0] += acc
-        acc = np.cumsum(masses, axis=0)[-1]
+        acc = _add_rows(acc, masses)
     return acc
+
+
+def _add_rows(acc: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """acc plus the rows of `rows`, added one row at a time in order (the
+    summation order every per-edge sum keeps); overwrites rows[0]."""
+    rows[0] += acc
+    return np.cumsum(rows, axis=0)[-1]
 
 
 def _incident_edges(inst: Instance) -> list[list[int]]:
@@ -146,20 +150,6 @@ def _incident_edges(inst: Instance) -> list[list[int]]:
         inc[a].append(j)
         inc[b].append(j)
     return inc
-
-
-def _kernel_certificate_exact(inst: Instance, edge: int, scheme: str,
-                              cfg: SchemeConfig, inc: list[list[int]]) -> float:
-    # Conditional on e being realized, the two endpoint degrees are
-    # 1 + independent Poisson-binomial sums of the other incident edges.
-    e = inst.edges[edge]
-    gu, gv = inst.endpoints[edge].tolist()
-    at_u = [float(inst.x[j]) for j in inc[gu] if j != edge]
-    at_v = [float(inst.x[j]) for j in inc[gv] if j != edge]
-    value = kernels.inv_max_expectation(at_u, at_v)
-    if scheme == "unweighted":
-        value += _deterministic_transfers(inst, edge, cfg.c, inc) / e.x
-    return float(value)
 
 
 def _deterministic_transfers(inst: Instance, edge: int, c: float,
@@ -190,17 +180,8 @@ def _kernel_means_mc(inst: Instance, samples: int, seed: int) -> np.ndarray:
     for block in realization_blocks(inst, seed, 0, samples):
         deg = block_degrees(inst, block)
         inv = 1.0 / np.maximum(deg[:, ends[:, 0]] - block + 1, deg[:, ends[:, 1]] - block + 1)
-        inv[0] += total
-        total = np.cumsum(inv, axis=0)[-1]
+        total = _add_rows(total, inv)
     return total / samples
-
-
-def _mass_sums_mc(inst: Instance, samples: int, seed: int, scheme: str,
-                  cfg: SchemeConfig) -> np.ndarray:
-    """Per edge, the sum of its scheme mass over samples 0..samples-1,
-    added sample by sample in index order."""
-    blocks = realization_blocks(inst, seed, 0, samples)
-    return _scheme_mass_sum(inst, ((b, None) for b in blocks), scheme, cfg)
 
 
 def _certificates(inst: Instance, edges: list[int], mode: str, scheme: str, bound: str,
@@ -213,24 +194,32 @@ def _certificates(inst: Instance, edges: list[int], mode: str, scheme: str, boun
         raise ValueError("need at least one sample")
 
     if bound == "kernel":
-        if mode == "exact":
+        if mode == "exact" or scheme == "unweighted":
             inc = _incident_edges(inst)
-            return {j: _kernel_certificate_exact(inst, j, scheme, cfg, inc) for j in edges}
-        if mode == "mc":
+        if mode == "exact":
+            # Conditional on e being realized, the two endpoint degrees are
+            # 1 + independent Poisson-binomial sums of the other incident edges.
+            ends, x = inst.endpoints.tolist(), inst.x.tolist()
+            base = {j: kernels.inv_max_expectation([x[k] for k in inc[ends[j][0]] if k != j],
+                                                   [x[k] for k in inc[ends[j][1]] if k != j])
+                    for j in edges}
+        elif mode == "mc":
             means = _kernel_means_mc(inst, samples, seed)
-            if scheme == "unweighted":
-                inc = _incident_edges(inst)
-                return {j: float(means[j] + _deterministic_transfers(inst, j, cfg.c, inc)
-                                 / inst.edges[j].x) for j in edges}
-            return {j: float(means[j]) for j in edges}
-        raise ValueError(f"unknown mode {mode!r}")
+            base = {j: float(means[j]) for j in edges}
+        else:
+            raise ValueError(f"unknown mode {mode!r}")
+        if scheme == "unweighted":
+            return {j: base[j] + _deterministic_transfers(inst, j, cfg.c, inc) / inst.edges[j].x
+                    for j in edges}
+        return base
 
     if bound != "mass":
         raise ValueError(f"unknown bound {bound!r}")
     if mode == "exact":
         masses = per_edge_masses_exact(inst, scheme, cfg)
     elif mode == "mc":
-        masses = _mass_sums_mc(inst, samples, seed, scheme, cfg) / samples
+        blocks = realization_blocks(inst, seed, 0, samples)
+        masses = _scheme_mass_sum(inst, ((b, None) for b in blocks), scheme, cfg) / samples
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return {j: float(masses[j]) / (inst.edges[j].w * inst.edges[j].x) for j in edges}

@@ -30,18 +30,20 @@ UNWEIGHTED_BIPARTITE_TARGET = 0.476
 UNWEIGHTED_BIPARTITE_CERTIFIED = 0.467
 WEIGHTED_BIPARTITE_FLOOR = 1.0 - 3.0 / (2.0 * math.e)
 GENERAL_GRAPH_FLOOR = (math.e ** 2 - 1.0) / (2.0 * math.e ** 2)
+#: Total count at which the double-Poisson series P_t is truncated, and the
+#: last term of the Poisson tails in the weighted-kernel constant.
+SERIES_TRUNCATION = 15
+POISSON_TAIL_CUTOFF = 60
 
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """Resolution knobs for the numerical checks."""
+    """Resolution of the envelope check: the step of its grid over [0, 1]."""
 
-    poisson_tail_cutoff: int = 60
-    series_truncation: int = 15
     grid_step: float = 1e-3
 
     def __post_init__(self):
-        if self.poisson_tail_cutoff <= 0 or self.series_truncation < 0 or self.grid_step <= 0:
+        if self.grid_step <= 0:
             raise ValueError("kernel configuration values must be positive")
 
 
@@ -102,15 +104,11 @@ def _inv_max_kernel(size: int) -> np.ndarray:
 
 def inv_max_expectation(y_probs: Sequence[float], z_probs: Sequence[float]) -> float:
     """Exact E[1/(1 + max(Y, Z))] from the two Poisson-binomial pmfs."""
-    py = poisson_binomial_pmf(y_probs)
-    pz = poisson_binomial_pmf(z_probs)
-    size = max(len(py), len(pz))
-    py = np.pad(py, (0, size - len(py)))
-    pz = np.pad(pz, (0, size - len(pz)))
-    return float(py @ _inv_max_kernel(size) @ pz)
+    return inv_max_expectation_pmf(poisson_binomial_pmf(y_probs), poisson_binomial_pmf(z_probs))
 
 
 def inv_max_expectation_pmf(py: np.ndarray, pz: np.ndarray) -> float:
+    """E[1/(1 + max(Y, Z))] for independent Y, Z with pmfs py, pz."""
     size = max(len(py), len(pz))
     py = np.pad(py, (0, size - len(py)))
     pz = np.pad(pz, (0, size - len(pz)))
@@ -144,10 +142,7 @@ def check_gain_ratios(probs: Sequence[float], j_max: Optional[int] = None,
         j_max = max(m, 3)
     g = gain_coefficients(probs, j_max)
     margins = [(g[1] / 2.0 - g[j - 1] / j, j) for j in range(3, j_max + 1)]
-    if margins:
-        min_margin, arg = min(margins)
-    else:
-        min_margin, arg = math.inf, None
+    min_margin, arg = min(margins, default=(math.inf, None))
     return CheckReport(
         check="gain_ratios",
         parameters={"m": m, "j_max": j_max, "tolerance": tolerance},
@@ -177,6 +172,15 @@ def _unit_partitions(total: int, parts: int, cap: int):
     return out
 
 
+def _mean1_grid(m: int, grid_step: float):
+    """Nonincreasing length-m vectors of grid units that sum to 1, refusing
+    a step that does not divide 1 (its vectors would not have mean 1)."""
+    units = round(1.0 / grid_step)
+    if abs(units * grid_step - 1.0) > 1e-12:
+        raise ValueError("grid step must divide 1")
+    return _unit_partitions(units, m, units)
+
+
 def binomial_max1_kernel(m: int) -> float:
     """E[1/(1 + max(1, Y))] for Y ~ Binomial(m, 1/m), exactly."""
     pmf = poisson_binomial_pmf([1.0 / m] * m)
@@ -194,10 +198,7 @@ def verify_kernel_minimizer(m: int, grid_step: float = 0.05,
     strictly larger for m >= 2 and grid points beat it, so it cannot be
     the intended reference.  Both values are reported.
     """
-    units = round(1.0 / grid_step)
-    if abs(units * grid_step - 1.0) > 1e-12:
-        raise ValueError("grid step must divide 1")
-    vectors = _unit_partitions(units, m, units)
+    vectors = _mean1_grid(m, grid_step)
     pmfs = np.stack([poisson_binomial_pmf([u * grid_step for u in vec])
                      for vec in vectors])
     table = pmfs @ _inv_max_kernel(m + 1) @ pmfs.T
@@ -230,8 +231,7 @@ def verify_uniform_minimizer(m: int, grid_step: float = 0.05,
                              tolerance: float = 1e-9) -> CheckReport:
     """Confirm E[1/(1 + max(1, Y))] over mean-1 grid vectors is minimized
     by the uniform vector (1/m, ..., 1/m)."""
-    units = round(1.0 / grid_step)
-    vectors = _unit_partitions(units, m, units)
+    vectors = _mean1_grid(m, grid_step)
     k = np.arange(m + 1)
     weights = 1.0 / (1.0 + np.maximum(1, k))
     values = np.array([
@@ -267,19 +267,13 @@ def verify_equal_split(x0: float, m: int, grid_step: float = 0.05,
     (sum y, sum z) bucket."""
     if not (0.0 < x0 <= 1.0):
         raise ValueError("x0 must lie in (0, 1]")
-    units = round(1.0 / grid_step)
     max_units = int(math.floor((1.0 - x0) / grid_step + 1e-9))
-    by_sum = {s: _unit_partitions(s, m, min(s, units)) for s in range(max_units + 1)}
-
-    all_vecs = [vec for s in range(max_units + 1) for vec in by_sum[s]]
-    if not all_vecs:
-        all_vecs = [(0,) * m]
-        by_sum = {0: all_vecs}
-    offsets = {}
-    pos = 0
+    all_vecs = []
+    offsets = []  # per sum s, the rows of all_vecs whose units sum to s
     for s in range(max_units + 1):
-        offsets[s] = (pos, pos + len(by_sum.get(s, [])))
-        pos += len(by_sum.get(s, []))
+        vecs = _unit_partitions(s, m, s)
+        offsets.append((len(all_vecs), len(all_vecs) + len(vecs)))
+        all_vecs += vecs
     pmfs = np.stack([poisson_binomial_pmf([u * grid_step for u in vec]) for vec in all_vecs])
     table = pmfs @ _inv_max_kernel(m + 1) @ pmfs.T
     quads = np.array([
@@ -329,7 +323,7 @@ def _series_coefficients(t: int) -> np.ndarray:
     return coeffs
 
 
-def poisson_truncated_series(x, t: int = 15):
+def poisson_truncated_series(x, t: int = SERIES_TRUNCATION):
     """P_t(x): the double-Poisson expansion of E[1/(1+max(Y,Z))] with
     Y, Z ~ Poisson(1-x), truncated at total count t.
 
@@ -342,7 +336,7 @@ def poisson_truncated_series(x, t: int = 15):
     return float(val) if np.isscalar(x) else val
 
 
-def poisson_pair_expectation(lam: float, cutoff: int = 60) -> float:
+def poisson_pair_expectation(lam: float, cutoff: int = POISSON_TAIL_CUTOFF) -> float:
     """E[1/(1+max(Y,Z))] for Y, Z ~ Poisson(lam) with an explicit tail cutoff."""
     k = np.arange(cutoff + 1)
     if lam > 0:
@@ -350,18 +344,18 @@ def poisson_pair_expectation(lam: float, cutoff: int = 60) -> float:
         p = np.exp(log_p)
     else:
         p = np.where(k == 0, 1.0, 0.0)
-    return float(p @ _inv_max_kernel(cutoff + 1) @ p)
+    return inv_max_expectation_pmf(p, p)
 
 
-def unweighted_envelope(x: float, cfg: KernelConfig = KernelConfig()) -> float:
+def unweighted_envelope(x: float) -> float:
     """x * P_t(x) - x^2 / 3: the envelope of the per-edge expected mass
     under the quadratic-transfer scheme with c = 1/6."""
-    return float(x * poisson_truncated_series(x, cfg.series_truncation) - x ** 2 / 3.0)
+    return float(x * poisson_truncated_series(x) - x ** 2 / 3.0)
 
 
-def envelope_ratio(x, cfg: KernelConfig = KernelConfig()):
+def envelope_ratio(x):
     """P_t(x) - x/3: the envelope divided by x, continued to x = 0."""
-    return poisson_truncated_series(x, cfg.series_truncation) - np.asarray(x) / 3.0
+    return poisson_truncated_series(x) - np.asarray(x) / 3.0
 
 
 def check_unweighted_envelope(cfg: KernelConfig = KernelConfig(),
@@ -374,12 +368,12 @@ def check_unweighted_envelope(cfg: KernelConfig = KernelConfig(),
     report carries both floors so the discrepancy stays visible.
     """
     xs = np.arange(0.0, 1.0 + cfg.grid_step / 2, cfg.grid_step)
-    vals = envelope_ratio(xs, cfg)
+    vals = envelope_ratio(xs)
     i = int(np.argmin(vals))
     min_value = float(vals[i])
     return CheckReport(
         check="unweighted_envelope",
-        parameters={"grid_step": cfg.grid_step, "series_truncation": cfg.series_truncation,
+        parameters={"grid_step": cfg.grid_step, "series_truncation": SERIES_TRUNCATION,
                     "floor": floor, "tolerance": tolerance},
         min_value=min_value,
         argmin=float(xs[i]),
@@ -401,7 +395,8 @@ class WeightedKernelConstant:
     series_value: float
 
 
-def weighted_kernel_constant(poisson_tail_cutoff: int = 60) -> WeightedKernelConstant:
+def weighted_kernel_constant(
+        poisson_tail_cutoff: int = POISSON_TAIL_CUTOFF) -> WeightedKernelConstant:
     """The weighted-bipartite floor 1 - 3/(2e) two ways: closed form, and
     the Poisson series (e - 5/2)/e + 1/e evaluated with a tail cutoff."""
     closed = 1.0 - 3.0 / (2.0 * math.e)
@@ -463,6 +458,8 @@ def phi_curve(inst: Instance, grid_points: int = 20, mode: str = "exact",
             probs = support_probabilities(inst.scale_probabilities(float(t)))
             out[i, 1] = float(probs @ nus)
     elif mode == "mc":
+        if samples < 1:
+            raise ValueError("need at least one sample")
         solve = value_solver(inst)
         for i, t in enumerate(ts):
             if t == 0.0:

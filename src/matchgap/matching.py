@@ -256,9 +256,13 @@ def max_weight_matching_general(g: SampledGraph) -> float:
     GENERAL_VERTEX_CUTOFF vertices carry edges, falling back to
     branch-and-bound over edges up to GENERAL_EDGE_CUTOFF edges.
     """
-    inst = g.instance
-    idx = g.edge_indices
-    return _general_value(*_compact(inst.endpoints[idx].tolist(), inst.w[idx].tolist()))
+    return _general_solver(g.instance, g.instance.w)(g.edge_indices)
+
+
+def _general_solver(inst: Instance, w: np.ndarray) -> Callable[[np.ndarray], float]:
+    """Exact search with weights `w`, as a function of the realized edges."""
+    ends = inst.endpoints
+    return lambda idx: _general_value(*_compact(ends[idx].tolist(), w[idx].tolist()))
 
 
 def _general_value(nv, edges) -> float:
@@ -321,10 +325,15 @@ def max_cardinality_matching(g: SampledGraph) -> int:
     """Maximum matching cardinality: augmenting paths for bipartite input,
     exact search (within cutoffs) for general input."""
     inst = g.instance
-    ends = inst.endpoints[g.edge_indices].tolist()
     if inst.kind == "bipartite":
-        return _kuhn_cardinality(ends)
-    return int(round(_general_value(*_compact(ends, [1.0] * len(ends)))))
+        return _kuhn_solver(inst)(g.edge_indices)
+    return int(round(_general_solver(inst, np.ones(inst.num_edges))(g.edge_indices)))
+
+
+def _kuhn_solver(inst: Instance) -> Callable[[np.ndarray], int]:
+    """Augmenting-path cardinality, as a function of the realized edges."""
+    ends = inst.endpoints
+    return lambda idx: _kuhn_cardinality(ends[idx].tolist())
 
 
 def _kuhn_cardinality(pairs) -> int:
@@ -385,14 +394,14 @@ def value_solver(inst: Instance) -> Callable[[np.ndarray], float]:
     # Kuhn and exact search gather the realized edges per sample:
     # per-instance lists of a 40,000-edge instance cost cache misses and
     # peak memory
-    ends, w = inst.endpoints, inst.w
     if inst.kind == "bipartite":
         if inst.is_unweighted:
-            return lambda idx: float(_kuhn_cardinality(ends[idx].tolist()))
+            kuhn = _kuhn_solver(inst)
+            return lambda idx: float(kuhn(idx))
         tails, arcs = _bipartite_arcs(inst, np.arange(inst.num_edges))
         n = inst.n
         return lambda idx: _matched_weight(_primal_dual(idx.tolist(), tails, arcs, n)[0], arcs)
-    return lambda idx: _general_value(*_compact(ends[idx].tolist(), w[idx].tolist()))
+    return _general_solver(inst, inst.w)
 
 
 def cover_solver(inst: Instance) -> Callable[[np.ndarray], np.ndarray]:

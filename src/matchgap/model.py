@@ -67,13 +67,11 @@ class Instance:
                 raise ValueError(f"edge ({e.u},{e.v}) has probability {e.x} outside [0,1]")
             if not (e.w >= 0.0 and np.isfinite(e.w)):
                 raise ValueError(f"edge ({e.u},{e.v}) has invalid weight {e.w}")
+            if not (0 <= e.u < self.n and 0 <= e.v < self.n):
+                raise ValueError(f"edge ({e.u},{e.v}) endpoint out of range for n={self.n}")
             if self.kind == "bipartite":
-                if not (0 <= e.u < self.n and 0 <= e.v < self.n):
-                    raise ValueError(f"edge ({e.u},{e.v}) endpoint out of range for n={self.n}")
                 key = (e.u, e.v)
             else:
-                if not (0 <= e.u < self.n and 0 <= e.v < self.n):
-                    raise ValueError(f"edge ({e.u},{e.v}) endpoint out of range for n={self.n}")
                 if e.u == e.v:
                     raise ValueError(f"self-loop at vertex {e.u}")
                 key = (min(e.u, e.v), max(e.u, e.v))
@@ -149,18 +147,21 @@ class PolytopeReport:
 
 def fractional_value(inst: Instance) -> float:
     """Fractional objective sum_e w_e * x_e (sum_e x_e when unweighted)."""
-    if inst.num_edges == 0:
-        return 0.0
     return float(np.dot(inst.w, inst.x))
 
 
 def vertex_loads(inst: Instance) -> np.ndarray:
     """Per-vertex load sum_{e at v} x_e, indexed by global vertex id."""
-    loads = np.zeros(inst.total_vertices, dtype=np.float64)
-    if inst.num_edges:
-        np.add.at(loads, inst.endpoints[:, 0], inst.x)
-        np.add.at(loads, inst.endpoints[:, 1], inst.x)
-    return loads
+    return _vertex_sums(inst, inst.x)
+
+
+def _vertex_sums(inst: Instance, values: np.ndarray) -> np.ndarray:
+    """Per global vertex id, the sum of `values` (one per edge) over its
+    incident edges, added at the first endpoints and then at the second."""
+    sums = np.zeros(inst.total_vertices, dtype=np.float64)
+    np.add.at(sums, inst.endpoints[:, 0], values)
+    np.add.at(sums, inst.endpoints[:, 1], values)
+    return sums
 
 
 def validate_polytope(inst: Instance, check_odd_sets: bool = False,

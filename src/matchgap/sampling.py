@@ -1,4 +1,4 @@
-"""Sampling realized graphs and enumerating the full support.
+"""Sampling realized graphs and the probabilities of the full support.
 
 A draw realizes each potential edge independently with its probability.
 Sample ``index`` of a run consumes positions ``0..m-1`` of counter stream
@@ -195,22 +195,3 @@ def support_probabilities(inst: Instance) -> np.ndarray:
         probs = np.concatenate([(1.0 - xj) * probs, xj * probs])
     return probs
 
-
-def enumerate_support(inst: Instance) -> Iterator[tuple[SampledGraph, float]]:
-    """Yield every realizable graph with its probability (mask order).
-
-    Probabilities sum to 1 up to floating-point accumulation.  Refused
-    above the support cutoff.
-    """
-    m = inst.num_edges
-    probs = support_probabilities(inst)  # raises SupportTooLarge
-    bits = 1 << np.arange(m)
-    for mask in range(1 << m):
-        realized = (mask & bits) != 0
-        yield SampledGraph(inst, realized), float(probs[mask])
-
-
-def graph_from_mask(inst: Instance, mask: int) -> SampledGraph:
-    """Realized graph for one support bitmask."""
-    bits = 1 << np.arange(inst.num_edges)
-    return SampledGraph(inst, (mask & bits) != 0)

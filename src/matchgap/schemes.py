@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .matching import FractionalVertexCover
-from .model import Instance
+from .model import Instance, _vertex_sums
 from .sampling import SampledGraph, block_degrees
 
 DEFAULT_TRANSFER = 1.0 / 6.0
@@ -69,10 +69,7 @@ def weighted_scheme(g: SampledGraph, cover: FractionalVertexCover) -> MassVector
     Isolated vertices keep their mass (optimal covers put zero there, but
     the convention avoids dividing by a zero degree).
     """
-    deg = g.degrees
-    y = cover.y
-    edge_mass = _spread(g.instance, g.realized[None], y[None], deg[None])[0]
-    return MassVector(np.where(deg == 0, y, 0.0), edge_mass)
+    return _one_row(g, cover, "weighted", SchemeConfig())
 
 
 def unweighted_scheme(g: SampledGraph, cover: FractionalVertexCover,
@@ -85,8 +82,12 @@ def unweighted_scheme(g: SampledGraph, cover: FractionalVertexCover,
         c * sum_{f ~ e} (x_f^2 * x_e - x_e^2 * x_f)
     summed over potential edges f sharing u or v.
     """
-    base = weighted_scheme(g, cover)
-    return MassVector(base.vertex_mass, base.edge_mass + cfg.c * _transfers(g.instance))
+    return _one_row(g, cover, "unweighted", cfg)
+
+
+def _one_row(g, cover, scheme, cfg):
+    edge_mass = block_edge_masses(g.instance, g.realized[None], cover.y[None], scheme, cfg)[0]
+    return MassVector(np.where(g.degrees == 0, cover.y, 0.0), edge_mass)
 
 
 def block_edge_masses(inst: Instance, block: np.ndarray, covers: np.ndarray,
@@ -94,8 +95,8 @@ def block_edge_masses(inst: Instance, block: np.ndarray, covers: np.ndarray,
     """Edge masses of the weighted or unweighted scheme, one row per row
     of a realization block; ``covers[k]`` is the optimal cover of row k.
 
-    Row k equals ``weighted_scheme(g, cover).edge_mass`` (or the
-    unweighted one) for that realization and cover.
+    ``weighted_scheme`` and ``unweighted_scheme`` are its one-row case,
+    for that realization and cover.
     """
     masses = _spread(inst, block, covers, block_degrees(inst, block))
     if scheme == "unweighted":
@@ -117,15 +118,10 @@ def _transfers(inst: Instance) -> np.ndarray:
     if not inst.is_unweighted:
         raise ValueError("quadratic-transfer scheme requires unit weights")
     x = inst.x
-    ends = inst.endpoints
-    s1 = np.zeros(inst.total_vertices)
-    s2 = np.zeros(inst.total_vertices)
-    np.add.at(s1, ends[:, 0], x)
-    np.add.at(s1, ends[:, 1], x)
-    np.add.at(s2, ends[:, 0], x ** 2)
-    np.add.at(s2, ends[:, 1], x ** 2)
+    s1 = _vertex_sums(inst, x)
+    s2 = _vertex_sums(inst, x ** 2)
     # income minus outgo against the neighborhood sums, both endpoints
-    a, b = ends[:, 0], ends[:, 1]
+    a, b = inst.endpoints[:, 0], inst.endpoints[:, 1]
     return (x * (s2[a] - x ** 2) - x ** 2 * (s1[a] - x)
             + x * (s2[b] - x ** 2) - x ** 2 * (s1[b] - x))
 

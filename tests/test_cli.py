@@ -169,3 +169,11 @@ class TestPhi:
         assert len(lines) == 6
         first = lines[1].split(",")
         assert float(first[0]) == 0.0 and float(first[1]) == 0.0
+
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_mc_without_samples_fails(self, capsys, samples):
+        code, out, err = run(capsys, "phi", "--gen", "pendant_star", "--n", "3",
+                             "--mode", "mc", "--samples", samples)
+        assert code == 1
+        assert out == ""
+        assert "need at least one sample" in err

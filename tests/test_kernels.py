@@ -144,6 +144,12 @@ class TestKernelMinimizer:
         # 1/m may be off the 0.05 grid; the argmin is its closest representable
         assert report.argmin == pytest.approx([1 / m] * m, abs=0.05)
 
+    @pytest.mark.parametrize("sweep", [verify_kernel_minimizer, verify_uniform_minimizer])
+    def test_grid_step_must_divide_one(self, sweep):
+        # a 0.3 grid reaches vectors summing to 0.9, not mean-1 vectors
+        with pytest.raises(ValueError, match="grid step must divide 1"):
+            sweep(2, 0.3)
+
     def test_uniform_minimizer_m2_exact_gridpoint(self):
         report = verify_uniform_minimizer(2, 0.05)
         assert report.passed
@@ -293,3 +299,9 @@ class TestPhi:
         exact = phi_curve(inst, 4, mode="exact")
         mc = phi_curve(inst, 4, mode="mc", samples=4000, seed=3)
         assert mc[:, 1] == pytest.approx(exact[:, 1], abs=0.08)
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_mc_refuses_no_samples(self, samples):
+        inst = gen_random_point(3, 0.8, 9, "bipartite")
+        with pytest.raises(ValueError, match="need at least one sample"):
+            phi_curve(inst, 4, mode="mc", samples=samples)

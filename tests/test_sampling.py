@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 from matchgap import (Instance, MatchingCutoffExceeded, PotentialEdge, SupportTooLarge,
-                      enumerate_support, mc_ratio, phi_curve, sample, support_probabilities)
+                      mc_ratio, phi_curve, sample, support_probabilities)
 from matchgap import sampling
 from matchgap.gallery import gen_random_point
 from matchgap.rng import uniform_block
-from matchgap.sampling import (block_degrees, graph_from_mask, realization_block,
-                               realization_blocks, realized_edge_lists)
+from matchgap.sampling import (block_degrees, realization_block, realization_blocks,
+                               realized_edge_lists)
 
 
 def single_edge(x):
@@ -223,20 +223,19 @@ class TestSampleValuesSplit:
 class TestSupport:
     def test_one_edge_quarter(self):
         inst = single_edge(0.25)
-        got = [(g.realized.tolist(), p) for g, p in enumerate_support(inst)]
-        assert got == [([False], 0.75), ([True], 0.25)]
+        assert support_probabilities(inst).tolist() == [0.75, 0.25]
 
     def test_two_half_edges(self):
         inst = Instance("bipartite", 2,
                         (PotentialEdge(0, 0, 0.5, 1.0), PotentialEdge(1, 1, 0.5, 1.0)))
-        probs = [p for _, p in enumerate_support(inst)]
-        assert probs == [0.25, 0.25, 0.25, 0.25]
+        assert support_probabilities(inst).tolist() == [0.25, 0.25, 0.25, 0.25]
 
     def test_degenerate_probabilities(self):
         inst = Instance("bipartite", 2,
                         (PotentialEdge(0, 0, 1.0, 1.0), PotentialEdge(1, 1, 0.0, 1.0)))
-        support = [(g.realized.tolist(), p) for g, p in enumerate_support(inst) if p > 0]
-        assert support == [([True, False], 1.0)]
+        probs = support_probabilities(inst)
+        # only mask 0b01 (edge 0 realized, edge 1 not) has positive probability
+        assert [(mask, p) for mask, p in enumerate(probs.tolist()) if p > 0] == [(0b01, 1.0)]
 
     def test_probabilities_sum_to_one_and_match_brute(self):
         inst = gen_random_point(3, 0.8, 13, "bipartite")
@@ -263,10 +262,4 @@ class TestSupport:
         inst = Instance("bipartite", 7, edges)
         assert inst.num_edges == 21
         with pytest.raises(SupportTooLarge, match="support too large"):
-            list(enumerate_support(inst))
-
-    def test_graph_from_mask(self):
-        inst = gen_random_point(3, 0.9, 1, "bipartite")
-        g = graph_from_mask(inst, 0b101 & ((1 << inst.num_edges) - 1))
-        expect = [(mask_bit := (0b101 >> j) & 1) == 1 for j in range(inst.num_edges)]
-        assert g.realized.tolist() == expect
+            support_probabilities(inst)
