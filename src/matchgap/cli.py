@@ -134,11 +134,11 @@ def _cmd_certify(args) -> int:
     certs = estimate.per_edge_certificates(inst, mode=args.mode, scheme=args.scheme,
                                            bound=args.bound, samples=args.samples,
                                            seed=args.seed)
+    u, v, x, w = inst.columns()
     for j, cert in certs.items():
-        e = inst.edges[j]
         ok = bool(cert >= floor - args.tolerance)
         all_ok = all_ok and ok
-        rows.append([j, e.u, e.v, repr(e.x), repr(e.w), args.scheme, args.bound,
+        rows.append([j, u[j], v[j], repr(x[j]), repr(w[j]), args.scheme, args.bound,
                      args.mode, repr(cert), repr(floor), ok])
     _emit_rows(args, header, rows)
     return 0 if all_ok else 1

@@ -209,7 +209,8 @@ def _certificates(inst: Instance, edges: list[int], mode: str, scheme: str, boun
         else:
             raise ValueError(f"unknown mode {mode!r}")
         if scheme == "unweighted":
-            return {j: base[j] + _deterministic_transfers(inst, j, cfg.c, inc) / inst.edges[j].x
+            x = inst.x.tolist()
+            return {j: base[j] + _deterministic_transfers(inst, j, cfg.c, inc) / x[j]
                     for j in edges}
         return base
 
@@ -222,7 +223,8 @@ def _certificates(inst: Instance, edges: list[int], mode: str, scheme: str, boun
         masses = _scheme_mass_sum(inst, ((b, None) for b in blocks), scheme, cfg) / samples
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return {j: float(masses[j]) / (inst.edges[j].w * inst.edges[j].x) for j in edges}
+    w, x = inst.w.tolist(), inst.x.tolist()
+    return {j: float(masses[j]) / (w[j] * x[j]) for j in edges}
 
 
 def per_edge_certificate(inst: Instance, edge: int, mode: str = "exact",
@@ -243,7 +245,7 @@ def per_edge_certificate(inst: Instance, edge: int, mode: str = "exact",
         raise TypeError("per-edge certificates require a bipartite instance")
     if not (0 <= edge < inst.num_edges):
         raise IndexError("edge index out of range")
-    if inst.edges[edge].x == 0.0:
+    if inst.x[edge] == 0.0:
         raise ZeroDenominator("edge probability is zero; certificate undefined")
     return _certificates(inst, [edge], mode, scheme, bound, samples, seed, cfg)[edge]
 
@@ -257,7 +259,7 @@ def per_edge_certificates(inst: Instance, mode: str = "exact",
     Entry j equals ``per_edge_certificate(inst, j, ...)``; one enumeration
     or one pass over the samples serves all edges.
     """
-    edges = [j for j, e in enumerate(inst.edges) if e.x > 0]
+    edges = np.flatnonzero(inst.x > 0).tolist()
     return _certificates(inst, edges, mode, scheme, bound, samples, seed, cfg)
 
 

@@ -14,17 +14,30 @@
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
-from .model import Instance, PotentialEdge
+from .model import Instance
 from .rng import uniforms
 
 #: stream ids used by the random generator, disjoint from sampling streams
 _STREAM_KEEP = 1 << 62
 _STREAM_PROB = (1 << 62) + 1
 _STREAM_WEIGHT = (1 << 62) + 2
+
+
+def _all_pairs(n: int, kind: str) -> np.ndarray:
+    """(m, 2) global ids of every potential edge: left-right pairs in
+    itertools.product order (bipartite) or unordered pairs in
+    itertools.combinations order (general); none for n <= 0."""
+    n = max(n, 0)
+    if kind == "bipartite":
+        ends = np.empty((n, n, 2), dtype=np.int64)
+        ends[:, :, 0] = np.arange(n)[:, None]
+        ends[:, :, 1] = np.arange(n, 2 * n)
+        return ends.reshape(-1, 2)
+    if kind == "general":
+        return np.stack(np.triu_indices(n, 1), axis=1)
+    raise ValueError(f"unknown kind {kind!r}")
 
 
 def gen_karp_sipser(n: int, c: float, kind: str = "general") -> Instance:
@@ -34,21 +47,13 @@ def gen_karp_sipser(n: int, c: float, kind: str = "general") -> Instance:
         raise ValueError("need at least two vertices")
     if c < 0:
         raise ValueError("c must be nonnegative")
-    if kind == "general":
-        x = c / (n - 1)
-        if x > 1.0:
-            raise ValueError(f"c={c} makes probabilities exceed 1 at n={n}")
-        edges = tuple(PotentialEdge(u, v, x, 1.0)
-                      for u, v in itertools.combinations(range(n), 2))
-    elif kind == "bipartite":
-        x = c / n
-        if x > 1.0:
-            raise ValueError(f"c={c} makes probabilities exceed 1 at n={n}")
-        edges = tuple(PotentialEdge(u, v, x, 1.0)
-                      for u, v in itertools.product(range(n), range(n)))
-    else:
+    if kind not in ("general", "bipartite"):
         raise ValueError(f"unknown kind {kind!r}")
-    return Instance(kind, n, edges)
+    x = c / (n - 1) if kind == "general" else c / n
+    if x > 1.0:
+        raise ValueError(f"c={c} makes probabilities exceed 1 at n={n}")
+    ends = _all_pairs(n, kind)
+    return Instance.from_arrays(kind, n, ends, np.full(len(ends), x), np.ones(len(ends)))
 
 
 def gen_pendant_star(n: int, eps: float, weight_on_edge: float = 1.0) -> Instance:
@@ -59,12 +64,15 @@ def gen_pendant_star(n: int, eps: float, weight_on_edge: float = 1.0) -> Instanc
         raise ValueError("need n >= 2")
     if not (0.0 < eps <= 1.0):
         raise ValueError("eps must lie in (0, 1]")
-    edges = [PotentialEdge(0, 0, eps, weight_on_edge),
-             PotentialEdge(0, 1, 1.0 - eps, 1.0)]
-    spread = (1.0 - eps) / (n - 1)
-    for i in range(1, n):
-        edges.append(PotentialEdge(i, 0, spread, 1.0))
-    return Instance("bipartite", n, tuple(edges))
+    ends = np.empty((n + 1, 2), dtype=np.int64)
+    ends[:2] = [[0, n], [0, n + 1]]
+    ends[2:, 0] = np.arange(1, n)
+    ends[2:, 1] = n
+    x = np.full(n + 1, (1.0 - eps) / (n - 1))
+    x[:2] = [eps, 1.0 - eps]
+    w = np.ones(n + 1)
+    w[0] = weight_on_edge
+    return Instance.from_arrays("bipartite", n, ends, x, w)
 
 
 def gen_equal_split_star(n: int, eps: float) -> Instance:
@@ -75,13 +83,15 @@ def gen_equal_split_star(n: int, eps: float) -> Instance:
         raise ValueError("need n >= 2")
     if not (0.0 < eps <= 1.0):
         raise ValueError("eps must lie in (0, 1]")
-    spread = (1.0 - eps) / (n - 1)
-    edges = [PotentialEdge(0, 0, eps, 1.0)]
-    for i in range(1, n):
-        edges.append(PotentialEdge(0, i, spread, 1.0))
-    for i in range(1, n):
-        edges.append(PotentialEdge(i, 0, spread, 1.0))
-    return Instance("bipartite", n, tuple(edges))
+    ends = np.empty((2 * n - 1, 2), dtype=np.int64)
+    ends[0] = [0, n]
+    ends[1:n, 0] = 0
+    ends[1:n, 1] = np.arange(n + 1, 2 * n)
+    ends[n:, 0] = np.arange(1, n)
+    ends[n:, 1] = n
+    x = np.full(2 * n - 1, (1.0 - eps) / (n - 1))
+    x[0] = eps
+    return Instance.from_arrays("bipartite", n, ends, x, np.ones(2 * n - 1))
 
 
 def gen_random_point(n: int, density: float, seed: int, kind: str = "bipartite",
@@ -91,36 +101,20 @@ def gen_random_point(n: int, density: float, seed: int, kind: str = "bipartite",
     every load is at most 1, weights uniform in [0, 1] (or all 1)."""
     if not (0.0 <= density <= 1.0):
         raise ValueError("density must lie in [0, 1]")
-    if kind == "general":
-        pairs = list(itertools.combinations(range(n), 2))
-    elif kind == "bipartite":
-        pairs = list(itertools.product(range(n), range(n)))
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    keep = uniforms(seed, _STREAM_KEEP, len(pairs)) < density
-    probs = uniforms(seed, _STREAM_PROB, len(pairs))
-    weights = uniforms(seed, _STREAM_WEIGHT, len(pairs)) if weighted \
-        else np.ones(len(pairs))
-
-    chosen = [(u, v, probs[i], weights[i]) for i, (u, v) in enumerate(pairs) if keep[i]]
-    if not chosen:
-        return Instance(kind, n, ())
-
-    x = np.array([c[2] for c in chosen])
-    total = 2 * n if kind == "bipartite" else n
-    for _ in range(64):
-        loads = np.zeros(total)
-        for i, (u, v, _, _) in enumerate(chosen):
-            gu = u
-            gv = v + n if kind == "bipartite" else v
-            loads[gu] += x[i]
-            loads[gv] += x[i]
-        if loads.max() <= 1.0:
-            break
-        for i, (u, v, _, _) in enumerate(chosen):
-            gu = u
-            gv = v + n if kind == "bipartite" else v
-            x[i] /= max(1.0, loads[gu], loads[gv])
-    edges = tuple(PotentialEdge(u, v, float(x[i]), float(chosen[i][3]))
-                  for i, (u, v, _, _) in enumerate(chosen))
-    return Instance(kind, n, edges)
+    pairs = _all_pairs(n, kind)
+    m = len(pairs)
+    keep = uniforms(seed, _STREAM_KEEP, m) < density
+    ends = pairs[keep]
+    x = uniforms(seed, _STREAM_PROB, m)[keep]
+    w = uniforms(seed, _STREAM_WEIGHT, m)[keep] if weighted else np.ones(len(ends))
+    if len(ends):
+        # loads add each edge's x at u then at v, edge by edge (one add.at
+        # over the interleaved ids keeps every vertex's summation order)
+        ids = ends.ravel()
+        for _ in range(64):
+            loads = np.zeros(2 * n if kind == "bipartite" else n)
+            np.add.at(loads, ids, np.repeat(x, 2))
+            if loads.max() <= 1.0:
+                break
+            x /= np.maximum(1.0, np.maximum(loads[ends[:, 0]], loads[ends[:, 1]]))
+    return Instance.from_arrays(kind, n, ends, x, w)

@@ -110,8 +110,10 @@ def inv_max_expectation(y_probs: Sequence[float], z_probs: Sequence[float]) -> f
 def inv_max_expectation_pmf(py: np.ndarray, pz: np.ndarray) -> float:
     """E[1/(1 + max(Y, Z))] for independent Y, Z with pmfs py, pz."""
     size = max(len(py), len(pz))
-    py = np.pad(py, (0, size - len(py)))
-    pz = np.pad(pz, (0, size - len(pz)))
+    if len(py) < size:
+        py = np.pad(py, (0, size - len(py)))
+    if len(pz) < size:
+        pz = np.pad(pz, (0, size - len(pz)))
     return float(py @ _inv_max_kernel(size) @ pz)
 
 
@@ -282,21 +284,23 @@ def verify_equal_split(x0: float, m: int, grid_step: float = 0.05,
         for vec in all_vecs
     ])
 
+    # per sum s, the equal-split point's pmf and quadratic term
+    eq_pmfs, eq_quads = [], []
+    for s in range(max_units + 1):
+        eq = [s * grid_step / m] * m
+        eq_pmfs.append(poisson_binomial_pmf(eq))
+        eq_quads.append(c * (x0 * sum(v ** 2 for v in eq) - x0 ** 2 * s * grid_step))
+
     worst_margin = math.inf
     worst_bucket = None
     for sy in range(max_units + 1):
         ya, yb = offsets[sy]
-        eq_y = [sy * grid_step / m] * m
-        pmf_eq_y = poisson_binomial_pmf(eq_y)
-        quad_eq_y = c * (x0 * sum(v ** 2 for v in eq_y) - x0 ** 2 * sy * grid_step)
         for sz in range(max_units + 1):
             za, zb = offsets[sz]
             bucket = x0 * table[ya:yb, za:zb] + quads[ya:yb, None] + quads[None, za:zb]
             grid_min = float(bucket.min())
-            eq_z = [sz * grid_step / m] * m
-            quad_eq_z = c * (x0 * sum(v ** 2 for v in eq_z) - x0 ** 2 * sz * grid_step)
-            f_eq = (x0 * inv_max_expectation_pmf(pmf_eq_y, poisson_binomial_pmf(eq_z))
-                    + quad_eq_y + quad_eq_z)
+            f_eq = (x0 * inv_max_expectation_pmf(eq_pmfs[sy], eq_pmfs[sz])
+                    + eq_quads[sy] + eq_quads[sz])
             margin = grid_min - f_eq
             if margin < worst_margin:
                 worst_margin = margin
@@ -418,8 +422,8 @@ def check_local_derivative_bound(g: SampledGraph, tolerance: float = 1e-9) -> Ch
     inst = g.instance
     base = max_weight_matching_general(g)
     lhs = 2.0 * base
-    for j, e in enumerate(inst.edges):
-        if e.x == 0.0:
+    for j, xj in enumerate(inst.x.tolist()):
+        if xj == 0.0:
             continue
         with_e = np.array(g.realized)
         with_e[j] = True
@@ -427,7 +431,7 @@ def check_local_derivative_bound(g: SampledGraph, tolerance: float = 1e-9) -> Ch
         without_e[j] = False
         gain = (max_weight_matching_general(SampledGraph(inst, with_e))
                 - max_weight_matching_general(SampledGraph(inst, without_e)))
-        lhs += e.x * gain
+        lhs += xj * gain
     rhs = fractional_value(inst)
     return CheckReport(
         check="local_derivative_bound",
@@ -443,12 +447,14 @@ def check_local_derivative_bound(g: SampledGraph, tolerance: float = 1e-9) -> Ch
 def phi_curve(inst: Instance, grid_points: int = 20, mode: str = "exact",
               samples: int = 1000, seed: int = 0) -> np.ndarray:
     """phi(t) = expected matching weight when every probability is scaled
-    by t, on the grid t = 0, 1/k, ..., 1.
+    by t, on the grid t = 0, 1/k, ..., 1 with k = grid_points >= 1.
 
     Exact mode enumerates the support (cutoff applies); Monte Carlo mode
     averages `samples` draws per grid point, with sample indices offset by
     grid position so the whole curve is reproducible from one seed.
     """
+    if grid_points < 1:
+        raise ValueError("need at least one grid point")
     ts = np.linspace(0.0, 1.0, grid_points + 1)
     out = np.empty((grid_points + 1, 2), dtype=np.float64)
     out[:, 0] = ts

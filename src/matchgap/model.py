@@ -1,10 +1,16 @@
 """Problem instances: potential edges with probabilities and weights.
 
-An :class:`Instance` is a set of vertices plus a list of potential edges,
-each carrying an appearance probability ``x`` and a weight ``w``.  Bipartite
+An :class:`Instance` is a set of vertices plus potential edges, each
+carrying an appearance probability ``x`` and a weight ``w``.  Bipartite
 instances have ``n`` vertices per side; left vertex ``u`` gets global id
 ``u`` and right vertex ``v`` gets global id ``n + v``.  General instances
 have ``n`` vertices with global ids ``0..n-1``.
+
+Instances are columnar: three read-only arrays, ``endpoints`` ((m, 2)
+global ids), ``x`` and ``w``, about 32 bytes per potential edge, checked
+once and vectorized by :meth:`Instance.from_arrays`.  Per-edge
+:class:`PotentialEdge` records are accepted by the constructor and offered
+as the derived view ``Instance.edges``, built only when read.
 
 The module also hosts feasibility checks against the matching polytope
 (degree constraints always, odd-set constraints by exhaustive enumeration
@@ -15,9 +21,9 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -41,7 +47,9 @@ class PotentialEdge:
     w: float = 1.0
 
 
-@dataclass(frozen=True)
+_RECORD = np.dtype([("u", np.int64), ("v", np.int64), ("x", np.float64), ("w", np.float64)])
+
+
 class Instance:
     """Immutable random-graph model: every edge appears independently.
 
@@ -49,62 +57,97 @@ class Instance:
     ``n`` counts vertices per side and edges go from left (``u``) to right
     (``v``); for general instances ``n`` is the total vertex count and an
     edge is an unordered pair.
+
+    ``Instance(kind, n, edges)`` takes :class:`PotentialEdge` records,
+    collects their columns in one pass and validates them through
+    :meth:`from_arrays`.
     """
 
-    kind: str
-    n: int
-    edges: tuple[PotentialEdge, ...]
+    def __init__(self, kind: str, n: int, edges: Iterable[PotentialEdge] = ()):
+        edges = tuple(edges)
+        try:
+            cols = np.fromiter(((e.u, e.v, e.x, e.w) for e in edges), dtype=_RECORD,
+                               count=len(edges))
+        except OverflowError:
+            raise ValueError("edge endpoint outside the 64-bit integer range") from None
+        right = cols["v"] + n if kind == "bipartite" else cols["v"]
+        self._set(kind, n, np.stack([cols["u"], right], axis=1), cols["x"], cols["w"])
 
-    def __post_init__(self):
-        if self.kind not in ("bipartite", "general"):
-            raise ValueError(f"unknown instance kind {self.kind!r}")
-        if self.n < 0:
+    @classmethod
+    def from_arrays(cls, kind: str, n: int, endpoints, x, w) -> "Instance":
+        """The validating constructor: ``endpoints`` holds (m, 2) global
+        vertex ids, ``x`` and ``w`` the m probabilities and weights.
+        Contiguous int64 / float64 arrays are adopted without a copy and
+        made read-only.
+
+        Raises ValueError for the first invalid edge in edge order; each
+        edge is checked for its probability, weight, endpoint range,
+        self-loop (general only) and duplication of an earlier edge, in
+        that order.
+        """
+        inst = cls.__new__(cls)
+        inst._set(kind, n, endpoints, x, w)
+        return inst
+
+    def _set(self, kind, n, endpoints, x, w) -> None:
+        if kind not in ("bipartite", "general"):
+            raise ValueError(f"unknown instance kind {kind!r}")
+        if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        object.__setattr__(self, "edges", tuple(self.edges))
-        seen = set()
-        for e in self.edges:
-            if not (0.0 <= e.x <= 1.0):
-                raise ValueError(f"edge ({e.u},{e.v}) has probability {e.x} outside [0,1]")
-            if not (e.w >= 0.0 and np.isfinite(e.w)):
-                raise ValueError(f"edge ({e.u},{e.v}) has invalid weight {e.w}")
-            if not (0 <= e.u < self.n and 0 <= e.v < self.n):
-                raise ValueError(f"edge ({e.u},{e.v}) endpoint out of range for n={self.n}")
-            if self.kind == "bipartite":
-                key = (e.u, e.v)
-            else:
-                if e.u == e.v:
-                    raise ValueError(f"self-loop at vertex {e.u}")
-                key = (min(e.u, e.v), max(e.u, e.v))
-            if key in seen:
-                raise ValueError(f"duplicate edge {key}")
-            seen.add(key)
+        ends = np.ascontiguousarray(endpoints, dtype=np.int64)
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        w = np.ascontiguousarray(w, dtype=np.float64)
+        if x.ndim != 1 or w.shape != x.shape or ends.shape != (len(x), 2):
+            raise ValueError("need (m, 2) endpoints and m probabilities and weights")
+        error = _first_invalid_edge(kind, n, ends, x, w)
+        if error is not None:
+            raise ValueError(error)
+        for name, value in (("kind", kind), ("n", n), ("endpoints", ends), ("x", x), ("w", w)):
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, Instance):
+            return NotImplemented
+        return (self.kind == other.kind and self.n == other.n
+                and np.array_equal(self.endpoints, other.endpoints)
+                and np.array_equal(self.x, other.x) and np.array_equal(self.w, other.w))
+
+    def __hash__(self):
+        return hash((self.kind, self.n, self.num_edges))
+
+    def __reduce__(self):  # copies and unpickled instances are validated and read-only too
+        return Instance.from_arrays, (self.kind, self.n, self.endpoints, self.x, self.w)
+
+    def __repr__(self):
+        return f"Instance(kind={self.kind!r}, n={self.n!r}, num_edges={self.num_edges})"
 
     # -- derived views ----------------------------------------------------
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.x)
 
     @property
     def total_vertices(self) -> int:
         return 2 * self.n if self.kind == "bipartite" else self.n
 
-    @cached_property
-    def x(self) -> np.ndarray:
-        return np.array([e.x for e in self.edges], dtype=np.float64)
+    def columns(self) -> tuple[list, list, list, list]:
+        """u, v, x and w as lists of Python scalars, with v indexing the
+        right side of a bipartite instance."""
+        a, b = self.endpoints[:, 0], self.endpoints[:, 1]
+        if self.kind == "bipartite":
+            b = b - self.n
+        return a.tolist(), b.tolist(), self.x.tolist(), self.w.tolist()
 
     @cached_property
-    def w(self) -> np.ndarray:
-        return np.array([e.w for e in self.edges], dtype=np.float64)
-
-    @cached_property
-    def endpoints(self) -> np.ndarray:
-        """(m, 2) array of global vertex ids per edge."""
-        out = np.empty((len(self.edges), 2), dtype=np.int64)
-        for j, e in enumerate(self.edges):
-            out[j, 0] = e.u
-            out[j, 1] = e.v + self.n if self.kind == "bipartite" else e.v
-        return out
+    def edges(self) -> tuple[PotentialEdge, ...]:
+        """The edges as records of Python scalars, built on first read."""
+        return tuple(map(PotentialEdge, *self.columns()))
 
     @cached_property
     def is_unweighted(self) -> bool:
@@ -119,8 +162,40 @@ class Instance:
         """New instance with every probability multiplied by t in [0, 1]."""
         if not (0.0 <= t <= 1.0):
             raise ValueError("scale factor must lie in [0, 1]")
-        return Instance(self.kind, self.n,
-                        tuple(PotentialEdge(e.u, e.v, t * e.x, e.w) for e in self.edges))
+        return Instance.from_arrays(self.kind, self.n, self.endpoints, t * self.x, self.w)
+
+
+def _first_invalid_edge(kind: str, n: int, ends: np.ndarray, x: np.ndarray,
+                        w: np.ndarray) -> Optional[str]:
+    """The error message for the first invalid edge, or None.  Duplicates
+    are found by one sort of a pair key: (u, v) for bipartite edges,
+    (min, max) for general ones; out-of-range edges get keys of their own."""
+    a, b = ends[:, 0], ends[:, 1]
+    if kind == "bipartite":
+        in_range = (0 <= a) & (a < n) & (n <= b) & (b < 2 * n)
+        loop = np.zeros(len(x), dtype=bool)
+        lo, hi = a, b
+    else:
+        in_range = (0 <= a) & (a < n) & (0 <= b) & (b < n)
+        loop = a == b
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+    key = lo * n + hi
+    outside = np.flatnonzero(~in_range)
+    key[outside] = -1 - outside
+    dup = np.ones(len(x), dtype=bool)
+    dup[np.unique(key, return_index=True)[1]] = False
+    checks = (~((0.0 <= x) & (x <= 1.0)), ~((w >= 0.0) & np.isfinite(w)), ~in_range, loop, dup)
+    bad = np.logical_or.reduce(checks)
+    if not bad.any():
+        return None
+    j = int(np.argmax(bad))
+    u, v = int(a[j]), int(b[j]) - (n if kind == "bipartite" else 0)
+    messages = (f"edge ({u},{v}) has probability {float(x[j])} outside [0,1]",
+                f"edge ({u},{v}) has invalid weight {float(w[j])}",
+                f"edge ({u},{v}) endpoint out of range for n={n}",
+                f"self-loop at vertex {u}",
+                f"duplicate edge {(u, v) if kind == 'bipartite' else (min(u, v), max(u, v))}")
+    return next(msg for msg, failed in zip(messages, checks) if failed[j])
 
 
 @dataclass(frozen=True)
@@ -204,12 +279,13 @@ def _first_violating_odd_set(inst, tolerance):
     # Exhaustive scan; lexicographically smallest violating subset wins.
     violations = []
     x = inst.x
+    ends = inst.endpoints.tolist()
     for size in range(3, inst.n + 1, 2):
         bound = (size - 1) // 2
         for subset in itertools.combinations(range(inst.n), size):
             members = set(subset)
-            load = sum(x[j] for j, e in enumerate(inst.edges)
-                       if e.u in members and e.v in members)
+            load = sum(x[j] for j, (a, b) in enumerate(ends)
+                       if a in members and b in members)
             if load > bound + tolerance:
                 violations.append((subset, float(load)))
     if not violations:
@@ -229,7 +305,7 @@ def instance_to_dict(inst: Instance) -> dict:
     return {
         "kind": inst.kind,
         "n": inst.n,
-        "edges": [{"u": e.u, "v": e.v, "x": e.x, "w": e.w} for e in inst.edges],
+        "edges": [{"u": u, "v": v, "x": x, "w": w} for u, v, x, w in zip(*inst.columns())],
     }
 
 

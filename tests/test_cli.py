@@ -177,3 +177,11 @@ class TestPhi:
         assert code == 1
         assert out == ""
         assert "need at least one sample" in err
+
+    @pytest.mark.parametrize("grid_points", ["0", "-1", "-2"])
+    def test_no_grid_points_fails(self, capsys, grid_points):
+        code, out, err = run(capsys, "phi", "--gen", "pendant_star", "--n", "3",
+                             "--grid-points", grid_points)
+        assert code == 1
+        assert out == ""
+        assert err == "error: need at least one grid point\n"

@@ -9,8 +9,9 @@ not be written as JSON at all); the fixture holds the plain float repr
 the fixed CLI prints, with the same digits.
 
 The first twelve command lines were recorded from the per-sample
-sampler; the last three from the dict-based primal-dual solver that
-preceded the list-based one.  ``PYTHONPATH=src python
+sampler; the next three from the dict-based primal-dual solver that
+preceded the list-based one; the ``gen`` lines from the per-edge record
+instances that preceded the columnar ones.  ``PYTHONPATH=src python
 tests/test_golden.py`` records command lines missing from the fixture
 and keeps every recorded entry; delete an entry to re-record it, and
 only after arguing an intended output change.
@@ -56,6 +57,18 @@ COMMANDS = [
     "certify --gen pendant_star --n 6 --eps 0.2 --bound mass --scheme weighted --mode exact",
     "certify --gen pendant_star --n 30 --eps 0.1 --bound kernel --scheme weighted"
     " --mode exact --format csv",
+    # gen: every generator's edge order, probabilities and weights; the
+    # random_point lines at n=5 rescale their probabilities in two rounds
+    "gen --gen karp_sipser --kind bipartite --n 5 --c 1.0",
+    "gen --gen karp_sipser --kind general --n 7 --c 1.5",
+    "gen --gen pendant_star --n 5 --eps 0.2",
+    "gen --gen equal_split_star --n 4 --eps 0.3",
+    "gen --gen random_point --kind bipartite --n 5 --density 0.8 --seed 3",
+    "gen --gen random_point --kind bipartite --n 5 --density 0.8 --seed 3 --unweighted",
+    "gen --gen random_point --kind general --n 5 --density 0.8 --seed 14",
+    "gen --gen random_point --kind general --n 5 --density 0.8 --seed 14 --unweighted",
+    "gen --gen random_point --kind general --n 30 --density 0.3 --seed 5",
+    "gen --gen random_point --kind bipartite --n 20 --density 0.3 --seed 6 --unweighted",
 ]
 
 

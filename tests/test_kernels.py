@@ -305,3 +305,10 @@ class TestPhi:
         inst = gen_random_point(3, 0.8, 9, "bipartite")
         with pytest.raises(ValueError, match="need at least one sample"):
             phi_curve(inst, 4, mode="mc", samples=samples)
+
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    @pytest.mark.parametrize("grid_points", [0, -1, -2])
+    def test_refuses_no_grid_points(self, mode, grid_points):
+        inst = gen_random_point(3, 0.8, 9, "bipartite")
+        with pytest.raises(ValueError, match="need at least one grid point"):
+            phi_curve(inst, grid_points, mode=mode)

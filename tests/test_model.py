@@ -1,12 +1,19 @@
+import copy
 import json
+import math
+import pickle
+import tracemalloc
+from dataclasses import FrozenInstanceError
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from matchgap import (Instance, OddSetCheckInfeasible, PotentialEdge, dump_instance,
-                      fractional_value, instance_from_dict, load_instance,
+                      fractional_value, instance_from_dict, load_instance, mc_ratio,
                       validate_polytope, vertex_loads)
-from matchgap.gallery import gen_pendant_star, gen_random_point
+from matchgap.cli import main
+from matchgap.gallery import gen_karp_sipser, gen_pendant_star, gen_random_point
 
 
 def bip(n, *edges):
@@ -51,6 +58,134 @@ class TestConstruction:
         assert inst.is_unweighted is expected
         assert inst.is_unweighted is expected  # the cached value, same type
         assert type(inst.is_unweighted) is bool
+
+
+NAN, INF = math.nan, math.inf
+
+#: (kind, n, edges as (u, v, x, w), message): several bad edges each; the
+#: messages were recorded from the per-edge record constructor
+INVALID = [
+    ("bipartite", 3, [(0, 0, 0.5, 1.0), (1, 1, 1.5, 1.0), (2, 2, 0.5, -1.0)],
+     "edge (1,1) has probability 1.5 outside [0,1]"),
+    ("bipartite", 3, [(0, 0, 0.5, 1.0), (1, 1, 0.5, -1.0), (2, 2, 1.5, 1.0)],
+     "edge (1,1) has invalid weight -1.0"),
+    ("bipartite", 3, [(0, 0, 0.5, 1.0), (1, 1, 2.0, INF), (0, 0, 0.5, 1.0)],
+     "edge (1,1) has probability 2.0 outside [0,1]"),
+    ("bipartite", 3, [(0, 0, 0.5, 1.0), (0, 3, 0.5, 1.0), (0, 0, 0.5, 1.0)],
+     "edge (0,3) endpoint out of range for n=3"),
+    ("bipartite", 3, [(0, 1, 0.5, 1.0), (1, 0, 0.2, 1.0), (0, 1, 0.2, 1.0), (5, 0, 0.5, 1.0)],
+     "duplicate edge (0, 1)"),
+    ("bipartite", 3, [(1, 1, 0.5, 1.0), (-1, 2, 0.5, 1.0), (1, 1, 0.5, 1.0)],
+     "edge (-1,2) endpoint out of range for n=3"),
+    ("bipartite", 2, [(0, 0, 0.5, 1.0), (1, 1, NAN, 1.0)],
+     "edge (1,1) has probability nan outside [0,1]"),
+    ("bipartite", 2, [(0, 0, 0.5, NAN), (1, 1, 0.5, 1.0)],
+     "edge (0,0) has invalid weight nan"),
+    ("bipartite", 2, [(0, 0, -0.0, 0.0), (1, 1, 1.0000000000000002, 1.0)],
+     "edge (1,1) has probability 1.0000000000000002 outside [0,1]"),
+    ("bipartite", 2, [(0, 0, 0.5, 1.0), (1, 2, 0.5, -3.0), (1, 2, 0.5, 1.0)],
+     "edge (1,2) has invalid weight -3.0"),
+    ("general", 4, [(0, 1, 0.5, 1.0), (2, 2, 0.5, 1.0), (1, 0, 0.5, 1.0)],
+     "self-loop at vertex 2"),
+    ("general", 4, [(0, 1, 0.5, 1.0), (2, 3, 0.5, 1.0), (3, 2, 0.5, 1.0), (1, 1, 0.5, 1.0)],
+     "duplicate edge (2, 3)"),
+    ("general", 4, [(0, 1, 0.5, 1.0), (4, 4, 0.5, 1.0), (1, 1, 0.5, 1.0)],
+     "edge (4,4) endpoint out of range for n=4"),
+    ("general", 4, [(0, 1, 0.5, 1.0), (1, 1, 1.5, 1.0)],
+     "edge (1,1) has probability 1.5 outside [0,1]"),
+    ("general", 4, [(2, 2, 0.5, -2.0), (0, 1, 0.5, 1.0)],
+     "edge (2,2) has invalid weight -2.0"),
+    ("general", 4, [(0, 1, 0.5, 1.0), (1, 2, 0.5, 1.0), (2, 1, 0.5, 1.0), (3, 3, 0.5, 1.0),
+                    (0, 9, 0.5, 1.0), (0, 2, -0.1, 1.0)],
+     "duplicate edge (1, 2)"),
+    ("general", 3, [(2, 0, 0.5, 1.0), (0, 2, 0.5, INF)],
+     "edge (0,2) has invalid weight inf"),
+    ("general", 3, [(2, 0, 0.5, 1.0), (0, -1, 0.5, 1.0), (0, 2, 0.5, 1.0)],
+     "edge (0,-1) endpoint out of range for n=3"),
+    ("tree", 2, [(0, 0, 1.5, 1.0)], "unknown instance kind 'tree'"),
+    ("general", -1, [(0, 0, 1.5, 1.0)], "vertex count must be nonnegative"),
+]
+
+
+def from_columns(kind, n, edges):
+    """The same instance built by the array constructor."""
+    u, v, x, w = (list(c) for c in zip(*edges))
+    right = [b + n for b in v] if kind == "bipartite" else v
+    return Instance.from_arrays(kind, n, np.array([u, right]).T, np.array(x), np.array(w))
+
+
+class TestValidation:
+    @pytest.mark.parametrize("kind, n, edges, message", INVALID)
+    def test_first_bad_edge_from_records(self, kind, n, edges, message):
+        with pytest.raises(ValueError) as info:
+            Instance(kind, n, tuple(PotentialEdge(*e) for e in edges))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("kind, n, edges, message", INVALID)
+    def test_first_bad_edge_from_arrays(self, kind, n, edges, message):
+        with pytest.raises(ValueError) as info:
+            from_columns(kind, n, edges)
+        assert str(info.value) == message
+
+    def test_endpoint_beyond_int64_refused(self):
+        with pytest.raises(ValueError, match="64-bit"):
+            bip(2, (0, 0, 0.5, 1.0), (2 ** 63, 0, 0.5, 1.0))
+
+    def test_mismatched_columns_refused(self):
+        with pytest.raises(ValueError, match="endpoints"):
+            Instance.from_arrays("general", 3, np.array([[0, 1]]), np.array([0.5, 0.5]),
+                                 np.array([1.0, 1.0]))
+
+
+class TestColumnar:
+    def test_records_and_arrays_agree(self):
+        edges = [(0, 1, 0.25, 2.0), (1, 0, 0.5, 1.0), (2, 2, 0.125, 0.5)]
+        inst = bip(3, *edges)
+        assert inst == from_columns("bipartite", 3, edges)
+        assert inst.endpoints.tolist() == [[0, 4], [1, 3], [2, 5]]
+        assert inst.edges == tuple(PotentialEdge(*e) for e in edges)
+        assert [type(f) for f in inst.columns()[0] + inst.columns()[2]] == [int] * 3 + [float] * 3
+
+    def test_immutable(self):
+        inst = bip(2, (0, 1, 0.5, 1.0))
+        for arr in (inst.endpoints, inst.x, inst.w):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+        with pytest.raises(FrozenInstanceError):
+            inst.n = 3
+        for again in (pickle.loads(pickle.dumps(inst)), copy.deepcopy(inst)):
+            assert again == inst and not again.x.flags.writeable
+
+    def test_mc_path_builds_no_records(self):
+        inst = gen_karp_sipser(200, 1.0, "bipartite")
+        assert validate_polytope(inst).degree_ok
+        assert fractional_value(inst) > 0
+        mc_ratio(inst, 20, 0)
+        assert "edges" not in vars(inst)
+
+    def test_cli_mc_builds_no_records(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a per-edge record was built")
+
+        monkeypatch.setattr(PotentialEdge, "__init__", refuse)
+        assert main("mc --gen karp_sipser --kind bipartite --n 200 --c 1.0 --samples 20"
+                    .split()) == 0
+        assert "monte_carlo" in capsys.readouterr().out
+
+    def test_million_edges_within_three_times_their_arrays(self):
+        # the instance's own arrays plus at most twice their size in
+        # transients while generating, validating and checking loads
+        tracemalloc.start()
+        try:
+            inst = gen_karp_sipser(1000, 1.0, "bipartite")
+            report = validate_polytope(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        own = inst.endpoints.nbytes + inst.x.nbytes + inst.w.nbytes
+        assert inst.num_edges == 10 ** 6 and own == 32 * 10 ** 6
+        assert report.degree_ok
+        assert peak <= 3 * own
 
 
 class TestFractionalValue:
