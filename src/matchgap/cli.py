@@ -15,13 +15,15 @@ import io
 import json
 import sys
 
+import numpy as np
+
 from . import estimate, gallery, kernels
 from .kernels import CheckReport, KernelConfig
 from .matching import MatchingCutoffExceeded
 from .model import (Instance, dump_instance, fractional_value, instance_from_dict,
                     validate_polytope)
-from .rng import uniforms
-from .sampling import SupportTooLarge, sample
+from .rng import uniform_block
+from .sampling import BLOCK_BYTES, SupportTooLarge, sample
 
 
 def _write(args, text: str) -> None:
@@ -172,11 +174,16 @@ def run_verify_suite(cfg: KernelConfig = KernelConfig(), c: float = 1.0 / 6.0,
         for m in (1, 2):
             reports.append(kernels.verify_equal_split(x0, m, bern_grid_step, c, tolerance))
 
-    def gain_check(k):  # on a random mean-1 Bernoulli vector of length 2..8
-        u = uniforms(seed, k, 2 + k % 7)
+    def gain_draws():  # row k holds positions 0..7 of stream k, drawn a block at a time
+        rows = BLOCK_BYTES // 64
+        for a in range(0, gain_trials, rows):
+            yield from uniform_block(seed, np.arange(a, min(a + rows, gain_trials)), 8)
+
+    def gain_check(k, u):  # on a random mean-1 Bernoulli vector of length 2..8
+        u = u[:2 + k % 7]
         return kernels.check_gain_ratios((u / u.sum()).tolist(), tolerance=tolerance)
 
-    reports += _worst(gain_check, gain_trials, seed)
+    reports += _worst(map(gain_check, range(gain_trials), gain_draws()), gain_trials, seed)
 
     reports.append(kernels.check_unweighted_envelope(cfg, tolerance=tolerance))
 
@@ -204,7 +211,7 @@ def run_verify_suite(cfg: KernelConfig = KernelConfig(), c: float = 1.0 / 6.0,
         inst = gallery.gen_random_point(2 + k % 5, 0.6, seed * 100003 + k, "general")
         return kernels.check_local_derivative_bound(sample(inst, seed + 1, k), tolerance)
 
-    reports += _worst(derivative_check, derivative_trials, seed)
+    reports += _worst(map(derivative_check, range(derivative_trials)), derivative_trials, seed)
 
     phi_inst = gallery.gen_random_point(4, 0.5, seed + 7, "general")
     if phi_inst.num_edges > 0 and fractional_value(phi_inst) > 0:
@@ -213,10 +220,10 @@ def run_verify_suite(cfg: KernelConfig = KernelConfig(), c: float = 1.0 / 6.0,
     return reports
 
 
-def _worst(check, trials: int, seed: int) -> list[CheckReport]:
-    """The first of check(0), ..., check(trials - 1) with the least
-    min_value, tagged with the trial count and seed; none for no trials."""
-    worst = min(map(check, range(trials)), key=lambda r: r.min_value, default=None)
+def _worst(results, trials: int, seed: int) -> list[CheckReport]:
+    """The first of the trials' reports with the least min_value, tagged
+    with the trial count and seed; none for no trials."""
+    worst = min(results, key=lambda r: r.min_value, default=None)
     if worst is None:
         return []
     worst.parameters.update(trials=trials, seed=seed)

@@ -3,8 +3,11 @@
 Bipartite graphs get a primal-dual solver that returns the maximum
 matching weight together with an optimal fractional vertex cover: vertex
 potentials y >= 0 with y_u + y_v >= w_e on every realized edge and
-||y||_1 equal to the matching weight (Koenig-Egervary duality).  General
-graphs get exhaustive search, exact at small sizes only.
+||y||_1 equal to the matching weight (Koenig-Egervary duality).
+Unweighted bipartite graphs get maximum cardinality by Karp-Sipser
+degree-1 peeling over a whole batch of samples at once, with augmenting
+paths for what peeling leaves.  General graphs get exhaustive search,
+exact at small sizes only.
 
 `matching_values_over_subsets` evaluates the maximum matching weight of
 every subset of the potential edges in one vectorized sweep; it is the
@@ -16,6 +19,7 @@ from __future__ import annotations
 import math
 from bisect import insort
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -322,21 +326,66 @@ def _nu_edge_branch(edges):
 
 
 def max_cardinality_matching(g: SampledGraph) -> int:
-    """Maximum matching cardinality: augmenting paths for bipartite input,
-    exact search (within cutoffs) for general input."""
+    """Maximum matching cardinality: degree-1 peeling and augmenting paths
+    for bipartite input, exact search (within cutoffs) for general input."""
     inst = g.instance
     if inst.kind == "bipartite":
-        return _kuhn_solver(inst)(g.edge_indices)
+        return int(_cardinalities(inst.endpoints, inst.total_vertices, [g.edge_indices])[0])
     return int(round(_general_solver(inst, np.ones(inst.num_edges))(g.edge_indices)))
 
 
-def _kuhn_solver(inst: Instance) -> Callable[[np.ndarray], int]:
-    """Augmenting-path cardinality, as a function of the realized edges."""
-    ends = inst.endpoints
-    return lambda idx: _kuhn_cardinality(ends[idx].tolist())
+#: Peeling hands over to augmenting paths once a round matches fewer than
+#: this share of the edges left: on long chains a round matches one edge
+#: per end, and the rounds alone would cost quadratic time.
+_PEEL_MIN_SHARE = 1.0 / 64.0
 
 
-def _kuhn_cardinality(pairs) -> int:
+def _cardinalities(ends: np.ndarray, nv: int, idxs: list) -> np.ndarray:
+    """Maximum matching cardinality of each realized edge set in `idxs`
+    (ascending edge index arrays into the (m, 2) bipartite endpoints
+    `ends`, whose graphs have `nv` vertices), as a float64 array.
+
+    The samples form one disjoint union, sample k's vertices offset by
+    k * nv, peeled in rounds by Karp and Sipser's degree-1 rule: every
+    degree-1 vertex is matched to its neighbour, one leaf per neighbour.
+    A round's pendant edges share no vertex, and each stays pendant while
+    the others are matched, so the rule keeps the matching maximum.  What
+    peeling leaves (vertices of degree two or more, or long chains once a
+    round falls below ``_PEEL_MIN_SHARE``) gets augmenting paths.
+    """
+    size = len(idxs) * nv
+    base = np.repeat(np.arange(len(idxs)) * nv, [len(idx) for idx in idxs])
+    pairs = ends[np.concatenate(idxs)] if idxs else np.empty((0, 2), dtype=np.int64)
+    u, v = pairs[:, 0] + base, pairs[:, 1] + base
+    count = np.zeros(len(idxs), dtype=np.int64)
+    matched = np.zeros(size, dtype=bool)
+    while len(u):
+        deg = np.bincount(u, minlength=size) + np.bincount(v, minlength=size)
+        leaf_u = deg[u] == 1
+        pendant = np.flatnonzero(leaf_u | (deg[v] == 1))
+        if not len(pendant):
+            break
+        # one pendant edge per neighbour of a leaf (an isolated edge's
+        # neighbour is its right vertex)
+        nbr = np.where(leaf_u[pendant], v[pendant], u[pendant])
+        take = pendant[np.unique(nbr, return_index=True)[1]]
+        matched[u[take]] = True
+        matched[v[take]] = True
+        count += np.bincount(u[take] // nv, minlength=len(idxs))
+        few = len(take) < _PEEL_MIN_SHARE * len(u)
+        keep = ~(matched[u] | matched[v])
+        u, v = u[keep], v[keep]
+        if few:
+            break
+    if len(u):
+        mate = _kuhn_matching(zip(u.tolist(), v.tolist()))
+        count += np.bincount(np.fromiter(mate, np.int64, len(mate)) // nv, minlength=len(idxs))
+    return count.astype(np.float64)
+
+
+def _kuhn_matching(pairs) -> dict[int, int]:
+    """A maximum matching of the bipartite graph on the (left, right) vertex
+    `pairs`, as a map from each matched right vertex to its left mate."""
     adj: dict[int, list[int]] = {}
     for u, v in pairs:
         if u in adj:
@@ -344,8 +393,8 @@ def _kuhn_cardinality(pairs) -> int:
         else:
             adj[u] = [v]
     # A greedy pass matches every left vertex that has a free neighbour;
-    # augmenting from the rest then gives the maximum cardinality, which
-    # does not depend on the starting matching.
+    # augmenting from the rest then gives a maximum matching, whatever
+    # the starting matching.
     mate: dict[int, int] = {}  # right -> left
     rest = []
     for u in sorted(adj):
@@ -355,7 +404,9 @@ def _kuhn_cardinality(pairs) -> int:
                 break
         else:
             rest.append(u)
-    return len(mate) + sum(_augment(u, adj, mate) for u in rest)
+    for u in rest:
+        _augment(u, adj, mate)
+    return mate
 
 
 def _augment(root: int, adj: dict[int, list[int]], mate: dict[int, int]) -> bool:
@@ -385,23 +436,30 @@ def _augment(root: int, adj: dict[int, list[int]], mate: dict[int, int]) -> bool
     return False
 
 
-def value_solver(inst: Instance) -> Callable[[np.ndarray], float]:
+def value_solver(inst: Instance) -> Callable[[list], np.ndarray]:
     """The solver `matching_value` applies to realizations of `inst`, as a
-    function of the ascending array of realized edge indices: augmenting
-    paths for unweighted bipartite, primal-dual for weighted bipartite,
-    exact search for general instances.  The primal-dual's per-instance
-    lists are built here, so Monte Carlo loops select it once per run."""
-    # Kuhn and exact search gather the realized edges per sample:
-    # per-instance lists of a 40,000-edge instance cost cache misses and
-    # peak memory
+    function of a batch of samples: it takes a list of ascending realized
+    edge index arrays and returns their values as a float64 array.
+    Unweighted bipartite batches are peeled together (`_cardinalities`);
+    weighted bipartite samples get the primal-dual and general ones exact
+    search, one sample at a time.  The primal-dual's per-instance lists
+    are built here, so Monte Carlo loops select it once per run."""
+    # the peeler and exact search gather the realized edges per batch or
+    # sample: per-instance lists of a 40,000-edge instance cost cache
+    # misses and peak memory
     if inst.kind == "bipartite":
         if inst.is_unweighted:
-            kuhn = _kuhn_solver(inst)
-            return lambda idx: float(kuhn(idx))
+            return partial(_cardinalities, inst.endpoints, inst.total_vertices)
         tails, arcs = _bipartite_arcs(inst, np.arange(inst.num_edges))
         n = inst.n
-        return lambda idx: _matched_weight(_primal_dual(idx.tolist(), tails, arcs, n)[0], arcs)
-    return _general_solver(inst, inst.w)
+        return _each(lambda idx: _matched_weight(_primal_dual(idx.tolist(), tails, arcs, n)[0],
+                                                 arcs))
+    return _each(_general_solver(inst, inst.w))
+
+
+def _each(solve: Callable[[np.ndarray], float]) -> Callable[[list], np.ndarray]:
+    """A batch solver applying the per-sample `solve` to each sample in order."""
+    return lambda idxs: np.fromiter(map(solve, idxs), np.float64, len(idxs))
 
 
 def cover_solver(inst: Instance) -> Callable[[np.ndarray], np.ndarray]:
@@ -419,7 +477,7 @@ def matching_value(g: SampledGraph) -> float:
     if inst.kind == "bipartite" and not inst.is_unweighted:
         # the wrapper reads the realized edges only, not per-instance lists
         return max_weight_matching_bipartite(g)[1]
-    return value_solver(inst)(g.edge_indices)
+    return float(value_solver(inst)([g.edge_indices])[0])
 
 
 def matching_values_over_subsets(inst: Instance) -> np.ndarray:

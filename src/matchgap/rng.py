@@ -73,18 +73,19 @@ def uniform_block(seed: int, streams, count: int) -> np.ndarray:
 
 
 class BernoulliBlocks:
-    """Bernoulli draws for rows of consecutive streams, hashed in place.
+    """Bernoulli draws for rows of streams given by their keys, hashed in place.
 
-    Row k of ``draw(first, rows)`` holds ``uniform(first + k, j) < x[j]``
-    for every position j, decided on integer thresholds.  The hashing
-    runs in scratch buffers allocated once for up to `max_rows` rows, and
-    each draw returns a view of one output buffer that the next draw
-    overwrites.
+    Row k of ``draw(keys)`` holds ``uniform(i, j) < x[j]`` for every
+    position j, where ``keys[k] == stream_key(seed, i)``, decided on
+    integer thresholds.  The caller derives the keys (`stream_key` works
+    element by element, so keys derived once for a whole run give the
+    same rows as keys derived per block).  The hashing runs in scratch
+    buffers allocated once for up to `max_rows` rows, and each draw
+    returns a view of one output buffer that the next draw overwrites.
     """
 
-    def __init__(self, seed: int, x, max_rows: int):
+    def __init__(self, x, max_rows: int):
         x = np.asarray(x, dtype=np.float64)
-        self._seed = seed
         # (j + 1) * GAMMA: the position step and mix64's gamma step in one
         with np.errstate(over="ignore"):
             self._offsets = np.arange(1, x.size + 1, dtype=np.uint64) * _GAMMA
@@ -93,9 +94,9 @@ class BernoulliBlocks:
         self._tmp = np.empty_like(self._z)
         self._out = np.empty((max_rows, x.size), dtype=bool)
 
-    def draw(self, first: int, rows: int) -> np.ndarray:
-        """(rows, len(x)) bool view for streams first .. first+rows-1."""
-        keys = stream_key(self._seed, np.arange(first, first + rows, dtype=np.uint64))
+    def draw(self, keys: np.ndarray) -> np.ndarray:
+        """(len(keys), len(x)) bool view for the streams of uint64 `keys`."""
+        rows = len(keys)
         z, tmp = self._z[:rows], self._tmp[:rows]
         with np.errstate(over="ignore"):
             np.add(keys[:, None], self._offsets, out=z)

@@ -9,11 +9,14 @@ evaluation order.
 Every Monte Carlo path draws through `realization_blocks`, which hashes
 as many samples at a time as fit in ``BLOCK_BYTES`` of uint64 work array
 (so the working set stays in a per-core cache) and decides edges with
-integer thresholds (see `rng`).  Its blocks are views of buffers reused
-for the next block: `SampledGraph` freezes the array it is given without
-copying it, so copy a row, or take its edge indices, before keeping it
-past the next block.  Monte Carlo solvers read each sample as the
-array of realized edge indices (`realized_edge_lists`) in `sample_values`.
+integer thresholds (see `rng`).  It derives the samples' stream keys
+once per run, or once per ``BLOCK_BYTES`` of keys, and hands each block
+its slice.  Its blocks are views of buffers reused for the next block:
+`SampledGraph` freezes the array it is given without copying it, so copy
+a row, or take its edge indices, before keeping it past the next block.
+Monte Carlo solvers read each sample as the array of realized edge
+indices (`realized_edge_lists`), in batches whose per-vertex arrays fit
+in ``BLOCK_BYTES`` (`sample_values`).
 """
 
 from __future__ import annotations
@@ -23,12 +26,13 @@ import pickle
 import threading
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Callable, Iterator
 
 import numpy as np
 
 from .model import Instance
-from .rng import BernoulliBlocks
+from .rng import BernoulliBlocks, stream_key
 
 #: Exact enumeration refuses supports larger than 2**SUPPORT_CUTOFF.
 SUPPORT_CUTOFF = 20
@@ -84,9 +88,14 @@ def realization_blocks(inst: Instance, seed: int, start: int,
     one buffer that the next block overwrites.
     """
     rows = max(1, min(count, BLOCK_BYTES // max(8 * inst.num_edges, 1)))
-    draws = BernoulliBlocks(seed, inst.x, rows)
-    for first in range(start, start + count, rows):
-        yield draws.draw(first, min(rows, start + count - first))
+    draws = BernoulliBlocks(inst.x, rows)
+    # stream keys for as many whole blocks as fit in BLOCK_BYTES, at least one
+    chunk = rows * max(1, BLOCK_BYTES // (8 * rows))
+    stop = start + count
+    for first in range(start, stop, chunk):
+        keys = stream_key(seed, np.arange(first, min(first + chunk, stop), dtype=np.uint64))
+        for k in range(0, len(keys), rows):
+            yield draws.draw(keys[k:k + rows])
 
 
 def realized_edge_lists(inst: Instance, seed: int, start: int,
@@ -98,10 +107,13 @@ def realized_edge_lists(inst: Instance, seed: int, start: int,
             yield np.flatnonzero(row)
 
 
-def sample_values(inst: Instance, solve: Callable[[np.ndarray], float], seed: int,
+def sample_values(inst: Instance, solve: Callable[[list], np.ndarray], seed: int,
                   start: int, count: int) -> np.ndarray:
-    """float64 array of solve(realized edge indices) for samples
-    start..start+count-1, in order.
+    """float64 array of the values of samples start..start+count-1, in order.
+
+    `solve` takes a batch, a list of samples' ascending realized edge
+    index arrays, and returns one value per sample; a batch holds as many
+    samples as have ``BLOCK_BYTES`` of int64 per-vertex arrays.
 
     A run of at least ``SPLIT_MIN_WORK`` is cut into one sample range per
     CPU in the affinity mask, each solved in a forked worker.  On one CPU,
@@ -118,7 +130,12 @@ def sample_values(inst: Instance, solve: Callable[[np.ndarray], float], seed: in
 
 
 def _solved(inst, solve, seed, first, n) -> np.ndarray:
-    return np.fromiter(map(solve, realized_edge_lists(inst, seed, first, n)), float, n)
+    batch = max(1, BLOCK_BYTES // max(8 * inst.total_vertices, 1))
+    lists = realized_edge_lists(inst, seed, first, n)
+    out = np.empty(n, dtype=np.float64)
+    for k in range(0, n, batch):
+        out[k:k + batch] = solve(list(islice(lists, batch)))
+    return out
 
 
 def _forked_values(inst, solve, seed, cuts) -> np.ndarray:

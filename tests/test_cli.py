@@ -145,6 +145,14 @@ class TestVerify:
         _, out2, _ = run(capsys, "verify", *self.QUICK)
         assert out1 == out2
 
+    def test_gain_draws_do_not_depend_on_block_size(self, capsys, monkeypatch):
+        # gain trials are drawn a block at a time; blocks of 3 rows put
+        # block edges inside the run and must give the same output bytes
+        _, out1, _ = run(capsys, "verify", *self.QUICK)
+        monkeypatch.setattr("matchgap.cli.BLOCK_BYTES", 3 * 64)
+        _, out2, _ = run(capsys, "verify", *self.QUICK)
+        assert out1 == out2
+
     def test_csv_format_flat_rows(self, capsys):
         code, out, _ = run(capsys, "verify", *self.QUICK, "--format", "csv")
         assert code == 0

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from matchgap import (Instance, MatchingCutoffExceeded, PotentialEdge, SampledGr
                       matching_value, matching_values_over_subsets,
                       max_cardinality_matching, max_weight_matching_bipartite,
                       max_weight_matching_general, sample)
+from matchgap import matching, phi_curve
 from matchgap.gallery import gen_random_point
+from matchgap.matching import value_solver
 
 from conftest import brute_matching_value, cycle_instance, path_instance
 
@@ -195,6 +198,131 @@ class TestCardinality:
         g = realized_all(Instance("bipartite", n, tuple(edges)))
         assert max_cardinality_matching(g) == n
         assert matching_value(g) == float(n)
+
+
+def bipartite_instance(n, pairs):
+    return Instance("bipartite", n, tuple(PotentialEdge(u, v, 0.5, 1.0) for u, v in pairs))
+
+
+def hopcroft_karp_value(inst, idx):
+    """Maximum cardinality of the edges `idx` by networkx's Hopcroft-Karp."""
+    nx = pytest.importorskip("networkx")
+    g = nx.Graph()
+    left = [("u", i) for i in range(inst.n)]
+    g.add_nodes_from(left)
+    g.add_nodes_from(("v", i) for i in range(inst.n))
+    g.add_edges_from((("u", int(a)), ("v", int(b) - inst.n)) for a, b in inst.endpoints[idx])
+    return len(nx.bipartite.hopcroft_karp_matching(g, top_nodes=left)) // 2
+
+
+def solve_in_batches(inst, lists, batch):
+    solve = value_solver(inst)
+    return np.concatenate([solve(lists[k:k + batch]) for k in range(0, len(lists), batch)])
+
+
+class TestPeeler:
+    """The batched degree-1 peeler behind unweighted bipartite values,
+    against Hopcroft-Karp (networkx) and the brute-force oracle."""
+
+    @staticmethod
+    def kuhn_sizes(monkeypatch):
+        """Edge counts of the graphs handed on to augmenting paths."""
+        sizes = []
+        real = matching._kuhn_matching
+
+        def spy(pairs):
+            pairs = list(pairs)
+            sizes.append(len(pairs))
+            return real(pairs)
+
+        monkeypatch.setattr(matching, "_kuhn_matching", spy)
+        return sizes
+
+    def check(self, inst, lists):
+        """Every batching of `lists` against both oracles."""
+        want = [hopcroft_karp_value(inst, idx) for idx in lists]
+        for idx, value in zip(lists, want):
+            if len(idx) <= 12:
+                assert value == brute_matching_value(inst, np.isin(np.arange(inst.num_edges),
+                                                                    idx))
+        full = solve_in_batches(inst, lists, len(lists))
+        assert full.dtype == np.float64 and full.tolist() == want
+        for batch in (1, 7):
+            assert solve_in_batches(inst, lists, batch).tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_graphs(self, seed):
+        rng = np.random.default_rng(4000 + seed)
+        n = int(rng.integers(2, 13))
+        density = float(rng.uniform(1.0, 4.0)) / n
+        pairs = [(u, v) for u in range(n) for v in range(n) if rng.random() < density]
+        inst = bipartite_instance(n, pairs)
+        lists = [np.flatnonzero(rng.random(len(pairs)) < rng.uniform(0.2, 1.0))
+                 for _ in range(30)]
+        self.check(inst, lists)
+
+    @pytest.mark.parametrize("k", [2, 3, 6, 11])
+    def test_even_cycle_goes_whole_to_augmenting_paths(self, monkeypatch, k):
+        # u_i - v_i - u_(i+1): a cycle through k vertices a side, no leaf
+        sizes = self.kuhn_sizes(monkeypatch)
+        inst = bipartite_instance(k, [(i, i) for i in range(k)]
+                                  + [((i + 1) % k, i) for i in range(k)])
+        self.check(inst, [np.arange(inst.num_edges)])
+        assert max_cardinality_matching(realized_all(inst)) == k
+        assert set(sizes) == {2 * k}
+
+    def test_complete_3_3_goes_whole_to_augmenting_paths(self, monkeypatch):
+        sizes = self.kuhn_sizes(monkeypatch)
+        inst = bipartite_instance(3, itertools.product(range(3), range(3)))
+        self.check(inst, [np.arange(9)])
+        assert max_cardinality_matching(realized_all(inst)) == 3
+        assert set(sizes) == {9}
+
+    def test_leaves_only(self, monkeypatch):
+        # isolated edges, a star, a double star (two adjacent centres with
+        # their own leaves) and an empty sample: peeling alone solves them
+        sizes = self.kuhn_sizes(monkeypatch)
+        inst = bipartite_instance(8, [(0, 0), (1, 1), (2, 2)]                # isolated
+                                  + [(3, v) for v in range(3, 8)]            # star at u3
+                                  + [(4, 3)] + [(u, 4) for u in (4, 5, 6)]   # u4-v4 centres
+                                  + [(7, 4)])
+        j = {tuple(e): k for k, e in enumerate(inst.endpoints.tolist())}
+        isolated = [j[(0, 8)], j[(1, 9)], j[(2, 10)]]
+        star = [j[(3, 8 + v)] for v in range(3, 8)]
+        double = [j[(4, 11)], j[(4, 12)], j[(5, 12)], j[(6, 12)], j[(7, 12)]]
+        lists = [np.array(sorted(s), dtype=np.int64)
+                 for s in (isolated, star, double, [], isolated + star, [j[(3, 11)]])]
+        self.check(inst, lists)
+        assert solve_in_batches(inst, lists, len(lists)).tolist() == [3, 1, 2, 0, 4, 1]
+        assert sizes == []
+
+    def test_batches_mix_empty_and_nonempty(self):
+        inst = gen_random_point(6, 0.8, 12, "bipartite", weighted=False)
+        rng = np.random.default_rng(5)
+        empty = np.zeros(0, dtype=np.int64)
+        lists = [empty if k % 3 else np.flatnonzero(rng.random(inst.num_edges) < 0.5)
+                 for k in range(20)] + [empty] * 3
+        self.check(inst, lists)
+        assert value_solver(inst)([]).tolist() == []
+        assert value_solver(inst)([empty, empty]).tolist() == [0.0, 0.0]
+
+    def test_no_vertices(self):
+        inst = Instance("bipartite", 0, ())
+        assert value_solver(inst)([np.zeros(0, dtype=np.int64)] * 2).tolist() == [0.0, 0.0]
+        assert phi_curve(inst, 2, "mc", samples=3)[:, 1].tolist() == [0.0, 0.0, 0.0]
+
+    def test_path_of_20000_a_side_in_time(self):
+        # peeling a path matches one edge per end a round, so alone it
+        # would take 10,000 rounds (3.6 s); the share stop hands the path
+        # to augmenting paths.  Bound fixed at 1 s before measuring.
+        n = 20_000
+        i = np.arange(n)
+        ends = np.concatenate([np.stack([i, n + i], 1), np.stack([i[1:], n + i[:-1]], 1)])
+        inst = Instance.from_arrays("bipartite", n, ends, np.ones(len(ends)), np.ones(len(ends)))
+        g = realized_all(inst)
+        t = time.perf_counter()
+        assert max_cardinality_matching(g) == n
+        assert time.perf_counter() - t < 1.0
 
 
 class TestMonotonicity:

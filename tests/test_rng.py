@@ -45,3 +45,13 @@ def test_uniformity_gross():
 def test_mix64_is_deterministic_bijection_sample():
     vals = mix64(np.arange(1000, dtype=np.uint64))
     assert len(np.unique(vals)) == 1000
+
+
+def test_verify_gain_trials_from_one_block():
+    # the verify suite's gain trial k normalizes positions 0..1+k%7 of
+    # stream k, taken as a prefix of row k of one 8-column block
+    for seed in (0, 1, 5):
+        block = uniform_block(seed, np.arange(2000), 8)
+        for k in range(2000):
+            u, ref = block[k, :2 + k % 7], uniforms(seed, k, 2 + k % 7)
+            assert (u / u.sum()).tobytes() == (ref / ref.sum()).tobytes()

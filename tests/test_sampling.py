@@ -91,6 +91,25 @@ class TestRealizationBlocks:
         want = uniform_block(7, np.arange(start, start + count), inst.num_edges) < inst.x
         assert np.array_equal(self.rows(inst, 7, start, count), want)
 
+    @pytest.mark.parametrize("start", [0, 2 ** 40 + 3])
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_keys_derived_once_per_chunk(self, monkeypatch, rows, start):
+        # stream keys come from one stream_key call per BLOCK_BYTES // 8
+        # samples, here rows x m of them; 150 samples cross block and
+        # key-chunk edges, and neither divides 150
+        inst = gen_random_point(4, 0.6, 8, "bipartite")
+        m = inst.num_edges
+        monkeypatch.setattr(sampling, "BLOCK_BYTES", rows * 8 * m)
+        calls = []
+        real = sampling.stream_key
+        monkeypatch.setattr(sampling, "stream_key",
+                            lambda seed, streams: calls.append(len(streams)) or real(seed, streams))
+        got = self.rows(inst, 9, start, 150)
+        assert calls[:-1] == [rows * m] * (len(calls) - 1) and sum(calls) == 150
+        assert 150 % (rows * m) != 0
+        for k in range(150):
+            assert np.array_equal(got[k], uniform_block(9, [start + k], m)[0] < inst.x)
+
     def test_zero_count_yields_nothing(self):
         assert list(realization_blocks(single_edge(0.5), 1, 4, 0)) == []
 
@@ -151,6 +170,27 @@ class TestSampleValuesSplit:
         assert len(forks) == (2 + 3) * (len(insts) + 4)  # phi at t = 0 draws nothing
         assert capfd.readouterr() == ("", "")
 
+    @pytest.mark.parametrize("batch", [1, 7])
+    def test_same_bytes_across_batches_and_workers(self, monkeypatch, forks, batch):
+        # batches of 1 or 7 samples, serial and over 2 or 3 workers whose
+        # ranges do not line up with batch edges, against the default
+        # batch (every sample of these runs in one)
+        insts = [gen_random_point(4, 0.7, 4, "bipartite", weighted=w) for w in (False, True)]
+
+        def run():
+            return ([repr(mc_ratio(inst, 301, seed=2, start_index=5).to_dict())
+                     for inst in insts]
+                    + [phi_curve(inst, 4, "mc", samples=101, seed=3).tobytes()
+                       for inst in insts])
+
+        want = run()
+        monkeypatch.setattr(sampling, "BLOCK_BYTES", batch * 8 * insts[0].total_vertices)
+        monkeypatch.setattr(sampling, "SPLIT_MIN_WORK", 0)
+        for workers in (1, 2, 3):
+            self.cpus(monkeypatch, workers)
+            assert run() == want
+        assert len(forks) == (2 + 3) * len(insts) * (1 + 4)  # phi at t = 0 draws nothing
+
     def test_solver_exception_reaches_caller(self, monkeypatch, forks, capfd):
         # 40 disjoint edges of probability 0.9: every sample exceeds the
         # exact-search cutoffs, with a message that names its own vertex
@@ -176,10 +216,10 @@ class TestSampleValuesSplit:
         first, second = realized_edge_lists(inst, 4, 0, 2)
         assert first.tolist() != second.tolist()
 
-        def solve(idx):
-            if idx.tolist() == first.tolist():
+        def solve(idxs):
+            if idxs[0].tolist() == first.tolist():
                 time.sleep(0.3)
-            raise ValueError(f"sample {idx.tolist()}")
+            raise ValueError(f"sample {idxs[0].tolist()}")
 
         monkeypatch.setattr(sampling, "SPLIT_MIN_WORK", 0)
         self.cpus(monkeypatch, 2)
@@ -194,8 +234,8 @@ class TestSampleValuesSplit:
         monkeypatch.setattr(sampling, "SPLIT_MIN_WORK", 0)
         self.cpus(monkeypatch, 2)
         with pytest.raises(RuntimeError, match="a sample worker died"):
-            sampling.sample_values(inst, lambda idx: 0.0 if os.getpid() == here else os._exit(3),
-                                   0, 0, 4)
+            sampling.sample_values(inst, lambda idxs: [0.0] * len(idxs) if os.getpid() == here
+                                   else os._exit(3), 0, 0, 4)
 
     def test_serial_path(self, monkeypatch, forks):
         inst = gen_random_point(4, 0.7, 4, "bipartite")
