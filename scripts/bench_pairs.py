@@ -12,6 +12,11 @@ last.  The output file holds, per workload and metric, both sides' runs,
 their medians and quartiles (linear interpolation, as numpy's default
 percentile) and the number of pairs in which the change was better, in
 the direction that the change checkout's ``BENCHMARK.json`` gives.
+Under ``machine`` it records the effective parallelism: the wall time of
+one fixed pure-Python loop in a fresh interpreter, times two, over the
+wall time of two concurrent copies (median of three tries).  It reads
+2.0 where two CPUs are free and 1.0 where the copies share one, which a
+CPU count does not show.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . --pr N \\
         --seed 11 --out BENCH_N.json
@@ -28,9 +33,23 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 PAIRS = 10
+PROBE = "x = 0\nfor i in range(3_000_000):\n    x += i * i\n"
+
+
+def parallelism(tries: int = 3) -> float:
+    """Throughput of two concurrent copies of PROBE relative to one copy."""
+    def wall(copies: int) -> float:
+        start = time.perf_counter()
+        procs = [subprocess.Popen([sys.executable, "-c", PROBE]) for _ in range(copies)]
+        for proc in procs:
+            proc.wait()
+        return time.perf_counter() - start
+
+    return statistics.median(2 * wall(1) / wall(2) for _ in range(tries))
 
 
 def quartiles(vals: list[float]) -> dict:
@@ -107,7 +126,8 @@ def main() -> int:
                     "pairs alternate which side runs first; quartiles interpolate "
                     "linearly between the per-run medians"),
         "machine": {"nproc": os.cpu_count(), "cpu": platform.processor() or platform.machine(),
-                    "python": platform.python_version()},
+                    "python": platform.python_version(),
+                    "effective_parallelism": round(parallelism(), 2)},
         "parent_commit": commit(roots["parent"]),
         "change_commit": commit(roots["change"]),
         "src_lines": {side: src_lines(root) for side, root in roots.items()},

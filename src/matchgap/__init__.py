@@ -22,9 +22,10 @@ from .matching import (Matching, FractionalVertexCover, MatchingCutoffExceeded,
 from .schemes import (SchemeConfig, MassVector, AuditReport, AuditViolation,
                       weighted_scheme, unweighted_scheme, audit_masses)
 from .kernels import (KernelConfig, CheckReport, WeightedKernelConstant,
-                      poisson_binomial_pmf, inv_max_expectation, gain_coefficients,
-                      check_gain_ratios, verify_kernel_minimizer,
-                      verify_uniform_minimizer, verify_equal_split, pair_objective,
+                      poisson_binomial_pmf, poisson_binomial_pmfs, inv_max_expectation,
+                      gain_coefficients, gain_margins, check_gain_ratios,
+                      verify_kernel_minimizer, verify_uniform_minimizer,
+                      verify_equal_split, pair_objective,
                       poisson_truncated_series, poisson_pair_expectation,
                       unweighted_envelope, envelope_ratio, check_unweighted_envelope,
                       weighted_kernel_constant, binomial_max1_kernel,

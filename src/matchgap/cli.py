@@ -162,7 +162,15 @@ def run_verify_suite(cfg: KernelConfig = KernelConfig(), c: float = 1.0 / 6.0,
                      bern_grid_step: float = 0.05, m_max: int = 4,
                      gain_trials: int = 2000, derivative_trials: int = 100,
                      tolerance: float = 1e-9, seed: int = 0) -> list[CheckReport]:
-    """Run every analytic check and return the reports."""
+    """Run every analytic check and return the reports.
+
+    `m_max`, `gain_trials` and `derivative_trials` must be non-negative;
+    zero skips the checks they size.
+    """
+    for name, count in (("m_max", m_max), ("gain_trials", gain_trials),
+                        ("derivative_trials", derivative_trials)):
+        if count < 0:
+            raise ValueError(f"{name} must be non-negative, got {count}")
     reports: list[CheckReport] = []
 
     for m in range(1, m_max + 1):
@@ -174,16 +182,7 @@ def run_verify_suite(cfg: KernelConfig = KernelConfig(), c: float = 1.0 / 6.0,
         for m in (1, 2):
             reports.append(kernels.verify_equal_split(x0, m, bern_grid_step, c, tolerance))
 
-    def gain_draws():  # row k holds positions 0..7 of stream k, drawn a block at a time
-        rows = BLOCK_BYTES // 64
-        for a in range(0, gain_trials, rows):
-            yield from uniform_block(seed, np.arange(a, min(a + rows, gain_trials)), 8)
-
-    def gain_check(k, u):  # on a random mean-1 Bernoulli vector of length 2..8
-        u = u[:2 + k % 7]
-        return kernels.check_gain_ratios((u / u.sum()).tolist(), tolerance=tolerance)
-
-    reports += _worst(map(gain_check, range(gain_trials), gain_draws()), gain_trials, seed)
+    reports += _worst_gain_trial(gain_trials, tolerance, seed)
 
     reports.append(kernels.check_unweighted_envelope(cfg, tolerance=tolerance))
 
@@ -218,6 +217,36 @@ def run_verify_suite(cfg: KernelConfig = KernelConfig(), c: float = 1.0 / 6.0,
         reports.append(kernels.check_phi_differential(phi_inst, grid_points=50,
                                                       tolerance=tolerance))
     return reports
+
+
+def _worst_gain_trial(trials: int, tolerance: float, seed: int) -> list[CheckReport]:
+    """check_gain_ratios on the first of `trials` random mean-1 Bernoulli
+    vectors with the least margin, tagged with the trial count and seed;
+    none for no trials.
+
+    Trial k has length 2 + k % 7 and is read from positions 0..7 of stream
+    k, drawn a block of rows at a time.  Each block's trials are grouped by
+    length and their margins found by kernels.gain_margins, which gives
+    every row the bits check_gain_ratios gives it alone.
+    """
+    worst_margin = worst_u = None
+    block = BLOCK_BYTES // 64
+    for a in range(0, trials, block):
+        ks = np.arange(a, min(a + block, trials))
+        rows = uniform_block(seed, ks, 8)
+        mins = np.empty(len(ks))
+        for length in range(2, 9):
+            sel = np.flatnonzero(ks % 7 == length - 2)
+            u = rows[sel, :length]
+            mins[sel] = kernels.gain_margins(u / u.sum(axis=1)[:, None])[1].min(axis=1)
+        i = int(np.argmin(mins))
+        if worst_u is None or mins[i] < worst_margin:
+            worst_margin, worst_u = mins[i], rows[i, :2 + ks[i] % 7]
+    if worst_u is None:
+        return []
+    worst = kernels.check_gain_ratios((worst_u / worst_u.sum()).tolist(), tolerance=tolerance)
+    worst.parameters.update(trials=trials, seed=seed)
+    return [worst]
 
 
 def _worst(results, trials: int, seed: int) -> list[CheckReport]:
@@ -343,9 +372,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--c", type=float, default=1.0 / 6.0)
     p_verify.add_argument("--grid-step", type=float, default=0.05)
     p_verify.add_argument("--envelope-step", type=float, default=1e-3)
-    p_verify.add_argument("--m-max", type=int, default=4)
-    p_verify.add_argument("--gain-trials", type=int, default=2000)
-    p_verify.add_argument("--derivative-trials", type=int, default=100)
+    p_verify.add_argument("--m-max", type=int, default=4,
+                          help="longest Bernoulli vector of the minimizer grid checks "
+                               "(0 skips them)")
+    p_verify.add_argument("--gain-trials", type=int, default=2000,
+                          help="random mean-1 vectors of the gain-ratio check (0 skips it)")
+    p_verify.add_argument("--derivative-trials", type=int, default=100,
+                          help="random graphs of the local derivative check (0 skips it)")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_report = sub.add_parser("report", help="combined verification report")

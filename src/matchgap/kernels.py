@@ -8,6 +8,16 @@ larger endpoint degree of a realized edge.  Supporting pieces: exact
 Poisson-binomial pmfs, the cumulative gain coefficients, the truncated
 double-Poisson series P_t, the unweighted envelope, and the phi(t) curve
 of expected matching weight under uniformly scaled probabilities.
+
+The Poisson-binomial layer is batched: one row per Bernoulli vector.
+`poisson_binomial_pmfs` folds column l into every row's pmf by the two-tap
+recursion new[k] = pmf[k] q + pmf[k-1] p (q = 1 - p), the products and
+two-term sums that np.convolve(pmf, [q, p]) forms, so each row equals the
+sequential convolution bit for bit.  `gain_margins` sums each coefficient's
+terms with np.sum along the rows of a C-contiguous array, which is numpy's
+pairwise summation of each row on its own, as for a single vector.  The
+single-vector functions are the batch of one, so a row's numbers do not
+depend on the batch it was computed in.
 """
 
 from __future__ import annotations
@@ -87,14 +97,29 @@ def _jsonify(obj):
 
 # -- Poisson-binomial machinery ---------------------------------------------
 
-def poisson_binomial_pmf(probs: Sequence[float]) -> np.ndarray:
-    """Exact pmf of a sum of independent Bernoulli(p_i) by convolution."""
-    pmf = np.ones(1, dtype=np.float64)
-    for p in probs:
-        if not (0.0 <= p <= 1.0):
-            raise ValueError(f"Bernoulli probability {p} outside [0,1]")
-        pmf = np.convolve(pmf, [1.0 - p, p])
+def poisson_binomial_pmfs(probs) -> np.ndarray:
+    """Exact pmfs of sums of independent Bernoulli variables, one per row:
+    a (rows, L) array of probabilities gives a (rows, L + 1) array."""
+    probs = np.asarray(probs, dtype=np.float64)
+    outside = ~((probs >= 0.0) & (probs <= 1.0))
+    if outside.any():
+        raise ValueError(f"Bernoulli probability {float(probs[outside][0])} outside [0,1]")
+    rows, length = probs.shape
+    pmf = np.ones((rows, 1))
+    for col in range(length):
+        p = probs[:, col:col + 1]
+        q = 1.0 - p
+        new = np.empty((rows, col + 2))
+        new[:, :1] = pmf[:, :1] * q
+        new[:, 1:-1] = pmf[:, 1:] * q + pmf[:, :-1] * p
+        new[:, -1:] = pmf[:, -1:] * p
+        pmf = new
     return pmf
+
+
+def poisson_binomial_pmf(probs: Sequence[float]) -> np.ndarray:
+    """Exact pmf of a sum of independent Bernoulli(p_i): the batch of one."""
+    return poisson_binomial_pmfs(np.array(probs, dtype=np.float64, ndmin=2))[0]
 
 
 def _inv_max_kernel(size: int) -> np.ndarray:
@@ -117,39 +142,61 @@ def inv_max_expectation_pmf(py: np.ndarray, pz: np.ndarray) -> float:
     return float(py @ _inv_max_kernel(size) @ pz)
 
 
+def _gain_table(pmfs: np.ndarray, j_max: int) -> np.ndarray:
+    """Row r, column j - 1: g_j of the sum whose pmf is pmfs[r]."""
+    if j_max < 1:
+        raise ValueError("j_max must be at least 1")
+    out = np.empty((len(pmfs), j_max), dtype=np.float64)
+    for j in range(1, j_max + 1):
+        i = np.arange(min(j, pmfs.shape[1]))
+        # np.sum adds each row pairwise, as it adds one vector, only while the
+        # term matrix is C-contiguous; a fancy-indexed pmfs[:, i] breaks that
+        terms = pmfs[:, :len(i)] * (1.0 / (1.0 + i) - 1.0 / (1.0 + j))
+        out[:, j - 1] = np.sum(terms, axis=1)
+    return out
+
+
 def gain_coefficients(probs: Sequence[float], j_max: int) -> np.ndarray:
     """Cumulative inverse-moment gaps g_j = sum_{i<j} Pr[Y=i] (1/(1+i) - 1/(1+j)).
 
     Returned for j = 1..j_max (index 0 holds g_1).
     """
-    if j_max < 1:
-        raise ValueError("j_max must be at least 1")
-    pmf = poisson_binomial_pmf(probs)
-    out = np.empty(j_max, dtype=np.float64)
-    for j in range(1, j_max + 1):
-        i = np.arange(min(j, len(pmf)))
-        out[j - 1] = float(np.sum(pmf[i] * (1.0 / (1.0 + i) - 1.0 / (1.0 + j))))
-    return out
+    return _gain_table(poisson_binomial_pmf(probs)[None, :], j_max)[0]
+
+
+def gain_margins(probs, j_max: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
+    """Gain coefficients and margins g_2 / 2 - g_j / j (j = 3..j_max) of
+    every row of a (rows, L) array of Bernoulli vectors, each of mean 1.
+
+    j_max defaults to max(L, 3).  Returns g, (rows, j_max), and the
+    margins, (rows, j_max - 2); a row whose probabilities, summed left to
+    right, miss 1 by more than 1e-9 is refused.
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    totals = np.zeros(len(probs))
+    for col in probs.T:
+        totals = totals + col
+    off = np.abs(totals - 1.0) > 1e-9
+    if off.any():
+        raise ValueError(f"gain check requires mean 1, got {float(totals[off][0])}")
+    g = _gain_table(poisson_binomial_pmfs(probs),
+                    max(probs.shape[1], 3) if j_max is None else j_max)
+    return g, g[:, 1:2] / 2.0 - g[:, 2:] / np.arange(3, g.shape[1] + 1)
 
 
 def check_gain_ratios(probs: Sequence[float], j_max: Optional[int] = None,
                       tolerance: float = 1e-9) -> CheckReport:
     """For a mean-1 Bernoulli sum, verify g_2 / 2 >= g_j / j for j >= 3."""
-    probs = list(probs)
-    total = float(sum(probs))
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"gain check requires mean 1, got {total}")
-    m = len(probs)
-    if j_max is None:
-        j_max = max(m, 3)
-    g = gain_coefficients(probs, j_max)
-    margins = [(g[1] / 2.0 - g[j - 1] / j, j) for j in range(3, j_max + 1)]
-    min_margin, arg = min(margins, default=(math.inf, None))
+    probs = np.array(probs, dtype=np.float64, ndmin=2)
+    g, margins = gain_margins(probs, j_max)
+    g, margins = g[0], margins[0]
+    arg = int(np.argmin(margins)) if margins.size else None
+    min_margin = math.inf if arg is None else float(margins[arg])
     return CheckReport(
         check="gain_ratios",
-        parameters={"m": m, "j_max": j_max, "tolerance": tolerance},
-        min_value=float(min_margin),
-        argmin=arg,
+        parameters={"m": probs.shape[1], "j_max": len(g), "tolerance": tolerance},
+        min_value=min_margin,
+        argmin=None if arg is None else arg + 3,
         passed=bool(min_margin >= -tolerance),
         details={"g": g.tolist()},
     )
@@ -201,8 +248,7 @@ def verify_kernel_minimizer(m: int, grid_step: float = 0.05,
     the intended reference.  Both values are reported.
     """
     vectors = _mean1_grid(m, grid_step)
-    pmfs = np.stack([poisson_binomial_pmf([u * grid_step for u in vec])
-                     for vec in vectors])
+    pmfs = poisson_binomial_pmfs(np.array(vectors) * grid_step)
     table = pmfs @ _inv_max_kernel(m + 1) @ pmfs.T
     flat = int(np.argmin(table))
     iy, iz = divmod(flat, len(vectors))
@@ -236,10 +282,8 @@ def verify_uniform_minimizer(m: int, grid_step: float = 0.05,
     vectors = _mean1_grid(m, grid_step)
     k = np.arange(m + 1)
     weights = 1.0 / (1.0 + np.maximum(1, k))
-    values = np.array([
-        float(poisson_binomial_pmf([u * grid_step for u in vec]) @ weights)
-        for vec in vectors
-    ])
+    values = np.array([float(pmf @ weights)
+                       for pmf in poisson_binomial_pmfs(np.array(vectors) * grid_step)])
     i = int(np.argmin(values))
     reference = binomial_max1_kernel(m)
     return CheckReport(
@@ -276,7 +320,7 @@ def verify_equal_split(x0: float, m: int, grid_step: float = 0.05,
         vecs = _unit_partitions(s, m, s)
         offsets.append((len(all_vecs), len(all_vecs) + len(vecs)))
         all_vecs += vecs
-    pmfs = np.stack([poisson_binomial_pmf([u * grid_step for u in vec]) for vec in all_vecs])
+    pmfs = poisson_binomial_pmfs(np.array(all_vecs) * grid_step)
     table = pmfs @ _inv_max_kernel(m + 1) @ pmfs.T
     quads = np.array([
         c * (x0 * sum((u * grid_step) ** 2 for u in vec)

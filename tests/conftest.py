@@ -55,6 +55,31 @@ def brute_inv_max_expectation(y_probs, z_probs):
     return float(total)
 
 
+def convolve_pmf(probs):
+    """Poisson-binomial pmf by one np.convolve per coordinate."""
+    pmf = np.ones(1)
+    for p in probs:
+        pmf = np.convolve(pmf, [1.0 - p, p])
+    return pmf
+
+
+def loop_gain_margins(probs):
+    """Gain coefficients g_1..g_{max(m, 3)} and margins g_2/2 - g_j/j
+    (j = 3..) of one vector, one np.sum per coefficient."""
+    pmf = convolve_pmf(probs)
+    j_max = max(len(probs), 3)
+    g = np.empty(j_max)
+    for j in range(1, j_max + 1):
+        i = np.arange(min(j, len(pmf)))
+        g[j - 1] = np.sum(pmf[i] * (1.0 / (1.0 + i) - 1.0 / (1.0 + j)))
+    return g, np.array([g[1] / 2.0 - g[j - 1] / j for j in range(3, j_max + 1)])
+
+
+def bits(a):
+    """The float64 bit patterns of `a`, for exact comparisons."""
+    return np.asarray(a, dtype=np.float64).view(np.uint64).tolist()
+
+
 def path_instance(weights, kind="bipartite"):
     """A path with given edge weights, probabilities 1, as an Instance."""
     edges = []

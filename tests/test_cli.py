@@ -1,8 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
-from matchgap.cli import main
+from matchgap.cli import _worst_gain_trial, main, run_verify_suite
+from matchgap.rng import uniform_block
+
+from conftest import bits, loop_gain_margins
 
 
 def run(capsys, *argv):
@@ -153,6 +157,22 @@ class TestVerify:
         _, out2, _ = run(capsys, "verify", *self.QUICK)
         assert out1 == out2
 
+    @pytest.mark.parametrize("flag", ["--m-max", "--gain-trials", "--derivative-trials"])
+    def test_negative_counts_refused(self, capsys, flag):
+        code, out, err = run(capsys, "verify", *self.QUICK, flag, "-3")
+        assert code == 1
+        assert out == ""
+        assert "must be non-negative, got -3" in err
+
+    def test_zero_counts_skip_their_checks(self, capsys):
+        code, out, _ = run(capsys, "verify", *self.QUICK, "--m-max", "0",
+                           "--gain-trials", "0", "--derivative-trials", "0")
+        assert code == 0
+        names = {c["check"] for c in json.loads(out)["checks"]}
+        assert not names & {"kernel_pair_minimum", "uniform_minimizer", "gain_ratios",
+                            "local_derivative_bound"}
+        assert "unweighted_envelope" in names
+
     def test_csv_format_flat_rows(self, capsys):
         code, out, _ = run(capsys, "verify", *self.QUICK, "--format", "csv")
         assert code == 0
@@ -164,6 +184,64 @@ class TestVerify:
         code, _, err = run(capsys, "report", "--format", "csv")
         assert code == 2
         assert "json" in err
+
+
+def per_trial_worst(seed, trials, rows=None):
+    """Trial k's vector through the loop reference, one trial at a time;
+    the first least margin is kept: (margin, probs, g, margins)."""
+    rows = uniform_block(seed, np.arange(trials), 8) if rows is None else rows
+    worst = None
+    for k, row in enumerate(rows[:trials]):
+        u = row[:2 + k % 7]
+        probs = (u / u.sum()).tolist()
+        g, margins = loop_gain_margins(probs)
+        if worst is None or margins.min() < worst[0]:
+            worst = (margins.min(), probs, g, margins)
+    return worst
+
+
+def assert_report_is(report, worst, trials, seed):
+    margin, probs, g, margins = worst
+    assert bits(report.min_value) == bits(margin)
+    assert report.argmin == 3 + int(np.argmin(margins))
+    assert bits(report.details["g"]) == bits(g)
+    assert report.parameters == {"m": len(probs), "j_max": len(g), "tolerance": 1e-9,
+                                 "trials": trials, "seed": seed}
+
+
+class TestGainTrials:
+    """verify's batched gain trials against the per-trial path."""
+
+    @pytest.mark.parametrize("seed", range(32))
+    def test_worst_report_equals_per_trial_path(self, seed):
+        report, = _worst_gain_trial(300, 1e-9, seed)
+        assert_report_is(report, per_trial_worst(seed, 300), 300, seed)
+
+    @pytest.mark.parametrize("trials", [0, 1, 7])
+    def test_trial_counts_through_the_suite(self, trials):
+        reports = run_verify_suite(m_max=0, gain_trials=trials, derivative_trials=0, seed=3)
+        gains = [r for r in reports if r.check == "gain_ratios"]
+        if trials == 0:
+            assert gains == []
+        else:
+            assert len(gains) == 1
+            assert_report_is(gains[0], per_trial_worst(3, trials), trials, 3)
+
+    @pytest.mark.parametrize("block_rows", [None, 3])
+    def test_exact_tie_reports_the_first_trial(self, monkeypatch, block_rows):
+        # trials 3 (length 5) and 8 (length 3) both become (1, 0, ...): equal
+        # pmfs, so equal margins bit for bit, below every random trial's; the
+        # earlier, longer one must win, also when blocks of 3 rows split them
+        rows = uniform_block(5, np.arange(12), 8)
+        rows[[3, 8]] = [0.5] + [0.0] * 7
+        monkeypatch.setattr("matchgap.cli.uniform_block", lambda seed, ks, width: rows[ks])
+        if block_rows:
+            monkeypatch.setattr("matchgap.cli.BLOCK_BYTES", block_rows * 64)
+        worst = per_trial_worst(5, 12, rows)
+        assert len(worst[1]) == 5
+        assert bits(loop_gain_margins([1.0, 0.0, 0.0])[1].min()) == bits(worst[0])
+        report, = _worst_gain_trial(12, 1e-9, 5)
+        assert_report_is(report, worst, 12, 5)
 
 
 class TestPhi:

@@ -10,15 +10,16 @@ from matchgap import (GENERAL_GRAPH_FLOOR, KernelConfig, UNWEIGHTED_BIPARTITE_CE
                       binomial_max1_kernel, check_gain_ratios,
                       check_local_derivative_bound, check_phi_differential,
                       check_unweighted_envelope, envelope_ratio, gain_coefficients,
-                      general_bound_constant, inv_max_expectation, pair_objective,
-                      phi_curve, poisson_binomial_pmf, poisson_pair_expectation,
+                      gain_margins, general_bound_constant, inv_max_expectation, pair_objective,
+                      phi_curve, poisson_binomial_pmf, poisson_binomial_pmfs,
+                      poisson_pair_expectation,
                       poisson_truncated_series, sample, unweighted_envelope,
                       verify_equal_split, verify_kernel_minimizer,
                       verify_uniform_minimizer, weighted_kernel_constant)
 from matchgap import Instance, PotentialEdge, SampledGraph
 from matchgap.gallery import gen_random_point
 
-from conftest import brute_inv_max_expectation
+from conftest import bits, brute_inv_max_expectation, convolve_pmf, loop_gain_margins
 
 
 class TestPoissonBinomial:
@@ -41,6 +42,28 @@ class TestPoissonBinomial:
     @settings(max_examples=50, deadline=None)
     def test_sums_to_one(self, probs):
         assert poisson_binomial_pmf(probs).sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("length", range(65))
+    def test_rows_equal_sequential_convolution_bitwise(self, length):
+        rng = np.random.default_rng(length)
+        probs = rng.random((6, length))
+        probs[rng.random(probs.shape) < 0.2] = 0.0
+        probs[rng.random(probs.shape) < 0.2] = 1.0
+        batch = poisson_binomial_pmfs(probs)
+        assert batch.shape == (6, length + 1)
+        for row, pmf in zip(probs.tolist(), batch):
+            ref = convolve_pmf(row)
+            assert bits(pmf) == bits(ref)
+            assert bits(poisson_binomial_pmf(row)) == bits(ref)
+
+    @pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.5])
+    def test_invalid_probability_same_message_single_and_batched(self, bad):
+        with pytest.raises(ValueError) as single:
+            poisson_binomial_pmf([0.5, bad, 0.2])
+        with pytest.raises(ValueError) as batched:
+            poisson_binomial_pmfs([[0.1, 0.2, 0.3], [0.5, bad, 0.2]])
+        assert str(single.value) == str(batched.value) == (
+            f"Bernoulli probability {bad} outside [0,1]")
 
 
 class TestInvMaxExpectation:
@@ -102,6 +125,31 @@ class TestGainCoefficients:
     def test_requires_mean_one(self):
         with pytest.raises(ValueError, match="mean 1"):
             check_gain_ratios([0.4, 0.4])
+
+    def test_mean_one_refused_per_row(self):
+        with pytest.raises(ValueError, match="mean 1, got 0.8"):
+            gain_margins([[0.5, 0.5], [0.4, 0.4], [0.3, 0.3]])
+
+    def test_j_max_below_three_has_no_margin(self):
+        report = check_gain_ratios([1.0, 0.0], j_max=2)
+        assert (report.min_value, report.argmin, report.passed) == (math.inf, None, True)
+        assert report.details["g"] == gain_coefficients([1.0, 0.0], 2).tolist()
+
+    @pytest.mark.parametrize("seed", range(32))
+    def test_batched_margins_equal_per_vector_loop_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        for length in range(2, 9):
+            u = rng.random((20, length))
+            probs = u / u.sum(axis=1)[:, None]
+            g, margins = gain_margins(probs)
+            for row, g_row, m_row in zip(probs.tolist(), g, margins):
+                ref_g, ref_m = loop_gain_margins(row)
+                assert bits(g_row) == bits(ref_g)
+                assert bits(m_row) == bits(ref_m)
+                report = check_gain_ratios(row)
+                assert bits(report.min_value) == bits(ref_m.min())
+                assert report.argmin == 3 + int(np.argmin(ref_m))
+                assert bits(report.details["g"]) == bits(ref_g)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_random_mean_one_sweep(self, seed):
