@@ -222,13 +222,8 @@ def run_verify_suite(cfg: KernelConfig = KernelConfig(), c: float = 1.0 / 6.0,
 def _worst_gain_trial(trials: int, tolerance: float, seed: int) -> list[CheckReport]:
     """check_gain_ratios on the first of `trials` random mean-1 Bernoulli
     vectors with the least margin, tagged with the trial count and seed;
-    none for no trials.
-
-    Trial k has length 2 + k % 7 and is read from positions 0..7 of stream
-    k, drawn a block of rows at a time.  Each block's trials are grouped by
-    length and their margins found by kernels.gain_margins, which gives
-    every row the bits check_gain_ratios gives it alone.
-    """
+    none for no trials.  Trial k, of length 2 + k % 7, is read from stream
+    k; a block's trials are grouped by length for kernels.gain_margins."""
     worst_margin = worst_u = None
     block = BLOCK_BYTES // 64
     for a in range(0, trials, block):

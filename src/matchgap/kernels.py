@@ -99,7 +99,8 @@ def _jsonify(obj):
 
 def poisson_binomial_pmfs(probs) -> np.ndarray:
     """Exact pmfs of sums of independent Bernoulli variables, one per row:
-    a (rows, L) array of probabilities gives a (rows, L + 1) array."""
+    a (rows, L) array of probabilities gives a (rows, L + 1) array.  A
+    probability outside [0, 1], NaN included, raises ValueError."""
     probs = np.asarray(probs, dtype=np.float64)
     outside = ~((probs >= 0.0) & (probs <= 1.0))
     if outside.any():
@@ -148,10 +149,10 @@ def _gain_table(pmfs: np.ndarray, j_max: int) -> np.ndarray:
         raise ValueError("j_max must be at least 1")
     out = np.empty((len(pmfs), j_max), dtype=np.float64)
     for j in range(1, j_max + 1):
-        i = np.arange(min(j, pmfs.shape[1]))
+        k = min(j, pmfs.shape[1])
         # np.sum adds each row pairwise, as it adds one vector, only while the
-        # term matrix is C-contiguous; a fancy-indexed pmfs[:, i] breaks that
-        terms = pmfs[:, :len(i)] * (1.0 / (1.0 + i) - 1.0 / (1.0 + j))
+        # term matrix is C-contiguous; a fancy-indexed pmfs[:, arange(k)] is not
+        terms = pmfs[:, :k] * (1.0 / (1.0 + np.arange(k)) - 1.0 / (1.0 + j))
         out[:, j - 1] = np.sum(terms, axis=1)
     return out
 
