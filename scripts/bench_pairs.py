@@ -40,7 +40,7 @@ PAIRS = 10
 PROBE = "x = 0\nfor i in range(3_000_000):\n    x += i * i\n"
 
 
-def parallelism(tries: int = 3) -> float:
+def parallelism() -> float:
     """Throughput of two concurrent copies of PROBE relative to one copy."""
     def wall(copies: int) -> float:
         start = time.perf_counter()
@@ -49,7 +49,7 @@ def parallelism(tries: int = 3) -> float:
             proc.wait()
         return time.perf_counter() - start
 
-    return statistics.median(2 * wall(1) / wall(2) for _ in range(tries))
+    return statistics.median(2 * wall(1) / wall(2) for _ in range(3))
 
 
 def quartiles(vals: list[float]) -> dict:
