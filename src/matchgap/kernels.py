@@ -322,7 +322,8 @@ def verify_equal_split(x0: float, m: int, grid_step: float = 0.05,
         offsets.append((len(all_vecs), len(all_vecs) + len(vecs)))
         all_vecs += vecs
     pmfs = poisson_binomial_pmfs(np.array(all_vecs) * grid_step)
-    table = pmfs @ _inv_max_kernel(m + 1) @ pmfs.T
+    kernel = _inv_max_kernel(m + 1)
+    table = pmfs @ kernel @ pmfs.T
     quads = np.array([
         c * (x0 * sum((u * grid_step) ** 2 for u in vec)
              - x0 ** 2 * sum(u * grid_step for u in vec))
@@ -344,7 +345,8 @@ def verify_equal_split(x0: float, m: int, grid_step: float = 0.05,
             za, zb = offsets[sz]
             bucket = x0 * table[ya:yb, za:zb] + quads[ya:yb, None] + quads[None, za:zb]
             grid_min = float(bucket.min())
-            f_eq = (x0 * inv_max_expectation_pmf(eq_pmfs[sy], eq_pmfs[sz])
+            # both pmfs have m + 1 entries: inv_max_expectation_pmf's product, unpadded
+            f_eq = (x0 * float(eq_pmfs[sy] @ kernel @ eq_pmfs[sz])
                     + eq_quads[sy] + eq_quads[sz])
             margin = grid_min - f_eq
             if margin < worst_margin:

@@ -4,10 +4,13 @@ Bipartite graphs get a primal-dual solver that returns the maximum
 matching weight together with an optimal fractional vertex cover: vertex
 potentials y >= 0 with y_u + y_v >= w_e on every realized edge and
 ||y||_1 equal to the matching weight (Koenig-Egervary duality).
-Unweighted bipartite graphs get maximum cardinality by Karp-Sipser
-degree-1 peeling over a whole batch of samples at once, with augmenting
-paths for what peeling leaves.  General graphs get exhaustive search,
-exact at small sizes only.
+Monte Carlo values of bipartite samples are found a whole batch at a
+time by degree-1 peeling in numpy: unweighted by Karp-Sipser's rule,
+with augmenting paths for what peeling leaves; weighted by the rule
+that shifts a leaf's weight onto its centre's other edges, with the
+primal-dual for the samples peeling leaves unsolved or cannot decide
+beyond its tolerance, so the values are the primal-dual's bits.
+General graphs get exhaustive search, exact at small sizes only.
 
 `matching_values_over_subsets` evaluates the maximum matching weight of
 every subset of the potential edges in one vectorized sweep; it is the
@@ -436,24 +439,133 @@ def _augment(root: int, adj: dict[int, list[int]], mate: dict[int, int]) -> bool
     return False
 
 
+def _peel_margin(inst: Instance) -> float:
+    """Least decision margin the weighted peeler trusts on samples of the
+    bipartite `inst`: V * (_TIGHT + V^2 * 2^-50 * W), with V = 2n vertices
+    and W the largest weight.
+
+    Why it suffices.  Let every realized weight, every kept leaf weight,
+    every best-leaf lead over its runner-up and every shifted weight
+    exceed the margin d.  By induction over the reductions, each one
+    either matches as the peeler does or loses more than d: matching the
+    centre to a lighter leaf, through an edge whose shifted weight is
+    below -d, or not at all (which loses the kept leaf weight).  So every
+    other matching weighs less than nu - d in exact arithmetic, where the
+    computed margins are off by at most twice a shifted weight's rounding:
+    at most V rounds (each removes a leaf for good) of at most V^2 / 2
+    subtractions, each within 2^-53 W.  The primal-dual in turn ends with
+    every left vertex matched through an edge of slack <= _TIGHT or
+    exposed at potential <= _TIGHT, so its matching weighs at least
+    nu - n * _TIGHT, less the rounding of at most V^2 / 4 dual adjustments
+    to each of V potentials, 2^-53 W each.  Both error terms sum to under
+    V * _TIGHT + V^3 * 2^-50 * W, so the primal-dual's matching is the
+    peeler's and, summed in left-vertex order, has the same bits.
+    """
+    nv = inst.total_vertices
+    return nv * (_TIGHT + nv * nv * 2.0 ** -50 * float(inst.w.max()))
+
+
+def _weighted_values(inst: Instance, margin: float, idxs: list) -> np.ndarray:
+    """Maximum matching weight of each realized edge set in `idxs`
+    (ascending edge index arrays of the weighted bipartite `inst`), as a
+    float64 array, bit for bit the per-sample primal-dual's.
+
+    The samples form one disjoint union, sample k's vertices offset by
+    k * 2n, peeled in rounds of the weighted degree-1 rule: with leaf l on
+    centre c, nu(G) = w(l, c) + nu(G'), where G' drops c's leaves and
+    lowers c's other edges by w(l, c), dropping those left <= 0.  A round
+    keeps each centre's heaviest leaf edge (the lowest position on a tie;
+    a lone edge's centre is its right end) and shifts the edges at a
+    centre by the left end's leaf, then the right end's.  Unwinding the
+    rounds in reverse, a centre still free takes its leaf edge.  The
+    matched weights, laid out by left vertex and summed left to right
+    (adding 0.0 is exact), give `_matched_weight`'s bits.
+
+    A sample goes whole to `_primal_dual` on its realized edges when any
+    edge survives the rounds (a cycle, or peeling stopped below
+    ``_PEEL_MIN_SHARE``), or when a realized weight, a shifted weight or a
+    best leaf's lead over the runner-up is within `margin` (see
+    `_peel_margin`) of 0: there the primal-dual may pick another matching
+    of near-equal weight, or add the same one to other last bits.
+    """
+    n, nv, count = inst.n, inst.total_vertices, len(idxs)
+    flat = np.concatenate(idxs) if idxs else np.empty(0, dtype=np.int64)
+    base = np.repeat(np.arange(count) * nv, [len(idx) for idx in idxs])
+    left = inst.endpoints[flat, 0]
+    u, v = left + base, inst.endpoints[flat, 1] + base
+    wt = inst.w[flat]
+    pos = np.arange(len(flat))
+    fallback = np.zeros(count, dtype=bool)
+    fallback[u[wt <= margin] // nv] = True
+    keep = ~fallback[u // nv]
+    u, v, wt, pos = u[keep], v[keep], wt[keep], pos[keep]
+    size = count * nv
+    rounds = []  # per round: centres, their leaves, kept edges' positions in flat
+    while len(u):
+        deg = np.bincount(u, minlength=size) + np.bincount(v, minlength=size)
+        leaf_u = deg[u] == 1
+        pendant = np.flatnonzero(leaf_u | (deg[v] == 1))
+        if not len(pendant):
+            break
+        centre = np.where(leaf_u[pendant], v[pendant], u[pendant])
+        leaf_w = wt[pendant]
+        # every weight left exceeds the margin, so 0.0 stands for "no leaf"
+        top = np.zeros(size)
+        np.maximum.at(top, centre, leaf_w)
+        lowest = np.full(size, len(u))
+        heaviest = leaf_w == top[centre]
+        np.minimum.at(lowest, centre[heaviest], pendant[heaviest])
+        kept = lowest[centre] == pendant
+        runner_up = np.zeros(size)
+        np.maximum.at(runner_up, centre[~kept], leaf_w[~kept])
+        best, centre = pendant[kept], centre[kept]
+        fallback[centre[top[centre] - runner_up[centre] <= margin] // nv] = True
+        rounds.append((centre, u[best] + v[best] - centre, pos[best]))
+        rest = np.ones(len(u), dtype=bool)
+        rest[pendant] = False
+        wt = wt - top[u] - top[v]
+        fallback[u[rest & (np.abs(wt) <= margin)] // nv] = True
+        few = len(best) < _PEEL_MIN_SHARE * len(u)
+        keep = rest & (wt > 0.0)
+        keep &= ~fallback[u // nv]
+        u, v, wt, pos = u[keep], v[keep], wt[keep], pos[keep]
+        if few:
+            break
+    fallback[u // nv] = True
+
+    matched = np.zeros(size, dtype=bool)
+    taken = []
+    for centre, leaf, at in reversed(rounds):
+        free = ~matched[centre]
+        matched[centre[free]] = True
+        matched[leaf[free]] = True
+        taken.append(at[free])
+    at = np.concatenate(taken) if taken else np.empty(0, dtype=np.int64)
+    table = np.zeros((count, n))
+    table[base[at] // nv, left[at]] = inst.w[flat[at]]
+    values = np.cumsum(table, axis=1)[:, -1]
+    for k in np.flatnonzero(fallback).tolist():
+        tails, arcs = _bipartite_arcs(inst, idxs[k])
+        values[k] = _matched_weight(_primal_dual(range(len(arcs)), tails, arcs, n)[0], arcs)
+    return values
+
+
 def value_solver(inst: Instance) -> Callable[[list], np.ndarray]:
     """The solver `matching_value` applies to realizations of `inst`, as a
     function of a batch of samples: it takes a list of ascending realized
     edge index arrays and returns their values as a float64 array.
-    Unweighted bipartite batches are peeled together (`_cardinalities`);
-    weighted bipartite samples get the primal-dual and general ones exact
-    search, one sample at a time.  The primal-dual's per-instance lists
-    are built here, so Monte Carlo loops select it once per run."""
-    # the peeler and exact search gather the realized edges per batch or
-    # sample: per-instance lists of a 40,000-edge instance cost cache
-    # misses and peak memory
+    Bipartite batches are peeled together: unweighted ones by
+    `_cardinalities`, weighted ones by `_weighted_values`, which hands
+    the samples it cannot decide to the primal-dual.  General samples
+    get exact search one at a time.  The solver reads the instance's
+    endpoints and weights, never its probabilities."""
+    # the peelers and exact search gather the realized edges per batch or
+    # sample: per-instance lists of a 10^6-edge instance cost seconds and
+    # several times the instance's memory
     if inst.kind == "bipartite":
         if inst.is_unweighted:
             return partial(_cardinalities, inst.endpoints, inst.total_vertices)
-        tails, arcs = _bipartite_arcs(inst, np.arange(inst.num_edges))
-        n = inst.n
-        return _each(lambda idx: _matched_weight(_primal_dual(idx.tolist(), tails, arcs, n)[0],
-                                                 arcs))
+        return partial(_weighted_values, inst, _peel_margin(inst))
     return _each(_general_solver(inst, inst.w))
 
 

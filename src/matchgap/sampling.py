@@ -42,8 +42,11 @@ SUPPORT_CUTOFF = 20
 BLOCK_BYTES = 512 * 1024
 
 #: Least work of a run that `sample_values` splits, in edge draws: samples x
-#: (edges + 256 x expected realized edges; a solver takes 200-300 draws' time
-#: per realized edge).  On a 2-vCPU VM splits paid off at 2**25, not 2**24.
+#: (edges + 256 x expected realized edges).  On a 2-vCPU VM splits paid off at
+#: 2**25, not 2**24.  The batched solvers take 30-45 draws' time per realized
+#: edge (unweighted, Karp-Sipser n=200 c=1) and about 70 (weighted, random_point
+#: n=100 density 0.1; the per-sample primal-dual took about 370); 256 stays, as
+#: factors down to 44 leave both Monte Carlo benchmark workloads split.
 SPLIT_MIN_WORK = 1 << 25
 
 

@@ -1,5 +1,7 @@
 import itertools
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from matchgap import (Instance, MatchingCutoffExceeded, PotentialEdge, SampledGr
 from matchgap import matching, phi_curve
 from matchgap.gallery import gen_random_point
 from matchgap.matching import value_solver
+from matchgap.sampling import realized_edge_lists
 
 from conftest import brute_matching_value, cycle_instance, path_instance
 
@@ -323,6 +326,136 @@ class TestPeeler:
         t = time.perf_counter()
         assert max_cardinality_matching(g) == n
         assert time.perf_counter() - t < 1.0
+
+
+def primal_dual_value(inst, idx):
+    """The per-sample reference: `_primal_dual` over the realized edges
+    `idx` only, summed by `_matched_weight`."""
+    tails, arcs = matching._bipartite_arcs(inst, idx)
+    return matching._matched_weight(matching._primal_dual(range(len(arcs)), tails, arcs,
+                                                          inst.n)[0], arcs)
+
+
+def reweighted(inst, w):
+    return Instance.from_arrays("bipartite", inst.n, inst.endpoints, inst.x, w)
+
+
+class TestWeightedPeeler:
+    """The batched weighted degree-1 peeler behind weighted bipartite
+    values, bit for bit against the per-sample primal-dual: 70,000
+    random_point samples, 32,000 with tie-heavy weights, 6,800 subsets of
+    the 2^-40 / 2^-38 fixture graphs and a 1,500-a-side path.  The first
+    1,000 samples of each case are also solved in batches of 1 and 7."""
+
+    def check(self, inst, lists):
+        want = np.array([primal_dual_value(inst, idx) for idx in lists])
+        full = solve_in_batches(inst, lists, len(lists))
+        assert full.dtype == np.float64
+        assert full.tobytes() == want.tobytes()
+        head = lists[:1000]
+        for batch in (1, 7):
+            assert solve_in_batches(inst, head, batch).tobytes() == want[:len(head)].tobytes()
+
+    @pytest.mark.parametrize("n, density, count", [
+        (6, 1.0, 50_000), (30, 1.0, 8_000), (50, 0.3, 6_000), (100, 0.1, 4_000),
+        (200, 0.02, 2_000)])
+    def test_random_point(self, n, density, count):
+        inst = gen_random_point(n, density, n, "bipartite")
+        self.check(inst, list(realized_edge_lists(inst, 7, 0, count)))
+
+    @pytest.mark.parametrize("weights", [(0.1, 0.2, 0.3), (0.25, 0.5, 1.0), (0.0, 1.0),
+                                         (1e-13, 0.5, 1.0)])
+    def test_tie_heavy_weights(self, weights):
+        # near-ties the margin must send to the primal-dual: 0.3 - 0.1 - 0.2
+        # is 5.6e-17, not 0, and weights near 0 fall under its tolerance
+        base = gen_random_point(12, 0.5, 3, "bipartite")
+        inst = reweighted(base, np.random.default_rng(1).choice(weights, base.num_edges))
+        self.check(inst, list(realized_edge_lists(inst, 11, 0, 8_000)))
+
+    @pytest.mark.parametrize("family", ["tiny_2^-40", "tiny_2^-38"])
+    def test_fixture_graphs_below_tolerance(self, family):
+        fixture = Path(__file__).with_name("solver_fixture.json")
+        cases = [c for c in map(json.loads, fixture.read_text().splitlines())
+                 if c["id"].startswith(family + "-")]
+        assert len(cases) == 34
+        rng = np.random.default_rng(2)
+        for case in cases:
+            inst = Instance("bipartite", case["n"],
+                            tuple(PotentialEdge(u, v, 0.5, w) for u, v, w in case["edges"]))
+            realized = np.array(sorted(case["realized"]), dtype=np.int64)
+            lists = [realized] + [realized[rng.random(len(realized)) < 0.6] for _ in range(99)]
+            self.check(inst, lists)
+
+    def test_path_of_1500_a_side(self, monkeypatch):
+        # peeling takes one edge per end a round, so the share stop hands
+        # the path to the primal-dual after one round.  Bound fixed at 1 s
+        # before measuring.
+        n = 1500
+        i = np.arange(n)
+        ends = np.concatenate([np.stack([i, n + i], 1), np.stack([i[1:], n + i[:-1]], 1)])
+        w = np.random.default_rng(3).random(len(ends))
+        inst = Instance.from_arrays("bipartite", n, ends, np.ones(len(ends)), w)
+        calls = []
+        real = matching._bipartite_arcs
+        monkeypatch.setattr(matching, "_bipartite_arcs",
+                            lambda inst, idx: calls.append(len(idx)) or real(inst, idx))
+        t = time.perf_counter()
+        value_solver(inst)([np.arange(len(ends))])
+        assert time.perf_counter() - t < 1.0
+        assert calls == [len(ends)]
+        monkeypatch.undo()
+        self.check(inst, [np.arange(len(ends))])
+
+    def test_only_undecided_samples_reach_the_primal_dual(self, monkeypatch):
+        edges = [(0, 0, 0.9), (0, 1, 0.5), (1, 1, 0.7),                    # a path
+                 (2, 2, 0.6), (3, 2, 0.5), (3, 3, 0.6), (2, 3, 0.5),       # a 4-cycle
+                 (4, 4, 0.0),                                              # weight 0
+                 (5, 5, 0.4), (6, 5, 0.4),                                 # two equal leaves
+                 (7, 6, 0.5), (7, 7, 0.5), (8, 7, 0.8), (8, 8, 0.3)]       # a shift to 0
+        inst = Instance("bipartite", 9, tuple(PotentialEdge(u, v, 0.5, w) for u, v, w in edges))
+        path, cycle, zero, tie, shift = (np.arange(0, 3), np.arange(3, 7), np.arange(7, 8),
+                                         np.arange(8, 10), np.arange(10, 14))
+        lists = [path, cycle, zero, path, tie, shift, np.concatenate([path, cycle]),
+                 np.zeros(0, dtype=np.int64), np.concatenate([path, shift[-1:]])]
+        seen = []
+        real = matching._bipartite_arcs
+
+        def spy(inst, idx):
+            seen.append(idx.tolist())
+            return real(inst, idx)
+
+        monkeypatch.setattr(matching, "_bipartite_arcs", spy)
+        got = value_solver(inst)(lists)
+        assert seen == [lists[k].tolist() for k in (1, 2, 4, 5, 6)]
+        monkeypatch.undo()
+        assert got.tolist() == [primal_dual_value(inst, idx) for idx in lists]
+        assert got[[0, 3, 8]].tolist() == [0.9 + 0.7, 0.9 + 0.7, 0.9 + 0.7 + 0.3]
+
+    def test_few_samples_fall_back(self, monkeypatch):
+        # the speed-up rests on peeling deciding most samples; 2.5% fell
+        # back when this was written
+        inst = gen_random_point(100, 0.1, 3, "bipartite")
+        calls = []
+        real = matching._bipartite_arcs
+        monkeypatch.setattr(matching, "_bipartite_arcs",
+                            lambda inst, idx: calls.append(1) or real(inst, idx))
+        solve_in_batches(inst, list(realized_edge_lists(inst, 3, 0, 2_000)), 327)
+        assert len(calls) < 200
+
+    def test_phi_curve_mc_matches_per_sample_values(self):
+        # the solver is built from inst and applied to scaled copies, so it
+        # may read endpoints and weights but never probabilities
+        inst = gen_random_point(40, 0.2, 8, "bipartite")
+        samples, grid = 700, 4
+        got = phi_curve(inst, grid, "mc", samples=samples, seed=5)
+        want = np.empty_like(got)
+        want[:, 0] = np.linspace(0.0, 1.0, grid + 1)
+        want[0, 1] = 0.0
+        for i in range(1, grid + 1):
+            scaled = inst.scale_probabilities(float(want[i, 0]))
+            lists = realized_edge_lists(scaled, 5, i * samples, samples)
+            want[i, 1] = float(np.array([primal_dual_value(scaled, idx) for idx in lists]).mean())
+        assert got.tobytes() == want.tobytes()
 
 
 class TestMonotonicity:
