@@ -446,20 +446,20 @@ def _peel_margin(inst: Instance) -> float:
 
     Why it suffices.  Let every realized weight, every kept leaf weight,
     every best-leaf lead over its runner-up and every shifted weight
-    exceed the margin d.  By induction over the reductions, each one
-    either matches as the peeler does or loses more than d: matching the
-    centre to a lighter leaf, through an edge whose shifted weight is
-    below -d, or not at all (which loses the kept leaf weight).  So every
-    other matching weighs less than nu - d in exact arithmetic, where the
-    computed margins are off by at most twice a shifted weight's rounding:
-    at most V rounds (each removes a leaf for good) of at most V^2 / 2
-    subtractions, each within 2^-53 W.  The primal-dual in turn ends with
-    every left vertex matched through an edge of slack <= _TIGHT or
-    exposed at potential <= _TIGHT, so its matching weighs at least
-    nu - n * _TIGHT, less the rounding of at most V^2 / 4 dual adjustments
-    to each of V potentials, 2^-53 W each.  Both error terms sum to under
-    V * _TIGHT + V^3 * 2^-50 * W, so the primal-dual's matching is the
-    peeler's and, summed in left-vertex order, has the same bits.
+    exceed the margin d as computed.  By induction over the reductions,
+    a matching either matches each centre as the peeler does or loses
+    that reduction's margin: matching the centre to a lighter leaf,
+    through an edge whose shifted weight is below 0, or not at all
+    (which loses the kept leaf weight).  A computed shifted weight is off
+    by e <= V^3 2^-54 W (at most V rounds, as each removes a leaf for
+    good, of at most V^2 / 2 subtractions, each within 2^-53 W), so in
+    exact arithmetic every other matching weighs less than nu - (d - 2e).
+    The primal-dual ends with each left vertex matched through an edge of
+    slack <= _TIGHT or exposed at potential <= _TIGHT, so its matching
+    weighs at least nu - n _TIGHT - r, where r <= V^3 2^-55 W is the
+    rounding of at most V^2 / 4 dual adjustments to each of V
+    potentials.  As d - 2e > n _TIGHT + r, the primal-dual's matching is
+    the peeler's and, summed in left-vertex order, has the same bits.
     """
     nv = inst.total_vertices
     return nv * (_TIGHT + nv * nv * 2.0 ** -50 * float(inst.w.max()))

@@ -336,10 +336,6 @@ def primal_dual_value(inst, idx):
                                                           inst.n)[0], arcs)
 
 
-def reweighted(inst, w):
-    return Instance.from_arrays("bipartite", inst.n, inst.endpoints, inst.x, w)
-
-
 class TestWeightedPeeler:
     """The batched weighted degree-1 peeler behind weighted bipartite
     values, bit for bit against the per-sample primal-dual: 70,000
@@ -369,7 +365,8 @@ class TestWeightedPeeler:
         # near-ties the margin must send to the primal-dual: 0.3 - 0.1 - 0.2
         # is 5.6e-17, not 0, and weights near 0 fall under its tolerance
         base = gen_random_point(12, 0.5, 3, "bipartite")
-        inst = reweighted(base, np.random.default_rng(1).choice(weights, base.num_edges))
+        w = np.random.default_rng(1).choice(weights, base.num_edges)
+        inst = Instance.from_arrays("bipartite", base.n, base.endpoints, base.x, w)
         self.check(inst, list(realized_edge_lists(inst, 11, 0, 8_000)))
 
     @pytest.mark.parametrize("family", ["tiny_2^-40", "tiny_2^-38"])
