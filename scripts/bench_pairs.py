@@ -16,7 +16,11 @@ Under ``machine`` it records the effective parallelism: the wall time of
 one fixed pure-Python loop in a fresh interpreter, times two, over the
 wall time of two concurrent copies (median of three tries).  It reads
 2.0 where two CPUs are free and 1.0 where the copies share one, which a
-CPU count does not show.
+CPU count does not show.  It also records whether ``PYTHONDONTWRITEBYTECODE``
+is set and, per checkout, whether ``src/matchgap/__pycache__`` existed
+before the runs: without a bytecode cache every benchmark worker compiles
+``src/`` inside ``setup_s`` and ``peak_rss_mb``, so source growth reads as
+a setup or memory change.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . --pr N \\
         --seed 11 --out BENCH_N.json
@@ -119,6 +123,8 @@ def main() -> int:
     seconds = spec["run_seconds"]
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     out = args.out or Path(f"BENCH_{args.pr}.json")
+    cached = {side: (root / "src" / "matchgap" / "__pycache__").is_dir()
+              for side, root in roots.items()}
 
     record = {
         "harness": (f"python3 bench/run.py --workload W --seed {args.seed} --seconds "
@@ -127,7 +133,9 @@ def main() -> int:
                     "linearly between the per-run medians"),
         "machine": {"nproc": os.cpu_count(), "cpu": platform.processor() or platform.machine(),
                     "python": platform.python_version(),
-                    "effective_parallelism": round(parallelism(), 2)},
+                    "effective_parallelism": round(parallelism(), 2),
+                    "pythondontwritebytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
+                    "pycache_before_runs": cached},
         "parent_commit": commit(roots["parent"]),
         "change_commit": commit(roots["change"]),
         "src_lines": {side: src_lines(root) for side, root in roots.items()},

@@ -18,7 +18,7 @@ import numpy as np
 from . import kernels
 from .matching import cover_solver, matching_values_over_subsets, value_solver
 from .model import Instance, fractional_value
-from .sampling import (block_degrees, realization_blocks, sample_values,
+from .sampling import (block_degrees, realization_blocks, row_map, sample_values,
                        support_probabilities)
 from .schemes import SchemeConfig, block_edge_masses
 
@@ -116,23 +116,38 @@ def per_edge_masses_exact(inst: Instance, scheme: str = "weighted",
     probs = support_probabilities(inst)
     bits = 1 << np.arange(inst.num_edges)
     masks = np.flatnonzero(probs)
-    chunks = (masks[i:i + _MASK_CHUNK] for i in range(0, len(masks), _MASK_CHUNK))
-    return _scheme_mass_sum(inst, (((c[:, None] & bits) != 0, probs[c]) for c in chunks),
-                            scheme, cfg)
+
+    def blocks(first, stop):
+        for i in range(first, stop, _MASK_CHUNK):
+            c = masks[i:min(i + _MASK_CHUNK, stop)]
+            yield (c[:, None] & bits) != 0, probs[c]
+
+    # such a mask holds every edge of x = 1 and half of those of 0 < x < 1
+    x = inst.x
+    realized = np.count_nonzero(x == 1.0) + 0.5 * np.count_nonzero((x > 0.0) & (x < 1.0))
+    return _scheme_mass_sum(inst, blocks, len(masks), realized, scheme, cfg)
 
 
-def _scheme_mass_sum(inst: Instance, blocks, scheme: str, cfg: SchemeConfig) -> np.ndarray:
-    """Per edge, the sum of p * (scheme mass) over the rows of `blocks`,
-    added row by row in order.  `blocks` yields (realization block, p per
-    row), p None for all ones."""
+def _scheme_mass_sum(inst: Instance, blocks, count: int, realized: float, scheme: str,
+                     cfg: SchemeConfig) -> np.ndarray:
+    """Per edge, the sum of p * (scheme mass) over rows 0..count-1,
+    added row by row in order.  `blocks(first, stop)` yields (realization
+    block, p per row) for rows first..stop-1, p None for all ones; rows
+    hold `realized` edges on average.  The rows go through `row_map`."""
     cover = cover_solver(inst)
-    acc = np.zeros(inst.num_edges, dtype=np.float64)
-    for block, p in blocks:
-        covers = np.array([cover(np.flatnonzero(row)) for row in block])
-        masses = block_edge_masses(inst, block, covers, scheme, cfg)
-        if p is not None:
-            masses *= p[:, None]
-        acc = _add_rows(acc, masses)
+
+    def fill(first, stop):
+        for block, p in blocks(first, stop):
+            masses = block_edge_masses(inst, block, cover(block), scheme, cfg)
+            if p is not None:
+                masses *= p[:, None]
+            yield masses
+
+    m = inst.num_edges
+    acc = np.zeros(m, dtype=np.float64)
+    # a cover row's cost in draws, as measured for `sampling.SPLIT_MIN_WORK`
+    for rows in row_map(fill, count, m, count * (m + 800 * realized)):
+        acc = _add_rows(acc, rows)
     return acc
 
 
@@ -176,11 +191,17 @@ def _kernel_means_mc(inst: Instance, samples: int, seed: int) -> np.ndarray:
     sample in index order.
     """
     ends = inst.endpoints
-    total = np.zeros(inst.num_edges, dtype=np.float64)
-    for block in realization_blocks(inst, seed, 0, samples):
-        deg = block_degrees(inst, block)
-        inv = 1.0 / np.maximum(deg[:, ends[:, 0]] - block + 1, deg[:, ends[:, 1]] - block + 1)
-        total = _add_rows(total, inv)
+
+    def fill(first, stop):
+        for block in realization_blocks(inst, seed, first, stop - first):
+            deg = block_degrees(inst, block)
+            yield 1.0 / np.maximum(deg[:, ends[:, 0]] - block + 1, deg[:, ends[:, 1]] - block + 1)
+
+    m = inst.num_edges
+    total = np.zeros(m, dtype=np.float64)
+    # a kernel row's cost in draws, as measured for `sampling.SPLIT_MIN_WORK`
+    for rows in row_map(fill, samples, m, samples * m * 9):
+        total = _add_rows(total, rows)
     return total / samples
 
 
@@ -219,8 +240,11 @@ def _certificates(inst: Instance, edges: list[int], mode: str, scheme: str, boun
     if mode == "exact":
         masses = per_edge_masses_exact(inst, scheme, cfg)
     elif mode == "mc":
-        blocks = realization_blocks(inst, seed, 0, samples)
-        masses = _scheme_mass_sum(inst, ((b, None) for b in blocks), scheme, cfg) / samples
+        def blocks(first, stop):
+            return ((b, None) for b in realization_blocks(inst, seed, first, stop - first))
+
+        masses = _scheme_mass_sum(inst, blocks, samples, float(inst.x.sum()), scheme,
+                                  cfg) / samples
     else:
         raise ValueError(f"unknown mode {mode!r}")
     w, x = inst.w.tolist(), inst.x.tolist()

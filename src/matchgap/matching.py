@@ -83,7 +83,8 @@ def max_weight_matching_bipartite(g: SampledGraph):
     mate_left, y_left, y_right = _primal_dual(range(len(arcs)), tails, arcs, inst.n)
     value = _matched_weight(mate_left, arcs)
     edges = tuple(idx[sorted(k for _, k in mate_left.values())].tolist())
-    return Matching(edges, value), value, FractionalVertexCover(_cover(y_left, y_right))
+    cover = _covers([(y_left, y_right)], 1, inst.n)[0]
+    return Matching(edges, value), value, FractionalVertexCover(cover)
 
 
 def _bipartite_arcs(inst: Instance, idx: np.ndarray):
@@ -146,14 +147,20 @@ def _matched_weight(mate_left, arcs) -> float:
     return value
 
 
-def _cover(y_left, y_right) -> np.ndarray:
-    n = len(y_right)
-    y = np.zeros(2 * n, dtype=np.float64)
-    for u, val in y_left.items():
-        y[u] = max(0.0, val)
-    right = np.array(y_right)
-    y[n:] = np.where(right > 0.0, right, 0.0)  # the values of max(0.0, val), NaN included
-    return y
+def _covers(potentials, count: int, n: int) -> np.ndarray:
+    """(count, 2n) covers from `count` (y_left, y_right) pairs of
+    `_primal_dual`: the potentials of row k laid out by vertex, left
+    vertices without a realized edge at zero, negatives and NaN at 0.0
+    (the values of max(0.0, v), -0.0 included)."""
+    flat = [0.0] * (count * 2 * n)
+    base = 0
+    for y_left, y_right in potentials:
+        for u, val in y_left.items():
+            flat[base + u] = val
+        flat[base + n:base + 2 * n] = y_right
+        base += 2 * n
+    y = np.array(flat, dtype=np.float64).reshape(count, 2 * n)
+    return np.where(y > 0.0, y, 0.0)
 
 
 def _run_phase(root, adj, y_left, y_right, mate_left, mate_right):
@@ -575,12 +582,20 @@ def _each(solve: Callable[[np.ndarray], float]) -> Callable[[list], np.ndarray]:
 
 
 def cover_solver(inst: Instance) -> Callable[[np.ndarray], np.ndarray]:
-    """The cover of `max_weight_matching_bipartite` for realizations of a
-    bipartite `inst`, as a function of the ascending array of realized
-    edge indices."""
+    """The covers of `max_weight_matching_bipartite` for realizations of a
+    bipartite `inst`, as a function of a (rows, m) realization block:
+    row k of the (rows, 2n) result is the cover of block row k.  One
+    `np.nonzero` gives every row's realized edges; the potentials go
+    straight into the result (`_covers`)."""
     tails, arcs = _bipartite_arcs(inst, np.arange(inst.num_edges))
     n = inst.n
-    return lambda idx: _cover(*_primal_dual(idx.tolist(), tails, arcs, n)[1:])
+
+    def covers(block: np.ndarray) -> np.ndarray:
+        cols = np.nonzero(block)[1].tolist()
+        cuts = [0, *np.cumsum(np.count_nonzero(block, axis=1)).tolist()]
+        return _covers((_primal_dual(cols[a:b], tails, arcs, n)[1:]
+                        for a, b in zip(cuts, cuts[1:])), len(block), n)
+    return covers
 
 
 def matching_value(g: SampledGraph) -> float:

@@ -16,16 +16,19 @@ its slice.  Its blocks are views of buffers reused for the next block:
 a row, or take its edge indices, before keeping it past the next block.
 Monte Carlo solvers read each sample as the array of realized edge
 indices (`realized_edge_lists`), in batches whose per-vertex arrays fit
-in ``BLOCK_BYTES`` (`sample_values`).
+in ``BLOCK_BYTES`` (`sample_values`).  Every per-sample or per-mask loop
+(values, mass certificate rows, kernel rows) runs through one map,
+`row_map`, which splits large ones over forked workers.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+import tempfile
 import threading
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import islice
 from typing import Callable, Iterator
 
@@ -41,12 +44,18 @@ SUPPORT_CUTOFF = 20
 #: max(1, BLOCK_BYTES // (8 m)) samples of an m-edge instance.
 BLOCK_BYTES = 512 * 1024
 
-#: Least work of a run that `sample_values` splits, in edge draws: samples x
-#: (edges + 256 x expected realized edges).  On a 2-vCPU VM splits paid off at
-#: 2**25, not 2**24.  The batched solvers take 30-45 draws' time per realized
-#: edge (unweighted, Karp-Sipser n=200 c=1) and about 70 (weighted, random_point
-#: n=100 density 0.1; the per-sample primal-dual took about 370); 256 stays, as
-#: factors down to 44 leave both Monte Carlo benchmark workloads split.
+#: Least work of a `row_map` that it splits, in edge draws; on a 2-vCPU VM
+#: splits paid off at 2**25, not 2**24.  Monte Carlo values count samples x
+#: (edges + 256 x expected realized edges).  The batched solvers take 30-45
+#: draws' time per realized edge (unweighted, Karp-Sipser n=200 c=1) and about
+#: 70 (weighted, random_point n=100 density 0.1; the per-sample primal-dual
+#: took about 370); 256 stays, as factors down to 44 leave both Monte Carlo
+#: benchmark workloads split.  Mass certificate rows count rows x (edges +
+#: 800 x mean realized edges): a cover and its scheme masses took 505-1,900
+#: draws' time per realized edge over ten instance and scheme cases, medians
+#: 705-909 in five runs (their median 798).  Kernel-MC rows count samples x
+#: edges x 9: beside its own draw an edge took 5-12 draws' time, medians
+#: 7.7-8.6.  Measured on one CPU by ``scripts/row_costs.py``.
 SPLIT_MIN_WORK = 1 << 25
 
 
@@ -116,41 +125,63 @@ def sample_values(inst: Instance, solve: Callable[[list], np.ndarray], seed: int
 
     `solve` takes a batch, a list of samples' ascending realized edge
     index arrays, and returns one value per sample; a batch holds as many
-    samples as have ``BLOCK_BYTES`` of int64 per-vertex arrays.
+    samples as have ``BLOCK_BYTES`` of int64 per-vertex arrays.  The
+    batches go through `row_map`, one row of width 1 per sample.
+    """
+    out = np.empty(count, dtype=np.float64)
+    pos = 0
+    work = count * (inst.num_edges + 256 * inst.x.sum())
+    for piece in row_map(partial(_solved, inst, solve, seed, start), count, 1, work):
+        out[pos:pos + len(piece)] = piece[:, 0]
+        pos += len(piece)
+    return out
 
-    A run of at least ``SPLIT_MIN_WORK`` is cut into one sample range per
-    CPU in the affinity mask, each solved in a forked worker.  On one CPU,
-    without ``os.fork`` or beside other threads (unsafe to fork) the loop
-    runs serially.  Either way a failure raises as in the serial loop.
+
+def _solved(inst, solve, seed, start, first, stop) -> Iterator[np.ndarray]:
+    batch = max(1, BLOCK_BYTES // max(8 * inst.total_vertices, 1))
+    lists = realized_edge_lists(inst, seed, start + first, stop - first)
+    for k in range(first, stop, batch):
+        yield np.asarray(solve(list(islice(lists, batch))), dtype=np.float64)[:, None]
+
+
+def row_map(fill: Callable[[int, int], Iterator[np.ndarray]], count: int, width: int,
+            work: float) -> Iterator[np.ndarray]:
+    """Rows 0..count-1 of `fill`, in order, as float64 (rows, width) pieces.
+
+    `fill(first, stop)` yields rows first..stop-1 in order as such pieces.
+    A map of at least ``SPLIT_MIN_WORK`` `work` (its cost in edge draws)
+    is cut into one contiguous row range per CPU in the affinity mask,
+    each filled in a forked worker that spools its rows to an unlinked
+    temporary file.  The parent reads the files back in range order, in
+    pieces of at most ``BLOCK_BYTES / 8``, so it never holds a whole range
+    and a caller folding the pieces in order gets the bytes of the serial
+    map.
+    On one CPU, without ``os.fork`` or beside other threads (unsafe to
+    fork) `fill` runs serially.  Either way a failure raises as in the
+    serial map: the lowest failing range's exception.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, count)
     if (workers > 1 and hasattr(os, "fork") and threading.active_count() == 1
-            and count * (inst.num_edges + 256 * inst.x.sum()) >= SPLIT_MIN_WORK):
-        cuts = [start + count * k // workers for k in range(workers + 1)]
-        return _forked_values(inst, solve, seed, cuts)
-    return _solved(inst, solve, seed, start, count)
+            and work >= SPLIT_MIN_WORK):
+        return _forked_rows(fill, width, [count * k // workers for k in range(workers + 1)])
+    return fill(0, count)
 
 
-def _solved(inst, solve, seed, first, n) -> np.ndarray:
-    batch = max(1, BLOCK_BYTES // max(8 * inst.total_vertices, 1))
-    lists = realized_edge_lists(inst, seed, first, n)
-    out = np.empty(n, dtype=np.float64)
-    for k in range(0, n, batch):
-        out[k:k + batch] = solve(list(islice(lists, batch)))
-    return out
-
-
-def _forked_values(inst, solve, seed, cuts) -> np.ndarray:
-    workers = []  # (pid, pipe read end) per range between consecutive cuts
+def _forked_rows(fill, width, cuts) -> Iterator[np.ndarray]:
+    workers = []  # (pid, pipe read end, spool file) per range between consecutive cuts
     try:
         for first, stop in zip(cuts, cuts[1:]):
+            spool = tempfile.TemporaryFile()
             r, w = os.pipe()
             pid = os.fork()
-            if pid == 0:  # pipe back the array or what solve raised; no exit handlers
+            if pid == 0:  # spool the rows, pipe back None or what fill raised; no exit handlers
                 try:
                     try:
-                        out = _solved(inst, solve, seed, first, stop - first)
+                        for piece in fill(first, stop):
+                            spool.write(np.ascontiguousarray(piece, dtype=np.float64))
+                        spool.flush()
+                        out = None
                     except Exception as exc:
                         out = exc
                     with open(w, "wb") as fh:
@@ -158,18 +189,26 @@ def _forked_values(inst, solve, seed, cuts) -> np.ndarray:
                 finally:
                     os._exit(0)
             os.close(w)
-            workers.append((pid, open(r, "rb")))
-        parts = []
-        for _, fh in workers:  # in range order: the lowest failing range raises
-            data = fh.read()
+            workers.append((pid, open(r, "rb"), spool))
+        # 64 KiB pieces keep the parent's peak at the serial map's: exact mass
+        # certify on 13 edges peaked 1.1 MB over import either way, and 1.1 MB
+        # higher with 512 KiB pieces (a piece and a fold's cumsum of it)
+        rows = max(1, BLOCK_BYTES // 8 // max(8 * width, 1))
+        for (_, fh, spool), first, stop in zip(workers, cuts, cuts[1:]):
+            data = fh.read()  # in range order: the lowest failing range raises
             out = pickle.loads(data) if data else RuntimeError("a sample worker died")
-            if isinstance(out, Exception):
+            if out is not None:
                 raise out
-            parts.append(out)
-        return np.concatenate(parts)
+            spool.seek(0)
+            for k in range(first, stop, rows):
+                piece = np.empty((min(rows, stop - k), width), dtype=np.float64)
+                if spool.readinto(piece) != piece.nbytes:
+                    raise RuntimeError("a sample worker spooled too few rows")
+                yield piece
     finally:  # SIGKILL (9) stops the workers left after a failure
-        for pid, fh in workers:
+        for pid, fh, spool in workers:
             fh.close()
+            spool.close()
             os.kill(pid, 9)
             os.waitpid(pid, 0)
 

@@ -4,13 +4,15 @@ import os
 import re
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from matchgap import (Instance, MatchingCutoffExceeded, PotentialEdge, SupportTooLarge,
-                      mc_ratio, phi_curve, sample, support_probabilities)
-from matchgap import sampling
+                      mc_ratio, per_edge_certificates, per_edge_masses_exact, phi_curve,
+                      sample, support_probabilities)
+from matchgap import estimate, sampling
 from matchgap.gallery import gen_random_point
 from matchgap.rng import uniform_block
 from matchgap.sampling import (block_degrees, realization_block, realization_blocks,
@@ -258,6 +260,109 @@ class TestSampleValuesSplit:
         monkeypatch.delattr(os, "fork")
         assert repr(mc_ratio(inst, 200, seed=2).to_dict()) == ref  # no fork
         assert forks == []
+
+
+def grid_instance(n, count, x, weighted):
+    """Bipartite instance on the first `count` pairs of an n x n grid,
+    each of probability x; weights 1, or cycling 1, 2.5, 0.75."""
+    pairs = [(u, v) for u in range(n) for v in range(n)][:count]
+    return Instance("bipartite", n, tuple(
+        PotentialEdge(u, v, x, (1.0, 2.5, 0.75)[k % 3] if weighted else 1.0)
+        for k, (u, v) in enumerate(pairs)))
+
+
+class TestCertificateSplit:
+    """Mass certificates (exact and Monte Carlo) and kernel-MC
+    certificates go through `sampling.row_map` like `sample_values`; the
+    tests force the split with ``SPLIT_MIN_WORK = 0``, set the affinity
+    mask to the worker count, and cut mask chunks, realization blocks and
+    the parent's read-back pieces to 7 rows, so no range end falls on
+    their edges."""
+
+    forks = TestSampleValuesSplit.forks
+    cpus = staticmethod(TestSampleValuesSplit.cpus)
+
+    @pytest.mark.parametrize("scheme", ["weighted", "unweighted"])
+    def test_same_bytes_at_any_worker_count(self, monkeypatch, forks, capfd, scheme):
+        # 9 edges: 512 masks, cut at 256 or at 170 and 341; 301 samples,
+        # cut at 150 or at 100 and 200; none a multiple of 7
+        inst = grid_instance(3, 9, 0.3, scheme == "weighted")
+        monkeypatch.setattr(estimate, "_MASK_CHUNK", 7)
+        monkeypatch.setattr(sampling, "BLOCK_BYTES", 7 * 8 * inst.num_edges)
+
+        def run():
+            return [per_edge_masses_exact(inst, scheme).tobytes(),
+                    repr(per_edge_certificates(inst, "mc", scheme, "mass",
+                                               samples=301, seed=6)),
+                    repr(per_edge_certificates(inst, "mc", scheme, "kernel",
+                                               samples=301, seed=6))]
+
+        want = run()
+        assert forks == []  # below the split rule
+        monkeypatch.setattr(sampling, "SPLIT_MIN_WORK", 0)
+        for workers in (1, 2, 3):
+            self.cpus(monkeypatch, workers)
+            assert run() == want
+        assert len(forks) == (2 + 3) * 3
+        assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_cover_worker_exception_lowest_range_first(self, monkeypatch, forks, capfd,
+                                                       workers):
+        # every cover block fails, naming its first row's edges; the first
+        # range's failure arrives last but is the one the serial map raises
+        inst = grid_instance(3, 9, 0.3, True)
+        real = estimate.cover_solver
+
+        def failing(inst):
+            covers = real(inst)
+
+            def solve(block):
+                covers(block)
+                first = np.flatnonzero(block[0]).tolist()
+                if not first:
+                    time.sleep(0.3)
+                raise ValueError(f"cover of {first}")
+            return solve
+
+        monkeypatch.setattr(estimate, "cover_solver", failing)
+        with pytest.raises(ValueError, match=re.escape("cover of []")):
+            per_edge_masses_exact(inst)
+        monkeypatch.setattr(sampling, "SPLIT_MIN_WORK", 0)
+        self.cpus(monkeypatch, workers)
+        with pytest.raises(ValueError, match=re.escape("cover of []")):
+            per_edge_masses_exact(inst)
+        assert len(forks) == workers
+        assert capfd.readouterr() == ("", "")
+
+    def test_parent_memory_flat_in_split_exact_run(self, monkeypatch, forks):
+        # a parent holding a whole range's rows would grow by about 3.3 MB
+        # from 14 to 16 edges (half the masks x m x 8 bytes); it may grow
+        # only by the masks and probabilities, with the temporaries of
+        # building them (2.5 probability arrays at the last edge)
+        monkeypatch.setattr(sampling, "SPLIT_MIN_WORK", 0)
+        self.cpus(monkeypatch, 2)
+        fork = os.fork  # the workers stop tracing, which would slow them
+
+        def untraced_fork():
+            pid = fork()
+            if pid == 0:
+                tracemalloc.stop()
+            return pid
+
+        monkeypatch.setattr(os, "fork", untraced_fork)
+        peaks = []
+        for m in (14, 16):
+            inst = grid_instance(4, m, 0.25, True)
+            tracemalloc.start()
+            try:
+                per_edge_masses_exact(inst)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        arrays = 8 * ((1 << 16) - (1 << 14))
+        assert peaks[1] - peaks[0] <= 2.5 * arrays
+        assert len(forks) == 2 * 2
 
 
 class TestSupport:

@@ -64,7 +64,26 @@ def test_solver_reproduces_fixture(case):
     assert got == {k: case[k] for k in got}
     idx = g.edge_indices
     assert repr(float(value_solver(g.instance)([idx])[0])) == got["value"]
-    assert [repr(float(c)) for c in cover_solver(g.instance)(idx)] == got["cover"]
+    assert [repr(float(c)) for c in cover_solver(g.instance)(g.realized[None])[0]] == got["cover"]
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c["id"] for c in CASES])
+def test_block_covers_match_wrapper(case):
+    # one block per graph: the recorded realization, every edge, none,
+    # the complement and a lone edge, so rows have isolated and exposed
+    # vertices and row offsets must hold; each row's cover is, bit for
+    # bit, the wrapper's on that realization
+    g = _graph(case)
+    inst = g.instance
+    lone = np.zeros(inst.num_edges, dtype=bool)
+    lone[-1:] = True
+    block = np.array([g.realized, np.ones_like(lone), np.zeros_like(lone), ~g.realized, lone])
+    covers = cover_solver(inst)(block)
+    assert covers.shape == (len(block), inst.total_vertices)
+    assert [repr(float(c)) for c in covers[0]] == case["cover"]
+    for row, cover in zip(block, covers):
+        want = max_weight_matching_bipartite(SampledGraph(inst, row))[2].y
+        assert cover.tobytes() == want.tobytes()
 
 
 def _reference(g):
@@ -148,7 +167,7 @@ def test_larger_graphs_match_full_rescan_reference(seed):
     assert cover.y.tobytes() == y.tobytes()
     idx = g.edge_indices
     assert repr(float(value_solver(inst)([idx])[0])) == repr(value)
-    assert cover_solver(inst)(idx).tobytes() == y.tobytes()
+    assert cover_solver(inst)(g.realized[None])[0].tobytes() == y.tobytes()
 
 
 def test_fixture_covers_every_family():
