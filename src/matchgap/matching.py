@@ -83,7 +83,7 @@ def max_weight_matching_bipartite(g: SampledGraph):
     mate_left, y_left, y_right = _primal_dual(range(len(arcs)), tails, arcs, inst.n)
     value = _matched_weight(mate_left, arcs)
     edges = tuple(idx[sorted(k for _, k in mate_left.values())].tolist())
-    cover = _covers([(y_left, y_right)], 1, inst.n)[0]
+    cover = _covers([(y_left, y_right)], inst.n)[0]
     return Matching(edges, value), value, FractionalVertexCover(cover)
 
 
@@ -147,11 +147,12 @@ def _matched_weight(mate_left, arcs) -> float:
     return value
 
 
-def _covers(potentials, count: int, n: int) -> np.ndarray:
-    """(count, 2n) covers from `count` (y_left, y_right) pairs of
+def _covers(potentials: list, n: int) -> np.ndarray:
+    """(rows, 2n) covers from a list of (y_left, y_right) pairs of
     `_primal_dual`: the potentials of row k laid out by vertex, left
     vertices without a realized edge at zero, negatives and NaN at 0.0
     (the values of max(0.0, v), -0.0 included)."""
+    count = len(potentials)
     flat = [0.0] * (count * 2 * n)
     base = 0
     for y_left, y_right in potentials:
@@ -593,8 +594,8 @@ def cover_solver(inst: Instance) -> Callable[[np.ndarray], np.ndarray]:
     def covers(block: np.ndarray) -> np.ndarray:
         cols = np.nonzero(block)[1].tolist()
         cuts = [0, *np.cumsum(np.count_nonzero(block, axis=1)).tolist()]
-        return _covers((_primal_dual(cols[a:b], tails, arcs, n)[1:]
-                        for a, b in zip(cuts, cuts[1:])), len(block), n)
+        return _covers([_primal_dual(cols[a:b], tails, arcs, n)[1:]
+                        for a, b in zip(cuts, cuts[1:])], n)
     return covers
 
 

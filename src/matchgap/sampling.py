@@ -155,9 +155,8 @@ def row_map(fill: Callable[[int, int], Iterator[np.ndarray]], count: int, width:
     temporary file.  The parent reads the files back in range order, in
     pieces of at most ``BLOCK_BYTES / 8``, so it never holds a whole range
     and a caller folding the pieces in order gets the bytes of the serial
-    map.
-    On one CPU, without ``os.fork`` or beside other threads (unsafe to
-    fork) `fill` runs serially.  Either way a failure raises as in the
+    map.  On one CPU, without ``os.fork`` or beside other threads (unsafe
+    to fork) `fill` runs serially.  Either way a failure raises as in the
     serial map: the lowest failing range's exception.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
