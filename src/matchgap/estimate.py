@@ -16,18 +16,22 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .matching import cover_solver, matching_values_over_subsets, value_solver
+from .matching import (cover_solver, covers_in_lockstep, matching_values_over_subsets,
+                       value_solver)
 from .model import Instance, fractional_value
-from .sampling import (block_degrees, realization_blocks, row_map, sample_values,
+from .sampling import (block_degrees, block_rows, realization_blocks, row_map, sample_values,
                        support_probabilities)
 from .schemes import SchemeConfig, block_edge_masses
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
-#: Support masks whose scheme masses are computed together; their work
-#: arrays stay in the tens of kilobytes (4,096 masks added ~4 MB of peak
-#: memory to exact mass certify on a 13-edge instance).
-_MASK_CHUNK = 256
+#: Support masks whose covers and scheme masses are computed together:
+#: enough rows for the lockstep covers (``matching.LOCKSTEP_MIN_ROWS``) with
+#: work arrays of a few hundred kilobytes.  On a 13-edge instance exact mass
+#: certify peaked 0.6 MB over import with 256 or 512 masks, 0.9 MB with 768
+#: and 1.7 MB with 1,024; on 19 edges it took 3.0-3.1 s with 512 masks,
+#: 2.5-2.7 s with 768 and 2.4-2.6 s with 1,024.
+_MASK_CHUNK = 768
 
 
 class ZeroDenominator(ValueError):
@@ -125,15 +129,16 @@ def per_edge_masses_exact(inst: Instance, scheme: str = "weighted",
     # such a mask holds every edge of x = 1 and half of those of 0 < x < 1
     x = inst.x
     realized = np.count_nonzero(x == 1.0) + 0.5 * np.count_nonzero((x > 0.0) & (x < 1.0))
-    return _scheme_mass_sum(inst, blocks, len(masks), realized, scheme, cfg)
+    return _scheme_mass_sum(inst, blocks, len(masks), realized, _MASK_CHUNK, scheme, cfg)
 
 
-def _scheme_mass_sum(inst: Instance, blocks, count: int, realized: float, scheme: str,
-                     cfg: SchemeConfig) -> np.ndarray:
+def _scheme_mass_sum(inst: Instance, blocks, count: int, realized: float, rows: int,
+                     scheme: str, cfg: SchemeConfig) -> np.ndarray:
     """Per edge, the sum of p * (scheme mass) over rows 0..count-1,
     added row by row in order.  `blocks(first, stop)` yields (realization
-    block, p per row) for rows first..stop-1, p None for all ones; rows
-    hold `realized` edges on average.  The rows go through `row_map`."""
+    block, p per row) for rows first..stop-1, p None for all ones, in
+    blocks of up to `rows` rows that hold `realized` edges on average.
+    The rows go through `row_map`."""
     cover = cover_solver(inst)
 
     def fill(first, stop):
@@ -145,9 +150,11 @@ def _scheme_mass_sum(inst: Instance, blocks, count: int, realized: float, scheme
 
     m = inst.num_edges
     acc = np.zeros(m, dtype=np.float64)
-    # a cover row's cost in draws, as measured for `sampling.SPLIT_MIN_WORK`
-    for rows in row_map(fill, count, m, count * (m + 800 * realized)):
-        acc = _add_rows(acc, rows)
+    # a cover row's cost in draws per realized edge, as measured for
+    # `sampling.SPLIT_MIN_WORK`: lower where the rows go through the lockstep
+    draws = 280 if covers_in_lockstep(realized, min(rows, count)) else 870
+    for piece in row_map(fill, count, m, count * (m + draws * realized)):
+        acc = _add_rows(acc, piece)
     return acc
 
 
@@ -243,8 +250,8 @@ def _certificates(inst: Instance, edges: list[int], mode: str, scheme: str, boun
         def blocks(first, stop):
             return ((b, None) for b in realization_blocks(inst, seed, first, stop - first))
 
-        masses = _scheme_mass_sum(inst, blocks, samples, float(inst.x.sum()), scheme,
-                                  cfg) / samples
+        masses = _scheme_mass_sum(inst, blocks, samples, float(inst.x.sum()),
+                                  block_rows(inst, samples), scheme, cfg) / samples
     else:
         raise ValueError(f"unknown mode {mode!r}")
     w, x = inst.w.tolist(), inst.x.tolist()

@@ -3,13 +3,19 @@
 Bipartite graphs get a primal-dual solver that returns the maximum
 matching weight together with an optimal fractional vertex cover: vertex
 potentials y >= 0 with y_u + y_v >= w_e on every realized edge and
-||y||_1 equal to the matching weight (Koenig-Egervary duality).
+||y||_1 equal to the matching weight (Koenig-Egervary duality).  Its
+per-sample core is `_primal_dual`.
 Monte Carlo values of bipartite samples are found a whole batch at a
 time by degree-1 peeling in numpy: unweighted by Karp-Sipser's rule,
 with augmenting paths for what peeling leaves; weighted by the rule
 that shifts a leaf's weight onto its centre's other edges, with the
 primal-dual for the samples peeling leaves unsolved or cannot decide
 beyond its tolerance, so the values are the primal-dual's bits.
+The covers of the mass certificates are found a realization block at a
+time (`cover_solver`): the rows of at most ``LOCKSTEP_MAX_EDGES``
+realized edges run the primal-dual in lockstep over their disjoint
+union (`_lockstep`), larger ones go to `_primal_dual` one by one, and
+every cover is the per-sample core's bits.
 General graphs get exhaustive search, exact at small sizes only.
 
 `matching_values_over_subsets` evaluates the maximum matching weight of
@@ -254,6 +260,197 @@ def _flip_to_root(root, v, u, j, tree_right, mate_left, mate_right):
             return
         v = prev[0]
         u, j = tree_right[v]
+
+
+def _lockstep(row: np.ndarray, left: np.ndarray, right: np.ndarray, wt: np.ndarray,
+              count: int, n: int) -> np.ndarray:
+    """Unclipped (count, 2n) potentials of `_primal_dual` on `count` rows
+    at once: the realized edges of row k are those with ``row == k``, with
+    left vertex `left`, right vertex `right` (both 0..n-1) and weight `wt`,
+    listed in (row, left vertex, edge index) order.
+
+    The rows form one disjoint union, row k's vertices offset by k * n,
+    whose state lives in flat arrays: potentials, mates, tree marks and
+    tree parents.  Each step takes, for every row still active, one
+    decision of the method as `_run_phase` takes it, in masked array
+    passes over the arcs of the active rows' tree-left vertices:
+
+    - the entering arc is the first tight arc, (y_u + y_v) - w <=
+      ``_TIGHT``, in edge order among the arcs to right vertices outside
+      the tree: the next tree vertex, or, when its right end is free,
+      the augmenting path flipped back to the root;
+    - a row without one adjusts by delta = min(slack, floor), the least
+      (y_u + y_v) - w over those arcs and the least tree-left potential,
+      and releases the lowest tree-left vertex at or below ``_TIGHT``
+      when floor <= slack;
+    - a row whose phase ended takes its next roots in vertex order that
+      are unmatched with potential above ``_TIGHT``: while a root's first
+      tight arc reaches a right vertex that is free and no earlier root's
+      of the run, the root is matched there, as `_primal_dual`'s first
+      scan does (no potential changes meanwhile); the first other root
+      grows a tree.  A row with no root left is done.
+
+    `_run_phase`'s scan positions and least slacks only skip arcs whose
+    slack or tree mark cannot have changed since they were read, so each
+    row takes the same decisions through the same floating operations:
+    its potentials are `_primal_dual`'s bits (signed zeros aside, which
+    no comparison, nonzero result or clipped cover tells apart).
+    """
+    size = count * n
+    yl, yr = np.zeros(size), np.zeros(size)
+    eu, ev = row * n + left, row * n + right
+    head = _firsts(eu)                       # each left vertex's first arc
+    if len(eu):
+        yl[eu[head]] = np.maximum.reduceat(wt, np.flatnonzero(head))
+    mate_l, mate_r = np.full(size, -1), np.full(size, -1)
+    tree_r = np.zeros(size, dtype=np.int64)  # tree-right v -> the left vertex it entered from
+    par_l = np.zeros(size, dtype=np.int64)   # tree-left u -> the matched v it entered from
+    in_l = np.zeros(size, dtype=bool)
+    in_r = np.zeros(size, dtype=bool)
+    entry = np.zeros(len(eu), dtype=bool)    # the arc each tree-right vertex entered by
+
+    new = _firsts(row)
+    k = np.cumsum(new) - 1                   # active-row position of each arc
+    act = row[new]
+    lo = np.flatnonzero(new)                 # active row k's arcs: lo[k]..hi[k]-1
+    hi = np.append(lo[1:], len(eu))
+    root = np.full(len(act), -1)             # -1: between phases, -2: done
+    last = act * n - 1                       # the last root taken
+    finished = 0                             # arcs of done rows still held
+    while len(act):
+        need = np.flatnonzero(root == -1)
+        if len(need):
+            # the arcs of the rows between phases; their left vertices
+            # (`heads`, by first arc) and the roots among them
+            if len(need) == len(act):
+                arcs = np.arange(len(eu))
+            else:
+                span = hi[need] - lo[need]
+                cut = np.cumsum(span)
+                arcs = np.arange(cut[-1]) + np.repeat(lo[need] - cut + span, span)
+            starts = head[arcs]
+            vert = np.cumsum(starts) - 1     # each arc's left vertex, as a position in heads
+            heads = arcs[np.flatnonzero(starts)]
+            cu = eu[heads]
+            yu = yl[cu]
+            ok = (cu > last[k[heads]]) & (mate_l[cu] < 0) & (yu > _TIGHT)
+            mine = np.flatnonzero(ok[vert])
+            a, va = arcs[mine], vert[mine]
+            tight = np.flatnonzero((yu[va] + yr[ev[a]]) - wt[a] <= _TIGHT)
+            a, va = a[tight], va[tight]
+            first = np.flatnonzero(_firsts(va))
+            reach = np.full(len(heads), -1)  # right end of each root's first tight arc
+            reach[va[first]] = ev[a[first]]
+            ok = np.flatnonzero(ok)
+            kc, cu, reach = k[heads[ok]], cu[ok], reach[ok]
+            # a root is matched at once when that end is free and no earlier
+            # root's: a stable sort puts each end's earliest root first
+            has = np.flatnonzero(reach >= 0)
+            has = has[np.argsort(reach[has], kind="stable")]
+            quick = reach >= 0
+            quick[has[1:][reach[has[1:]] == reach[has[:-1]]]] = False
+            quick &= mate_r[reach] < 0
+            grow = np.flatnonzero(~quick)
+            grow = grow[_firsts(kc[grow])]   # each row's first root that grows a tree
+            stop = np.full(len(act), len(cu))
+            stop[kc[grow]] = grow
+            run = np.flatnonzero(np.arange(len(cu)) < stop[kc])
+            mate_l[cu[run]] = reach[run]
+            mate_r[reach[run]] = cu[run]
+            kg = kc[grow]
+            root[need] = -2
+            root[kg] = last[kg] = cu[grow]
+            in_l[cu[grow]] = True
+            finished += int((hi[need] - lo[need]).sum() - (hi[kg] - lo[kg]).sum())
+            if 2 * finished > len(eu):
+                live = root != -2
+                keep = np.flatnonzero(live[k])
+                eu, ev, wt, head, entry = eu[keep], ev[keep], wt[keep], head[keep], entry[keep]
+                k = (np.cumsum(live) - 1)[k[keep]]
+                act, root, last = act[live], root[live], last[live]
+                lo = np.flatnonzero(_firsts(k))
+                hi = np.append(lo[1:], len(eu))
+                finished = 0
+                if not len(act):
+                    break
+
+        te = np.flatnonzero(in_l[eu])        # arcs of tree-left vertices
+        tu, tv, tk = eu[te], ev[te], k[te]
+        yt = yl[tu]
+        out = ~in_r[tv]
+        s = (yt + yr[tv]) - wt[te]
+        hit = np.flatnonzero(out & (s <= _TIGHT))
+        hit = hit[_firsts(tk[hit])]
+        kt, u, v = tk[hit], tu[hit], tv[hit]
+        in_r[v] = True
+        tree_r[v] = u
+        entry[te[hit]] = True
+        mate = mate_r[v]
+        free = mate < 0
+        ended = np.zeros(len(act), dtype=bool)
+        ended[kt[free]] = True
+        if not free.all():
+            grown = ~free
+            in_l[mate[grown]] = True
+            par_l[mate[grown]] = v[grown]
+        if free.any():
+            _flip_all(u[free], v[free], root[kt[free]], mate_l, mate_r, tree_r)
+
+        adjust = root >= 0
+        adjust[kt] = False
+        if adjust.any():
+            seg = np.flatnonzero(_firsts(tk))
+            rows = tk[seg]
+            slack = np.full(len(act), np.inf)
+            floor = np.full(len(act), np.inf)
+            slack[rows] = np.minimum.reduceat(np.where(out, s, np.inf), seg)
+            floor[rows] = np.minimum.reduceat(yt, seg)
+            delta = np.minimum(slack, floor)[tk]
+            at = adjust[tk]
+            lu = at & head[te]
+            yt -= delta                      # the new potential of each arc's tree-left end
+            i = np.flatnonzero(lu)
+            yl[tu[i]] = yt[i]
+            i = np.flatnonzero(at & entry[te])
+            yr[tv[i]] += delta[i]
+            release = adjust & (floor <= slack)
+            if release.any():
+                r = np.flatnonzero(lu & release[tk] & (yt <= _TIGHT))
+                r = r[_firsts(tk[r])]
+                kr, ru = tk[r], tu[r]
+                ended[kr] = True
+                moved = ru != root[kr]
+                ru, kr = ru[moved], kr[moved]
+                mate_l[ru] = -1
+                v = par_l[ru]
+                _flip_all(tree_r[v], v, root[kr], mate_l, mate_r, tree_r)
+        if ended.any():
+            e = np.flatnonzero(ended[tk])
+            in_l[tu[e]] = False
+            e = e[entry[te[e]]]
+            in_r[tv[e]] = False
+            entry[te[e]] = False
+            root[ended] = -1
+    return np.concatenate((yl.reshape(count, n), yr.reshape(count, n)), axis=1)
+
+
+def _firsts(keys: np.ndarray) -> np.ndarray:
+    """Mask of the first entry of each run of equal values in `keys`."""
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return first
+
+
+def _flip_all(u, v, root, mate_l, mate_r, tree_r) -> None:
+    # `_flip_to_root` for many rows at once, one link of every path a pass
+    while len(u):
+        prev = mate_l[u]
+        mate_l[u] = v
+        mate_r[v] = u
+        go = u != root
+        v, root = prev[go], root[go]
+        u = tree_r[v]
 
 
 def _compact(ends, w):
@@ -582,20 +779,52 @@ def _each(solve: Callable[[np.ndarray], float]) -> Callable[[list], np.ndarray]:
     return lambda idxs: np.fromiter(map(solve, idxs), np.float64, len(idxs))
 
 
+#: Rows of a cover block with at most this many realized edges go through
+#: `_lockstep` together when the block holds at least ``LOCKSTEP_MIN_ROWS``
+#: of them; other rows get their own `_primal_dual`.  A lockstep block
+#: takes as many steps as its slowest row and pays each step's array
+#: passes whatever its number of rows.  Both measured by
+#: ``scripts/row_costs.py``.
+LOCKSTEP_MAX_EDGES = 48
+LOCKSTEP_MIN_ROWS = 256
+
+
+def covers_in_lockstep(realized: float, rows: int) -> bool:
+    """Whether `cover_solver` is expected to take blocks of `rows` rows of
+    `realized` realized edges on average through `_lockstep`."""
+    return realized <= LOCKSTEP_MAX_EDGES and rows >= LOCKSTEP_MIN_ROWS
+
+
 def cover_solver(inst: Instance) -> Callable[[np.ndarray], np.ndarray]:
     """The covers of `max_weight_matching_bipartite` for realizations of a
     bipartite `inst`, as a function of a (rows, m) realization block:
-    row k of the (rows, 2n) result is the cover of block row k.  One
-    `np.nonzero` gives every row's realized edges; the potentials go
-    straight into the result (`_covers`)."""
+    row k of the (rows, 2n) result is the cover of block row k, bit for
+    bit.  Rows of 1 to ``LOCKSTEP_MAX_EDGES`` realized edges are solved
+    together by `_lockstep` when there are at least ``LOCKSTEP_MIN_ROWS``
+    of them; the other nonempty rows are solved one by one by
+    `_primal_dual` on lists over all edges, built once per instance."""
     tails, arcs = _bipartite_arcs(inst, np.arange(inst.num_edges))
     n = inst.n
+    order = np.argsort(inst.endpoints[:, 0], kind="stable")
+    left, right, wt = inst.endpoints[order, 0], inst.endpoints[order, 1] - n, inst.w[order]
 
     def covers(block: np.ndarray) -> np.ndarray:
-        cols = np.nonzero(block)[1].tolist()
-        cuts = [0, *np.cumsum(np.count_nonzero(block, axis=1)).tolist()]
-        return _covers([_primal_dual(cols[a:b], tails, arcs, n)[1:]
-                        for a, b in zip(cuts, cuts[1:])], n)
+        count = np.count_nonzero(block, axis=1)
+        small = (count > 0) & (count <= LOCKSTEP_MAX_EDGES)
+        if np.count_nonzero(small) < LOCKSTEP_MIN_ROWS:
+            small[:] = False
+        y = np.zeros((len(block), 2 * n))
+        if small.any():
+            sub = block[small][:, order]
+            rows, cols = np.nonzero(sub)
+            y[small] = _lockstep(rows, left[cols], right[cols], wt[cols], len(sub), n)
+        alone = ~small & (count > 0)
+        if alone.any():
+            cols = np.nonzero(block[alone])[1].tolist()
+            cuts = [0, *np.cumsum(count[alone]).tolist()]
+            y[alone] = _covers([_primal_dual(cols[a:b], tails, arcs, n)[1:]
+                                for a, b in zip(cuts, cuts[1:])], n)
+        return np.where(y > 0.0, y, 0.0)
     return covers
 
 

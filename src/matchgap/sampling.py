@@ -51,9 +51,12 @@ BLOCK_BYTES = 512 * 1024
 #: 70 (weighted, random_point n=100 density 0.1; the per-sample primal-dual
 #: took about 370); 256 stays, as factors down to 44 leave both Monte Carlo
 #: benchmark workloads split.  Mass certificate rows count rows x (edges +
-#: 800 x mean realized edges): a cover and its scheme masses took 505-1,900
-#: draws' time per realized edge over ten instance and scheme cases, medians
-#: 705-909 in five runs (their median 798).  Kernel-MC rows count samples x
+#: F x mean realized edges), F = 280 where the rows are expected to take
+#: the lockstep covers (`matching.covers_in_lockstep`) and 870 where they
+#: are solved one by one: a cover and its scheme masses took 152-565 draws'
+#: time per realized edge in seven instance and scheme cases of the first
+#: kind and 528-1,180 in three of the second, medians 234-330 and 722-1,065
+#: in three runs (their medians 278 and 867).  Kernel-MC rows count samples x
 #: edges x 9: beside its own draw an edge took 5-12 draws' time, medians
 #: 7.7-8.6.  Measured on one CPU by ``scripts/row_costs.py``.
 SPLIT_MIN_WORK = 1 << 25
@@ -99,7 +102,7 @@ def realization_blocks(inst: Instance, seed: int, start: int,
     samples; together the blocks hold `count` rows.  Blocks are views of
     one buffer that the next block overwrites.
     """
-    rows = max(1, min(count, BLOCK_BYTES // max(8 * inst.num_edges, 1)))
+    rows = block_rows(inst, count)
     draws = BernoulliBlocks(inst.x, rows)
     # stream keys for as many whole blocks as fit in BLOCK_BYTES, at least one
     chunk = rows * max(1, BLOCK_BYTES // (8 * rows))
@@ -108,6 +111,11 @@ def realization_blocks(inst: Instance, seed: int, start: int,
         keys = stream_key(seed, np.arange(first, min(first + chunk, stop), dtype=np.uint64))
         for k in range(0, len(keys), rows):
             yield draws.draw(keys[k:k + rows])
+
+
+def block_rows(inst: Instance, count: int) -> int:
+    """Rows per block of `realization_blocks` for `count` samples."""
+    return max(1, min(count, BLOCK_BYTES // max(8 * inst.num_edges, 1)))
 
 
 def realized_edge_lists(inst: Instance, seed: int, start: int,

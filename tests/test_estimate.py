@@ -11,7 +11,9 @@ from matchgap import (SampledGraph, SchemeConfig, WEIGHTED_BIPARTITE_FLOOR, esti
                       max_weight_matching_bipartite, per_edge_certificates,
                       per_edge_masses_exact, sample, sampling, support_probabilities,
                       unweighted_scheme, weighted_scheme)
-from matchgap.gallery import gen_karp_sipser, gen_pendant_star, gen_random_point
+from matchgap import matching
+from matchgap.gallery import (gen_equal_split_star, gen_karp_sipser, gen_pendant_star,
+                              gen_random_point)
 
 from conftest import brute_expected_matching
 
@@ -204,6 +206,23 @@ class TestPerEdgeCertificates:
                 g = SampledGraph(inst, (mask & bits) != 0)
                 total += probs[mask] * run(g, max_weight_matching_bipartite(g)[2]).edge_mass
         assert per_edge_masses_exact(inst, scheme).tobytes() == total.tobytes()
+
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    @pytest.mark.parametrize("scheme", ["weighted", "unweighted"])
+    def test_mass_does_not_depend_on_the_cover_path(self, monkeypatch, mode, scheme):
+        # every row alone (crossover 0), every row in lockstep (a crossover
+        # over m, blocks of any size) and the default split: equal bytes
+        inst = (gen_random_point(5, 0.5, 3, "bipartite") if scheme == "weighted"
+                else gen_equal_split_star(6, 0.1))
+
+        def certs(max_edges, min_rows):
+            monkeypatch.setattr(matching, "LOCKSTEP_MAX_EDGES", max_edges)
+            monkeypatch.setattr(matching, "LOCKSTEP_MIN_ROWS", min_rows)
+            return repr(per_edge_certificates(inst, mode, scheme, "mass", samples=3000, seed=2))
+
+        default = certs(matching.LOCKSTEP_MAX_EDGES, matching.LOCKSTEP_MIN_ROWS)
+        assert certs(0, 1) == default
+        assert certs(10 ** 6, 1) == default
 
     @pytest.mark.parametrize("bound", ["mass", "kernel"])
     def test_mc_needs_a_sample(self, bound):

@@ -455,6 +455,39 @@ class TestWeightedPeeler:
         assert got.tobytes() == want.tobytes()
 
 
+class TestCoverSolver:
+    def test_only_rows_over_the_crossover_reach_the_primal_dual(self, monkeypatch):
+        # LOCKSTEP_MIN_ROWS rows of 1..LOCKSTEP_MAX_EDGES edges go through
+        # the lockstep together; empty rows need no solve, and only the
+        # rows over the crossover get their own primal-dual
+        inst = gen_random_point(12, 0.6, 5, "bipartite")
+        m, small = inst.num_edges, matching.LOCKSTEP_MAX_EDGES
+        counts = [0, *(1 + k % small for k in range(matching.LOCKSTEP_MIN_ROWS)),
+                  small + 1, 0, m, m - 1]
+        rng = np.random.default_rng(3)
+        block = np.zeros((len(counts), m), dtype=bool)
+        for row, c in zip(block, counts):
+            row[rng.choice(m, c, replace=False)] = True
+        seen = []
+        real = matching._primal_dual
+
+        def spy(idx, tails, arcs, n):
+            seen.append(len(idx))
+            return real(idx, tails, arcs, n)
+
+        monkeypatch.setattr(matching, "_primal_dual", spy)
+        covers = matching.cover_solver(inst)(block)
+        assert seen == [c for c in counts if c > small]
+        # one small row fewer than LOCKSTEP_MIN_ROWS: every nonempty row alone
+        seen.clear()
+        assert matching.cover_solver(inst)(block[2:]).tobytes() == covers[2:].tobytes()
+        assert seen == [c for c in counts[2:] if c > 0]
+        monkeypatch.undo()
+        for row, cover in zip(block, covers):
+            want = max_weight_matching_bipartite(SampledGraph(inst, row))[2].y
+            assert cover.tobytes() == want.tobytes()
+
+
 class TestMonotonicity:
     @pytest.mark.parametrize("seed", range(10))
     def test_adding_edge_never_decreases(self, seed):

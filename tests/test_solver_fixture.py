@@ -9,7 +9,9 @@ the matching and the cover, and tiny ones (random times 2**-40 or
 2**-38), where the absolute tightness threshold decides.  Edges are
 listed in shuffled order, so edge index order differs from vertex order.
 Larger graphs (up to 40 vertices a side) are checked against
-`_reference`, the same method rescanning the whole tree at every step.
+`_reference`, the same method rescanning the whole tree at every step,
+and so are the block covers of `cover_solver` on both sides of its
+lockstep crossover.
 
 Re-record with ``PYTHONPATH=src python tests/test_solver_fixture.py``
 only after arguing an intended change of solver output.
@@ -22,7 +24,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from matchgap import Instance, PotentialEdge, SampledGraph, max_weight_matching_bipartite
+from matchgap import Instance, PotentialEdge, SampledGraph, matching, max_weight_matching_bipartite
+from matchgap.gallery import gen_equal_split_star
 from matchgap.matching import cover_solver, value_solver
 
 FIXTURE = Path(__file__).with_name("solver_fixture.json")
@@ -168,6 +171,50 @@ def test_larger_graphs_match_full_rescan_reference(seed):
     idx = g.edge_indices
     assert repr(float(value_solver(inst)([idx])[0])) == repr(value)
     assert cover_solver(inst)(g.realized[None])[0].tobytes() == y.tobytes()
+
+
+def _signed_zero(rng, k):
+    return rng.choice([0.0, -0.0, 0.5, 1.0], k)
+
+
+@pytest.mark.parametrize("family", [*WEIGHT_FAMILIES, "signed_zero"])
+@pytest.mark.parametrize("seed", range(3))
+def test_lockstep_block_matches_reference(family, seed, monkeypatch):
+    # one block mixing rows on both sides of the crossover: empty, a lone
+    # edge, every edge, and random subsets of many densities, so rows end
+    # after different numbers of steps; every small row takes the lockstep,
+    # however few the block holds
+    monkeypatch.setattr(matching, "LOCKSTEP_MIN_ROWS", 1)
+    rng = np.random.default_rng(7000 + seed)
+    draw = WEIGHT_FAMILIES.get(family, _signed_zero)
+    n = int(rng.integers(10, 15))
+    pairs = [(u, v) for u in range(n) for v in range(n) if rng.random() < 0.6]
+    order = rng.permutation(len(pairs))
+    inst = Instance("bipartite", n, tuple(PotentialEdge(*pairs[i], 0.5, float(w))
+                                          for i, w in zip(order, draw(rng, len(pairs)))))
+    m = inst.num_edges
+    block = rng.random((32, m)) < rng.uniform(0.02, 1.0, (32, 1))
+    block[0] = False
+    block[1] = np.arange(m) == rng.integers(m)
+    block[2] = True
+    counts = np.count_nonzero(block, axis=1)
+    assert counts.max() > matching.LOCKSTEP_MAX_EDGES
+    assert np.count_nonzero((counts > 1) & (counts <= matching.LOCKSTEP_MAX_EDGES)) >= 5
+    for row, cover in zip(block, cover_solver(inst)(block)):
+        g = SampledGraph(inst, row)
+        assert cover.tobytes() == _reference(g)[2].tobytes()
+        assert cover.tobytes() == max_weight_matching_bipartite(g)[2].y.tobytes()
+
+
+def test_lockstep_covers_every_star_mask():
+    # all 8,192 support masks of the benchmark's exact mass instance, in
+    # one block, as the wrapper covers each
+    inst = gen_equal_split_star(7, 0.1)
+    m = inst.num_edges
+    block = (np.arange(1 << m)[:, None] >> np.arange(m) & 1).astype(bool)
+    assert np.count_nonzero(block.any(axis=1)) >= matching.LOCKSTEP_MIN_ROWS
+    for row, cover in zip(block, cover_solver(inst)(block)):
+        assert cover.tobytes() == max_weight_matching_bipartite(SampledGraph(inst, row))[2].y.tobytes()
 
 
 def test_fixture_covers_every_family():
