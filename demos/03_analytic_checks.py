@@ -7,8 +7,8 @@ transfer constants), the truncated-series envelope with its 0.476 / 0.467
 story, and the closed-form constants.
 """
 
-from matchgap import (KernelConfig, binomial_max1_kernel, check_unweighted_envelope,
-                      envelope_ratio, general_bound_constant, inv_max_expectation,
+from matchgap import (GENERAL_GRAPH_FLOOR, KernelConfig, binomial_max1_kernel,
+                      check_unweighted_envelope, envelope_ratio, inv_max_expectation,
                       verify_equal_split, verify_kernel_minimizer,
                       weighted_kernel_constant)
 
@@ -51,6 +51,6 @@ print("=" * 70)
 const = weighted_kernel_constant()
 print(f"weighted bipartite floor: 1 - 3/(2e) = {const.closed_form:.12f}")
 print(f"  series evaluation agrees to {abs(const.closed_form - const.series_value):.1e}")
-print(f"weighted general floor: (e^2-1)/(2e^2) = {general_bound_constant():.12f}")
+print(f"weighted general floor: (e^2-1)/(2e^2) = {GENERAL_GRAPH_FLOOR:.12f}")
 print(f"kernel at the degenerate/uniform pair, m=2: "
       f"{inv_max_expectation([1.0, 0.0], [0.5, 0.5]):.6f} = 11/24")

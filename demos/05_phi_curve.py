@@ -8,8 +8,8 @@ integrates to e^2 phi(1) >= (e^2 - 1)/2 * sum w x, which is exactly the
 general-graph floor (e^2 - 1)/(2 e^2).
 """
 
-from matchgap import (check_local_derivative_bound, check_phi_differential,
-                      fractional_value, general_bound_constant, phi_curve, sample)
+from matchgap import (GENERAL_GRAPH_FLOOR, check_local_derivative_bound,
+                      check_phi_differential, fractional_value, phi_curve, sample)
 from matchgap.gallery import gen_random_point
 
 inst = gen_random_point(5, 0.6, seed=3, kind="general")
@@ -32,9 +32,9 @@ for i in range(3):
           f"  margin {rep.min_value:+.4f}")
 
 print()
-rep = check_phi_differential(inst, grid_points=100, mode="exact")
+rep = check_phi_differential(inst, grid_points=100)
 print(f"forward differences of e^(2t) phi vs e^(2t) sum(w x): "
       f"worst margin {rep.min_value:+.4f} at t = {rep.argmin}")
 print(f"endpoint: e^2 phi(1) - (e^2-1)/2 sum(w x) = {rep.details['endpoint_margin']:+.4f}")
 print(f"ratio phi(1)/sum(w x) = {curve[-1, 1] / denom:.4f} "
-      f">= (e^2-1)/(2e^2) = {general_bound_constant():.4f}")
+      f">= (e^2-1)/(2e^2) = {GENERAL_GRAPH_FLOOR:.4f}")

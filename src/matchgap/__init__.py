@@ -12,24 +12,22 @@ grids and instance sweeps.
 
 from .model import (Instance, PotentialEdge, PolytopeReport, OddSetCheckInfeasible,
                     fractional_value, validate_polytope, vertex_loads,
-                    instance_to_dict, instance_from_dict, dump_instance, load_instance)
+                    instance_to_dict, instance_from_dict, dump_instance)
 from .sampling import (SampledGraph, SupportTooLarge, sample, support_probabilities,
                        realization_block, realization_blocks)
 from .matching import (Matching, FractionalVertexCover, MatchingCutoffExceeded,
                        max_weight_matching_bipartite, max_weight_matching_general,
-                       max_cardinality_matching, matching_value,
-                       matching_values_over_subsets)
-from .schemes import (SchemeConfig, MassVector, AuditReport, AuditViolation,
+                       matching_value, matching_values_over_subsets)
+from .schemes import (DEFAULT_TRANSFER, MassVector, AuditReport, AuditViolation,
                       weighted_scheme, unweighted_scheme, audit_masses)
 from .kernels import (KernelConfig, CheckReport, WeightedKernelConstant,
                       poisson_binomial_pmf, poisson_binomial_pmfs, inv_max_expectation,
-                      gain_coefficients, gain_margins, check_gain_ratios,
+                      gain_margins, check_gain_ratios,
                       verify_kernel_minimizer, verify_uniform_minimizer,
-                      verify_equal_split, pair_objective,
-                      poisson_truncated_series, poisson_pair_expectation,
-                      unweighted_envelope, envelope_ratio, check_unweighted_envelope,
+                      verify_equal_split, poisson_truncated_series,
+                      envelope_ratio, check_unweighted_envelope,
                       weighted_kernel_constant, binomial_max1_kernel,
-                      general_bound_constant, check_local_derivative_bound,
+                      check_local_derivative_bound,
                       phi_curve, check_phi_differential,
                       UNWEIGHTED_BIPARTITE_TARGET, UNWEIGHTED_BIPARTITE_CERTIFIED,
                       WEIGHTED_BIPARTITE_FLOOR, GENERAL_GRAPH_FLOOR)

@@ -21,7 +21,7 @@ from .matching import (cover_solver, covers_in_lockstep, matching_values_over_su
 from .model import Instance, fractional_value
 from .sampling import (block_degrees, block_rows, realization_blocks, row_map, sample_values,
                        support_probabilities)
-from .schemes import SchemeConfig, block_edge_masses
+from .schemes import DEFAULT_TRANSFER, block_edge_masses
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -49,16 +49,6 @@ class RatioEstimate:
     samples: int
     seed: Optional[int]
 
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "method": self.method,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
-
     def csv_row(self, instance_id: str) -> list:
         return [instance_id, self.method, repr(self.value), repr(self.ci_low),
                 repr(self.ci_high), self.samples,
@@ -84,20 +74,19 @@ def expected_matching_value(inst: Instance) -> float:
     return float(probs @ matching_values_over_subsets(inst))
 
 
-def mc_ratio(inst: Instance, samples: int, seed: int,
-             start_index: int = 0) -> RatioEstimate:
+def mc_ratio(inst: Instance, samples: int, seed: int) -> RatioEstimate:
     """Monte Carlo ratio estimate from `samples` independent draws.
 
-    Sample i consumes counter stream start_index + i, so the estimate is a
-    pure function of (seed, samples, start_index) no matter how the work
-    is split into blocks or across workers (`sampling.sample_values`).
+    Sample i consumes counter stream i, so the estimate is a pure function
+    of (seed, samples) no matter how the work is split into blocks or
+    across workers (`sampling.sample_values`).
     """
     if samples <= 0:
         raise ValueError("need at least one sample")
     denom = fractional_value(inst)
     if denom <= 0.0:
         raise ZeroDenominator("fractional value is zero; ratio undefined")
-    vals = sample_values(inst, value_solver(inst), seed, start_index, samples)
+    vals = sample_values(inst, value_solver(inst), seed, 0, samples)
     mean = float(vals.mean())
     if samples > 1:
         half = _Z95 * float(vals.std(ddof=1)) / math.sqrt(samples)
@@ -110,8 +99,7 @@ def mc_ratio(inst: Instance, samples: int, seed: int,
 
 # -- per-edge certificates ----------------------------------------------------
 
-def per_edge_masses_exact(inst: Instance, scheme: str = "weighted",
-                          cfg: SchemeConfig = SchemeConfig()) -> np.ndarray:
+def per_edge_masses_exact(inst: Instance, scheme: str = "weighted") -> np.ndarray:
     """Exact E[t_e] for every edge under the chosen scheme: the scheme
     masses of the masks with nonzero probability, weighted by it and
     added in mask order."""
@@ -129,11 +117,11 @@ def per_edge_masses_exact(inst: Instance, scheme: str = "weighted",
     # such a mask holds every edge of x = 1 and half of those of 0 < x < 1
     x = inst.x
     realized = np.count_nonzero(x == 1.0) + 0.5 * np.count_nonzero((x > 0.0) & (x < 1.0))
-    return _scheme_mass_sum(inst, blocks, len(masks), realized, _MASK_CHUNK, scheme, cfg)
+    return _scheme_mass_sum(inst, blocks, len(masks), realized, _MASK_CHUNK, scheme)
 
 
 def _scheme_mass_sum(inst: Instance, blocks, count: int, realized: float, rows: int,
-                     scheme: str, cfg: SchemeConfig) -> np.ndarray:
+                     scheme: str) -> np.ndarray:
     """Per edge, the sum of p * (scheme mass) over rows 0..count-1,
     added row by row in order.  `blocks(first, stop)` yields (realization
     block, p per row) for rows first..stop-1, p None for all ones, in
@@ -143,7 +131,7 @@ def _scheme_mass_sum(inst: Instance, blocks, count: int, realized: float, rows: 
 
     def fill(first, stop):
         for block, p in blocks(first, stop):
-            masses = block_edge_masses(inst, block, cover(block), scheme, cfg)
+            masses = block_edge_masses(inst, block, cover(block), scheme)
             if p is not None:
                 masses *= p[:, None]
             yield masses
@@ -174,8 +162,7 @@ def _incident_edges(inst: Instance) -> list[list[int]]:
     return inc
 
 
-def _deterministic_transfers(inst: Instance, edge: int, c: float,
-                             inc: list[list[int]]) -> float:
+def _deterministic_transfers(inst: Instance, edge: int, inc: list[list[int]]) -> float:
     # a term per edge sharing an endpoint, added one by one in index order;
     # float_power is C pow() like a scalar's ** (an array's ** 2 squares)
     gu, gv = inst.endpoints[edge].tolist()
@@ -183,7 +170,7 @@ def _deterministic_transfers(inst: Instance, edge: int, c: float,
     keep = js != edge
     xe, xj = inst.x[edge], inst.x[js[keep]]
     net = 0.0
-    for term in (shared[keep] * c * (np.float_power(xj, 2) * xe - xe ** 2 * xj)).tolist():
+    for term in (shared[keep] * DEFAULT_TRANSFER * (np.float_power(xj, 2) * xe - xe ** 2 * xj)).tolist():
         net += term
     return net
 
@@ -213,7 +200,7 @@ def _kernel_means_mc(inst: Instance, samples: int, seed: int) -> np.ndarray:
 
 
 def _certificates(inst: Instance, edges: list[int], mode: str, scheme: str, bound: str,
-                  samples: int, seed: int, cfg: SchemeConfig) -> dict[int, float]:
+                  samples: int, seed: int) -> dict[int, float]:
     if inst.kind != "bipartite":
         raise TypeError("per-edge certificates require a bipartite instance")
     if scheme == "unweighted" and not inst.is_unweighted:
@@ -238,20 +225,20 @@ def _certificates(inst: Instance, edges: list[int], mode: str, scheme: str, boun
             raise ValueError(f"unknown mode {mode!r}")
         if scheme == "unweighted":
             x = inst.x.tolist()
-            return {j: base[j] + _deterministic_transfers(inst, j, cfg.c, inc) / x[j]
+            return {j: base[j] + _deterministic_transfers(inst, j, inc) / x[j]
                     for j in edges}
         return base
 
     if bound != "mass":
         raise ValueError(f"unknown bound {bound!r}")
     if mode == "exact":
-        masses = per_edge_masses_exact(inst, scheme, cfg)
+        masses = per_edge_masses_exact(inst, scheme)
     elif mode == "mc":
         def blocks(first, stop):
             return ((b, None) for b in realization_blocks(inst, seed, first, stop - first))
 
         masses = _scheme_mass_sum(inst, blocks, samples, float(inst.x.sum()),
-                                  block_rows(inst, samples), scheme, cfg) / samples
+                                  block_rows(inst, samples), scheme) / samples
     else:
         raise ValueError(f"unknown mode {mode!r}")
     w, x = inst.w.tolist(), inst.x.tolist()
@@ -260,8 +247,7 @@ def _certificates(inst: Instance, edges: list[int], mode: str, scheme: str, boun
 
 def per_edge_certificate(inst: Instance, edge: int, mode: str = "exact",
                          scheme: str = "weighted", bound: str = "mass",
-                         samples: int = 10000, seed: int = 0,
-                         cfg: SchemeConfig = SchemeConfig()) -> float:
+                         samples: int = 10000, seed: int = 0) -> float:
     """Certificate of edge `edge` under a distribution scheme.
 
     bound="mass" returns E[t_e] / (w_e x_e) with the solver's cover, the
@@ -278,20 +264,19 @@ def per_edge_certificate(inst: Instance, edge: int, mode: str = "exact",
         raise IndexError("edge index out of range")
     if inst.x[edge] == 0.0:
         raise ZeroDenominator("edge probability is zero; certificate undefined")
-    return _certificates(inst, [edge], mode, scheme, bound, samples, seed, cfg)[edge]
+    return _certificates(inst, [edge], mode, scheme, bound, samples, seed)[edge]
 
 
 def per_edge_certificates(inst: Instance, mode: str = "exact",
                           scheme: str = "weighted", bound: str = "mass",
-                          samples: int = 10000, seed: int = 0,
-                          cfg: SchemeConfig = SchemeConfig()) -> dict[int, float]:
+                          samples: int = 10000, seed: int = 0) -> dict[int, float]:
     """Certificates of every edge with x_e > 0, keyed by edge index.
 
     Entry j equals ``per_edge_certificate(inst, j, ...)``; one enumeration
     or one pass over the samples serves all edges.
     """
     edges = np.flatnonzero(inst.x > 0).tolist()
-    return _certificates(inst, edges, mode, scheme, bound, samples, seed, cfg)
+    return _certificates(inst, edges, mode, scheme, bound, samples, seed)
 
 
 def ratio_floor(inst: Instance) -> float:

@@ -56,10 +56,11 @@ def gen_karp_sipser(n: int, c: float, kind: str = "general") -> Instance:
     return Instance.from_arrays(kind, n, ends, np.full(len(ends), x), np.ones(len(ends)))
 
 
-def gen_pendant_star(n: int, eps: float, weight_on_edge: float = 1.0) -> Instance:
+def gen_pendant_star(n: int, eps: float) -> Instance:
     """Bipartite pendant star.  Edge 0 is the designated edge (L0, R0) with
     probability eps; L0 also carries (L0, R1) with probability 1 - eps; R0
-    carries n-1 edges of probability (1-eps)/(n-1) from L1..L(n-1)."""
+    carries n-1 edges of probability (1-eps)/(n-1) from L1..L(n-1); unit
+    weights."""
     if n < 2:
         raise ValueError("need n >= 2")
     if not (0.0 < eps <= 1.0):
@@ -70,9 +71,7 @@ def gen_pendant_star(n: int, eps: float, weight_on_edge: float = 1.0) -> Instanc
     ends[2:, 1] = n
     x = np.full(n + 1, (1.0 - eps) / (n - 1))
     x[:2] = [eps, 1.0 - eps]
-    w = np.ones(n + 1)
-    w[0] = weight_on_edge
-    return Instance.from_arrays("bipartite", n, ends, x, w)
+    return Instance.from_arrays("bipartite", n, ends, x, np.ones(n + 1))
 
 
 def gen_equal_split_star(n: int, eps: float) -> Instance:

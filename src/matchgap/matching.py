@@ -468,12 +468,12 @@ def max_weight_matching_general(g: SampledGraph) -> float:
     GENERAL_VERTEX_CUTOFF vertices carry edges, falling back to
     branch-and-bound over edges up to GENERAL_EDGE_CUTOFF edges.
     """
-    return _general_solver(g.instance, g.instance.w)(g.edge_indices)
+    return _general_solver(g.instance)(g.edge_indices)
 
 
-def _general_solver(inst: Instance, w: np.ndarray) -> Callable[[np.ndarray], float]:
-    """Exact search with weights `w`, as a function of the realized edges."""
-    ends = inst.endpoints
+def _general_solver(inst: Instance) -> Callable[[np.ndarray], float]:
+    """Exact search, as a function of the realized edges."""
+    ends, w = inst.endpoints, inst.w
     return lambda idx: _general_value(*_compact(ends[idx].tolist(), w[idx].tolist()))
 
 
@@ -531,15 +531,6 @@ def _nu_edge_branch(edges):
 
     rec(0, 0, 0.0)
     return best
-
-
-def max_cardinality_matching(g: SampledGraph) -> int:
-    """Maximum matching cardinality: degree-1 peeling and augmenting paths
-    for bipartite input, exact search (within cutoffs) for general input."""
-    inst = g.instance
-    if inst.kind == "bipartite":
-        return int(_cardinalities(inst.endpoints, inst.total_vertices, [g.edge_indices])[0])
-    return int(round(_general_solver(inst, np.ones(inst.num_edges))(g.edge_indices)))
 
 
 #: Peeling hands over to augmenting paths once a round matches fewer than
@@ -771,11 +762,7 @@ def value_solver(inst: Instance) -> Callable[[list], np.ndarray]:
         if inst.is_unweighted:
             return partial(_cardinalities, inst.endpoints, inst.total_vertices)
         return partial(_weighted_values, inst, _peel_margin(inst))
-    return _each(_general_solver(inst, inst.w))
-
-
-def _each(solve: Callable[[np.ndarray], float]) -> Callable[[list], np.ndarray]:
-    """A batch solver applying the per-sample `solve` to each sample in order."""
+    solve = _general_solver(inst)
     return lambda idxs: np.fromiter(map(solve, idxs), np.float64, len(idxs))
 
 

@@ -240,14 +240,13 @@ def _vertex_sums(inst: Instance, values: np.ndarray) -> np.ndarray:
 
 
 def validate_polytope(inst: Instance, check_odd_sets: bool = False,
-                      tolerance: float = DEFAULT_TOLERANCE,
-                      odd_set_cutoff: int = ODD_SET_CUTOFF) -> PolytopeReport:
+                      tolerance: float = DEFAULT_TOLERANCE) -> PolytopeReport:
     """Check membership of x in the matching polytope.
 
     Degree constraints (load <= 1 at every vertex) are always checked.
     Odd-set constraints exist only for general instances and are checked
     by exhaustive enumeration over all odd subsets of size >= 3, which is
-    refused above ``odd_set_cutoff`` vertices rather than silently skipped.
+    refused above ``ODD_SET_CUTOFF`` vertices rather than silently skipped.
     """
     loads = vertex_loads(inst)
     bad = np.nonzero(loads > 1.0 + tolerance)[0]
@@ -261,9 +260,9 @@ def validate_polytope(inst: Instance, check_odd_sets: bool = False,
     if check_odd_sets:
         if inst.kind != "general":
             raise ValueError("odd-set constraints only apply to general instances")
-        if inst.n > odd_set_cutoff:
+        if inst.n > ODD_SET_CUTOFF:
             raise OddSetCheckInfeasible(
-                f"odd-set check infeasible: n={inst.n} exceeds cutoff {odd_set_cutoff}")
+                f"odd-set check infeasible: n={inst.n} exceeds cutoff {ODD_SET_CUTOFF}")
         odd_checked = True
         odd_set, odd_load = _first_violating_odd_set(inst, tolerance)
 
@@ -318,7 +317,3 @@ def instance_from_dict(data: dict) -> Instance:
 
 def dump_instance(inst: Instance) -> str:
     return json.dumps(instance_to_dict(inst), sort_keys=True)
-
-
-def load_instance(text: str) -> Instance:
-    return instance_from_dict(json.loads(text))

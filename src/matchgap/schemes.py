@@ -20,18 +20,8 @@ from .matching import FractionalVertexCover
 from .model import Instance, _vertex_sums
 from .sampling import SampledGraph, block_degrees
 
+#: The constant c of the quadratic edge-to-edge payments.
 DEFAULT_TRANSFER = 1.0 / 6.0
-
-
-@dataclass(frozen=True)
-class SchemeConfig:
-    """Transfer constant for the quadratic edge-to-edge payments."""
-
-    c: float = DEFAULT_TRANSFER
-
-    def __post_init__(self):
-        if self.c < 0:
-            raise ValueError("transfer constant must be nonnegative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,29 +59,28 @@ def weighted_scheme(g: SampledGraph, cover: FractionalVertexCover) -> MassVector
     Isolated vertices keep their mass (optimal covers put zero there, but
     the convention avoids dividing by a zero degree).
     """
-    return _one_row(g, cover, "weighted", SchemeConfig())
+    return _one_row(g, cover, "weighted")
 
 
-def unweighted_scheme(g: SampledGraph, cover: FractionalVertexCover,
-                      cfg: SchemeConfig = SchemeConfig()) -> MassVector:
+def unweighted_scheme(g: SampledGraph, cover: FractionalVertexCover) -> MassVector:
     """Weighted scheme plus the deterministic quadratic transfers.
 
     Requires a unit-weight instance.  The transfers run over all pairs of
     adjacent potential edges whether realized or not, so the correction to
     edge e = (u, v) is
         c * sum_{f ~ e} (x_f^2 * x_e - x_e^2 * x_f)
-    summed over potential edges f sharing u or v.
+    summed over potential edges f sharing u or v, with c = DEFAULT_TRANSFER.
     """
-    return _one_row(g, cover, "unweighted", cfg)
+    return _one_row(g, cover, "unweighted")
 
 
-def _one_row(g, cover, scheme, cfg):
-    edge_mass = block_edge_masses(g.instance, g.realized[None], cover.y[None], scheme, cfg)[0]
+def _one_row(g, cover, scheme):
+    edge_mass = block_edge_masses(g.instance, g.realized[None], cover.y[None], scheme)[0]
     return MassVector(np.where(g.degrees == 0, cover.y, 0.0), edge_mass)
 
 
 def block_edge_masses(inst: Instance, block: np.ndarray, covers: np.ndarray,
-                      scheme: str, cfg: SchemeConfig = SchemeConfig()) -> np.ndarray:
+                      scheme: str) -> np.ndarray:
     """Edge masses of the weighted or unweighted scheme, one row per row
     of a realization block; ``covers[k]`` is the optimal cover of row k.
 
@@ -100,7 +89,7 @@ def block_edge_masses(inst: Instance, block: np.ndarray, covers: np.ndarray,
     """
     masses = _spread(inst, block, covers, block_degrees(inst, block))
     if scheme == "unweighted":
-        return masses + cfg.c * _transfers(inst)
+        return masses + DEFAULT_TRANSFER * _transfers(inst)
     if scheme != "weighted":
         raise ValueError(f"unknown scheme {scheme!r}")
     return masses

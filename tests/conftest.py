@@ -6,6 +6,7 @@ outcome, so agreement is meaningful evidence.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -73,6 +74,14 @@ def loop_gain_margins(probs):
         i = np.arange(min(j, len(pmf)))
         g[j - 1] = np.sum(pmf[i] * (1.0 / (1.0 + i) - 1.0 / (1.0 + j)))
     return g, np.array([g[1] / 2.0 - g[j - 1] / j for j in range(3, j_max + 1)])
+
+
+def poisson_pair_expectation(lam, cutoff):
+    """E[1/(1+max(Y,Z))] for Y, Z ~ Poisson(lam), each cut after `cutoff`,
+    summed outcome pair by outcome pair: the oracle for the series P_t."""
+    p = [math.exp(-lam) * lam ** k / math.factorial(k) for k in range(cutoff + 1)]
+    return sum(p[i] * p[j] / (1 + max(i, j))
+               for i in range(cutoff + 1) for j in range(cutoff + 1))
 
 
 def bits(a):

@@ -1,10 +1,15 @@
-"""The names the benchmark's span tracer reaches for still exist.
+"""The benchmark still runs, and still accepts the library's output.
 
 `bench/spans.py` wraps library functions by name (``getattr``) and binds
 the estimate entry points' arguments by parameter name, so deleting or
-renaming one of them breaks only traced benchmark runs.  This test
+renaming one of them breaks only traced benchmark runs.  The first test
 installs the tracer in a fresh interpreter and runs one small traced
 ``mc`` and one small traced exact-mass ``certify`` through the CLI.
+
+`bench/workloads.py` checks each command's output against library calls
+with the same arguments and against `bench/pinned.json`, so a changed
+signature or output byte fails the benchmark.  The second test runs that
+check on every command of the benchmark at pinned seed 0.
 """
 
 import json
@@ -48,3 +53,39 @@ def test_traced_mc_and_certify_run():
     assert layers["estimate.masks"] == 1 << 4
     assert "cli/estimate" in out["paths"]
     assert "cli/gallery" in out["paths"]
+
+
+PINNED_SCRIPT = """
+import contextlib, io, json, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import workloads
+workloads.import_matchgap(Path(sys.argv[2]))
+from matchgap import cli, model
+pinned = workloads.load_pinned()
+problems = {}
+for workload in json.loads(sys.argv[3]):
+    workloads.setup(cli, model, workload, 0)
+    for name, argv in workloads.commands(workload, 0):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            rc = cli.main(argv)
+        problems[workload + "/" + name] = (
+            [f"exit {rc}"] if rc else workloads.check(workload, name, argv, 0, out.getvalue(),
+                                                       pinned))
+print(json.dumps(problems))
+"""
+
+BENCH_WORKLOADS = ["mc_uniform", "mc_weighted", "certify"]
+
+
+def test_benchmark_outputs_match_pinned_seed_0():
+    pinned = json.loads((ROOT / "bench" / "pinned.json").read_text())["0"]
+    proc = subprocess.run([sys.executable, "-c", PINNED_SCRIPT, str(ROOT / "bench"), str(ROOT),
+                           json.dumps(BENCH_WORKLOADS)], cwd=ROOT, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    problems = json.loads(proc.stdout.splitlines()[-1])
+    # every command ran, and each has a pinned output to be compared with
+    assert sorted(problems) == sorted(f"{w}/{n}" for w in BENCH_WORKLOADS for n in pinned[w])
+    assert problems == {key: [] for key in problems}

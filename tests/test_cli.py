@@ -86,6 +86,56 @@ class TestExactAndMc:
         assert "support too large" in err
 
 
+class TestArguments:
+    """Out-of-range seeds and tolerances are usage errors, refused by the parser."""
+
+    def refused(self, capsys, *argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        out = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out.out == ""
+        return out.err
+
+    @pytest.mark.parametrize("argv", [
+        ["mc", "--gen", "karp_sipser", "--kind", "bipartite", "--n", "6", "--samples", "10"],
+        ["gen", "--gen", "random_point", "--n", "3"],
+        ["verify", "--m-max", "0", "--gain-trials", "0", "--derivative-trials", "0"],
+    ])
+    @pytest.mark.parametrize("seed", ["-1", "-2", str(2 ** 64), str(2 ** 70)])
+    def test_seed_outside_64_bits_refused(self, capsys, argv, seed):
+        err = self.refused(capsys, *argv, "--seed", seed)
+        assert f"error: argument --seed: must be an integer in [0, 2**64), got {seed}\n" in err
+
+    def test_largest_seed_runs(self, capsys):
+        code, out, _ = run(capsys, "mc", "--gen", "karp_sipser", "--n", "6", "--samples", "10",
+                           "--seed", str(2 ** 64 - 1))
+        assert code == 0
+        assert json.loads(out)[0]["seed"] == 2 ** 64 - 1
+
+    def test_non_integer_seed_refused(self, capsys):
+        err = self.refused(capsys, "gen", "--gen", "random_point", "--seed", "1.5")
+        assert "error: argument --seed: invalid int value: '1.5'" in err
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1", "-1e-300"])
+    def test_tolerance_must_be_finite_and_non_negative(self, capsys, tolerance):
+        # nan passed every gate (an infeasible c = 1.5 ran); -1 failed feasible c = 0.5
+        for c in ("1.5", "0.5"):
+            err = self.refused(capsys, "mc", "--gen", "karp_sipser", "--kind", "bipartite",
+                               "--n", "10", "--c", c, "--samples", "10",
+                               f"--tolerance={tolerance}")
+            assert (f"error: argument --tolerance: must be finite and non-negative, "
+                    f"got {tolerance}\n") in err
+
+    def test_zero_tolerance_gates_as_before(self, capsys):
+        argv = ["mc", "--gen", "karp_sipser", "--kind", "bipartite", "--n", "10",
+                "--samples", "10", "--tolerance", "0"]
+        assert run(capsys, *argv, "--c", "0.5")[0] == 0
+        code, out, err = run(capsys, *argv, "--c", "1.5")
+        assert (code, out) == (1, "")
+        assert "infeasible instance" in err
+
+
 class TestCertify:
     def test_single_edge_certificate(self, capsys):
         code, out, _ = run(capsys, "certify", "--gen", "pendant_star", "--n", "2",

@@ -7,7 +7,7 @@ from matchgap import (Instance, PotentialEdge, SupportTooLarge, ZeroDenominator,
                       exact_ratio, expected_matching_value, mc_ratio,
                       per_edge_certificate, per_edge_masses_exact, ratio_floor,
                       weighted_kernel_constant)
-from matchgap import (SampledGraph, SchemeConfig, WEIGHTED_BIPARTITE_FLOOR, estimate,
+from matchgap import (DEFAULT_TRANSFER, SampledGraph, WEIGHTED_BIPARTITE_FLOOR, estimate,
                       max_weight_matching_bipartite, per_edge_certificates,
                       per_edge_masses_exact, sample, sampling, support_probabilities,
                       unweighted_scheme, weighted_scheme)
@@ -93,10 +93,10 @@ class TestMcRatio:
         # each of the three solvers (Kuhn, primal-dual, exact search)
         for kind, weighted in (("bipartite", False), ("bipartite", True), ("general", True)):
             inst = gen_random_point(4, 0.7, 4, kind, weighted=weighted)
-            ref = repr(mc_ratio(inst, 300, seed=2).to_dict())
+            ref = repr(mc_ratio(inst, 300, seed=2))
             for rows in (1, 7):
                 monkeypatch.setattr(sampling, "BLOCK_BYTES", rows * 8 * inst.num_edges)
-                assert repr(mc_ratio(inst, 300, seed=2).to_dict()) == ref, (kind, weighted, rows)
+                assert repr(mc_ratio(inst, 300, seed=2)) == ref, (kind, weighted, rows)
             monkeypatch.undo()
 
     def test_seed_stability_karp_sipser(self):
@@ -259,7 +259,7 @@ class TestPerEdgeCertificates:
         # and adds their transfers in edge order
         from matchgap import inv_max_expectation
         inst = gen_random_point(8, 0.7, 21, "bipartite", weighted=False)
-        x, ends, c = inst.x, inst.endpoints, SchemeConfig().c
+        x, ends, c = inst.x, inst.endpoints, DEFAULT_TRANSFER
         weighted = per_edge_certificates(inst, mode, "weighted", "kernel", samples=50, seed=2)
         got = per_edge_certificates(inst, mode, "unweighted", "kernel", samples=50, seed=2)
         for e, cert in got.items():
@@ -279,7 +279,7 @@ class TestPerEdgeCertificates:
         # the per-pair loop that the vectorized terms replaced, on a dense
         # instance whose probabilities include values where the scalar
         # x ** 2 (C pow) and x * x differ in the last bit
-        def per_pair(inst, edge, c, inc):
+        def per_pair(inst, edge, inc):
             x = inst.x
             gu, gv = inst.endpoints[edge].tolist()
             xe = x[edge]
@@ -289,7 +289,7 @@ class TestPerEdgeCertificates:
                 if j == edge:
                     continue
                 shared = (j in at_u) + (j in at_v)
-                net += shared * c * (x[j] ** 2 * xe - xe ** 2 * x[j])
+                net += shared * DEFAULT_TRANSFER * (x[j] ** 2 * xe - xe ** 2 * x[j])
             return net
 
         n = 24
@@ -300,10 +300,9 @@ class TestPerEdgeCertificates:
         for inst in (dense, gen_pendant_star(40, 0.1),
                      gen_random_point(8, 0.7, 21, "bipartite", weighted=False)):
             inc = estimate._incident_edges(inst)
-            for c in (SchemeConfig().c, 0.3):
-                for e in range(inst.num_edges):
-                    assert repr(float(estimate._deterministic_transfers(inst, e, c, inc))) == \
-                        repr(float(per_pair(inst, e, c, inc))), (inst.n, e, c)
+            for e in range(inst.num_edges):
+                assert repr(float(estimate._deterministic_transfers(inst, e, inc))) == \
+                    repr(float(per_pair(inst, e, inc))), (inst.n, e)
 
     def test_unweighted_kernel_includes_transfers(self):
         inst = gen_pendant_star(3, 0.4)  # unit weights

@@ -9,17 +9,22 @@ from matchgap import (GENERAL_GRAPH_FLOOR, KernelConfig, UNWEIGHTED_BIPARTITE_CE
                       UNWEIGHTED_BIPARTITE_TARGET, WEIGHTED_BIPARTITE_FLOOR,
                       binomial_max1_kernel, check_gain_ratios,
                       check_local_derivative_bound, check_phi_differential,
-                      check_unweighted_envelope, envelope_ratio, gain_coefficients,
-                      gain_margins, general_bound_constant, inv_max_expectation, pair_objective,
-                      phi_curve, poisson_binomial_pmf, poisson_binomial_pmfs,
-                      poisson_pair_expectation,
-                      poisson_truncated_series, sample, unweighted_envelope,
+                      check_unweighted_envelope, envelope_ratio, gain_margins,
+                      inv_max_expectation, phi_curve, poisson_binomial_pmf,
+                      poisson_binomial_pmfs, poisson_truncated_series, sample,
                       verify_equal_split, verify_kernel_minimizer,
                       verify_uniform_minimizer, weighted_kernel_constant)
 from matchgap import Instance, PotentialEdge, SampledGraph
 from matchgap.gallery import gen_random_point
+from matchgap.kernels import _gain_table
 
-from conftest import bits, brute_inv_max_expectation, convolve_pmf, loop_gain_margins
+from conftest import (bits, brute_inv_max_expectation, convolve_pmf, loop_gain_margins,
+                      poisson_pair_expectation)
+
+
+def gain_coefficients(probs, j_max):
+    """g_1..g_{j_max} of one Bernoulli vector: a row of the batch table."""
+    return _gain_table(poisson_binomial_pmf(probs)[None, :], j_max)[0]
 
 
 class TestPoissonBinomial:
@@ -119,7 +124,7 @@ class TestGainCoefficients:
         assert report.passed
 
     def test_check_certain_single(self):
-        report = check_gain_ratios([1.0, 0.0, 0.0], j_max=3)
+        report = check_gain_ratios([1.0, 0.0, 0.0])
         assert report.passed
 
     def test_requires_mean_one(self):
@@ -129,11 +134,6 @@ class TestGainCoefficients:
     def test_mean_one_refused_per_row(self):
         with pytest.raises(ValueError, match="mean 1, got 0.8"):
             gain_margins([[0.5, 0.5], [0.4, 0.4], [0.3, 0.3]])
-
-    def test_j_max_below_three_has_no_margin(self):
-        report = check_gain_ratios([1.0, 0.0], j_max=2)
-        assert (report.min_value, report.argmin, report.passed) == (math.inf, None, True)
-        assert report.details["g"] == gain_coefficients([1.0, 0.0], 2).tolist()
 
     @pytest.mark.parametrize("seed", range(32))
     def test_batched_margins_equal_per_vector_loop_bitwise(self, seed):
@@ -212,11 +212,6 @@ class TestEqualSplit:
     def test_m2_standard(self):
         assert verify_equal_split(0.5, 2, 0.05).passed
 
-    def test_symmetry_of_objective(self):
-        v1 = pair_objective(0.4, [0.1, 0.3], [0.2, 0.2], 1 / 6)
-        v2 = pair_objective(0.4, [0.3, 0.1], [0.2, 0.2], 1 / 6)
-        assert v1 == pytest.approx(v2, abs=1e-15)
-
     def test_small_c_breaks_minimality(self):
         # with no quadratic penalty, concentration beats the equal split
         assert not verify_equal_split(0.3, 2, 0.05, c=0.0).passed
@@ -249,8 +244,9 @@ class TestTruncatedSeries:
 
 class TestEnvelope:
     def test_endpoints(self):
-        assert unweighted_envelope(1.0) == pytest.approx(2 / 3)
-        assert unweighted_envelope(0.0) == 0.0
+        # the envelope x P_t(x) - x^2/3 is 2/3 at x = 1; its ratio at x = 0 is P_t(0)
+        assert envelope_ratio(1.0) == pytest.approx(2 / 3)
+        assert envelope_ratio(0.0) == poisson_truncated_series(0.0)
 
     def test_grid_minimum_location_and_floors(self):
         report = check_unweighted_envelope(KernelConfig())
@@ -263,8 +259,8 @@ class TestEnvelope:
 
     def test_ratio_consistent_with_envelope(self):
         for x in (0.1, 0.5, 0.9):
-            assert envelope_ratio(x) == pytest.approx(unweighted_envelope(x) / x,
-                                                      abs=1e-12)
+            envelope = x * poisson_truncated_series(x) - x ** 2 / 3.0
+            assert envelope_ratio(x) == pytest.approx(envelope / x, abs=1e-12)
 
 
 class TestConstants:
@@ -280,14 +276,14 @@ class TestConstants:
         assert abs(vals[-1] - WEIGHTED_BIPARTITE_FLOOR) < 5e-3
 
     def test_general_constant(self):
-        c = general_bound_constant()
+        c = GENERAL_GRAPH_FLOOR
         assert c == pytest.approx((math.e ** 2 - 1) / (2 * math.e ** 2), abs=0)
         assert c >= 0.4323
 
     def test_general_constant_equals_integral(self):
         scipy_integrate = pytest.importorskip("scipy.integrate")
         val, _ = scipy_integrate.quad(lambda t: math.exp(2 * t), 0, 1)
-        assert general_bound_constant() == pytest.approx(val / math.e ** 2, abs=1e-10)
+        assert GENERAL_GRAPH_FLOOR == pytest.approx(val / math.e ** 2, abs=1e-10)
 
     def test_floor_ordering(self):
         assert (GENERAL_GRAPH_FLOOR < WEIGHTED_BIPARTITE_FLOOR

@@ -8,8 +8,7 @@ import pytest
 
 from matchgap import (Instance, MatchingCutoffExceeded, PotentialEdge, SampledGraph,
                       matching_value, matching_values_over_subsets,
-                      max_cardinality_matching, max_weight_matching_bipartite,
-                      max_weight_matching_general, sample)
+                      max_weight_matching_bipartite, max_weight_matching_general, sample)
 from matchgap import matching, phi_curve
 from matchgap.gallery import gen_random_point
 from matchgap.matching import value_solver
@@ -162,12 +161,12 @@ class TestCardinality:
     def test_disjoint_edges(self):
         edges = tuple(PotentialEdge(i, i, 1.0, 1.0) for i in range(4))
         inst = Instance("bipartite", 4, edges)
-        assert max_cardinality_matching(realized_all(inst)) == 4
+        assert matching_value(realized_all(inst)) == 4
 
     def test_star(self):
         edges = tuple(PotentialEdge(0, v, 1.0, 1.0) for v in range(4))
         inst = Instance("bipartite", 4, edges)
-        assert max_cardinality_matching(realized_all(inst)) == 1
+        assert matching_value(realized_all(inst)) == 1
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_4x4_vs_brute(self, seed):
@@ -179,10 +178,10 @@ class TestCardinality:
             return
         inst = Instance("bipartite", 4, tuple(edges))
         g = realized_all(inst)
-        assert max_cardinality_matching(g) == int(brute_matching_value(g.instance, g.realized))
+        assert matching_value(g) == brute_matching_value(g.instance, g.realized)
 
     def test_general_triangle(self):
-        assert max_cardinality_matching(realized_all(cycle_instance(3))) == 1
+        assert matching_value(realized_all(cycle_instance(3))) == 1
 
     @pytest.mark.parametrize("start", ["left", "right"])
     @pytest.mark.parametrize("order", ["forward", "reversed"])
@@ -199,8 +198,7 @@ class TestCardinality:
         if order == "reversed":
             edges.reverse()
         g = realized_all(Instance("bipartite", n, tuple(edges)))
-        assert max_cardinality_matching(g) == n
-        assert matching_value(g) == float(n)
+        assert matching_value(g) == n
 
 
 def bipartite_instance(n, pairs):
@@ -271,14 +269,14 @@ class TestPeeler:
         inst = bipartite_instance(k, [(i, i) for i in range(k)]
                                   + [((i + 1) % k, i) for i in range(k)])
         self.check(inst, [np.arange(inst.num_edges)])
-        assert max_cardinality_matching(realized_all(inst)) == k
+        assert matching_value(realized_all(inst)) == k
         assert set(sizes) == {2 * k}
 
     def test_complete_3_3_goes_whole_to_augmenting_paths(self, monkeypatch):
         sizes = self.kuhn_sizes(monkeypatch)
         inst = bipartite_instance(3, itertools.product(range(3), range(3)))
         self.check(inst, [np.arange(9)])
-        assert max_cardinality_matching(realized_all(inst)) == 3
+        assert matching_value(realized_all(inst)) == 3
         assert set(sizes) == {9}
 
     def test_leaves_only(self, monkeypatch):
@@ -324,7 +322,7 @@ class TestPeeler:
         inst = Instance.from_arrays("bipartite", n, ends, np.ones(len(ends)), np.ones(len(ends)))
         g = realized_all(inst)
         t = time.perf_counter()
-        assert max_cardinality_matching(g) == n
+        assert matching_value(g) == n
         assert time.perf_counter() - t < 1.0
 
 

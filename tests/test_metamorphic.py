@@ -13,7 +13,7 @@ with a relative tolerance; cardinalities are compared exactly.
 import numpy as np
 import pytest
 
-from matchgap import (Instance, PotentialEdge, SampledGraph, max_cardinality_matching,
+from matchgap import (Instance, PotentialEdge, SampledGraph, matching_value,
                       max_weight_matching_bipartite, max_weight_matching_general)
 
 from conftest import brute_matching_value
@@ -22,7 +22,7 @@ REL = 1e-12
 
 SOLVERS = {
     "primal_dual": ("bipartite", True, lambda g: max_weight_matching_bipartite(g)[1]),
-    "kuhn": ("bipartite", False, lambda g: float(max_cardinality_matching(g))),
+    "kuhn": ("bipartite", False, matching_value),
     "general": ("general", True, max_weight_matching_general),
 }
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matchgap import (Instance, OddSetCheckInfeasible, PotentialEdge, dump_instance,
-                      fractional_value, instance_from_dict, load_instance, mc_ratio,
+                      fractional_value, instance_from_dict, mc_ratio,
                       validate_polytope, vertex_loads)
 from matchgap.cli import main
 from matchgap.gallery import gen_karp_sipser, gen_pendant_star, gen_random_point
@@ -262,7 +262,7 @@ class TestPolytope:
 class TestJson:
     def test_round_trip(self):
         inst = gen_pendant_star(4, 0.25)
-        again = load_instance(dump_instance(inst))
+        again = instance_from_dict(json.loads(dump_instance(inst)))
         assert again == inst
 
     def test_missing_weight_defaults_to_one(self):

@@ -164,8 +164,7 @@ class TestSampleValuesSplit:
         outputs = []
         for workers in (1, 2, 3):
             self.cpus(monkeypatch, workers)
-            outputs.append([repr(mc_ratio(inst, 301, seed=2, start_index=5).to_dict())
-                            for inst in insts]
+            outputs.append([repr(mc_ratio(inst, 301, seed=2)) for inst in insts]
                            + [phi_curve(insts[1], 4, "mc", samples=101, seed=3).tobytes()])
         assert outputs[1] == outputs[0]
         assert outputs[2] == outputs[0]
@@ -180,8 +179,7 @@ class TestSampleValuesSplit:
         insts = [gen_random_point(4, 0.7, 4, "bipartite", weighted=w) for w in (False, True)]
 
         def run():
-            return ([repr(mc_ratio(inst, 301, seed=2, start_index=5).to_dict())
-                     for inst in insts]
+            return ([repr(mc_ratio(inst, 301, seed=2)) for inst in insts]
                     + [phi_curve(inst, 4, "mc", samples=101, seed=3).tobytes()
                        for inst in insts])
 
@@ -241,24 +239,24 @@ class TestSampleValuesSplit:
 
     def test_serial_path(self, monkeypatch, forks):
         inst = gen_random_point(4, 0.7, 4, "bipartite")
-        ref = repr(mc_ratio(inst, 200, seed=2).to_dict())
+        ref = repr(mc_ratio(inst, 200, seed=2))
         self.cpus(monkeypatch, 2)
-        assert repr(mc_ratio(inst, 200, seed=2).to_dict()) == ref  # too small
+        assert repr(mc_ratio(inst, 200, seed=2)) == ref  # too small
         monkeypatch.setattr(sampling, "SPLIT_MIN_WORK", 0)
         self.cpus(monkeypatch, 1)
-        assert repr(mc_ratio(inst, 200, seed=2).to_dict()) == ref  # one CPU
+        assert repr(mc_ratio(inst, 200, seed=2)) == ref  # one CPU
         self.cpus(monkeypatch, 2)
         stop = threading.Event()
         other = threading.Thread(target=stop.wait)
         other.start()
         try:
-            assert repr(mc_ratio(inst, 200, seed=2).to_dict()) == ref  # another thread
+            assert repr(mc_ratio(inst, 200, seed=2)) == ref  # another thread
         finally:
             stop.set()
             other.join(timeout=10)
         assert not other.is_alive()
         monkeypatch.delattr(os, "fork")
-        assert repr(mc_ratio(inst, 200, seed=2).to_dict()) == ref  # no fork
+        assert repr(mc_ratio(inst, 200, seed=2)) == ref  # no fork
         assert forks == []
 
 

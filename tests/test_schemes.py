@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from matchgap import (FractionalVertexCover, Instance, PotentialEdge, SampledGraph,
-                      SchemeConfig, audit_masses, max_weight_matching_bipartite,
+from matchgap import (DEFAULT_TRANSFER, FractionalVertexCover, Instance, PotentialEdge,
+                      SampledGraph, audit_masses, max_weight_matching_bipartite,
                       sample, unweighted_scheme, weighted_scheme)
 from matchgap.gallery import gen_random_point
 
@@ -71,12 +71,12 @@ class TestUnweightedScheme:
     def test_pairwise_transfer_formula(self):
         # edge with x = eps adjacent to one edge with x = 1 - eps:
         # net income c * (eps (1-eps)^2 - eps^2 (1-eps))
-        eps, c = 0.2, 1 / 6
+        eps, c = 0.2, DEFAULT_TRANSFER
         inst = Instance("bipartite", 2, (PotentialEdge(0, 0, eps, 1.0),
                                          PotentialEdge(0, 1, 1 - eps, 1.0)))
         g = SampledGraph(inst, np.array([False, False]))
         cover = FractionalVertexCover(np.zeros(4))
-        t = unweighted_scheme(g, cover, SchemeConfig(c=c))
+        t = unweighted_scheme(g, cover)
         expect = c * (eps * (1 - eps) ** 2 - eps ** 2 * (1 - eps))
         assert t.edge_mass[0] == pytest.approx(expect, abs=1e-15)
         assert t.edge_mass[1] == pytest.approx(-expect, abs=1e-15)
