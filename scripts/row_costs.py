@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Cost of `sampling.row_map` rows in edge draws, the unit of the split
-rule, and of a cover row on each path of `matching.cover_solver`.
+rule, and of a cover block on each path of `matching.cover_solver`.
 
 Times, best of five each, the mass-certificate rows (cover plus scheme
 masses) and the kernel-MC rows of a few instances, and the draw itself
@@ -10,21 +10,21 @@ Monte Carlo cases have their own draws taken out, exact cases the
 split rule's m draws a row.  Prints per case the cover cost per
 realized edge, and per instance the kernel cost per (sample, edge)
 beyond its draw, then the medians, which ``sampling.SPLIT_MIN_WORK``'s
-comment records: the cover's apart for the cases whose rows are expected
-to take the lockstep (``matching.covers_in_lockstep``) and the others.
+comment records: the cover's apart for the cases whose blocks hold at
+least ``matching.LOCKSTEP_MIN_ROWS`` rows, which take the lockstep, and
+the others (the rule of `estimate._scheme_mass_sum`).
 
-Then, per instance and realized-edge count, the cover cost per row of
-each path, the two timed alternately, best of seven each: up to 256
-rows of that count (masks for the exact case, samples otherwise) solved
-as one block by `_lockstep` and one by one by `_primal_dual`.
-``matching.LOCKSTEP_MAX_EDGES`` is the largest count measured on a full
-256-row block such that, on every full block of at most that count, the
-lockstep is the cheaper path.  Last, at counts up to that crossover,
-the ratio of the two paths' costs on blocks of 8 to 256 such rows: the
-least block whose ratio is below 1 at every count is
-``LOCKSTEP_MIN_ROWS``.  Both move with timing noise from run to run, so
-take the least crossover and the largest block of a few runs.  Run it
-on one CPU, so no map is split:
+Then, per instance and block size from 8 to 256 rows, the cost of the
+lockstep over that of solving one by one, on the instance's own blocks:
+its realization blocks, or its support-mask chunks from the middle of
+the support on (the first chunks hold only the low edges), each cut
+into blocks of that many nonempty rows, ROWS rows in all, and solved on
+each path, the two timed alternately, best of seven each.  A size that
+none of an instance's blocks reaches prints "-": its covers never meet
+that choice.  ``matching.LOCKSTEP_MIN_ROWS`` is the least size whose
+ratio is below 1 on every instance that reaches it.  It moves with
+timing noise from run to run, so take the largest of a few runs.  Run
+it on one CPU, so no map is split:
 
     PYTHONPATH=src taskset -c 0 python scripts/row_costs.py
 """
@@ -41,9 +41,7 @@ from matchgap.gallery import (gen_equal_split_star, gen_karp_sipser, gen_pendant
                               gen_random_point)
 from matchgap.sampling import block_rows, realization_blocks, support_probabilities
 
-COUNTS = (1, 2, 3, 4, 6, 8, 12, 16, 20, 24, 32, 40, 48, 64)  # realized edges a row
-ROWS = 256     # rows of one count solved as one block
-SAMPLES = 20000  # samples searched for rows of each count
+ROWS = 512  # nonempty rows of an instance timed at every block size
 BLOCKS = (8, 16, 32, 64, 128, 256)
 
 DRAW_INSTANCE = gen_karp_sipser(200, 1.0, "bipartite")
@@ -85,11 +83,11 @@ def main() -> None:
             if samples is None:  # the split rule's m draws a row stand for its mask
                 rows, own = np.count_nonzero(support_probabilities(inst)), m
                 realized = np.count_nonzero(x == 1.0) + 0.5 * np.count_nonzero((x > 0) & (x < 1))
-                lockstep = matching.covers_in_lockstep(realized, min(rows, estimate._MASK_CHUNK))
+                lockstep = min(rows, estimate._MASK_CHUNK) >= matching.LOCKSTEP_MIN_ROWS
                 t = best(lambda: estimate.per_edge_masses_exact(inst, scheme))
             else:
                 rows, own, realized = samples, 0, float(x.sum())
-                lockstep = matching.covers_in_lockstep(realized, block_rows(inst, samples))
+                lockstep = block_rows(inst, samples) >= matching.LOCKSTEP_MIN_ROWS
                 t = best(lambda: estimate.per_edge_certificates(
                     inst, "mc", scheme, "mass", samples=samples, seed=0))
                 t -= drawn(inst, samples)
@@ -112,68 +110,65 @@ def main() -> None:
     paths()
 
 
-def rows_by_count(inst, samples) -> dict:
-    """Up to ROWS rows of each count in COUNTS: support masks of nonzero
-    probability when `samples` is None, else the first SAMPLES samples."""
+def own_blocks(inst, samples, size: int) -> list:
+    """Blocks of `size` nonempty rows, ROWS rows in all or fewer, cut from
+    the blocks that the mass certificate of `inst` hands `cover_solver`:
+    its support-mask chunks from the middle of the support on when
+    `samples` is None, else its realization blocks of `samples` samples."""
     if samples is None:
         masks = np.flatnonzero(support_probabilities(inst))
-        blocks = [(masks[:, None] & (1 << np.arange(inst.num_edges))) != 0]
+        masks = masks[len(masks) // 2:]
+        chunk, bits = estimate._MASK_CHUNK, 1 << np.arange(inst.num_edges)
+        blocks = ((masks[k:k + chunk, None] & bits) != 0 for k in range(0, len(masks), chunk))
     else:
-        blocks = realization_blocks(inst, 0, 0, SAMPLES)
-    found = {c: [] for c in COUNTS}
+        blocks = realization_blocks(inst, 0, 0, samples)
+    out = []
     for block in blocks:
-        count = np.count_nonzero(block, axis=1)
-        for c in COUNTS:
-            want = ROWS - sum(map(len, found[c]))
-            if want > 0:
-                found[c].append(block[count == c][:want].copy())
-    return {c: np.concatenate(rows) for c, rows in found.items()
-            if sum(map(len, rows)) >= max(BLOCKS[0], 16)}
+        rows = block[block.any(axis=1)]
+        out += [rows[k:k + size] for k in range(0, len(rows) - size + 1, size)]
+        if len(out) * size >= ROWS:
+            break
+    return out[:ROWS // size]
 
 
-def path_costs(inst, rows, tries: int = 7) -> tuple[float, float]:
-    """Seconds per row of `cover_solver` on the block `rows`, all of it on
-    the lockstep path and all one by one, best of `tries` each, the two
-    timed alternately so that both see the same drift."""
-    saved = matching.LOCKSTEP_MAX_EDGES, matching.LOCKSTEP_MIN_ROWS
+def path_costs(inst, blocks: list, tries: int = 7) -> tuple[float, float]:
+    """Seconds of `cover_solver` on `blocks`, every block on the lockstep
+    path and every row one by one, best of `tries` each, the two timed
+    alternately so that both see the same drift."""
+    saved = matching.LOCKSTEP_MIN_ROWS
     times = ([], [])
     try:
         for _ in range(tries):
-            for limits, out in zip(((inst.num_edges, 1), (-1, 1)), times):
-                matching.LOCKSTEP_MAX_EDGES, matching.LOCKSTEP_MIN_ROWS = limits
+            for min_rows, out in zip((1, len(blocks[0]) + 1), times):
+                matching.LOCKSTEP_MIN_ROWS = min_rows
                 cover = matching.cover_solver(inst)
                 start = time.perf_counter()
-                cover(rows)
+                for block in blocks:
+                    cover(block)
                 out.append(time.perf_counter() - start)
     finally:
-        matching.LOCKSTEP_MAX_EDGES, matching.LOCKSTEP_MIN_ROWS = saved
-    return min(times[0]) / len(rows), min(times[1]) / len(rows)
+        matching.LOCKSTEP_MIN_ROWS = saved
+    return min(times[0]), min(times[1])
 
 
 def paths() -> None:
-    print("cover per row by realized edges (us): count rows lockstep per-row")
-    table, full = {}, []  # full: (count, lockstep cheaper) per full block
+    print("lockstep / one-by-one cost by block size (rows): "
+          + " ".join(f"{size:5d}" for size in BLOCKS))
+    below = {size: [] for size in BLOCKS}  # per size, ratio below 1 per instance
     for label, inst, samples in CASES:
-        table[label] = rows_by_count(inst, samples)
-        for c, rows in table[label].items():
-            lock, alone = path_costs(inst, rows)
-            print(f"paths  {label:28s} {c:3d} {len(rows):4d} {lock * 1e6:8.1f} {alone * 1e6:8.1f}")
-            if len(rows) == ROWS:
-                full.append((c, lock < alone))
-    crossover = max([0, *(c for c, _ in full if all(ok for k, ok in full if k <= c))])
-    print(f"crossover (LOCKSTEP_MAX_EDGES): {crossover}")
-    print("lockstep / per-row cost by block size, counts up to the crossover:")
-    least = BLOCKS[0]
-    for label, inst, _ in CASES:
-        for c, rows in table[label].items():
-            if c > crossover or len(rows) < ROWS:
+        cells, realized = [], []
+        for size in BLOCKS:
+            blocks = own_blocks(inst, samples, size)
+            if not blocks:
+                cells.append("    -")
                 continue
-            ratios = [lock / alone for lock, alone in (path_costs(inst, rows[:size])
-                                                      for size in BLOCKS)]
-            print(f"blocks {label:28s} {c:3d} " + " ".join(f"{r:5.2f}" for r in ratios))
-            cheaper = [size for size, r in zip(BLOCKS, ratios) if r < 1.0]
-            least = max(least, cheaper[0] if cheaper else BLOCKS[-1])
-    print(f"least block (LOCKSTEP_MIN_ROWS): {least}")
+            lock, alone = path_costs(inst, blocks)
+            below[size].append(lock < alone)
+            cells.append(f"{lock / alone:5.2f}")
+            realized += [np.count_nonzero(b) / len(b) for b in blocks]
+        print(f"blocks {label:28s} {np.mean(realized):5.1f} edges a row  " + " ".join(cells))
+    least = [size for size in BLOCKS if below[size] and all(below[size])]
+    print(f"least block (LOCKSTEP_MIN_ROWS): {least[0] if least else 'none'}")
 
 
 if __name__ == "__main__":

@@ -25,6 +25,7 @@ from .model import (Instance, dump_instance, fractional_value, instance_from_dic
                     validate_polytope)
 from .rng import uniform_block
 from .sampling import BLOCK_BYTES, SupportTooLarge, sample
+from .schemes import DEFAULT_TRANSFER
 
 
 def _write(args, text: str) -> None:
@@ -159,14 +160,15 @@ def _cmd_phi(args) -> int:
     return 0
 
 
-def run_verify_suite(cfg: KernelConfig = KernelConfig(), c: float = 1.0 / 6.0,
+def run_verify_suite(cfg: KernelConfig = KernelConfig(), c: float = DEFAULT_TRANSFER,
                      bern_grid_step: float = 0.05, m_max: int = 4,
                      gain_trials: int = 2000, derivative_trials: int = 100,
                      tolerance: float = 1e-9, seed: int = 0) -> list[CheckReport]:
     """Run every analytic check and return the reports.
 
     `m_max`, `gain_trials` and `derivative_trials` must be non-negative;
-    zero skips the checks they size.
+    zero skips the checks they size.  Seeds derived from `seed` wrap
+    modulo 2**64, the range of a counter stream's seed.
     """
     for name, count in (("m_max", m_max), ("gain_trials", gain_trials),
                         ("derivative_trials", derivative_trials)):
@@ -208,12 +210,14 @@ def run_verify_suite(cfg: KernelConfig = KernelConfig(), c: float = 1.0 / 6.0,
     ))
 
     def derivative_check(k):
-        inst = gallery.gen_random_point(2 + k % 5, 0.6, seed * 100003 + k, "general")
-        return kernels.check_local_derivative_bound(sample(inst, seed + 1, k), tolerance)
+        inst = gallery.gen_random_point(2 + k % 5, 0.6, (seed * 100003 + k) % (1 << 64),
+                                        "general")
+        return kernels.check_local_derivative_bound(sample(inst, (seed + 1) % (1 << 64), k),
+                                                    tolerance)
 
     reports += _worst(map(derivative_check, range(derivative_trials)), derivative_trials, seed)
 
-    phi_inst = gallery.gen_random_point(4, 0.5, seed + 7, "general")
+    phi_inst = gallery.gen_random_point(4, 0.5, (seed + 7) % (1 << 64), "general")
     if phi_inst.num_edges > 0 and fractional_value(phi_inst) > 0:
         reports.append(kernels.check_phi_differential(phi_inst, grid_points=50,
                                                       tolerance=tolerance))
@@ -285,7 +289,7 @@ def _cmd_report(args) -> int:
             ("general", False, kernels.GENERAL_GRAPH_FLOOR, "general_weighted")):
         worst = None
         for k in range(args.instances):
-            inst = gallery.gen_random_point(2 + k % 4, 0.6, args.seed * 7919 + k,
+            inst = gallery.gen_random_point(2 + k % 4, 0.6, (args.seed * 7919 + k) % (1 << 64),
                                             kind, weighted=not unweighted)
             if inst.num_edges == 0 or fractional_value(inst) <= 0:
                 continue
@@ -384,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the analytic check suite")
     common(p_verify, instance_input=False)
-    p_verify.add_argument("--c", type=float, default=1.0 / 6.0)
+    p_verify.add_argument("--c", type=float, default=DEFAULT_TRANSFER)
     p_verify.add_argument("--grid-step", type=float, default=0.05)
     p_verify.add_argument("--envelope-step", type=float, default=1e-3)
     p_verify.add_argument("--m-max", type=int, default=4,

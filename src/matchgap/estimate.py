@@ -16,12 +16,12 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .matching import (cover_solver, covers_in_lockstep, matching_values_over_subsets,
+from .matching import (LOCKSTEP_MIN_ROWS, cover_solver, matching_values_over_subsets,
                        value_solver)
 from .model import Instance, fractional_value
 from .sampling import (block_degrees, block_rows, realization_blocks, row_map, sample_values,
                        support_probabilities)
-from .schemes import DEFAULT_TRANSFER, block_edge_masses
+from .schemes import DEFAULT_TRANSFER, _transfers, block_edge_masses
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -140,7 +140,7 @@ def _scheme_mass_sum(inst: Instance, blocks, count: int, realized: float, rows: 
     acc = np.zeros(m, dtype=np.float64)
     # a cover row's cost in draws per realized edge, as measured for
     # `sampling.SPLIT_MIN_WORK`: lower where the rows go through the lockstep
-    draws = 280 if covers_in_lockstep(realized, min(rows, count)) else 870
+    draws = 280 if min(rows, count) >= LOCKSTEP_MIN_ROWS else 870
     for piece in row_map(fill, count, m, count * (m + draws * realized)):
         acc = _add_rows(acc, piece)
     return acc
@@ -160,19 +160,6 @@ def _incident_edges(inst: Instance) -> list[list[int]]:
         inc[a].append(j)
         inc[b].append(j)
     return inc
-
-
-def _deterministic_transfers(inst: Instance, edge: int, inc: list[list[int]]) -> float:
-    # a term per edge sharing an endpoint, added one by one in index order;
-    # float_power is C pow() like a scalar's ** (an array's ** 2 squares)
-    gu, gv = inst.endpoints[edge].tolist()
-    js, shared = np.unique(inc[gu] + inc[gv], return_counts=True)
-    keep = js != edge
-    xe, xj = inst.x[edge], inst.x[js[keep]]
-    net = 0.0
-    for term in (shared[keep] * DEFAULT_TRANSFER * (np.float_power(xj, 2) * xe - xe ** 2 * xj)).tolist():
-        net += term
-    return net
 
 
 def _kernel_means_mc(inst: Instance, samples: int, seed: int) -> np.ndarray:
@@ -209,11 +196,10 @@ def _certificates(inst: Instance, edges: list[int], mode: str, scheme: str, boun
         raise ValueError("need at least one sample")
 
     if bound == "kernel":
-        if mode == "exact" or scheme == "unweighted":
-            inc = _incident_edges(inst)
         if mode == "exact":
             # Conditional on e being realized, the two endpoint degrees are
             # 1 + independent Poisson-binomial sums of the other incident edges.
+            inc = _incident_edges(inst)
             ends, x = inst.endpoints.tolist(), inst.x.tolist()
             base = {j: kernels.inv_max_expectation([x[k] for k in inc[ends[j][0]] if k != j],
                                                    [x[k] for k in inc[ends[j][1]] if k != j])
@@ -224,9 +210,8 @@ def _certificates(inst: Instance, edges: list[int], mode: str, scheme: str, boun
         else:
             raise ValueError(f"unknown mode {mode!r}")
         if scheme == "unweighted":
-            x = inst.x.tolist()
-            return {j: base[j] + _deterministic_transfers(inst, j, inc) / x[j]
-                    for j in edges}
+            x, moved = inst.x.tolist(), (DEFAULT_TRANSFER * _transfers(inst)).tolist()
+            return {j: base[j] + moved[j] / x[j] for j in edges}
         return base
 
     if bound != "mass":

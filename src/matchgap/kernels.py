@@ -31,6 +31,7 @@ import numpy as np
 from .matching import matching_values_over_subsets, max_weight_matching_general, value_solver
 from .model import Instance, fractional_value
 from .sampling import SampledGraph, sample_values, support_probabilities
+from .schemes import DEFAULT_TRANSFER
 
 #: Floors certified by the three main bounds.  The advertised unweighted
 #: floor 0.476 equals the x -> 0 endpoint of the envelope; the envelope's
@@ -196,19 +197,22 @@ def check_gain_ratios(probs: Sequence[float], tolerance: float = 1e-9) -> CheckR
 # -- grid sweeps over Bernoulli vectors --------------------------------------
 
 def _unit_partitions(total: int, parts: int, cap: int):
-    """Nonincreasing tuples of `parts` integers in [0, cap] summing to total."""
+    """Nonincreasing tuples of `parts` integers in [0, cap] summing to total,
+    in decreasing lexicographic order."""
     out = []
-
-    def rec(prefix, remaining, slots, bound):
-        if slots == 0:
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
-        low = -(-remaining // slots)  # ceil: keep nonincreasing order feasible
-        for v in range(min(bound, remaining), low - 1, -1):
-            rec(prefix + [v], remaining - v, slots - 1, v)
-
-    rec([], total, parts, cap)
+    # depth first on an explicit stack of (prefix, remaining, bound): a
+    # prefix's extensions are pushed smallest part first, so the largest
+    # comes off first
+    stack = [((), total, cap)]
+    while stack:
+        prefix, remaining, bound = stack.pop()
+        slots = parts - len(prefix)
+        if remaining == 0:
+            out.append(prefix + (0,) * slots)
+        elif slots > 0:
+            low = -(-remaining // slots)  # ceil: keep nonincreasing order feasible
+            stack.extend((prefix + (v,), remaining - v, v)
+                         for v in range(low, min(bound, remaining) + 1))
     return out
 
 
@@ -288,7 +292,7 @@ def verify_uniform_minimizer(m: int, grid_step: float = 0.05,
 
 
 def verify_equal_split(x0: float, m: int, grid_step: float = 0.05,
-                       c: float = 1.0 / 6.0, tolerance: float = 1e-9) -> CheckReport:
+                       c: float = DEFAULT_TRANSFER, tolerance: float = 1e-9) -> CheckReport:
     """Sweep the pair objective
         x0 E[1/(1+max(Y,Z))] + c sum_i (x0 y_i^2 - x0^2 y_i) + same in z
     on a grid with sum(y), sum(z) <= 1 - x0 and

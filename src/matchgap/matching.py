@@ -12,10 +12,10 @@ that shifts a leaf's weight onto its centre's other edges, with the
 primal-dual for the samples peeling leaves unsolved or cannot decide
 beyond its tolerance, so the values are the primal-dual's bits.
 The covers of the mass certificates are found a realization block at a
-time (`cover_solver`): the rows of at most ``LOCKSTEP_MAX_EDGES``
-realized edges run the primal-dual in lockstep over their disjoint
-union (`_lockstep`), larger ones go to `_primal_dual` one by one, and
-every cover is the per-sample core's bits.
+time (`cover_solver`): a block of at least ``LOCKSTEP_MIN_ROWS``
+nonempty rows runs the primal-dual in lockstep over their disjoint
+union (`_lockstep`), a smaller one goes to `_primal_dual` row by row,
+and every cover is the per-sample core's bits.
 General graphs get exhaustive search, exact at small sizes only.
 
 `matching_values_over_subsets` evaluates the maximum matching weight of
@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .model import Instance
-from .sampling import SUPPORT_CUTOFF, SampledGraph
+from .sampling import SampledGraph, check_support
 
 #: Exact general search accepts graphs within either cutoff.
 GENERAL_VERTEX_CUTOFF = 20
@@ -766,30 +766,22 @@ def value_solver(inst: Instance) -> Callable[[list], np.ndarray]:
     return lambda idxs: np.fromiter(map(solve, idxs), np.float64, len(idxs))
 
 
-#: Rows of a cover block with at most this many realized edges go through
-#: `_lockstep` together when the block holds at least ``LOCKSTEP_MIN_ROWS``
-#: of them; other rows get their own `_primal_dual`.  A lockstep block
-#: takes as many steps as its slowest row and pays each step's array
-#: passes whatever its number of rows.  Both measured by
+#: A cover block's nonempty rows go through `_lockstep` together when
+#: there are at least this many of them, whatever their sizes; fewer get
+#: their own `_primal_dual` each.  A lockstep block takes as many steps as
+#: its slowest row and pays each step's array passes whatever its number
+#: of rows.  Measured on each instance's own blocks by
 #: ``scripts/row_costs.py``.
-LOCKSTEP_MAX_EDGES = 48
 LOCKSTEP_MIN_ROWS = 256
-
-
-def covers_in_lockstep(realized: float, rows: int) -> bool:
-    """Whether `cover_solver` is expected to take blocks of `rows` rows of
-    `realized` realized edges on average through `_lockstep`."""
-    return realized <= LOCKSTEP_MAX_EDGES and rows >= LOCKSTEP_MIN_ROWS
 
 
 def cover_solver(inst: Instance) -> Callable[[np.ndarray], np.ndarray]:
     """The covers of `max_weight_matching_bipartite` for realizations of a
     bipartite `inst`, as a function of a (rows, m) realization block:
     row k of the (rows, 2n) result is the cover of block row k, bit for
-    bit.  Rows of 1 to ``LOCKSTEP_MAX_EDGES`` realized edges are solved
-    together by `_lockstep` when there are at least ``LOCKSTEP_MIN_ROWS``
-    of them; the other nonempty rows are solved one by one by
-    `_primal_dual` on lists over all edges, built once per instance."""
+    bit.  A block's nonempty rows are solved together by `_lockstep` when
+    there are at least ``LOCKSTEP_MIN_ROWS`` of them, and otherwise one by
+    one by `_primal_dual` on lists over all edges, built once per instance."""
     tails, arcs = _bipartite_arcs(inst, np.arange(inst.num_edges))
     n = inst.n
     order = np.argsort(inst.endpoints[:, 0], kind="stable")
@@ -797,20 +789,17 @@ def cover_solver(inst: Instance) -> Callable[[np.ndarray], np.ndarray]:
 
     def covers(block: np.ndarray) -> np.ndarray:
         count = np.count_nonzero(block, axis=1)
-        small = (count > 0) & (count <= LOCKSTEP_MAX_EDGES)
-        if np.count_nonzero(small) < LOCKSTEP_MIN_ROWS:
-            small[:] = False
+        nonempty = count > 0
         y = np.zeros((len(block), 2 * n))
-        if small.any():
-            sub = block[small][:, order]
+        if np.count_nonzero(nonempty) >= LOCKSTEP_MIN_ROWS:
+            sub = block[nonempty][:, order]
             rows, cols = np.nonzero(sub)
-            y[small] = _lockstep(rows, left[cols], right[cols], wt[cols], len(sub), n)
-        alone = ~small & (count > 0)
-        if alone.any():
-            cols = np.nonzero(block[alone])[1].tolist()
-            cuts = [0, *np.cumsum(count[alone]).tolist()]
-            y[alone] = _covers([_primal_dual(cols[a:b], tails, arcs, n)[1:]
-                                for a, b in zip(cuts, cuts[1:])], n)
+            y[nonempty] = _lockstep(rows, left[cols], right[cols], wt[cols], len(sub), n)
+        elif nonempty.any():
+            cols = np.nonzero(block[nonempty])[1].tolist()
+            cuts = [0, *np.cumsum(count[nonempty]).tolist()]
+            y[nonempty] = _covers([_primal_dual(cols[a:b], tails, arcs, n)[1:]
+                                   for a, b in zip(cuts, cuts[1:])], n)
         return np.where(y > 0.0, y, 0.0)
     return covers
 
@@ -833,8 +822,7 @@ def matching_values_over_subsets(inst: Instance) -> np.ndarray:
     vectorized over all lower masks.
     """
     m = inst.num_edges
-    if m > SUPPORT_CUTOFF:
-        raise MatchingCutoffExceeded(f"subset sweep needs 2**{m} entries; cutoff is 2**{SUPPORT_CUTOFF}")
+    check_support(m)
     ends = inst.endpoints
     compat = np.zeros(m, dtype=np.int64)
     for j in range(m):

@@ -54,13 +54,10 @@ def stream_key(seed: int, stream) -> np.ndarray:
         return mix64(s + mix64(stream))
 
 
-def uniforms(seed: int, stream: int, count: int, start: int = 0) -> np.ndarray:
-    """Uniforms in [0, 1) at positions start .. start+count-1 of a stream."""
-    key = stream_key(seed, np.uint64(stream))
-    with np.errstate(over="ignore"):
-        pos = np.arange(start, start + count, dtype=np.uint64)
-        bits = mix64(key + pos * _GAMMA)
-    return (bits >> np.uint64(11)).astype(np.float64) * _INV_2_53
+def uniforms(seed: int, stream: int, count: int) -> np.ndarray:
+    """Uniforms in [0, 1) at positions 0..count-1 of one stream: row 0 of
+    `uniform_block`."""
+    return uniform_block(seed, [stream], count)[0]
 
 
 def uniform_block(seed: int, streams, count: int) -> np.ndarray:

@@ -51,14 +51,15 @@ BLOCK_BYTES = 512 * 1024
 #: 70 (weighted, random_point n=100 density 0.1; the per-sample primal-dual
 #: took about 370); 256 stays, as factors down to 44 leave both Monte Carlo
 #: benchmark workloads split.  Mass certificate rows count rows x (edges +
-#: F x mean realized edges), F = 280 where the rows are expected to take
-#: the lockstep covers (`matching.covers_in_lockstep`) and 870 where they
-#: are solved one by one: a cover and its scheme masses took 152-565 draws'
-#: time per realized edge in seven instance and scheme cases of the first
-#: kind and 528-1,180 in three of the second, medians 234-330 and 722-1,065
-#: in three runs (their medians 278 and 867).  Kernel-MC rows count samples x
-#: edges x 9: beside its own draw an edge took 5-12 draws' time, medians
-#: 7.7-8.6.  Measured on one CPU by ``scripts/row_costs.py``.
+#: F x mean realized edges), F = 280 where the blocks hold at least
+#: ``matching.LOCKSTEP_MIN_ROWS`` rows, which take the lockstep covers, and
+#: 870 where they are solved one by one: a cover and its scheme masses took
+#: 141-576 draws' time per realized edge in seven instance and scheme cases
+#: of the first kind and 528-1,180 in three of the second, medians 234-369
+#: and 722-1,065 in seven runs (278 and 867 in the first three).  Kernel-MC
+#: rows count samples x edges x 9: beside its own draw an edge took 4.4-13.3
+#: draws' time, medians 5.1-8.6.  Measured on one CPU by
+#: ``scripts/row_costs.py``.
 SPLIT_MIN_WORK = 1 << 25
 
 
@@ -253,11 +254,14 @@ def realization_block(inst: Instance, seed: int, start: int, count: int) -> np.n
 
 def support_probabilities(inst: Instance) -> np.ndarray:
     """Probability of every edge subset, indexed by bitmask (bit j = edge j)."""
-    m = inst.num_edges
-    if m > SUPPORT_CUTOFF:
-        raise SupportTooLarge(f"support too large: 2**{m} subsets exceeds cutoff 2**{SUPPORT_CUTOFF}")
+    check_support(inst.num_edges)
     probs = np.ones(1, dtype=np.float64)
     for xj in inst.x:
         probs = np.concatenate([(1.0 - xj) * probs, xj * probs])
     return probs
 
+
+def check_support(m: int) -> None:
+    """Refuse exact enumeration of the 2**m subsets of m edges past the cutoff."""
+    if m > SUPPORT_CUTOFF:
+        raise SupportTooLarge(f"support too large: 2**{m} subsets exceeds cutoff 2**{SUPPORT_CUTOFF}")

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from matchgap.cli import _worst_gain_trial, main, run_verify_suite
+from matchgap.gallery import gen_random_point
+from matchgap.kernels import check_phi_differential
 from matchgap.rng import uniform_block
 
 from conftest import bits, loop_gain_margins
@@ -85,6 +87,13 @@ class TestExactAndMc:
         assert code == 2
         assert "support too large" in err
 
+    def test_phi_exact_refuses_the_support_as_exact_does(self, capsys):
+        # 25 edges: one cutoff check, one message (phi's subset sweep had its own)
+        argv = ["--gen", "karp_sipser", "--n", "5", "--c", "1.0"]
+        exact = run(capsys, "exact", *argv)
+        assert exact == (2, "", "error: support too large: 2**25 subsets exceeds cutoff 2**20\n")
+        assert run(capsys, "phi", "--mode", "exact", *argv) == exact
+
 
 class TestArguments:
     """Out-of-range seeds and tolerances are usage errors, refused by the parser."""
@@ -112,6 +121,28 @@ class TestArguments:
                            "--seed", str(2 ** 64 - 1))
         assert code == 0
         assert json.loads(out)[0]["seed"] == 2 ** 64 - 1
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--m-max", "1", "--gain-trials", "2", "--derivative-trials", "2"],
+        ["report", "--instances", "1", "--karp-n", "4", "--samples", "10"],
+    ])
+    def test_largest_seed_wraps_derived_seeds(self, capsys, argv):
+        # verify's seed * 100003 + k, seed + 1 and seed + 7 and report's
+        # seed * 7919 + k overflowed 64 bits: an OverflowError traceback
+        code, out, err = run(capsys, *argv, "--seed", str(2 ** 64 - 1))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["passed"] is True
+
+    def test_suite_at_largest_seed_wraps_derived_seeds(self):
+        seed = 2 ** 64 - 1
+        reports = run_verify_suite(m_max=1, gain_trials=2, derivative_trials=3, seed=seed)
+        assert all(r.passed for r in reports)
+        checks = {r.check: r for r in reports}
+        assert checks["local_derivative_bound"].parameters["seed"] == seed
+        # the phi instance's seed + 7 wraps to 6
+        phi = check_phi_differential(gen_random_point(4, 0.5, 6, "general"), grid_points=50,
+                                     tolerance=1e-9)
+        assert checks["phi_differential"].to_dict() == phi.to_dict()
 
     def test_non_integer_seed_refused(self, capsys):
         err = self.refused(capsys, "gen", "--gen", "random_point", "--seed", "1.5")

@@ -14,6 +14,7 @@ from matchgap import (DEFAULT_TRANSFER, SampledGraph, WEIGHTED_BIPARTITE_FLOOR, 
 from matchgap import matching
 from matchgap.gallery import (gen_equal_split_star, gen_karp_sipser, gen_pendant_star,
                               gen_random_point)
+from matchgap.schemes import _transfers
 
 from conftest import brute_expected_matching
 
@@ -210,19 +211,18 @@ class TestPerEdgeCertificates:
     @pytest.mark.parametrize("mode", ["exact", "mc"])
     @pytest.mark.parametrize("scheme", ["weighted", "unweighted"])
     def test_mass_does_not_depend_on_the_cover_path(self, monkeypatch, mode, scheme):
-        # every row alone (crossover 0), every row in lockstep (a crossover
-        # over m, blocks of any size) and the default split: equal bytes
+        # every block in lockstep (blocks of any size), every row alone (no
+        # block large enough) and the default rule: equal bytes
         inst = (gen_random_point(5, 0.5, 3, "bipartite") if scheme == "weighted"
                 else gen_equal_split_star(6, 0.1))
 
-        def certs(max_edges, min_rows):
-            monkeypatch.setattr(matching, "LOCKSTEP_MAX_EDGES", max_edges)
+        def certs(min_rows):
             monkeypatch.setattr(matching, "LOCKSTEP_MIN_ROWS", min_rows)
             return repr(per_edge_certificates(inst, mode, scheme, "mass", samples=3000, seed=2))
 
-        default = certs(matching.LOCKSTEP_MAX_EDGES, matching.LOCKSTEP_MIN_ROWS)
-        assert certs(0, 1) == default
-        assert certs(10 ** 6, 1) == default
+        default = certs(matching.LOCKSTEP_MIN_ROWS)
+        assert certs(1) == default
+        assert certs(10 ** 6) == default
 
     @pytest.mark.parametrize("bound", ["mass", "kernel"])
     def test_mc_needs_a_sample(self, bound):
@@ -255,30 +255,34 @@ class TestPerEdgeCertificates:
 
     @pytest.mark.parametrize("mode", ["exact", "mc"])
     def test_unweighted_kernel_equals_all_edge_scan(self, mode):
-        # the reference scans every edge for the ones sharing an endpoint
-        # and adds their transfers in edge order
+        # each certificate is the weighted kernel plus the mass scheme's
+        # transfer vector over x_e, bit for bit; the reference scans every
+        # edge for the ones sharing an endpoint and adds their transfers in
+        # edge order, equal within test_schemes.py's transfer tolerance
         from matchgap import inv_max_expectation
         inst = gen_random_point(8, 0.7, 21, "bipartite", weighted=False)
         x, ends, c = inst.x, inst.endpoints, DEFAULT_TRANSFER
+        moved = DEFAULT_TRANSFER * _transfers(inst)
         weighted = per_edge_certificates(inst, mode, "weighted", "kernel", samples=50, seed=2)
         got = per_edge_certificates(inst, mode, "unweighted", "kernel", samples=50, seed=2)
         for e, cert in got.items():
-            near = [[j for j in range(inst.num_edges) if j != e and v in ends[j]]
-                    for v in ends[e]]
+            assert cert == weighted[e] + float(moved[e]) / inst.edges[e].x
             net = 0.0
             for j in range(inst.num_edges):
                 shared = len(set(ends[j].tolist()) & set(ends[e].tolist())) if j != e else 0
                 if shared:
                     net += shared * c * (x[j] ** 2 * x[e] - x[e] ** 2 * x[j])
-            base = (inv_max_expectation([float(x[j]) for j in near[0]],
-                                        [float(x[j]) for j in near[1]])
-                    if mode == "exact" else weighted[e])
-            assert cert == float(base + net / inst.edges[e].x)
+            assert moved[e] == pytest.approx(net, abs=1e-15)
+            if mode == "exact":
+                near = [[j for j in range(inst.num_edges) if j != e and v in ends[j]]
+                        for v in ends[e]]
+                assert weighted[e] == inv_max_expectation([float(x[j]) for j in near[0]],
+                                                          [float(x[j]) for j in near[1]])
 
-    def test_transfers_bitwise_equal_per_pair_loop(self):
-        # the per-pair loop that the vectorized terms replaced, on a dense
-        # instance whose probabilities include values where the scalar
-        # x ** 2 (C pow) and x * x differ in the last bit
+    def test_transfers_match_per_pair_loop(self):
+        # the per-pair loop, on a dense instance whose probabilities include
+        # values where the scalar x ** 2 (C pow) and x * x differ in the last
+        # bit, within test_schemes.py's transfer tolerance
         def per_pair(inst, edge, inc):
             x = inst.x
             gu, gv = inst.endpoints[edge].tolist()
@@ -300,9 +304,9 @@ class TestPerEdgeCertificates:
         for inst in (dense, gen_pendant_star(40, 0.1),
                      gen_random_point(8, 0.7, 21, "bipartite", weighted=False)):
             inc = estimate._incident_edges(inst)
+            moved = DEFAULT_TRANSFER * _transfers(inst)
             for e in range(inst.num_edges):
-                assert repr(float(estimate._deterministic_transfers(inst, e, inc))) == \
-                    repr(float(per_pair(inst, e, inc))), (inst.n, e)
+                assert moved[e] == pytest.approx(per_pair(inst, e, inc), abs=1e-15), (inst.n, e)
 
     def test_unweighted_kernel_includes_transfers(self):
         inst = gen_pendant_star(3, 0.4)  # unit weights

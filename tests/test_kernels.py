@@ -16,7 +16,7 @@ from matchgap import (GENERAL_GRAPH_FLOOR, KernelConfig, UNWEIGHTED_BIPARTITE_CE
                       verify_uniform_minimizer, weighted_kernel_constant)
 from matchgap import Instance, PotentialEdge, SampledGraph
 from matchgap.gallery import gen_random_point
-from matchgap.kernels import _gain_table
+from matchgap.kernels import _gain_table, _mean1_grid
 
 from conftest import (bits, brute_inv_max_expectation, convolve_pmf, loop_gain_margins,
                       poisson_pair_expectation)
@@ -197,6 +197,26 @@ class TestKernelMinimizer:
         # a 0.3 grid reaches vectors summing to 0.9, not mean-1 vectors
         with pytest.raises(ValueError, match="grid step must divide 1"):
             sweep(2, 0.3)
+
+    @pytest.mark.parametrize("m", range(7))
+    @pytest.mark.parametrize("grid_step", [1.0, 0.5, 0.25, 0.1, 0.05])
+    def test_grid_equals_recursive_enumeration(self, m, grid_step):
+        # the recursion the enumeration replaced, one call per part
+        def partitions(prefix, remaining, slots, bound):
+            if slots == 0:
+                return [tuple(prefix)] if remaining == 0 else []
+            low = -(-remaining // slots)
+            return [p for v in range(min(bound, remaining), low - 1, -1)
+                    for p in partitions(prefix + [v], remaining - v, slots - 1, v)]
+
+        units = round(1 / grid_step)
+        assert _mean1_grid(m, grid_step) == partitions([], units, m, units)
+
+    def test_long_vectors_need_no_recursion(self):
+        # one call per part overran the interpreter's recursion limit
+        report = verify_kernel_minimizer(1200, 0.5)
+        assert report.passed
+        assert report.details["grid_points"] == 2
 
     def test_uniform_minimizer_m2_exact_gridpoint(self):
         report = verify_uniform_minimizer(2, 0.05)

@@ -454,14 +454,15 @@ class TestWeightedPeeler:
 
 
 class TestCoverSolver:
-    def test_only_rows_over_the_crossover_reach_the_primal_dual(self, monkeypatch):
-        # LOCKSTEP_MIN_ROWS rows of 1..LOCKSTEP_MAX_EDGES edges go through
-        # the lockstep together; empty rows need no solve, and only the
-        # rows over the crossover get their own primal-dual
+    def test_only_blocks_under_min_rows_reach_the_primal_dual(self, monkeypatch):
+        # LOCKSTEP_MIN_ROWS nonempty rows of any size, some over 48 edges
+        # (the former size crossover), go through the lockstep together and
+        # empty rows need no solve; one nonempty row fewer and every
+        # nonempty row gets its own primal-dual
         inst = gen_random_point(12, 0.6, 5, "bipartite")
-        m, small = inst.num_edges, matching.LOCKSTEP_MAX_EDGES
-        counts = [0, *(1 + k % small for k in range(matching.LOCKSTEP_MIN_ROWS)),
-                  small + 1, 0, m, m - 1]
+        m = inst.num_edges
+        counts = [0, *(1 + k % m for k in range(matching.LOCKSTEP_MIN_ROWS - 3)),
+                  49, 0, m, m - 1]
         rng = np.random.default_rng(3)
         block = np.zeros((len(counts), m), dtype=bool)
         for row, c in zip(block, counts):
@@ -475,9 +476,8 @@ class TestCoverSolver:
 
         monkeypatch.setattr(matching, "_primal_dual", spy)
         covers = matching.cover_solver(inst)(block)
-        assert seen == [c for c in counts if c > small]
-        # one small row fewer than LOCKSTEP_MIN_ROWS: every nonempty row alone
-        seen.clear()
+        assert max(counts) > 48 and seen == []
+        # one nonempty row fewer than LOCKSTEP_MIN_ROWS: every nonempty row alone
         assert matching.cover_solver(inst)(block[2:]).tobytes() == covers[2:].tobytes()
         assert seen == [c for c in counts[2:] if c > 0]
         monkeypatch.undo()

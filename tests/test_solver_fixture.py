@@ -180,11 +180,14 @@ def _signed_zero(rng, k):
 @pytest.mark.parametrize("family", [*WEIGHT_FAMILIES, "signed_zero"])
 @pytest.mark.parametrize("seed", range(3))
 def test_lockstep_block_matches_reference(family, seed, monkeypatch):
-    # one block mixing rows on both sides of the crossover: empty, a lone
-    # edge, every edge, and random subsets of many densities, so rows end
-    # after different numbers of steps; every small row takes the lockstep,
-    # however few the block holds
+    # one block of rows of every size: empty, a lone edge, every edge, and
+    # random subsets of many densities, so rows end after different numbers
+    # of steps; every nonempty row takes the lockstep, however few the block
+    # holds, the rows over 48 edges (the former size crossover) too
     monkeypatch.setattr(matching, "LOCKSTEP_MIN_ROWS", 1)
+    alone = []
+    real = matching._primal_dual
+    monkeypatch.setattr(matching, "_primal_dual", lambda *a: alone.append(a) or real(*a))
     rng = np.random.default_rng(7000 + seed)
     draw = WEIGHT_FAMILIES.get(family, _signed_zero)
     n = int(rng.integers(10, 15))
@@ -198,9 +201,12 @@ def test_lockstep_block_matches_reference(family, seed, monkeypatch):
     block[1] = np.arange(m) == rng.integers(m)
     block[2] = True
     counts = np.count_nonzero(block, axis=1)
-    assert counts.max() > matching.LOCKSTEP_MAX_EDGES
-    assert np.count_nonzero((counts > 1) & (counts <= matching.LOCKSTEP_MAX_EDGES)) >= 5
-    for row, cover in zip(block, cover_solver(inst)(block)):
+    assert counts.max() > 48
+    assert np.count_nonzero((counts > 1) & (counts <= 48)) >= 5
+    covers = cover_solver(inst)(block)
+    assert alone == []
+    monkeypatch.undo()
+    for row, cover in zip(block, covers):
         g = SampledGraph(inst, row)
         assert cover.tobytes() == _reference(g)[2].tobytes()
         assert cover.tobytes() == max_weight_matching_bipartite(g)[2].y.tobytes()
