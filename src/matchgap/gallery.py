@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import Instance
-from .rng import uniforms
+from .rng import uniform_block
 
 #: stream ids used by the random generator, disjoint from sampling streams
 _STREAM_KEEP = 1 << 62
@@ -97,23 +97,43 @@ def gen_random_point(n: int, density: float, seed: int, kind: str = "bipartite",
                      weighted: bool = True) -> Instance:
     """Random degree-feasible instance: pairs kept with probability
     `density`, probabilities drawn uniformly then rescaled per vertex until
-    every load is at most 1, weights uniform in [0, 1] (or all 1)."""
+    every load is at most 1, weights uniform in [0, 1] (or all 1).  The
+    batch of one of `gen_random_points`."""
+    return gen_random_points(n, density, [seed], kind, weighted)[0]
+
+
+def gen_random_points(n: int, density: float, seeds, kind: str = "bipartite",
+                      weighted: bool = True) -> tuple[Instance, np.ndarray]:
+    """The random instances of `gen_random_point` for every seed, as one
+    instance, their disjoint union, and its cuts: instance k's edges are
+    the union's edges cuts[k]..cuts[k+1]-1, in their own order, and its
+    vertices are shifted k n places along each side (bipartite) or along
+    the one (general).  The union has n len(seeds) vertices per side or
+    in all, so the union of one seed is that seed's instance."""
     if not (0.0 <= density <= 1.0):
         raise ValueError("density must lie in [0, 1]")
     pairs = _all_pairs(n, kind)
-    m = len(pairs)
-    keep = uniforms(seed, _STREAM_KEEP, m) < density
-    ends = pairs[keep]
-    x = uniforms(seed, _STREAM_PROB, m)[keep]
-    w = uniforms(seed, _STREAM_WEIGHT, m)[keep] if weighted else np.ones(len(ends))
-    if len(ends):
+    seeds = np.array(seeds, dtype=np.uint64)
+    count = len(seeds)
+    # row k, column s: position j of stream s under seeds[k]
+    u = uniform_block(seeds[:, None], [_STREAM_KEEP, _STREAM_PROB, _STREAM_WEIGHT], len(pairs))
+    keep = u[:, 0] < density
+    trial, col = np.nonzero(keep)  # row-major: each instance's edges in pair order
+    cuts = np.concatenate([[0], np.cumsum(np.count_nonzero(keep, axis=1))])
+    ends = pairs[col] + (trial * n)[:, None]
+    if kind == "bipartite":
+        ends[:, 1] += (count - 1) * n  # right ids start after every left side
+    x = u[:, 1][keep]
+    w = u[:, 2][keep] if weighted else np.ones(len(x))
+    if len(x):
         # loads add each edge's x at u then at v, edge by edge (one add.at
-        # over the interleaved ids keeps every vertex's summation order)
+        # over the interleaved ids keeps every vertex's summation order);
+        # an instance whose loads are all at most 1 divides by exactly 1.0
         ids = ends.ravel()
         for _ in range(64):
-            loads = np.zeros(2 * n if kind == "bipartite" else n)
+            loads = np.zeros(2 * n * count if kind == "bipartite" else n * count)
             np.add.at(loads, ids, np.repeat(x, 2))
             if loads.max() <= 1.0:
                 break
             x /= np.maximum(1.0, np.maximum(loads[ends[:, 0]], loads[ends[:, 1]]))
-    return Instance.from_arrays(kind, n, ends, x, w)
+    return Instance.from_arrays(kind, n * count, ends, x, w), cuts

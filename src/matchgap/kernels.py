@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .matching import matching_values_over_subsets, max_weight_matching_general, value_solver
+from .matching import _general_solver, matching_values_over_subsets, value_solver
 from .model import Instance, fractional_value
 from .sampling import SampledGraph, sample_values, support_probabilities
 from .schemes import DEFAULT_TRANSFER
@@ -227,7 +227,11 @@ def _mean1_grid(m: int, grid_step: float):
 
 def binomial_max1_kernel(m: int) -> float:
     """E[1/(1 + max(1, Y))] for Y ~ Binomial(m, 1/m), exactly."""
-    pmf = poisson_binomial_pmf([1.0 / m] * m)
+    return _max1_expectation(poisson_binomial_pmf([1.0 / m] * m))
+
+
+def _max1_expectation(pmf: np.ndarray) -> float:
+    """E[1/(1 + max(1, Y))] for Y with pmf `pmf`."""
     k = np.arange(len(pmf))
     return float(np.sum(pmf / (1.0 + np.maximum(1, k))))
 
@@ -249,8 +253,9 @@ def verify_kernel_minimizer(m: int, grid_step: float = 0.05,
     iy, iz = divmod(flat, len(vectors))
     min_value = float(table[iy, iz])
 
-    reference = binomial_max1_kernel(m)
+    # Binomial(m, 1/m), folded once for both references
     pmf_u = poisson_binomial_pmf([1.0 / m] * m)
+    reference = _max1_expectation(pmf_u)
     literal_reference = float(np.sum(pmf_u / (1.0 + np.arange(m + 1))))
     argmin = (tuple(u * grid_step for u in vectors[iy]),
               tuple(u * grid_step for u in vectors[iz]))
@@ -302,11 +307,10 @@ def verify_equal_split(x0: float, m: int, grid_step: float = 0.05,
         raise ValueError("x0 must lie in (0, 1]")
     max_units = int(math.floor((1.0 - x0) / grid_step + 1e-9))
     all_vecs = []
-    offsets = []  # per sum s, the rows of all_vecs whose units sum to s
+    starts = []  # per sum s, the first row of all_vecs whose units sum to s
     for s in range(max_units + 1):
-        vecs = _unit_partitions(s, m, s)
-        offsets.append((len(all_vecs), len(all_vecs) + len(vecs)))
-        all_vecs += vecs
+        starts.append(len(all_vecs))
+        all_vecs += _unit_partitions(s, m, s)
     pmfs = poisson_binomial_pmfs(np.array(all_vecs) * grid_step)
     kernel = _inv_max_kernel(m + 1)
     table = pmfs @ kernel @ pmfs.T
@@ -315,29 +319,25 @@ def verify_equal_split(x0: float, m: int, grid_step: float = 0.05,
              - x0 ** 2 * sum(u * grid_step for u in vec))
         for vec in all_vecs
     ])
+    # every bucket's objective in one pass, then the minimum of each
+    # (sum y, sum z) block of rows and columns
+    objective = x0 * table + quads[:, None] + quads[None, :]
+    grid_mins = np.minimum.reduceat(np.minimum.reduceat(objective, starts, axis=0), starts, axis=1)
 
-    # per sum s, the equal-split point's pmf and quadratic term
-    eq_pmfs, eq_quads = [], []
-    for s in range(max_units + 1):
-        eq = [s * grid_step / m] * m
-        eq_pmfs.append(poisson_binomial_pmf(eq))
-        eq_quads.append(c * (x0 * sum(v ** 2 for v in eq) - x0 ** 2 * s * grid_step))
-
-    worst_margin = math.inf
-    worst_bucket = None
-    for sy in range(max_units + 1):
-        ya, yb = offsets[sy]
-        for sz in range(max_units + 1):
-            za, zb = offsets[sz]
-            bucket = x0 * table[ya:yb, za:zb] + quads[ya:yb, None] + quads[None, za:zb]
-            grid_min = float(bucket.min())
-            # both pmfs have m + 1 entries: inv_max_expectation_pmf's product, unpadded
-            f_eq = (x0 * float(eq_pmfs[sy] @ kernel @ eq_pmfs[sz])
-                    + eq_quads[sy] + eq_quads[sz])
-            margin = grid_min - f_eq
-            if margin < worst_margin:
-                worst_margin = margin
-                worst_bucket = (sy * grid_step, sz * grid_step)
+    # per sum s, the equal-split point's pmf, its product with the kernel
+    # and its quadratic term; both pmfs of a pair have m + 1 entries, so
+    # each pair's value is inv_max_expectation_pmf's product, unpadded
+    eqs = [[s * grid_step / m] * m for s in range(max_units + 1)]
+    eq_pmfs = poisson_binomial_pmfs(np.array(eqs))
+    eq_quads = [c * (x0 * sum(v ** 2 for v in eq) - x0 ** 2 * s * grid_step)
+                for s, eq in enumerate(eqs)]
+    eq_rows = [pmf @ kernel for pmf in eq_pmfs]
+    f_eq = np.array([[x0 * float(row @ pmf) + qy + qz for pmf, qz in zip(eq_pmfs, eq_quads)]
+                     for row, qy in zip(eq_rows, eq_quads)])
+    margins = grid_mins - f_eq
+    sy, sz = divmod(int(np.argmin(margins)), max_units + 1)  # the first least, row by row
+    worst_margin = margins[sy, sz]
+    worst_bucket = (sy * grid_step, sz * grid_step)
     return CheckReport(
         check="equal_split_minimality",
         parameters={"x0": x0, "m": m, "grid_step": grid_step, "c": c,
@@ -430,21 +430,10 @@ def weighted_kernel_constant() -> WeightedKernelConstant:
 
 def check_local_derivative_bound(g: SampledGraph, tolerance: float = 1e-9) -> CheckReport:
     """For a fixed realized graph G check
-    sum_e x_e (nu(G + e) - nu(G - e)) + 2 nu(G) >= sum_e x_e w_e."""
+    sum_e x_e (nu(G + e) - nu(G - e)) + 2 nu(G) >= sum_e x_e w_e:
+    the batch of one of `local_derivative_sides`."""
     inst = g.instance
-    base = max_weight_matching_general(g)
-    lhs = 2.0 * base
-    for j, xj in enumerate(inst.x.tolist()):
-        if xj == 0.0:
-            continue
-        with_e = np.array(g.realized)
-        with_e[j] = True
-        without_e = np.array(g.realized)
-        without_e[j] = False
-        gain = (max_weight_matching_general(SampledGraph(inst, with_e))
-                - max_weight_matching_general(SampledGraph(inst, without_e)))
-        lhs += xj * gain
-    rhs = fractional_value(inst)
+    (lhs,), (rhs,) = local_derivative_sides(inst, g.realized, [0, inst.num_edges])
     return CheckReport(
         check="local_derivative_bound",
         parameters={"edges": inst.num_edges, "realized": g.num_realized,
@@ -454,6 +443,38 @@ def check_local_derivative_bound(g: SampledGraph, tolerance: float = 1e-9) -> Ch
         passed=bool(lhs >= rhs - tolerance),
         details={"lhs": float(lhs), "rhs": float(rhs)},
     )
+
+
+def local_derivative_sides(inst: Instance, realized: np.ndarray,
+                           cuts) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the local derivative inequality of
+    `check_local_derivative_bound` for every realized graph of a disjoint
+    union: graph k is the edges cuts[k]..cuts[k+1]-1 of `inst`, edge j
+    realized where the bool realized[j] is set, and no two graphs share a
+    vertex.
+
+    One of G + e and G - e is G itself, so a graph takes one exact search
+    for G and one per edge of nonzero x.  lhs adds x_e times the gain edge
+    by edge, in edge order; rhs is np.dot of the graph's own w and x, as
+    `fractional_value` forms it.
+    """
+    solve = _general_solver(inst)
+    x = inst.x.tolist()
+    lhs, rhs = np.empty(len(cuts) - 1), np.empty(len(cuts) - 1)
+    for k, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
+        row = realized[a:b]
+        base = solve(a + np.flatnonzero(row))
+        total = 2.0 * base
+        for j in range(b - a):
+            if x[a + j] == 0.0:
+                continue
+            toggled = row.copy()
+            toggled[j] = not row[j]
+            other = solve(a + np.flatnonzero(toggled))
+            total += x[a + j] * (base - other if row[j] else other - base)
+        lhs[k] = total
+        rhs[k] = np.dot(inst.w[a:b], inst.x[a:b])
+    return lhs, rhs
 
 
 def phi_curve(inst: Instance, grid_points: int = 20, mode: str = "exact",

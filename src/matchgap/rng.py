@@ -47,10 +47,11 @@ def mix64(z) -> np.ndarray:
     return z[()]  # a scalar stays a scalar
 
 
-def stream_key(seed: int, stream) -> np.ndarray:
-    """Derive the 64-bit key of one stream (or an array of streams)."""
+def stream_key(seed, stream) -> np.ndarray:
+    """Derive the 64-bit key of one stream, or the keys of arrays of seeds
+    and streams, broadcast element by element."""
     with np.errstate(over="ignore"):
-        s = np.uint64(seed) * _KEYMUL
+        s = np.asarray(seed, dtype=np.uint64) * _KEYMUL
         return mix64(s + mix64(stream))
 
 
@@ -60,12 +61,14 @@ def uniforms(seed: int, stream: int, count: int) -> np.ndarray:
     return uniform_block(seed, [stream], count)[0]
 
 
-def uniform_block(seed: int, streams, count: int) -> np.ndarray:
-    """Matrix of uniforms: row k holds positions 0..count-1 of streams[k]."""
+def uniform_block(seed, streams, count: int) -> np.ndarray:
+    """Matrix of uniforms: row k holds positions 0..count-1 of streams[k].
+    An array of seeds broadcasts against the streams, and the positions
+    run along a last axis of the broadcast shape."""
     keys = stream_key(seed, np.asarray(streams, dtype=np.uint64))
     with np.errstate(over="ignore"):
         pos = np.arange(count, dtype=np.uint64) * _GAMMA
-        bits = mix64(keys[:, None] + pos[None, :])
+        bits = mix64(keys[..., None] + pos)
     return (bits >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
 
@@ -74,22 +77,26 @@ class BernoulliBlocks:
 
     Row k of ``draw(keys)`` holds ``uniform(i, j) < x[j]`` for every
     position j, where ``keys[k] == stream_key(seed, i)``, decided on
-    integer thresholds.  The caller derives the keys (`stream_key` works
-    element by element, so keys derived once for a whole run give the
-    same rows as keys derived per block).  The hashing runs in scratch
-    buffers allocated once for up to `max_rows` rows, and each draw
-    returns a view of one output buffer that the next draw overwrites.
+    integer thresholds.  `x` may also hold one row of probabilities per
+    row of the draw, ``(max_rows, L)``: row k is then decided on ``x[k]``.
+    The caller derives the keys (`stream_key` works element by element,
+    so keys derived once for a whole run give the same rows as keys
+    derived per block).  The hashing runs in scratch buffers allocated
+    once for up to `max_rows` rows, and each draw returns a view of one
+    output buffer that the next draw overwrites.
     """
 
     def __init__(self, x, max_rows: int):
-        x = np.asarray(x, dtype=np.float64)
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        width = x.shape[1]
         # (j + 1) * GAMMA: the position step and mix64's gamma step in one
         with np.errstate(over="ignore"):
-            self._offsets = np.arange(1, x.size + 1, dtype=np.uint64) * _GAMMA
+            self._offsets = np.arange(1, width + 1, dtype=np.uint64) * _GAMMA
+        # one row, or one per row of the draw; draw() slices either to its rows
         self._thresholds = np.ceil(x * 2.0 ** 53).astype(np.uint64)
-        self._z = np.empty((max_rows, x.size), dtype=np.uint64)
+        self._z = np.empty((max_rows, width), dtype=np.uint64)
         self._tmp = np.empty_like(self._z)
-        self._out = np.empty((max_rows, x.size), dtype=bool)
+        self._out = np.empty((max_rows, width), dtype=bool)
 
     def draw(self, keys: np.ndarray) -> np.ndarray:
         """(len(keys), len(x)) bool view for the streams of uint64 `keys`."""
@@ -99,4 +106,4 @@ class BernoulliBlocks:
             np.add(keys[:, None], self._offsets, out=z)
         _finalize(z, tmp)
         np.right_shift(z, np.uint64(11), out=z)
-        return np.less(z, self._thresholds, out=self._out[:rows])
+        return np.less(z, self._thresholds[:rows], out=self._out[:rows])

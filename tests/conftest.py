@@ -1,8 +1,11 @@
-"""Shared brute-force oracles and instance helpers.
+"""Shared brute-force oracles, literal references and instance helpers.
 
-The oracles deliberately avoid the library's solvers: matchings are
-enumerated subset by subset and expectations are summed outcome by
-outcome, so agreement is meaningful evidence.
+The brute-force oracles deliberately avoid the library's solvers:
+matchings are enumerated subset by subset and expectations are summed
+outcome by outcome, so agreement is meaningful evidence.  The `literal_*`
+references are the one-at-a-time loops that batched library paths
+replaced, with the same arithmetic, so the batched results must equal
+them bit for bit.
 """
 
 import itertools
@@ -10,7 +13,12 @@ import math
 
 import numpy as np
 
-from matchgap import Instance, PotentialEdge
+from matchgap import Instance, PotentialEdge, SampledGraph, fractional_value
+from matchgap.gallery import _STREAM_KEEP, _STREAM_PROB, _STREAM_WEIGHT, _all_pairs
+from matchgap.kernels import (_inv_max_kernel, _unit_partitions, poisson_binomial_pmf,
+                              poisson_binomial_pmfs)
+from matchgap.matching import max_weight_matching_general
+from matchgap.rng import uniforms
 
 
 def brute_matching_value(inst, realized):
@@ -110,3 +118,73 @@ def path_instance(weights, kind="bipartite"):
 def cycle_instance(k, x=1.0, w=1.0):
     edges = tuple(PotentialEdge(i, (i + 1) % k, x, w) for i in range(k))
     return Instance("general", k, edges)
+
+
+def literal_random_point(n, density, seed, kind="bipartite", weighted=True):
+    """gen_random_point one seed at a time: one stream draw per column,
+    the per-vertex rescaling on the instance's own vertices."""
+    pairs = _all_pairs(n, kind)
+    m = len(pairs)
+    keep = uniforms(seed, _STREAM_KEEP, m) < density
+    ends = pairs[keep]
+    x = uniforms(seed, _STREAM_PROB, m)[keep]
+    w = uniforms(seed, _STREAM_WEIGHT, m)[keep] if weighted else np.ones(len(ends))
+    if len(ends):
+        ids = ends.ravel()
+        for _ in range(64):
+            loads = np.zeros(2 * n if kind == "bipartite" else n)
+            np.add.at(loads, ids, np.repeat(x, 2))
+            if loads.max() <= 1.0:
+                break
+            x /= np.maximum(1.0, np.maximum(loads[ends[:, 0]], loads[ends[:, 1]]))
+    return Instance.from_arrays(kind, n, ends, x, w)
+
+
+def literal_derivative_sides(g):
+    """lhs and rhs of sum_e x_e (nu(G + e) - nu(G - e)) + 2 nu(G) >=
+    sum_e x_e w_e for one realized graph, both graphs of every edge solved
+    from SampledGraph copies."""
+    inst = g.instance
+    lhs = 2.0 * max_weight_matching_general(g)
+    for j, xj in enumerate(inst.x.tolist()):
+        if xj == 0.0:
+            continue
+        with_e = np.array(g.realized)
+        with_e[j] = True
+        without_e = np.array(g.realized)
+        without_e[j] = False
+        gain = (max_weight_matching_general(SampledGraph(inst, with_e))
+                - max_weight_matching_general(SampledGraph(inst, without_e)))
+        lhs += xj * gain
+    return lhs, fractional_value(inst)
+
+
+def literal_equal_split(x0, m, grid_step, c):
+    """verify_equal_split's least margin and its (sum y, sum z) bucket,
+    one bucket at a time: the first strictly smaller margin wins."""
+    max_units = int(math.floor((1.0 - x0) / grid_step + 1e-9))
+    all_vecs, offsets = [], []
+    for s in range(max_units + 1):
+        vecs = _unit_partitions(s, m, s)
+        offsets.append((len(all_vecs), len(all_vecs) + len(vecs)))
+        all_vecs += vecs
+    pmfs = poisson_binomial_pmfs(np.array(all_vecs) * grid_step)
+    kernel = _inv_max_kernel(m + 1)
+    table = pmfs @ kernel @ pmfs.T
+    quads = np.array([c * (x0 * sum((u * grid_step) ** 2 for u in vec)
+                           - x0 ** 2 * sum(u * grid_step for u in vec)) for vec in all_vecs])
+    eq_pmfs, eq_quads = [], []
+    for s in range(max_units + 1):
+        eq = [s * grid_step / m] * m
+        eq_pmfs.append(poisson_binomial_pmf(eq))
+        eq_quads.append(c * (x0 * sum(v ** 2 for v in eq) - x0 ** 2 * s * grid_step))
+    worst_margin, worst_bucket = math.inf, None
+    for sy, (ya, yb) in enumerate(offsets):
+        for sz, (za, zb) in enumerate(offsets):
+            bucket = x0 * table[ya:yb, za:zb] + quads[ya:yb, None] + quads[None, za:zb]
+            f_eq = (x0 * float(eq_pmfs[sy] @ kernel @ eq_pmfs[sz])
+                    + eq_quads[sy] + eq_quads[sz])
+            margin = float(bucket.min()) - f_eq
+            if margin < worst_margin:
+                worst_margin, worst_bucket = margin, (sy * grid_step, sz * grid_step)
+    return worst_margin, worst_bucket

@@ -3,12 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from matchgap.cli import _worst_gain_trial, main, run_verify_suite
+from matchgap.cli import _derivative_trials, _worst_gain_trial, main, run_verify_suite
 from matchgap.gallery import gen_random_point
-from matchgap.kernels import check_phi_differential
+from matchgap.kernels import check_phi_differential, local_derivative_sides
 from matchgap.rng import uniform_block
+from matchgap.sampling import sample
 
-from conftest import bits, loop_gain_margins
+from conftest import bits, literal_derivative_sides, literal_random_point, loop_gain_margins
 
 
 def run(capsys, *argv):
@@ -323,6 +324,50 @@ class TestGainTrials:
         assert bits(loop_gain_margins([1.0, 0.0, 0.0])[1].min()) == bits(worst[0])
         report, = _worst_gain_trial(12, 1e-9, 5)
         assert_report_is(report, worst, 12, 5)
+
+
+def per_graph_trial(seed, k):
+    """Derivative trial k through the per-seed generator, its own sample
+    and the per-graph formula: (lhs, rhs, edges, realized)."""
+    inst = literal_random_point(2 + k % 5, 0.6, (seed * 100003 + k) % (1 << 64), "general")
+    g = sample(inst, (seed + 1) % (1 << 64), k)
+    return (*literal_derivative_sides(g), inst.num_edges, g.num_realized)
+
+
+class TestDerivativeTrials:
+    """verify's batched local derivative trials against the per-graph path."""
+
+    @pytest.mark.parametrize("seed", [*range(32), 2 ** 63 + 5])
+    def test_every_trial_equals_the_per_graph_path(self, seed):
+        for n in range(2, 7):
+            ks = np.arange(n - 2, 100, 5)
+            union, cuts, realized = _derivative_trials(n, ks, seed)
+            lhs, rhs = local_derivative_sides(union, realized, cuts)
+            for i, k in enumerate(ks.tolist()):
+                want_lhs, want_rhs, edges, count = per_graph_trial(seed, k)
+                a, b = cuts[i], cuts[i + 1]
+                assert (b - a, np.count_nonzero(realized[a:b])) == (edges, count)
+                assert bits([lhs[i], rhs[i]]) == bits([want_lhs, want_rhs])
+
+    @pytest.mark.parametrize("seed", [0, 9, 2 ** 64 - 1])
+    @pytest.mark.parametrize("trials", [0, 1, 3, 100])
+    def test_worst_report_is_the_first_least_trial(self, seed, trials):
+        worst = None
+        for k in range(trials):
+            lhs, rhs, edges, count = per_graph_trial(seed, k)
+            if worst is None or lhs - rhs < worst[0]:
+                worst = (lhs - rhs, lhs, rhs, edges, count)
+        reports = run_verify_suite(m_max=0, gain_trials=0, derivative_trials=trials, seed=seed)
+        found = [r for r in reports if r.check == "local_derivative_bound"]
+        if worst is None:
+            assert found == []
+            return
+        report, = found
+        margin, lhs, rhs, edges, count = worst
+        assert bits(report.min_value) == bits(margin)
+        assert bits([report.details["lhs"], report.details["rhs"]]) == bits([lhs, rhs])
+        assert report.parameters == {"edges": edges, "realized": count, "tolerance": 1e-9,
+                                     "trials": trials, "seed": seed}
 
 
 class TestPhi:

@@ -1,10 +1,11 @@
+import numpy as np
 import pytest
 
 from matchgap import exact_ratio, fractional_value, validate_polytope
 from matchgap.gallery import (gen_equal_split_star, gen_karp_sipser,
-                              gen_pendant_star, gen_random_point)
+                              gen_pendant_star, gen_random_point, gen_random_points)
 
-from conftest import brute_expected_matching
+from conftest import bits, brute_expected_matching, literal_random_point
 
 
 class TestKarpSipser:
@@ -87,3 +88,37 @@ class TestRandomPoint:
     def test_unit_weight_mode(self):
         inst = gen_random_point(4, 0.8, 3, "bipartite", weighted=False)
         assert inst.is_unweighted
+
+
+class TestRandomPoints:
+    """The batched generator against the per-seed loop."""
+
+    SEEDS = [0, 1, 2, 7, 42, 2 ** 63 + 5, 2 ** 64 - 1]
+
+    @pytest.mark.parametrize("kind", ["bipartite", "general"])
+    @pytest.mark.parametrize("weighted", [True, False])
+    @pytest.mark.parametrize("n, density", [(0, 0.5), (1, 0.6), (2, 0.6), (3, 0.0),
+                                            (4, 0.6), (6, 0.9)])
+    def test_union_holds_each_seeds_instance(self, kind, weighted, n, density):
+        union, cuts = gen_random_points(n, density, self.SEEDS, kind, weighted)
+        count = len(self.SEEDS)
+        assert (union.kind, union.n, len(cuts)) == (kind, n * count, count + 1)
+        assert cuts[0] == 0 and cuts[-1] == union.num_edges
+        for k, seed in enumerate(self.SEEDS):
+            want = literal_random_point(n, density, seed, kind, weighted)
+            a, b = cuts[k], cuts[k + 1]
+            shift = [k * n, k * n + (count - 1) * n * (kind == "bipartite")]
+            assert np.array_equal(union.endpoints[a:b] - shift, want.endpoints)
+            assert bits(union.x[a:b]) == bits(want.x)
+            assert bits(union.w[a:b]) == bits(want.w)
+            one = gen_random_point(n, density, seed, kind, weighted)
+            assert one == want and bits(one.x) == bits(want.x)
+
+    def test_some_draws_are_empty(self):
+        _, cuts = gen_random_points(2, 0.6, self.SEEDS, "general")
+        sizes = np.diff(cuts).tolist()
+        assert 0 in sizes and 1 in sizes
+
+    def test_no_seeds(self):
+        union, cuts = gen_random_points(3, 0.5, [], "bipartite")
+        assert (union.n, union.num_edges, cuts.tolist()) == (0, 0, [0])

@@ -18,8 +18,8 @@ from matchgap import Instance, PotentialEdge, SampledGraph
 from matchgap.gallery import gen_random_point
 from matchgap.kernels import _gain_table, _mean1_grid
 
-from conftest import (bits, brute_inv_max_expectation, convolve_pmf, loop_gain_margins,
-                      poisson_pair_expectation)
+from conftest import (bits, brute_inv_max_expectation, convolve_pmf, literal_derivative_sides,
+                      literal_equal_split, loop_gain_margins, poisson_pair_expectation)
 
 
 def gain_coefficients(probs, j_max):
@@ -171,6 +171,16 @@ class TestKernelMinimizer:
         assert report.details["literal_reference"] == pytest.approx(7 / 12, abs=1e-12)
         assert not report.details["literal_form_holds"]
 
+    @pytest.mark.parametrize("m", [1, 2, 7, 40, 201])
+    def test_references_from_one_binomial_pmf(self, m):
+        # both references read one fold of Binomial(m, 1/m); each equals its
+        # own fold bit for bit
+        details = verify_kernel_minimizer(m, 1.0).details
+        pmf = convolve_pmf([1.0 / m] * m)
+        assert bits(details["reference"]) == bits(binomial_max1_kernel(m))
+        assert bits(details["literal_reference"]) == bits(
+            np.sum(pmf / (1.0 + np.arange(m + 1))))
+
     def test_m1_degenerate(self):
         report = verify_kernel_minimizer(1, 0.05)
         assert report.passed
@@ -239,6 +249,15 @@ class TestEqualSplit:
     def test_x0_validation(self):
         with pytest.raises(ValueError):
             verify_equal_split(0.0, 2)
+
+    @pytest.mark.parametrize("grid_step", [0.05, 0.1, 0.025])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_equals_bucket_loop(self, grid_step, m):
+        for x0 in [k / 10.0 for k in range(1, 11)]:
+            report = verify_equal_split(x0, m, grid_step)
+            margin, bucket = literal_equal_split(x0, m, grid_step, report.parameters["c"])
+            assert bits(report.min_value) == bits(margin)
+            assert report.argmin == bucket
 
 
 class TestTruncatedSeries:
@@ -329,7 +348,11 @@ class TestDerivativeBound:
     def test_random_sweep(self, seed):
         inst = gen_random_point(2 + seed % 5, 0.6, 60_000 + seed, "general")
         g = sample(inst, 3, seed)
-        assert check_local_derivative_bound(g).passed
+        report = check_local_derivative_bound(g)
+        assert report.passed
+        lhs, rhs = literal_derivative_sides(g)
+        assert bits([report.details["lhs"], report.details["rhs"]]) == bits([lhs, rhs])
+        assert bits(report.min_value) == bits(lhs - rhs)
 
 
 class TestPhi:

@@ -1,6 +1,6 @@
 import numpy as np
 
-from matchgap.rng import mix64, stream_key, uniform_block, uniforms
+from matchgap.rng import BernoulliBlocks, mix64, stream_key, uniform_block, uniforms
 
 # Golden values pin the bit derivation across platforms and refactors.
 GOLDEN_SEED1_STREAM0 = [0.753709642397528, 0.6762883648924192,
@@ -29,6 +29,27 @@ def test_block_matches_single_streams():
     block = uniform_block(5, [0, 3, 7], 16)
     for row, stream in zip(block, (0, 3, 7)):
         assert np.array_equal(row, uniforms(5, stream, 16))
+
+
+def test_seed_arrays_broadcast_against_streams():
+    seeds = np.array([0, 5, 2 ** 63 + 5, 2 ** 64 - 1], dtype=np.uint64)
+    block = uniform_block(seeds[:, None], [0, 3, 7], 16)
+    assert block.shape == (4, 3, 16)
+    for seed, row, key in zip(seeds.tolist(), block, stream_key(seeds, 3)):
+        assert np.array_equal(row, uniform_block(seed, [0, 3, 7], 16))
+        assert key == stream_key(seed, 3)
+
+
+def test_bernoulli_rows_of_their_own():
+    # one probability row per drawn row decides row k as a draw on x[k] alone
+    x = uniform_block(3, np.arange(5), 9)
+    x[1] = 0.0
+    x[2, 4:] = 1.0
+    keys = stream_key(4, np.arange(10, 15, dtype=np.uint64))
+    rows = BernoulliBlocks(x, 5).draw(keys)
+    for k in range(5):
+        assert np.array_equal(rows[k], BernoulliBlocks(x[k], 1).draw(keys[k:k + 1])[0])
+    assert not rows[1].any() and rows[2, 4:].all()
 
 
 def test_streams_and_seeds_differ():
