@@ -2,17 +2,19 @@
 """Cost of `sampling.row_map` rows in edge draws, the unit of the split
 rule, and of a cover block on each path of `matching.cover_solver`.
 
-Times, best of five each, the mass-certificate rows (cover plus scheme
+Times, best of five each, the Monte Carlo value rows of the two ``mc``
+benchmark instances, the mass-certificate rows (cover plus scheme
 masses) and the kernel-MC rows of a few instances, and the draw itself
 on Karp-Sipser n=200 c=1 (2,000 samples) before and after each case, so
 the ratio does not follow the machine's speed drifting between cases.
-Monte Carlo cases have their own draws taken out, exact cases the
-split rule's m draws a row.  Prints per case the cover cost per
-realized edge, and per instance the kernel cost per (sample, edge)
-beyond its draw, then the medians, which ``sampling.SPLIT_MIN_WORK``'s
-comment records: the cover's apart for the cases whose blocks hold at
-least ``matching.LOCKSTEP_MIN_ROWS`` rows, which take the lockstep, and
-the others (the rule of `estimate._scheme_mass_sum`).
+Prints the draw rate in hashes per second first.  Monte Carlo cases
+have their own draws taken out, exact cases the split rule's m draws a
+row.  Prints per case the value or cover cost per realized edge, and per
+instance the kernel cost per (sample, edge) beyond its draw, then the
+medians, which ``sampling.SPLIT_MIN_WORK``'s comment records: the
+cover's apart for the cases whose blocks hold at least
+``matching.LOCKSTEP_MIN_ROWS`` rows, which take the lockstep, and the
+others (the rule of `estimate._scheme_mass_sum`).
 
 Then, per instance and block size from 8 to 256 rows, the cost of the
 lockstep over that of solving one by one, on the instance's own blocks:
@@ -39,12 +41,18 @@ import numpy as np
 from matchgap import estimate, matching
 from matchgap.gallery import (gen_equal_split_star, gen_karp_sipser, gen_pendant_star,
                               gen_random_point)
-from matchgap.sampling import block_rows, realization_blocks, support_probabilities
+from matchgap.sampling import (block_rows, realization_blocks, sample_values,
+                               support_probabilities)
 
 ROWS = 512  # nonempty rows of an instance timed at every block size
 BLOCKS = (8, 16, 32, 64, 128, 256)
 
 DRAW_INSTANCE = gen_karp_sipser(200, 1.0, "bipartite")
+
+VALUE_CASES = [  # the ``mc`` benchmark workloads at seed 1: (label, instance, samples)
+    ("karp_sipser n=200 mc", DRAW_INSTANCE, 2000),
+    ("random_point n=100 d=0.1 mc", gen_random_point(100, 0.1, 1), 8000),
+]
 
 CASES = [  # (label, instance, samples; None for exact enumeration)
     ("equal_split_star n=7 exact", gen_equal_split_star(7, 0.1), None),
@@ -74,6 +82,14 @@ def draw_seconds() -> float:
 
 
 def main() -> None:
+    print(f"draw: {1 / draw_seconds():.3g} hashes/s (karp_sipser n=200, 2,000 samples)")
+    for label, inst, samples in VALUE_CASES:
+        before = draw_seconds()
+        solve = matching.value_solver(inst)
+        t = best(lambda: sample_values(inst, solve, 1, 0, samples)) - drawn(inst, samples)
+        draw = (before + draw_seconds()) / 2
+        print(f"value  {label:28s} {t / samples * 1e6:7.1f} us/row  "
+              f"{t / samples / draw / float(inst.x.sum()):6.0f} draws per realized edge")
     cover, kernel = {True: [], False: []}, []  # cover costs by lockstep expected
     for label, inst, samples in CASES:
         m, x = inst.num_edges, inst.x
@@ -111,24 +127,34 @@ def main() -> None:
 
 
 def own_blocks(inst, samples, size: int) -> list:
-    """Blocks of `size` nonempty rows, ROWS rows in all or fewer, cut from
-    the blocks that the mass certificate of `inst` hands `cover_solver`:
-    its support-mask chunks from the middle of the support on when
-    `samples` is None, else its realization blocks of `samples` samples."""
+    """Blocks (flat, rows) of `size` nonempty rows, ROWS rows in all or
+    fewer, cut from the blocks that the mass certificate of `inst` hands
+    `cover_solver`: its support-mask chunks from the middle of the
+    support on when `samples` is None, else its realization blocks of
+    `samples` samples."""
+    m = inst.num_edges
     if samples is None:
         masks = np.flatnonzero(support_probabilities(inst))
         masks = masks[len(masks) // 2:]
-        chunk, bits = estimate._MASK_CHUNK, 1 << np.arange(inst.num_edges)
+        chunk, bits = estimate._MASK_CHUNK, 1 << np.arange(m)
         blocks = ((masks[k:k + chunk, None] & bits) != 0 for k in range(0, len(masks), chunk))
     else:
-        blocks = realization_blocks(inst, 0, 0, samples)
+        blocks = (dense(flat, rows, m) for flat, rows in realization_blocks(inst, 0, 0, samples))
     out = []
     for block in blocks:
         rows = block[block.any(axis=1)]
-        out += [rows[k:k + size] for k in range(0, len(rows) - size + 1, size)]
+        out += [(np.flatnonzero(rows[k:k + size]), size)
+                for k in range(0, len(rows) - size + 1, size)]
         if len(out) * size >= ROWS:
             break
     return out[:ROWS // size]
+
+
+def dense(flat, rows: int, m: int) -> np.ndarray:
+    """A block's flat positions as its (rows, m) boolean matrix."""
+    block = np.zeros(rows * m, dtype=bool)
+    block[flat] = True
+    return block.reshape(rows, m)
 
 
 def path_costs(inst, blocks: list, tries: int = 7) -> tuple[float, float]:
@@ -139,12 +165,12 @@ def path_costs(inst, blocks: list, tries: int = 7) -> tuple[float, float]:
     times = ([], [])
     try:
         for _ in range(tries):
-            for min_rows, out in zip((1, len(blocks[0]) + 1), times):
+            for min_rows, out in zip((1, blocks[0][1] + 1), times):
                 matching.LOCKSTEP_MIN_ROWS = min_rows
                 cover = matching.cover_solver(inst)
                 start = time.perf_counter()
-                for block in blocks:
-                    cover(block)
+                for flat, rows in blocks:
+                    cover(flat, rows)
                 out.append(time.perf_counter() - start)
     finally:
         matching.LOCKSTEP_MIN_ROWS = saved
@@ -165,7 +191,7 @@ def paths() -> None:
             lock, alone = path_costs(inst, blocks)
             below[size].append(lock < alone)
             cells.append(f"{lock / alone:5.2f}")
-            realized += [np.count_nonzero(b) / len(b) for b in blocks]
+            realized += [len(flat) / rows for flat, rows in blocks]
         print(f"blocks {label:28s} {np.mean(realized):5.1f} edges a row  " + " ".join(cells))
     least = [size for size in BLOCKS if below[size] and all(below[size])]
     print(f"least block (LOCKSTEP_MIN_ROWS): {least[0] if least else 'none'}")

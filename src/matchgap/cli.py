@@ -269,7 +269,7 @@ def _derivative_trials(n: int, ks, seed: int):
     gen_random_point(n, 0.6, seed * 100003 + k, "general"), seeds modulo
     2**64.  Returns the union, its cuts (gallery.gen_random_points) and
     the realized mask over its edges: every trial's draw in one block of
-    rows padded with probability 0."""
+    rows padded with probability 0, laid out by (trial, position)."""
     ks = np.asarray(ks, dtype=np.uint64)
     union, cuts = gallery.gen_random_points(
         n, 0.6, [(seed * 100003 + k) % (1 << 64) for k in ks.tolist()], "general")
@@ -279,7 +279,9 @@ def _derivative_trials(n: int, ks, seed: int):
     x = np.zeros((len(ks), sizes.max()))
     x[row, pos] = union.x
     keys = stream_key((seed + 1) % (1 << 64), ks)
-    return union, cuts, BernoulliBlocks(x, len(ks)).draw(keys)[row, pos]
+    drawn = np.zeros(x.size, dtype=bool)
+    drawn[BernoulliBlocks(x, len(ks)).draw(keys)] = True
+    return union, cuts, drawn[row * x.shape[1] + pos]
 
 
 def _cmd_verify(args) -> int:

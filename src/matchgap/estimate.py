@@ -112,7 +112,7 @@ def per_edge_masses_exact(inst: Instance, scheme: str = "weighted") -> np.ndarra
     def blocks(first, stop):
         for i in range(first, stop, _MASK_CHUNK):
             c = masks[i:min(i + _MASK_CHUNK, stop)]
-            yield (c[:, None] & bits) != 0, probs[c]
+            yield np.flatnonzero((c[:, None] & bits) != 0), len(c), probs[c]
 
     # such a mask holds every edge of x = 1 and half of those of 0 < x < 1
     x = inst.x
@@ -123,15 +123,16 @@ def per_edge_masses_exact(inst: Instance, scheme: str = "weighted") -> np.ndarra
 def _scheme_mass_sum(inst: Instance, blocks, count: int, realized: float, rows: int,
                      scheme: str) -> np.ndarray:
     """Per edge, the sum of p * (scheme mass) over rows 0..count-1,
-    added row by row in order.  `blocks(first, stop)` yields (realization
-    block, p per row) for rows first..stop-1, p None for all ones, in
-    blocks of up to `rows` rows that hold `realized` edges on average.
-    The rows go through `row_map`."""
+    added row by row in order.  `blocks(first, stop)` yields (flat, rows,
+    p) for rows first..stop-1: a realization block as
+    `sampling.realization_blocks` gives it and p per row, None for all
+    ones, in blocks of up to `rows` rows that hold `realized` edges on
+    average.  The rows go through `row_map`."""
     cover = cover_solver(inst)
 
     def fill(first, stop):
-        for block, p in blocks(first, stop):
-            masses = block_edge_masses(inst, block, cover(block), scheme)
+        for flat, rows, p in blocks(first, stop):
+            masses = block_edge_masses(inst, flat, cover(flat, rows), scheme)
             if p is not None:
                 masses *= p[:, None]
             yield masses
@@ -168,15 +169,18 @@ def _kernel_means_mc(inst: Instance, samples: int, seed: int) -> np.ndarray:
     on e by independence).
 
     One block serves every edge: with realized degrees deg = R . incidence,
-    forcing e gives deg - r_e + 1 at both endpoints.  Sums run sample by
+    forcing e gives deg - r_e + 1 at both endpoints, so the larger is
+    max(deg u, deg v) + 1, less 1 where e is realized.  Sums run sample by
     sample in index order.
     """
     ends = inst.endpoints
 
     def fill(first, stop):
-        for block in realization_blocks(inst, seed, first, stop - first):
-            deg = block_degrees(inst, block)
-            yield 1.0 / np.maximum(deg[:, ends[:, 0]] - block + 1, deg[:, ends[:, 1]] - block + 1)
+        for flat, rows in realization_blocks(inst, seed, first, stop - first):
+            deg = block_degrees(inst, flat, rows)
+            top = np.maximum(deg[:, ends[:, 0]], deg[:, ends[:, 1]]) + 1
+            top[np.divmod(flat, max(len(ends), 1))] -= 1
+            yield 1.0 / top
 
     m = inst.num_edges
     total = np.zeros(m, dtype=np.float64)
@@ -220,7 +224,8 @@ def _certificates(inst: Instance, edges: list[int], mode: str, scheme: str, boun
         masses = per_edge_masses_exact(inst, scheme)
     elif mode == "mc":
         def blocks(first, stop):
-            return ((b, None) for b in realization_blocks(inst, seed, first, stop - first))
+            return ((flat, rows, None)
+                    for flat, rows in realization_blocks(inst, seed, first, stop - first))
 
         masses = _scheme_mass_sum(inst, blocks, samples, float(inst.x.sum()),
                                   block_rows(inst, samples), scheme) / samples

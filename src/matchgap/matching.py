@@ -539,47 +539,57 @@ def _nu_edge_branch(edges):
 _PEEL_MIN_SHARE = 1.0 / 64.0
 
 
-def _cardinalities(ends: np.ndarray, nv: int, idxs: list) -> np.ndarray:
-    """Maximum matching cardinality of each realized edge set in `idxs`
-    (ascending edge index arrays into the (m, 2) bipartite endpoints
-    `ends`, whose graphs have `nv` vertices), as a float64 array.
+def _cardinalities(ends: np.ndarray, nv: int, sid: np.ndarray, edge: np.ndarray,
+                   count: int) -> np.ndarray:
+    """Maximum matching cardinality of each sample of a batch (`sid`,
+    `edge`, `count`, as `sampling.realized_batches` gives it) of the (m, 2)
+    bipartite endpoints `ends`, whose graphs have `nv` vertices, as a
+    float64 array.
 
     The samples form one disjoint union, sample k's vertices offset by
     k * nv, peeled in rounds by Karp and Sipser's degree-1 rule: every
-    degree-1 vertex is matched to its neighbour, one leaf per neighbour.
-    A round's pendant edges share no vertex, and each stays pendant while
-    the others are matched, so the rule keeps the matching maximum.  What
-    peeling leaves (vertices of degree two or more, or long chains once a
-    round falls below ``_PEEL_MIN_SHARE``) gets augmenting paths.
+    degree-1 vertex is matched to its neighbour, one leaf per neighbour
+    (any one: a value is a count).  A round's pendant edges share no
+    vertex, and each stays pendant while the others are matched, so the
+    rule keeps the matching maximum.  What peeling leaves (vertices of
+    degree two or more, or long chains once a round falls below
+    ``_PEEL_MIN_SHARE``) gets augmenting paths.
     """
-    size = len(idxs) * nv
-    base = np.repeat(np.arange(len(idxs)) * nv, [len(idx) for idx in idxs])
-    pairs = ends[np.concatenate(idxs)] if idxs else np.empty((0, 2), dtype=np.int64)
-    u, v = pairs[:, 0] + base, pairs[:, 1] + base
-    count = np.zeros(len(idxs), dtype=np.int64)
+    size = count * nv
+    base = sid * nv
+    u, v = ends[edge, 0] + base, ends[edge, 1] + base
+    values = np.zeros(count, dtype=np.int64)
     matched = np.zeros(size, dtype=bool)
+    owner = np.empty(size, dtype=np.int64)
     while len(u):
-        deg = np.bincount(u, minlength=size) + np.bincount(v, minlength=size)
+        deg = np.bincount(np.concatenate((u, v)), minlength=size)
         leaf_u = deg[u] == 1
         pendant = np.flatnonzero(leaf_u | (deg[v] == 1))
         if not len(pendant):
             break
-        # one pendant edge per neighbour of a leaf (an isolated edge's
-        # neighbour is its right vertex)
+        # one pendant edge per neighbour of a leaf, the one whose write
+        # stands (an isolated edge's neighbour is its right vertex)
         nbr = np.where(leaf_u[pendant], v[pendant], u[pendant])
-        take = pendant[np.unique(nbr, return_index=True)[1]]
+        owner[nbr] = pendant
+        take = pendant[owner[nbr] == pendant]
         matched[u[take]] = True
         matched[v[take]] = True
-        count += np.bincount(u[take] // nv, minlength=len(idxs))
+        values += np.bincount(sid[take], minlength=count)
         few = len(take) < _PEEL_MIN_SHARE * len(u)
-        keep = ~(matched[u] | matched[v])
-        u, v = u[keep], v[keep]
+        keep = np.flatnonzero(~(matched[u] | matched[v]))
+        u, v, sid = u[keep], v[keep], sid[keep]
         if few:
             break
     if len(u):
         mate = _kuhn_matching(zip(u.tolist(), v.tolist()))
-        count += np.bincount(np.fromiter(mate, np.int64, len(mate)) // nv, minlength=len(idxs))
-    return count.astype(np.float64)
+        values += np.bincount(np.fromiter(mate, np.int64, len(mate)) // nv, minlength=count)
+    return values.astype(np.float64)
+
+
+def _sample_cuts(sid: np.ndarray, count: int) -> list:
+    """Sample k of a batch holds entries cuts[k]..cuts[k+1]-1 of its
+    ascending `sid`."""
+    return np.searchsorted(sid, np.arange(count + 1)).tolist()
 
 
 def _kuhn_matching(pairs) -> dict[int, int]:
@@ -661,10 +671,12 @@ def _peel_margin(inst: Instance) -> float:
     return nv * (_TIGHT + nv * nv * 2.0 ** -50 * float(inst.w.max()))
 
 
-def _weighted_values(inst: Instance, margin: float, idxs: list) -> np.ndarray:
-    """Maximum matching weight of each realized edge set in `idxs`
-    (ascending edge index arrays of the weighted bipartite `inst`), as a
-    float64 array, bit for bit the per-sample primal-dual's.
+def _weighted_values(inst: Instance, margin: float, sid: np.ndarray, edge: np.ndarray,
+                     count: int) -> np.ndarray:
+    """Maximum matching weight of each sample of a batch (`sid`, `edge`,
+    `count`, as `sampling.realized_batches` gives it) of the weighted
+    bipartite `inst`, as a float64 array, bit for bit the per-sample
+    primal-dual's.
 
     The samples form one disjoint union, sample k's vertices offset by
     k * 2n, peeled in rounds of the weighted degree-1 rule: with leaf l on
@@ -684,21 +696,20 @@ def _weighted_values(inst: Instance, margin: float, idxs: list) -> np.ndarray:
     `_peel_margin`) of 0: there the primal-dual may pick another matching
     of near-equal weight, or add the same one to other last bits.
     """
-    n, nv, count = inst.n, inst.total_vertices, len(idxs)
-    flat = np.concatenate(idxs) if idxs else np.empty(0, dtype=np.int64)
-    base = np.repeat(np.arange(count) * nv, [len(idx) for idx in idxs])
-    left = inst.endpoints[flat, 0]
-    u, v = left + base, inst.endpoints[flat, 1] + base
-    wt = inst.w[flat]
-    pos = np.arange(len(flat))
+    n, nv = inst.n, inst.total_vertices
+    left = inst.endpoints[edge, 0]
+    u, v = left + sid * nv, inst.endpoints[edge, 1] + sid * nv
+    wt = inst.w[edge]
     fallback = np.zeros(count, dtype=bool)
-    fallback[u[wt <= margin] // nv] = True
-    keep = ~fallback[u // nv]
-    u, v, wt, pos = u[keep], v[keep], wt[keep], pos[keep]
+    fallback[sid[wt <= margin]] = True
+    pos = np.flatnonzero(~fallback[sid])  # each edge's sample id rides along as s
+    u, v, wt, s = u[pos], v[pos], wt[pos], sid[pos]
     size = count * nv
-    rounds = []  # per round: centres, their leaves, kept edges' positions in flat
+    rounds = []  # per round: centres, their leaves, kept edges' positions in the batch
+    # per-vertex scratch, set at a round's centres and reset there after it
+    top, runner_up, lowest = np.zeros(size), np.zeros(size), np.full(size, len(edge))
     while len(u):
-        deg = np.bincount(u, minlength=size) + np.bincount(v, minlength=size)
+        deg = np.bincount(np.concatenate((u, v)), minlength=size)
         leaf_u = deg[u] == 1
         pendant = np.flatnonzero(leaf_u | (deg[v] == 1))
         if not len(pendant):
@@ -706,28 +717,25 @@ def _weighted_values(inst: Instance, margin: float, idxs: list) -> np.ndarray:
         centre = np.where(leaf_u[pendant], v[pendant], u[pendant])
         leaf_w = wt[pendant]
         # every weight left exceeds the margin, so 0.0 stands for "no leaf"
-        top = np.zeros(size)
         np.maximum.at(top, centre, leaf_w)
-        lowest = np.full(size, len(u))
         heaviest = leaf_w == top[centre]
         np.minimum.at(lowest, centre[heaviest], pendant[heaviest])
         kept = lowest[centre] == pendant
-        runner_up = np.zeros(size)
         np.maximum.at(runner_up, centre[~kept], leaf_w[~kept])
         best, centre = pendant[kept], centre[kept]
-        fallback[centre[top[centre] - runner_up[centre] <= margin] // nv] = True
+        fallback[s[best][top[centre] - runner_up[centre] <= margin]] = True
         rounds.append((centre, u[best] + v[best] - centre, pos[best]))
         rest = np.ones(len(u), dtype=bool)
         rest[pendant] = False
         wt = wt - top[u] - top[v]
-        fallback[u[rest & (np.abs(wt) <= margin)] // nv] = True
+        top[centre], runner_up[centre], lowest[centre] = 0.0, 0.0, len(edge)
+        fallback[s[rest & (np.abs(wt) <= margin)]] = True
         few = len(best) < _PEEL_MIN_SHARE * len(u)
-        keep = rest & (wt > 0.0)
-        keep &= ~fallback[u // nv]
-        u, v, wt, pos = u[keep], v[keep], wt[keep], pos[keep]
+        keep = np.flatnonzero(rest & (wt > 0.0) & ~fallback[s])
+        u, v, wt, pos, s = u[keep], v[keep], wt[keep], pos[keep], s[keep]
         if few:
             break
-    fallback[u // nv] = True
+    fallback[s] = True
 
     matched = np.zeros(size, dtype=bool)
     taken = []
@@ -738,18 +746,20 @@ def _weighted_values(inst: Instance, margin: float, idxs: list) -> np.ndarray:
         taken.append(at[free])
     at = np.concatenate(taken) if taken else np.empty(0, dtype=np.int64)
     table = np.zeros((count, n))
-    table[base[at] // nv, left[at]] = inst.w[flat[at]]
+    table[sid[at], left[at]] = inst.w[edge[at]]
     values = np.cumsum(table, axis=1)[:, -1]
+    cuts = _sample_cuts(sid, count)
     for k in np.flatnonzero(fallback).tolist():
-        tails, arcs = _bipartite_arcs(inst, idxs[k])
+        tails, arcs = _bipartite_arcs(inst, edge[cuts[k]:cuts[k + 1]])
         values[k] = _matched_weight(_primal_dual(range(len(arcs)), tails, arcs, n)[0], arcs)
     return values
 
 
-def value_solver(inst: Instance) -> Callable[[list], np.ndarray]:
+def value_solver(inst: Instance) -> Callable[[np.ndarray, np.ndarray, int], np.ndarray]:
     """The solver `matching_value` applies to realizations of `inst`, as a
-    function of a batch of samples: it takes a list of ascending realized
-    edge index arrays and returns their values as a float64 array.
+    function of a batch of samples: it takes a batch (sid, edge, count) of
+    `sampling.realized_batches` and returns the values of its samples as a
+    float64 array.
     Bipartite batches are peeled together: unweighted ones by
     `_cardinalities`, weighted ones by `_weighted_values`, which hands
     the samples it cannot decide to the primal-dual.  General samples
@@ -763,7 +773,11 @@ def value_solver(inst: Instance) -> Callable[[list], np.ndarray]:
             return partial(_cardinalities, inst.endpoints, inst.total_vertices)
         return partial(_weighted_values, inst, _peel_margin(inst))
     solve = _general_solver(inst)
-    return lambda idxs: np.fromiter(map(solve, idxs), np.float64, len(idxs))
+
+    def values(sid, edge, count):
+        cuts = _sample_cuts(sid, count)
+        return np.fromiter((solve(edge[a:b]) for a, b in zip(cuts, cuts[1:])), np.float64, count)
+    return values
 
 
 #: A cover block's nonempty rows go through `_lockstep` together when
@@ -775,42 +789,42 @@ def value_solver(inst: Instance) -> Callable[[list], np.ndarray]:
 LOCKSTEP_MIN_ROWS = 256
 
 
-def cover_solver(inst: Instance) -> Callable[[np.ndarray], np.ndarray]:
+def cover_solver(inst: Instance) -> Callable[[np.ndarray, int], np.ndarray]:
     """The covers of `max_weight_matching_bipartite` for realizations of a
-    bipartite `inst`, as a function of a (rows, m) realization block:
-    row k of the (rows, 2n) result is the cover of block row k, bit for
-    bit.  A block's nonempty rows are solved together by `_lockstep` when
-    there are at least ``LOCKSTEP_MIN_ROWS`` of them, and otherwise one by
-    one by `_primal_dual` on lists over all edges, built once per instance."""
+    bipartite `inst`, as a function of a block (flat, rows) of
+    `sampling.realization_blocks`: row k of the (rows, 2n) result is the
+    cover of block row k, bit for bit.  A block's nonempty rows are solved
+    together by `_lockstep` when there are at least ``LOCKSTEP_MIN_ROWS``
+    of them, and otherwise one by one by `_primal_dual` on lists over all
+    edges, built once per instance."""
     tails, arcs = _bipartite_arcs(inst, np.arange(inst.num_edges))
-    n = inst.n
+    n, m = inst.n, max(inst.num_edges, 1)
     order = np.argsort(inst.endpoints[:, 0], kind="stable")
+    rank = np.argsort(order)  # edge j's position in (left vertex, edge index) order
+    ordered = bool((order == np.arange(len(order))).all())  # as every generator lists them
     left, right, wt = inst.endpoints[order, 0], inst.endpoints[order, 1] - n, inst.w[order]
 
-    def covers(block: np.ndarray) -> np.ndarray:
-        count = np.count_nonzero(block, axis=1)
-        nonempty = count > 0
-        y = np.zeros((len(block), 2 * n))
-        if np.count_nonzero(nonempty) >= LOCKSTEP_MIN_ROWS:
-            sub = block[nonempty][:, order]
-            rows, cols = np.nonzero(sub)
-            y[nonempty] = _lockstep(rows, left[cols], right[cols], wt[cols], len(sub), n)
-        elif nonempty.any():
-            cols = np.nonzero(block[nonempty])[1].tolist()
-            cuts = [0, *np.cumsum(count[nonempty]).tolist()]
-            y[nonempty] = _covers([_primal_dual(cols[a:b], tails, arcs, n)[1:]
-                                   for a, b in zip(cuts, cuts[1:])], n)
+    def covers(flat: np.ndarray, rows: int) -> np.ndarray:
+        row, col = np.divmod(flat, m)
+        nonempty = np.flatnonzero(np.bincount(row, minlength=rows))
+        y = np.zeros((rows, 2 * n))
+        if len(nonempty) >= LOCKSTEP_MIN_ROWS:
+            if not ordered:  # the arcs in (row, left vertex, edge index) order
+                row, col = np.divmod(np.sort(row * m + rank[col]), m)
+            y = _lockstep(row, left[col], right[col], wt[col], rows, n)
+        elif len(nonempty):
+            cuts, col = _sample_cuts(row, rows), col.tolist()
+            y[nonempty] = _covers([_primal_dual(col[cuts[k]:cuts[k + 1]], tails, arcs, n)[1:]
+                                   for k in nonempty.tolist()], n)
         return np.where(y > 0.0, y, 0.0)
     return covers
 
 
 def matching_value(g: SampledGraph) -> float:
-    """Maximum matching weight via the solver appropriate to the kind."""
-    inst = g.instance
-    if inst.kind == "bipartite" and not inst.is_unweighted:
-        # the wrapper reads the realized edges only, not per-instance lists
-        return max_weight_matching_bipartite(g)[1]
-    return float(value_solver(inst)([g.edge_indices])[0])
+    """Maximum matching weight via the solver appropriate to the kind: a
+    batch of one for `value_solver`."""
+    idx = g.edge_indices
+    return float(value_solver(g.instance)(np.zeros(len(idx), dtype=np.int64), idx, 1)[0])
 
 
 def matching_values_over_subsets(inst: Instance) -> np.ndarray:

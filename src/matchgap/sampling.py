@@ -9,14 +9,18 @@ evaluation order.
 Every Monte Carlo path draws through `realization_blocks`, which hashes
 as many samples at a time as fit in ``BLOCK_BYTES`` of uint64 work array
 (so the working set stays in a per-core cache) and decides edges with
-integer thresholds (see `rng`).  It derives the samples' stream keys
-once per run, or once per ``BLOCK_BYTES`` of keys, and hands each block
-its slice.  Its blocks are views of buffers reused for the next block:
-`SampledGraph` freezes the array it is given without copying it, so copy
-a row, or take its edge indices, before keeping it past the next block.
-Monte Carlo solvers read each sample as the array of realized edge
-indices (`realized_edge_lists`), in batches whose per-vertex arrays fit
-in ``BLOCK_BYTES`` (`sample_values`).  Every per-sample or per-mask loop
+integer thresholds T = ceil(x * 2**53), most of them before the last mix
+step: the hash ``z3 ^ (z3 >> 31)`` keeps the bits of z3 from 33 up, so
+``(hash >> 11) < T`` needs ``z3 <= (T * 2**11 - 1) | (2**33 - 1)``, and
+only the draws under that cut are finished (`rng` has the two ends).  It
+derives the samples' stream keys once per run, or once per
+``BLOCK_BYTES`` of keys, and hands each block its slice.  A block is the
+ascending flat positions ``row * m + edge`` of its realized draws and its
+row count; the dense views `realization_block` and `sample` are built
+from it.  Monte Carlo solvers read batches of samples whose per-vertex
+arrays fit in ``BLOCK_BYTES``, each as flat arrays of the sample id and
+the edge index of every realized edge, in (sample, edge) order, and the
+sample count (`realized_batches`).  Every per-sample or per-mask loop
 (values, mass certificate rows, kernel rows) runs through one map,
 `row_map`, which splits large ones over forked workers.
 """
@@ -29,7 +33,6 @@ import tempfile
 import threading
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import islice
 from typing import Callable, Iterator
 
 import numpy as np
@@ -46,20 +49,19 @@ BLOCK_BYTES = 512 * 1024
 
 #: Least work of a `row_map` that it splits, in edge draws; on a 2-vCPU VM
 #: splits paid off at 2**25, not 2**24.  Monte Carlo values count samples x
-#: (edges + 256 x expected realized edges).  The batched solvers take 30-45
-#: draws' time per realized edge (unweighted, Karp-Sipser n=200 c=1) and about
-#: 70 (weighted, random_point n=100 density 0.1; the per-sample primal-dual
-#: took about 370); 256 stays, as factors down to 44 leave both Monte Carlo
-#: benchmark workloads split.  Mass certificate rows count rows x (edges +
-#: F x mean realized edges), F = 280 where the blocks hold at least
-#: ``matching.LOCKSTEP_MIN_ROWS`` rows, which take the lockstep covers, and
-#: 870 where they are solved one by one: a cover and its scheme masses took
-#: 141-576 draws' time per realized edge in seven instance and scheme cases
-#: of the first kind and 528-1,180 in three of the second, medians 234-369
-#: and 722-1,065 in seven runs (278 and 867 in the first three).  Kernel-MC
-#: rows count samples x edges x 9: beside its own draw an edge took 4.4-13.3
-#: draws' time, medians 5.1-8.6.  Measured on one CPU by
-#: ``scripts/row_costs.py``.
+#: (edges + 256 x expected realized edges), mass certificate rows count rows
+#: x (edges + F x mean realized edges), F = 280 where the blocks hold at
+#: least ``matching.LOCKSTEP_MIN_ROWS`` rows, which take the lockstep covers,
+#: and 870 where they are solved one by one, and kernel-MC rows count
+#: samples x edges x 9.  In draws of 2.1-2.7e8 hashes/s, a realized edge took
+#: 33-59 draws' time in a value (Karp-Sipser n=200 c=1) and 93-101 (weighted,
+#: random_point n=100 density 0.1), in a cover and its scheme masses 160-476
+#: (medians 220-266) with the lockstep and 536-835 (medians 553-713) without,
+#: and a kernel edge 4.4-5.7 beside its own draw (medians), in three runs of
+#: ``scripts/row_costs.py`` on one CPU.  The factors stay above those costs:
+#: 256 leaves both Monte Carlo benchmark workloads split (factors down to 44
+#: would), and mass and kernel runs that factors at those costs would keep
+#: serial finished 10-33% sooner on two workers.
 SPLIT_MIN_WORK = 1 << 25
 
 
@@ -83,12 +85,12 @@ class SampledGraph:
 
     @cached_property
     def edge_indices(self) -> np.ndarray:
-        return np.nonzero(self.realized)[0]
+        return np.flatnonzero(self.realized)
 
     @cached_property
     def degrees(self) -> np.ndarray:
         """Realized degree per global vertex id."""
-        return block_degrees(self.instance, self.realized[None])[0]
+        return block_degrees(self.instance, self.edge_indices, 1)[0]
 
     @property
     def num_realized(self) -> int:
@@ -96,12 +98,13 @@ class SampledGraph:
 
 
 def realization_blocks(inst: Instance, seed: int, start: int,
-                       count: int) -> Iterator[np.ndarray]:
+                       count: int) -> Iterator[tuple[np.ndarray, int]]:
     """Realizations of samples start..start+count-1, in order, as blocks.
 
-    Each block is a (rows, m) boolean array whose rows are consecutive
-    samples; together the blocks hold `count` rows.  Blocks are views of
-    one buffer that the next block overwrites.
+    Each block is (flat, rows): `rows` consecutive samples and the
+    ascending int64 positions ``k * m + j`` of their realized edges, k
+    the sample's row in the block and j the edge; together the blocks hold
+    `count` rows.
     """
     rows = block_rows(inst, count)
     draws = BernoulliBlocks(inst.x, rows)
@@ -111,7 +114,8 @@ def realization_blocks(inst: Instance, seed: int, start: int,
     for first in range(start, stop, chunk):
         keys = stream_key(seed, np.arange(first, min(first + chunk, stop), dtype=np.uint64))
         for k in range(0, len(keys), rows):
-            yield draws.draw(keys[k:k + rows])
+            block = keys[k:k + rows]
+            yield draws.draw(block), len(block)
 
 
 def block_rows(inst: Instance, count: int) -> int:
@@ -119,23 +123,36 @@ def block_rows(inst: Instance, count: int) -> int:
     return max(1, min(count, BLOCK_BYTES // max(8 * inst.num_edges, 1)))
 
 
-def realized_edge_lists(inst: Instance, seed: int, start: int,
-                        count: int) -> Iterator[np.ndarray]:
-    """Samples start..start+count-1 in order, each as the ascending array
-    of its realized edge indices (the caller's own, not a block view)."""
-    for block in realization_blocks(inst, seed, start, count):
-        for row in block:
-            yield np.flatnonzero(row)
+def realized_batches(inst: Instance, seed: int, start: int, count: int,
+                     batch: int) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
+    """Samples start..start+count-1 in order, `batch` at a time (the last
+    batch may hold fewer), each batch as (sid, edge, rows): its `rows`
+    samples' realized edges in (sample, edge) order, edge[i] realized in
+    sample sid[i] of the batch (0..rows-1).  The blocks of
+    `realization_blocks` are cut at batch edges by `np.searchsorted`."""
+    m = max(inst.num_edges, 1)
+    pieces = []        # of the batch from sample `first` on, as positions sample * m + edge
+    first = done = 0   # samples, counted from start
+    for flat, rows in realization_blocks(inst, seed, start, count):
+        flat += done * m
+        done += rows
+        while first < done and (done - first >= batch or done == count):
+            stop = min(first + batch, count)
+            cut = np.searchsorted(flat, stop * m)
+            sid, edge = np.divmod(np.concatenate(pieces + [flat[:cut]]), m)
+            yield sid - first, edge, stop - first
+            pieces, flat, first = [], flat[cut:], stop
+        pieces.append(flat)
 
 
-def sample_values(inst: Instance, solve: Callable[[list], np.ndarray], seed: int,
-                  start: int, count: int) -> np.ndarray:
+def sample_values(inst: Instance, solve: Callable[[np.ndarray, np.ndarray, int], np.ndarray],
+                  seed: int, start: int, count: int) -> np.ndarray:
     """float64 array of the values of samples start..start+count-1, in order.
 
-    `solve` takes a batch, a list of samples' ascending realized edge
-    index arrays, and returns one value per sample; a batch holds as many
-    samples as have ``BLOCK_BYTES`` of int64 per-vertex arrays.  The
-    batches go through `row_map`, one row of width 1 per sample.
+    `solve(sid, edge, rows)` takes a batch of `realized_batches` and
+    returns one value per sample; a batch holds as many samples as have
+    ``BLOCK_BYTES`` of int64 per-vertex arrays.  The batches go through
+    `row_map`, one row of width 1 per sample.
     """
     out = np.empty(count, dtype=np.float64)
     pos = 0
@@ -148,9 +165,8 @@ def sample_values(inst: Instance, solve: Callable[[list], np.ndarray], seed: int
 
 def _solved(inst, solve, seed, start, first, stop) -> Iterator[np.ndarray]:
     batch = max(1, BLOCK_BYTES // max(8 * inst.total_vertices, 1))
-    lists = realized_edge_lists(inst, seed, start + first, stop - first)
-    for k in range(first, stop, batch):
-        yield np.asarray(solve(list(islice(lists, batch))), dtype=np.float64)[:, None]
+    for sid, edge, rows in realized_batches(inst, seed, start + first, stop - first, batch):
+        yield np.asarray(solve(sid, edge, rows), dtype=np.float64)[:, None]
 
 
 def row_map(fill: Callable[[int, int], Iterator[np.ndarray]], count: int, width: int,
@@ -221,35 +237,38 @@ def _forked_rows(fill, width, cuts) -> Iterator[np.ndarray]:
             os.waitpid(pid, 0)
 
 
-def block_degrees(inst: Instance, block: np.ndarray) -> np.ndarray:
-    """(rows, total_vertices) realized degrees of the rows of a block."""
-    rows, cols = np.nonzero(block)
-    ends = inst.endpoints
+def block_degrees(inst: Instance, flat: np.ndarray, rows: int) -> np.ndarray:
+    """(rows, total_vertices) realized degrees of the rows of a block given
+    by its flat positions (see `realization_blocks`)."""
+    row, col = np.divmod(flat, max(inst.num_edges, 1))
     nv = inst.total_vertices
-    base = rows * nv
-    deg = np.bincount(np.concatenate([base + ends[cols, 0], base + ends[cols, 1]]),
-                      minlength=len(block) * nv)
-    return deg.reshape(len(block), nv)
+    base = row * nv
+    ends = inst.endpoints
+    # one count over both ends: two (rows * nv) counts alive at once cost
+    # 20 times as much on 2,114 rows of pendant_star n=30 (page faults)
+    deg = np.bincount(np.concatenate([base + ends[col, 0], base + ends[col, 1]]),
+                      minlength=rows * nv)
+    return deg.reshape(rows, nv)
 
 
 def sample(inst: Instance, seed: int, index: int) -> SampledGraph:
     """Draw sample ``index`` of the run identified by ``seed``."""
-    # a one-sample run allocates its own block, which nothing reuses
-    return SampledGraph(inst, next(realization_blocks(inst, seed, index, 1))[0])
+    return SampledGraph(inst, realization_block(inst, seed, index, 1)[0])
 
 
 def realization_block(inst: Instance, seed: int, start: int, count: int) -> np.ndarray:
-    """(count, m) boolean matrix for samples start..start+count-1.
+    """(count, m) boolean matrix for samples start..start+count-1, laid out
+    from the flat draw.
 
-    Row k equals sample(inst, seed, start + k).realized; unlike the blocks
-    of `realization_blocks` the matrix is the caller's own.
+    Row k equals sample(inst, seed, start + k).realized.
     """
-    out = np.empty((count, inst.num_edges), dtype=bool)
+    m = inst.num_edges
+    out = np.zeros(count * m, dtype=bool)
     pos = 0
-    for block in realization_blocks(inst, seed, start, count):
-        out[pos:pos + len(block)] = block
-        pos += len(block)
-    return out
+    for flat, rows in realization_blocks(inst, seed, start, count):
+        out[pos * m + flat] = True
+        pos += rows
+    return out.reshape(count, m)
 
 
 def support_probabilities(inst: Instance) -> np.ndarray:

@@ -75,19 +75,21 @@ def unweighted_scheme(g: SampledGraph, cover: FractionalVertexCover) -> MassVect
 
 
 def _one_row(g, cover, scheme):
-    edge_mass = block_edge_masses(g.instance, g.realized[None], cover.y[None], scheme)[0]
+    edge_mass = block_edge_masses(g.instance, g.edge_indices, cover.y[None], scheme)[0]
     return MassVector(np.where(g.degrees == 0, cover.y, 0.0), edge_mass)
 
 
-def block_edge_masses(inst: Instance, block: np.ndarray, covers: np.ndarray,
+def block_edge_masses(inst: Instance, flat: np.ndarray, covers: np.ndarray,
                       scheme: str) -> np.ndarray:
     """Edge masses of the weighted or unweighted scheme, one row per row
-    of a realization block; ``covers[k]`` is the optimal cover of row k.
+    of a realization block given by its flat positions (see
+    `sampling.realization_blocks`); ``covers[k]`` is the optimal cover of
+    row k.
 
     ``weighted_scheme`` and ``unweighted_scheme`` are its one-row case,
     for that realization and cover.
     """
-    masses = _spread(inst, block, covers, block_degrees(inst, block))
+    masses = _spread(inst, flat, covers, block_degrees(inst, flat, len(covers)))
     if scheme == "unweighted":
         return masses + DEFAULT_TRANSFER * _transfers(inst)
     if scheme != "weighted":
@@ -95,11 +97,15 @@ def block_edge_masses(inst: Instance, block: np.ndarray, covers: np.ndarray,
     return masses
 
 
-def _spread(inst, block, y, deg):
-    # y_u / deg_u + y_v / deg_v on realized edges, zero elsewhere
-    a, b = inst.endpoints[:, 0], inst.endpoints[:, 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(block, y[:, a] / deg[:, a] + y[:, b] / deg[:, b], 0.0)
+def _spread(inst, flat, y, deg):
+    # y_u / deg_u + y_v / deg_v on realized edges (where both degrees are
+    # at least 1), zero elsewhere
+    m = inst.num_edges
+    row, col = np.divmod(flat, max(m, 1))
+    a, b = inst.endpoints[col, 0], inst.endpoints[col, 1]
+    out = np.zeros(len(y) * m)
+    out[flat] = y[row, a] / deg[row, a] + y[row, b] / deg[row, b]
+    return out.reshape(len(y), m)
 
 
 def _transfers(inst: Instance) -> np.ndarray:

@@ -188,3 +188,18 @@ def literal_equal_split(x0, m, grid_step, c):
             if margin < worst_margin:
                 worst_margin, worst_bucket = margin, (sy * grid_step, sz * grid_step)
     return worst_margin, worst_bucket
+
+
+def batch_of(lists):
+    """The ascending realized edge index arrays `lists`, one per sample, as
+    one batch (sid, edge, count) of `sampling.realized_batches`."""
+    sid = np.repeat(np.arange(len(lists)), [len(idx) for idx in lists])
+    edge = np.concatenate([np.asarray(idx, dtype=np.int64) for idx in lists] or [[]])
+    return sid, edge.astype(np.int64), len(lists)
+
+
+def flat_block(block):
+    """A (rows, m) boolean realization block as (flat, rows) of
+    `sampling.realization_blocks`."""
+    block = np.asarray(block, dtype=bool)
+    return np.flatnonzero(block), len(block)

@@ -12,9 +12,10 @@ from matchgap import (Instance, MatchingCutoffExceeded, PotentialEdge, SampledGr
 from matchgap import matching, phi_curve
 from matchgap.gallery import gen_random_point
 from matchgap.matching import value_solver
-from matchgap.sampling import realized_edge_lists
+from matchgap.sampling import realization_block
 
-from conftest import brute_matching_value, cycle_instance, path_instance
+from conftest import (batch_of, brute_matching_value, cycle_instance, flat_block,
+                      path_instance)
 
 
 def realized_all(inst):
@@ -218,7 +219,13 @@ def hopcroft_karp_value(inst, idx):
 
 def solve_in_batches(inst, lists, batch):
     solve = value_solver(inst)
-    return np.concatenate([solve(lists[k:k + batch]) for k in range(0, len(lists), batch)])
+    return np.concatenate([solve(*batch_of(lists[k:k + batch]))
+                           for k in range(0, len(lists), batch)])
+
+
+def sample_lists(inst, seed, start, count):
+    """Samples start..start+count-1 as their ascending realized edge indices."""
+    return [np.flatnonzero(row) for row in realization_block(inst, seed, start, count)]
 
 
 class TestPeeler:
@@ -304,12 +311,13 @@ class TestPeeler:
         lists = [empty if k % 3 else np.flatnonzero(rng.random(inst.num_edges) < 0.5)
                  for k in range(20)] + [empty] * 3
         self.check(inst, lists)
-        assert value_solver(inst)([]).tolist() == []
-        assert value_solver(inst)([empty, empty]).tolist() == [0.0, 0.0]
+        assert value_solver(inst)(*batch_of([])).tolist() == []
+        assert value_solver(inst)(*batch_of([empty, empty])).tolist() == [0.0, 0.0]
 
     def test_no_vertices(self):
         inst = Instance("bipartite", 0, ())
-        assert value_solver(inst)([np.zeros(0, dtype=np.int64)] * 2).tolist() == [0.0, 0.0]
+        empty = batch_of([np.zeros(0, dtype=np.int64)] * 2)
+        assert value_solver(inst)(*empty).tolist() == [0.0, 0.0]
         assert phi_curve(inst, 2, "mc", samples=3)[:, 1].tolist() == [0.0, 0.0, 0.0]
 
     def test_path_of_20000_a_side_in_time(self):
@@ -355,7 +363,7 @@ class TestWeightedPeeler:
         (200, 0.02, 2_000)])
     def test_random_point(self, n, density, count):
         inst = gen_random_point(n, density, n, "bipartite")
-        self.check(inst, list(realized_edge_lists(inst, 7, 0, count)))
+        self.check(inst, sample_lists(inst, 7, 0, count))
 
     @pytest.mark.parametrize("weights", [(0.1, 0.2, 0.3), (0.25, 0.5, 1.0), (0.0, 1.0),
                                          (1e-13, 0.5, 1.0)])
@@ -365,7 +373,7 @@ class TestWeightedPeeler:
         base = gen_random_point(12, 0.5, 3, "bipartite")
         w = np.random.default_rng(1).choice(weights, base.num_edges)
         inst = Instance.from_arrays("bipartite", base.n, base.endpoints, base.x, w)
-        self.check(inst, list(realized_edge_lists(inst, 11, 0, 8_000)))
+        self.check(inst, sample_lists(inst, 11, 0, 8_000))
 
     @pytest.mark.parametrize("family", ["tiny_2^-40", "tiny_2^-38"])
     def test_fixture_graphs_below_tolerance(self, family):
@@ -395,7 +403,7 @@ class TestWeightedPeeler:
         monkeypatch.setattr(matching, "_bipartite_arcs",
                             lambda inst, idx: calls.append(len(idx)) or real(inst, idx))
         t = time.perf_counter()
-        value_solver(inst)([np.arange(len(ends))])
+        value_solver(inst)(*batch_of([np.arange(len(ends))]))
         assert time.perf_counter() - t < 1.0
         assert calls == [len(ends)]
         monkeypatch.undo()
@@ -420,7 +428,7 @@ class TestWeightedPeeler:
             return real(inst, idx)
 
         monkeypatch.setattr(matching, "_bipartite_arcs", spy)
-        got = value_solver(inst)(lists)
+        got = value_solver(inst)(*batch_of(lists))
         assert seen == [lists[k].tolist() for k in (1, 2, 4, 5, 6)]
         monkeypatch.undo()
         assert got.tolist() == [primal_dual_value(inst, idx) for idx in lists]
@@ -434,7 +442,7 @@ class TestWeightedPeeler:
         real = matching._bipartite_arcs
         monkeypatch.setattr(matching, "_bipartite_arcs",
                             lambda inst, idx: calls.append(1) or real(inst, idx))
-        solve_in_batches(inst, list(realized_edge_lists(inst, 3, 0, 2_000)), 327)
+        solve_in_batches(inst, sample_lists(inst, 3, 0, 2_000), 327)
         assert len(calls) < 200
 
     def test_phi_curve_mc_matches_per_sample_values(self):
@@ -448,7 +456,7 @@ class TestWeightedPeeler:
         want[0, 1] = 0.0
         for i in range(1, grid + 1):
             scaled = inst.scale_probabilities(float(want[i, 0]))
-            lists = realized_edge_lists(scaled, 5, i * samples, samples)
+            lists = sample_lists(scaled, 5, i * samples, samples)
             want[i, 1] = float(np.array([primal_dual_value(scaled, idx) for idx in lists]).mean())
         assert got.tobytes() == want.tobytes()
 
@@ -475,10 +483,11 @@ class TestCoverSolver:
             return real(idx, tails, arcs, n)
 
         monkeypatch.setattr(matching, "_primal_dual", spy)
-        covers = matching.cover_solver(inst)(block)
+        covers = matching.cover_solver(inst)(*flat_block(block))
         assert max(counts) > 48 and seen == []
         # one nonempty row fewer than LOCKSTEP_MIN_ROWS: every nonempty row alone
-        assert matching.cover_solver(inst)(block[2:]).tobytes() == covers[2:].tobytes()
+        fewer = matching.cover_solver(inst)(*flat_block(block[2:]))
+        assert fewer.tobytes() == covers[2:].tobytes()
         assert seen == [c for c in counts[2:] if c > 0]
         monkeypatch.undo()
         for row, cover in zip(block, covers):

@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from matchgap import rng
 from matchgap.rng import BernoulliBlocks, mix64, stream_key, uniform_block, uniforms
 
 # Golden values pin the bit derivation across platforms and refactors.
@@ -40,16 +42,85 @@ def test_seed_arrays_broadcast_against_streams():
         assert key == stream_key(seed, 3)
 
 
+def dense(flat, shape):
+    """The (rows, width) bool matrix of a draw's flat positions."""
+    out = np.zeros(shape[0] * shape[1], dtype=bool)
+    out[flat] = True
+    return out.reshape(shape)
+
+
 def test_bernoulli_rows_of_their_own():
     # one probability row per drawn row decides row k as a draw on x[k] alone
     x = uniform_block(3, np.arange(5), 9)
     x[1] = 0.0
     x[2, 4:] = 1.0
     keys = stream_key(4, np.arange(10, 15, dtype=np.uint64))
-    rows = BernoulliBlocks(x, 5).draw(keys)
+    flat = BernoulliBlocks(x, 5).draw(keys)
+    assert flat.dtype == np.int64 and np.all(np.diff(flat) > 0)
+    rows = dense(flat, x.shape)
     for k in range(5):
-        assert np.array_equal(rows[k], BernoulliBlocks(x[k], 1).draw(keys[k:k + 1])[0])
+        own = BernoulliBlocks(x[k], 1).draw(keys[k:k + 1])
+        assert np.array_equal(np.flatnonzero(rows[k]), own)
     assert not rows[1].any() and rows[2, 4:].all()
+
+
+# the x at both ends of the cut, at a tiny threshold, and on both sides of
+# 1/4, where a cut on the low 31 bits fails
+BOUNDARY_X = np.array([0.0, 2.0 ** -53, 0.005, 0.26, 0.3, 0.5, 0.75, 0.999, 1.0])
+
+
+def keys_reaching(z3, j):
+    """Stream keys whose position j holds `z3` after the second multiply
+    of the SplitMix64 mix: each step undone, the multiplies by their
+    inverses mod 2**64 and each xor-shift by shifting again until it
+    settles."""
+    def unshift(y, s):
+        x = y
+        for _ in range(64 // s + 1):
+            x = y ^ (x >> np.uint64(s))
+        return x
+
+    with np.errstate(over="ignore"):
+        z = unshift(z3 * np.uint64(pow(int(rng._MIX2), -1, 1 << 64)), 27)
+        z = unshift(z * np.uint64(pow(int(rng._MIX1), -1, 1 << 64)), 30)
+        return z - (np.asarray(j, dtype=np.uint64) + np.uint64(1)) * rng._GAMMA
+
+
+def boundary_band(t, gen):
+    """z3 values in the band z3 >> 33 == (L - 1) >> 33, L = t * 2**11 (mod
+    2**64), where the cut alone cannot decide."""
+    top = ((t << np.uint64(11)) - np.uint64(1)) >> np.uint64(33)
+    low = gen.integers(0, 1 << 33, len(t), dtype=np.uint64)
+    return (top << np.uint64(33)) | low
+
+
+@pytest.mark.parametrize("per_row", [False, True])
+def test_draw_at_the_cut_boundary(per_row):
+    # every crafted row puts one column's z3 in the band; the flat draw
+    # must agree with (mix64(key + j GAMMA) >> 11) < ceil(x 2**53) on every
+    # entry, crafted or not
+    gen = np.random.default_rng(15)
+    width, rows = len(BOUNDARY_X), 9 * 4000
+    x = (np.array([np.roll(BOUNDARY_X, k // width) for k in range(rows)]) if per_row
+         else BOUNDARY_X[None])
+    col = np.arange(rows) % width
+    t = np.ceil(x[np.arange(rows) % len(x), col] * 2.0 ** 53).astype(np.uint64)
+    z3 = boundary_band(t, gen)
+    keys = keys_reaching(z3, col)
+    with np.errstate(over="ignore"):
+        bits = rng.mix64(keys[:, None] + np.arange(width, dtype=np.uint64) * rng._GAMMA)
+    want = (bits >> np.uint64(11)) < np.ceil(x * 2.0 ** 53).astype(np.uint64)
+    got = dense(BernoulliBlocks(x, rows).draw(keys), (rows, width))
+    assert np.array_equal(got, want)
+    # the crafted column really is z3, and the band decides both ways at
+    # 0 < x < 1; a cut that kept only the low 31 bits would drop draws
+    # that are realized
+    crafted = want[np.arange(rows), col]
+    assert np.array_equal(bits[np.arange(rows), col], z3 ^ (z3 >> np.uint64(31)))
+    inner = (t > 1) & (t < 1 << 53)
+    assert crafted[inner].any() and not crafted[inner].all()
+    cut31 = ((t << np.uint64(11)) - np.uint64(1)) | np.uint64((1 << 31) - 1)
+    assert np.count_nonzero(crafted & (t > 0) & (z3 > cut31)) > 1000
 
 
 def test_streams_and_seeds_differ():

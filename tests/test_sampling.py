@@ -12,11 +12,14 @@ import pytest
 from matchgap import (Instance, MatchingCutoffExceeded, PotentialEdge, SupportTooLarge,
                       mc_ratio, per_edge_certificates, per_edge_masses_exact, phi_curve,
                       sample, support_probabilities)
-from matchgap import estimate, sampling
+from matchgap import estimate, matching_value, sampling
 from matchgap.gallery import gen_random_point
+from matchgap.matching import value_solver
 from matchgap.rng import uniform_block
 from matchgap.sampling import (block_degrees, realization_block, realization_blocks,
-                               realized_edge_lists)
+                               realized_batches)
+
+from conftest import bits
 
 
 def single_edge(x):
@@ -70,7 +73,14 @@ class TestRealizationBlocks:
 
     @staticmethod
     def rows(inst, seed, start, count):
-        return np.concatenate([b.copy() for b in realization_blocks(inst, seed, start, count)])
+        """The blocks' flat positions laid out as (count, m) rows."""
+        m, out = inst.num_edges, []
+        for flat, rows in realization_blocks(inst, seed, start, count):
+            assert flat.dtype == np.int64 and np.all(np.diff(flat) > 0)
+            block = np.zeros(rows * m, dtype=bool)
+            block[flat] = True
+            out.append(block.reshape(rows, m))
+        return np.concatenate(out)
 
     @pytest.mark.parametrize("x", X_VALUES)
     def test_one_edge_rows_across_blocks(self, x):
@@ -116,20 +126,46 @@ class TestRealizationBlocks:
         assert list(realization_blocks(single_edge(0.5), 1, 4, 0)) == []
 
     @pytest.mark.parametrize("rows", [1, 7])
-    def test_realized_edge_lists_across_blocks(self, monkeypatch, rows):
-        # one array per sample, equal to that sample's edge indices, also
-        # for samples with no realized edge and across block edges
+    def test_realized_batches_across_blocks(self, monkeypatch, rows):
+        # batches of 1 to 64 samples cut from blocks of `rows`: each
+        # sample's realized edges, in (sample, edge) order, equal to that
+        # sample's edge indices, also for samples with no realized edge and
+        # across block and batch edges
         inst = gen_random_point(4, 0.6, 8, "bipartite")
         monkeypatch.setattr(sampling, "BLOCK_BYTES", rows * 8 * inst.num_edges)
-        lists = [idx.tolist() for idx in realized_edge_lists(inst, 3, 11, 40)]
-        assert len(lists) == 40 and [] in lists
-        for k, idx in enumerate(lists):
-            assert idx == sample(inst, 3, 11 + k).edge_indices.tolist()
+        for batch in (1, 3, 7, 16, 64):
+            lists = []
+            for sid, edge, count in realized_batches(inst, 3, 11, 40, batch):
+                assert count == min(batch, 40 - len(lists))
+                assert np.all(np.diff(sid) >= 0) and np.all((0 <= sid) & (sid < count))
+                lists += [edge[sid == k].tolist() for k in range(count)]
+            assert len(lists) == 40 and [] in lists
+            for k, idx in enumerate(lists):
+                assert idx == sample(inst, 3, 11 + k).edge_indices.tolist()
+
+    @pytest.mark.parametrize("kind, weighted", [("bipartite", False), ("bipartite", True),
+                                                ("general", True)])
+    @pytest.mark.parametrize("n, density", [(5, 0.5), (8, 0.15)])
+    def test_values_across_blocks_and_batches(self, monkeypatch, kind, weighted, n, density):
+        # blocks and batches that straddle each other's edges give each
+        # sample matching_value's bits; the dense instances have more edges
+        # than vertices, so blocks hold fewer samples than batches, and the
+        # sparse ones the other way round
+        inst = gen_random_point(n, density, 3, kind, weighted=weighted)
+        m, nv = inst.num_edges, inst.total_vertices
+        assert (m > nv) == (density > 0.2)
+        want = [matching_value(sample(inst, 6, 5 + k)) for k in range(90)]
+        for block_bytes in (5 * 8 * m, 7 * 8 * nv, 13 * 8 * m, 3 * 8 * nv, 1 << 19):
+            rows, batch = block_bytes // (8 * m), block_bytes // (8 * nv)
+            assert rows != batch
+            monkeypatch.setattr(sampling, "BLOCK_BYTES", block_bytes)
+            got = sampling.sample_values(inst, value_solver(inst), 6, 5, 90)
+            assert bits(got) == bits(want)
 
     def test_block_degrees(self):
         inst = gen_random_point(4, 0.6, 8, "general")
         block = realization_block(inst, 2, 0, 9)
-        deg = block_degrees(inst, block)
+        deg = block_degrees(inst, np.flatnonzero(block), 9)
         for k in range(9):
             want = np.zeros(inst.total_vertices, dtype=np.int64)
             for j in np.nonzero(block[k])[0]:
@@ -213,13 +249,13 @@ class TestSampleValuesSplit:
         # both one-sample ranges fail, each naming its sample; the first
         # sample's failure arrives last but is the one the serial loop raises
         inst = Instance("bipartite", 20, tuple(PotentialEdge(i, i, 0.5) for i in range(20)))
-        first, second = realized_edge_lists(inst, 4, 0, 2)
+        first, second = map(np.flatnonzero, realization_block(inst, 4, 0, 2))
         assert first.tolist() != second.tolist()
 
-        def solve(idxs):
-            if idxs[0].tolist() == first.tolist():
+        def solve(sid, edge, count):
+            if edge[sid == 0].tolist() == first.tolist():
                 time.sleep(0.3)
-            raise ValueError(f"sample {idxs[0].tolist()}")
+            raise ValueError(f"sample {edge[sid == 0].tolist()}")
 
         monkeypatch.setattr(sampling, "SPLIT_MIN_WORK", 0)
         self.cpus(monkeypatch, 2)
@@ -234,8 +270,8 @@ class TestSampleValuesSplit:
         monkeypatch.setattr(sampling, "SPLIT_MIN_WORK", 0)
         self.cpus(monkeypatch, 2)
         with pytest.raises(RuntimeError, match="a sample worker died"):
-            sampling.sample_values(inst, lambda idxs: [0.0] * len(idxs) if os.getpid() == here
-                                   else os._exit(3), 0, 0, 4)
+            sampling.sample_values(inst, lambda sid, edge, count: [0.0] * count
+                                   if os.getpid() == here else os._exit(3), 0, 0, 4)
 
     def test_serial_path(self, monkeypatch, forks):
         inst = gen_random_point(4, 0.7, 4, "bipartite")
@@ -315,9 +351,9 @@ class TestCertificateSplit:
         def failing(inst):
             covers = real(inst)
 
-            def solve(block):
-                covers(block)
-                first = np.flatnonzero(block[0]).tolist()
+            def solve(flat, rows):
+                covers(flat, rows)
+                first = flat[flat < inst.num_edges].tolist()
                 if not first:
                     time.sleep(0.3)
                 raise ValueError(f"cover of {first}")

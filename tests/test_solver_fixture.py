@@ -28,6 +28,8 @@ from matchgap import Instance, PotentialEdge, SampledGraph, matching, max_weight
 from matchgap.gallery import gen_equal_split_star
 from matchgap.matching import cover_solver, value_solver
 
+from conftest import batch_of, flat_block
+
 FIXTURE = Path(__file__).with_name("solver_fixture.json")
 
 WEIGHT_FAMILIES = {
@@ -66,8 +68,8 @@ def test_solver_reproduces_fixture(case):
     got = _record(g)
     assert got == {k: case[k] for k in got}
     idx = g.edge_indices
-    assert repr(float(value_solver(g.instance)([idx])[0])) == got["value"]
-    assert [repr(float(c)) for c in cover_solver(g.instance)(g.realized[None])[0]] == got["cover"]
+    assert repr(float(value_solver(g.instance)(*batch_of([idx]))[0])) == got["value"]
+    assert [repr(float(c)) for c in cover_solver(g.instance)(idx, 1)[0]] == got["cover"]
 
 
 @pytest.mark.parametrize("case", CASES, ids=[c["id"] for c in CASES])
@@ -81,7 +83,7 @@ def test_block_covers_match_wrapper(case):
     lone = np.zeros(inst.num_edges, dtype=bool)
     lone[-1:] = True
     block = np.array([g.realized, np.ones_like(lone), np.zeros_like(lone), ~g.realized, lone])
-    covers = cover_solver(inst)(block)
+    covers = cover_solver(inst)(*flat_block(block))
     assert covers.shape == (len(block), inst.total_vertices)
     assert [repr(float(c)) for c in covers[0]] == case["cover"]
     for row, cover in zip(block, covers):
@@ -169,8 +171,8 @@ def test_larger_graphs_match_full_rescan_reference(seed):
     assert repr(got) == repr(value)
     assert cover.y.tobytes() == y.tobytes()
     idx = g.edge_indices
-    assert repr(float(value_solver(inst)([idx])[0])) == repr(value)
-    assert cover_solver(inst)(g.realized[None])[0].tobytes() == y.tobytes()
+    assert repr(float(value_solver(inst)(*batch_of([idx]))[0])) == repr(value)
+    assert cover_solver(inst)(idx, 1)[0].tobytes() == y.tobytes()
 
 
 def _signed_zero(rng, k):
@@ -203,7 +205,7 @@ def test_lockstep_block_matches_reference(family, seed, monkeypatch):
     counts = np.count_nonzero(block, axis=1)
     assert counts.max() > 48
     assert np.count_nonzero((counts > 1) & (counts <= 48)) >= 5
-    covers = cover_solver(inst)(block)
+    covers = cover_solver(inst)(*flat_block(block))
     assert alone == []
     monkeypatch.undo()
     for row, cover in zip(block, covers):
@@ -219,7 +221,7 @@ def test_lockstep_covers_every_star_mask():
     m = inst.num_edges
     block = (np.arange(1 << m)[:, None] >> np.arange(m) & 1).astype(bool)
     assert np.count_nonzero(block.any(axis=1)) >= matching.LOCKSTEP_MIN_ROWS
-    for row, cover in zip(block, cover_solver(inst)(block)):
+    for row, cover in zip(block, cover_solver(inst)(*flat_block(block))):
         assert cover.tobytes() == max_weight_matching_bipartite(SampledGraph(inst, row))[2].y.tobytes()
 
 
