@@ -4,6 +4,8 @@ import pytest
 from matchgap import rng
 from matchgap.rng import BernoulliBlocks, mix64, stream_key, uniform_block, uniforms
 
+from conftest import dense_block
+
 # Golden values pin the bit derivation across platforms and refactors.
 GOLDEN_SEED1_STREAM0 = [0.753709642397528, 0.6762883648924192,
                         0.0890611210809692, 0.0868022788146301]
@@ -42,13 +44,6 @@ def test_seed_arrays_broadcast_against_streams():
         assert key == stream_key(seed, 3)
 
 
-def dense(flat, shape):
-    """The (rows, width) bool matrix of a draw's flat positions."""
-    out = np.zeros(shape[0] * shape[1], dtype=bool)
-    out[flat] = True
-    return out.reshape(shape)
-
-
 def test_bernoulli_rows_of_their_own():
     # one probability row per drawn row decides row k as a draw on x[k] alone
     x = uniform_block(3, np.arange(5), 9)
@@ -57,7 +52,7 @@ def test_bernoulli_rows_of_their_own():
     keys = stream_key(4, np.arange(10, 15, dtype=np.uint64))
     flat = BernoulliBlocks(x, 5).draw(keys)
     assert flat.dtype == np.int64 and np.all(np.diff(flat) > 0)
-    rows = dense(flat, x.shape)
+    rows = dense_block(flat, *x.shape)
     for k in range(5):
         own = BernoulliBlocks(x[k], 1).draw(keys[k:k + 1])
         assert np.array_equal(np.flatnonzero(rows[k]), own)
@@ -110,7 +105,7 @@ def test_draw_at_the_cut_boundary(per_row):
     with np.errstate(over="ignore"):
         bits = rng.mix64(keys[:, None] + np.arange(width, dtype=np.uint64) * rng._GAMMA)
     want = (bits >> np.uint64(11)) < np.ceil(x * 2.0 ** 53).astype(np.uint64)
-    got = dense(BernoulliBlocks(x, rows).draw(keys), (rows, width))
+    got = dense_block(BernoulliBlocks(x, rows).draw(keys), rows, width)
     assert np.array_equal(got, want)
     # the crafted column really is z3, and the band decides both ways at
     # 0 < x < 1; a cut that kept only the low 31 bits would drop draws

@@ -19,7 +19,7 @@ from matchgap.rng import uniform_block
 from matchgap.sampling import (block_degrees, realization_block, realization_blocks,
                                realized_batches)
 
-from conftest import bits
+from conftest import bits, dense_block
 
 
 def single_edge(x):
@@ -74,12 +74,10 @@ class TestRealizationBlocks:
     @staticmethod
     def rows(inst, seed, start, count):
         """The blocks' flat positions laid out as (count, m) rows."""
-        m, out = inst.num_edges, []
+        out = []
         for flat, rows in realization_blocks(inst, seed, start, count):
             assert flat.dtype == np.int64 and np.all(np.diff(flat) > 0)
-            block = np.zeros(rows * m, dtype=bool)
-            block[flat] = True
-            out.append(block.reshape(rows, m))
+            out.append(dense_block(flat, rows, inst.num_edges))
         return np.concatenate(out)
 
     @pytest.mark.parametrize("x", X_VALUES)
