@@ -41,7 +41,7 @@ import numpy as np
 from matchgap import estimate, matching
 from matchgap.gallery import (gen_equal_split_star, gen_karp_sipser, gen_pendant_star,
                               gen_random_point)
-from matchgap.sampling import (block_rows, realization_blocks, sample_values,
+from matchgap.sampling import (block_rows, dense_block, realization_blocks, sample_values,
                                support_probabilities)
 
 ROWS = 512  # nonempty rows of an instance timed at every block size
@@ -139,7 +139,8 @@ def own_blocks(inst, samples, size: int) -> list:
         chunk, bits = estimate._MASK_CHUNK, 1 << np.arange(m)
         blocks = ((masks[k:k + chunk, None] & bits) != 0 for k in range(0, len(masks), chunk))
     else:
-        blocks = (dense(flat, rows, m) for flat, rows in realization_blocks(inst, 0, 0, samples))
+        blocks = (dense_block(flat, rows, m)
+                  for flat, rows in realization_blocks(inst, 0, 0, samples))
     out = []
     for block in blocks:
         rows = block[block.any(axis=1)]
@@ -148,13 +149,6 @@ def own_blocks(inst, samples, size: int) -> list:
         if len(out) * size >= ROWS:
             break
     return out[:ROWS // size]
-
-
-def dense(flat, rows: int, m: int) -> np.ndarray:
-    """A block's flat positions as its (rows, m) boolean matrix."""
-    block = np.zeros(rows * m, dtype=bool)
-    block[flat] = True
-    return block.reshape(rows, m)
 
 
 def path_costs(inst, blocks: list, tries: int = 7) -> tuple[float, float]:

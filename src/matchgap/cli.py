@@ -24,7 +24,7 @@ from .matching import MatchingCutoffExceeded
 from .model import (Instance, dump_instance, fractional_value, instance_from_dict,
                     validate_polytope)
 from .rng import BernoulliBlocks, stream_key, uniform_block
-from .sampling import BLOCK_BYTES, SampledGraph, SupportTooLarge
+from .sampling import BLOCK_BYTES, SampledGraph, SupportTooLarge, dense_block
 from .schemes import DEFAULT_TRANSFER
 
 
@@ -279,9 +279,8 @@ def _derivative_trials(n: int, ks, seed: int):
     x = np.zeros((len(ks), sizes.max()))
     x[row, pos] = union.x
     keys = stream_key((seed + 1) % (1 << 64), ks)
-    drawn = np.zeros(x.size, dtype=bool)
-    drawn[BernoulliBlocks(x, len(ks)).draw(keys)] = True
-    return union, cuts, drawn[row * x.shape[1] + pos]
+    drawn = dense_block(BernoulliBlocks(x, len(ks)).draw(keys), len(ks), x.shape[1])
+    return union, cuts, drawn[row, pos]
 
 
 def _cmd_verify(args) -> int:

@@ -262,13 +262,18 @@ def realization_block(inst: Instance, seed: int, start: int, count: int) -> np.n
 
     Row k equals sample(inst, seed, start + k).realized.
     """
-    m = inst.num_edges
-    out = np.zeros(count * m, dtype=bool)
-    pos = 0
+    m, flats, pos = inst.num_edges, [np.empty(0, dtype=np.int64)], 0
     for flat, rows in realization_blocks(inst, seed, start, count):
-        out[pos * m + flat] = True
+        flats.append(pos * m + flat)
         pos += rows
-    return out.reshape(count, m)
+    return dense_block(np.concatenate(flats), count, m)
+
+
+def dense_block(flat: np.ndarray, rows: int, m: int) -> np.ndarray:
+    """Flat positions ``row * m + edge`` as their (rows, m) boolean block."""
+    block = np.zeros(rows * m, dtype=bool)
+    block[flat] = True
+    return block.reshape(rows, m)
 
 
 def support_probabilities(inst: Instance) -> np.ndarray:

@@ -203,10 +203,3 @@ def flat_block(block):
     `sampling.realization_blocks`."""
     block = np.asarray(block, dtype=bool)
     return np.flatnonzero(block), len(block)
-
-
-def dense_block(flat, rows, m):
-    """Flat positions ``row * m + edge`` as their (rows, m) boolean block."""
-    block = np.zeros(rows * m, dtype=bool)
-    block[flat] = True
-    return block.reshape(rows, m)

@@ -3,8 +3,8 @@ import pytest
 
 from matchgap import rng
 from matchgap.rng import BernoulliBlocks, mix64, stream_key, uniform_block, uniforms
+from matchgap.sampling import dense_block
 
-from conftest import dense_block
 
 # Golden values pin the bit derivation across platforms and refactors.
 GOLDEN_SEED1_STREAM0 = [0.753709642397528, 0.6762883648924192,

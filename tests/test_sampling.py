@@ -16,10 +16,10 @@ from matchgap import estimate, matching_value, sampling
 from matchgap.gallery import gen_random_point
 from matchgap.matching import value_solver
 from matchgap.rng import uniform_block
-from matchgap.sampling import (block_degrees, realization_block, realization_blocks,
+from matchgap.sampling import (block_degrees, dense_block, realization_block, realization_blocks,
                                realized_batches)
 
-from conftest import bits, dense_block
+from conftest import bits
 
 
 def single_edge(x):
