@@ -21,10 +21,10 @@ import numpy as np
 from . import estimate, gallery, kernels
 from .kernels import CheckReport, KernelConfig
 from .matching import MatchingCutoffExceeded
-from .model import (Instance, dump_instance, fractional_value, instance_from_dict,
-                    validate_polytope)
-from .rng import BernoulliBlocks, stream_key, uniform_block
-from .sampling import BLOCK_BYTES, SampledGraph, SupportTooLarge, dense_block
+from .model import (Instance, InstanceFormatError, dump_instance, fractional_value,
+                    instance_from_dict, validate_polytope)
+from .rng import uniform_block
+from .sampling import BLOCK_BYTES, SampledGraph, SupportTooLarge
 from .schemes import DEFAULT_TRANSFER
 
 
@@ -71,38 +71,36 @@ class UsageError(ValueError):
     pass
 
 
-def _gate_feasibility(inst: Instance, args) -> int:
-    report = validate_polytope(inst, tolerance=args.tolerance)
-    if not report.degree_ok and not args.allow_infeasible:
-        load = report.violating_vertex_load
-        sys.stderr.write(
-            f"infeasible instance: vertex {inst.vertex_label(report.violating_vertex)} "
-            f"has load {load!r} > 1 (use --allow-infeasible to proceed)\n")
-        return 1
-    return 0
+def _gated(cmd):
+    """The command `cmd(args, inst)` on the instance of `args`, refused with
+    exit 1 when a vertex's load exceeds 1, unless --allow-infeasible."""
+    def run(args) -> int:
+        inst = _build_instance(args)
+        report = validate_polytope(inst, tolerance=args.tolerance)
+        if not report.degree_ok and not args.allow_infeasible:
+            load = report.violating_vertex_load
+            sys.stderr.write(
+                f"infeasible instance: vertex {inst.vertex_label(report.violating_vertex)} "
+                f"has load {load!r} > 1 (use --allow-infeasible to proceed)\n")
+            return 1
+        return cmd(args, inst)
+    return run
 
 
 def _cmd_gen(args) -> int:
-    inst = _build_instance(args)
-    _write(args, dump_instance(inst) + "\n")
+    _write(args, dump_instance(_build_instance(args)) + "\n")
     return 0
 
 
-def _cmd_exact(args) -> int:
-    inst = _build_instance(args)
-    rc = _gate_feasibility(inst, args)
-    if rc:
-        return rc
+@_gated
+def _cmd_exact(args, inst: Instance) -> int:
     est = estimate.exact_ratio(inst)
     _emit_rows(args, estimate.CSV_HEADER, [est.csv_row(_instance_id(args))])
     return 0
 
 
-def _cmd_mc(args) -> int:
-    inst = _build_instance(args)
-    rc = _gate_feasibility(inst, args)
-    if rc:
-        return rc
+@_gated
+def _cmd_mc(args, inst: Instance) -> int:
     est = estimate.mc_ratio(inst, args.samples, args.seed)
     _emit_rows(args, estimate.CSV_HEADER, [est.csv_row(_instance_id(args))])
     return 0
@@ -121,11 +119,8 @@ def _instance_id(args) -> str:
     return " ".join(parts)
 
 
-def _cmd_certify(args) -> int:
-    inst = _build_instance(args)
-    rc = _gate_feasibility(inst, args)
-    if rc:
-        return rc
+@_gated
+def _cmd_certify(args, inst: Instance) -> int:
     if inst.kind != "bipartite":
         sys.stderr.write("per-edge certificates require a bipartite instance\n")
         return 1
@@ -148,11 +143,8 @@ def _cmd_certify(args) -> int:
     return 0 if all_ok else 1
 
 
-def _cmd_phi(args) -> int:
-    inst = _build_instance(args)
-    rc = _gate_feasibility(inst, args)
-    if rc:
-        return rc
+@_gated
+def _cmd_phi(args, inst: Instance) -> int:
     curve = kernels.phi_curve(inst, args.grid_points, mode=args.mode,
                               samples=args.samples, seed=args.seed)
     rows = [[repr(float(t)), repr(float(p))] for t, p in curve]
@@ -268,19 +260,16 @@ def _derivative_trials(n: int, ks, seed: int):
     disjoint union: trial k is sample k of the run seed + 1 drawn on
     gen_random_point(n, 0.6, seed * 100003 + k, "general"), seeds modulo
     2**64.  Returns the union, its cuts (gallery.gen_random_points) and
-    the realized mask over its edges: every trial's draw in one block of
-    rows padded with probability 0, laid out by (trial, position)."""
+    the realized mask over its edges: edge `pos` of trial k is realized
+    when its uniform, position `pos` of stream k, is below its x."""
     ks = np.asarray(ks, dtype=np.uint64)
     union, cuts = gallery.gen_random_points(
         n, 0.6, [(seed * 100003 + k) % (1 << 64) for k in ks.tolist()], "general")
     sizes = np.diff(cuts)
     row = np.repeat(np.arange(len(ks)), sizes)
     pos = np.arange(union.num_edges) - cuts[row]
-    x = np.zeros((len(ks), sizes.max()))
-    x[row, pos] = union.x
-    keys = stream_key((seed + 1) % (1 << 64), ks)
-    drawn = dense_block(BernoulliBlocks(x, len(ks)).draw(keys), len(ks), x.shape[1])
-    return union, cuts, drawn[row, pos]
+    u = uniform_block((seed + 1) % (1 << 64), ks, int(sizes.max()))
+    return union, cuts, u[row, pos] < union.x
 
 
 def _cmd_verify(args) -> int:
@@ -317,7 +306,10 @@ def _cmd_report(args) -> int:
                                             kind, weighted=not unweighted)
             if inst.num_edges == 0 or fractional_value(inst) <= 0:
                 continue
-            ratio = estimate.exact_ratio(inst).value
+            try:
+                ratio = estimate.exact_ratio(inst).value
+            except SupportTooLarge:  # past the exact cutoff, skipped as empty points are
+                continue
             if worst is None or ratio < worst:
                 worst = ratio
         floors[label] = {"floor": floor, "worst_ratio": worst,
@@ -364,14 +356,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="matchgap")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, instance_input=True):
+    def command(name, func, help, samples=True, checks=True, instance_input=True):
+        """A subcommand with only the options `func` reads: --seed and --out
+        always, --samples where it draws, --format and --tolerance where it
+        prints rows or checks, and --allow-infeasible where it gates an
+        instance."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
         p.add_argument("--seed", type=_SEED, default=0)
-        p.add_argument("--samples", type=int, default=10000)
+        if samples:
+            p.add_argument("--samples", type=int, default=10000)
         p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--tolerance", type=_TOLERANCE, default=1e-9)
-        p.add_argument("--allow-infeasible", action="store_true")
+        if checks:
+            p.add_argument("--format", choices=("json", "csv"), default="json")
+            p.add_argument("--tolerance", type=_TOLERANCE, default=1e-9)
         if instance_input:
+            if checks:
+                p.add_argument("--allow-infeasible", action="store_true")
             p.add_argument("--inst", default=None, help="instance JSON file")
             p.add_argument("--gen", default=None,
                            choices=("karp_sipser", "pendant_star",
@@ -380,38 +381,25 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--c", type=float, default=1.0)
             p.add_argument("--eps", type=float, default=0.5)
             p.add_argument("--density", type=float, default=0.5)
-            p.add_argument("--kind", choices=("bipartite", "general"),
-                           default="bipartite")
+            p.add_argument("--kind", choices=("bipartite", "general"), default="bipartite")
             p.add_argument("--unweighted", action="store_true")
+        return p
 
-    p_gen = sub.add_parser("gen", help="emit a generated instance as JSON")
-    common(p_gen)
-    p_gen.set_defaults(func=_cmd_gen)
+    command("gen", _cmd_gen, "emit a generated instance as JSON", samples=False, checks=False)
+    command("exact", _cmd_exact, "exact ratio by support enumeration", samples=False)
+    command("mc", _cmd_mc, "Monte Carlo ratio estimate")
 
-    p_exact = sub.add_parser("exact", help="exact ratio by support enumeration")
-    common(p_exact)
-    p_exact.set_defaults(func=_cmd_exact)
-
-    p_mc = sub.add_parser("mc", help="Monte Carlo ratio estimate")
-    common(p_mc)
-    p_mc.set_defaults(func=_cmd_mc)
-
-    p_cert = sub.add_parser("certify", help="per-edge scheme certificates")
-    common(p_cert)
-    p_cert.add_argument("--scheme", choices=("weighted", "unweighted"),
-                        default="weighted")
+    p_cert = command("certify", _cmd_certify, "per-edge scheme certificates")
+    p_cert.add_argument("--scheme", choices=("weighted", "unweighted"), default="weighted")
     p_cert.add_argument("--bound", choices=("mass", "kernel"), default="mass")
     p_cert.add_argument("--mode", choices=("exact", "mc"), default="exact")
-    p_cert.set_defaults(func=_cmd_certify)
 
-    p_phi = sub.add_parser("phi", help="expected matching weight under scaled x")
-    common(p_phi)
+    p_phi = command("phi", _cmd_phi, "expected matching weight under scaled x")
     p_phi.add_argument("--grid-points", type=int, default=20)
     p_phi.add_argument("--mode", choices=("exact", "mc"), default="exact")
-    p_phi.set_defaults(func=_cmd_phi)
 
-    p_verify = sub.add_parser("verify", help="run the analytic check suite")
-    common(p_verify, instance_input=False)
+    p_verify = command("verify", _cmd_verify, "run the analytic check suite", samples=False,
+                       instance_input=False)
     p_verify.add_argument("--c", type=float, default=DEFAULT_TRANSFER)
     p_verify.add_argument("--grid-step", type=float, default=0.05)
     p_verify.add_argument("--envelope-step", type=float, default=1e-3)
@@ -422,13 +410,11 @@ def build_parser() -> argparse.ArgumentParser:
                           help="random mean-1 vectors of the gain-ratio check (0 skips it)")
     p_verify.add_argument("--derivative-trials", type=int, default=100,
                           help="random graphs of the local derivative check (0 skips it)")
-    p_verify.set_defaults(func=_cmd_verify)
 
-    p_report = sub.add_parser("report", help="combined verification report")
-    common(p_report, instance_input=False)
+    p_report = command("report", _cmd_report, "combined verification report",
+                       instance_input=False)
     p_report.add_argument("--instances", type=int, default=50)
     p_report.add_argument("--karp-n", type=int, default=60)
-    p_report.set_defaults(func=_cmd_report)
 
     return parser
 
@@ -438,7 +424,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (json.JSONDecodeError, FileNotFoundError, UsageError,
+    except (json.JSONDecodeError, InstanceFormatError, FileNotFoundError, UsageError,
             SupportTooLarge, MatchingCutoffExceeded) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

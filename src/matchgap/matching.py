@@ -322,12 +322,10 @@ def _lockstep(row: np.ndarray, left: np.ndarray, right: np.ndarray, wt: np.ndarr
         if len(need):
             # the arcs of the rows between phases; their left vertices
             # (`heads`, by first arc) and the roots among them
-            if len(need) == len(act):
-                arcs = np.arange(len(eu))
-            else:
-                span = hi[need] - lo[need]
-                cut = np.cumsum(span)
-                arcs = np.arange(cut[-1]) + np.repeat(lo[need] - cut + span, span)
+            span = hi[need] - lo[need]
+            cut = np.cumsum(span)
+            arcs = np.repeat(lo[need] - cut + span, span)
+            arcs += np.arange(cut[-1])
             starts = head[arcs]
             vert = np.cumsum(starts) - 1     # each arc's left vertex, as a position in heads
             heads = arcs[np.flatnonzero(starts)]
@@ -801,9 +799,6 @@ def cover_solver(inst: Instance) -> Callable[[np.ndarray, int], np.ndarray]:
     n, m = inst.n, max(inst.num_edges, 1)
     order = np.argsort(inst.endpoints[:, 0], kind="stable")
     rank = np.argsort(order)  # edge j's position in (left vertex, edge index) order
-    # every generator lists edges by left vertex, where the lockstep's sort
-    # is the identity; skipping it there kept certify's peak RSS 0.28 MB lower
-    ordered = bool((order == np.arange(len(order))).all())
     left, right, wt = inst.endpoints[order, 0], inst.endpoints[order, 1] - n, inst.w[order]
 
     def covers(flat: np.ndarray, rows: int) -> np.ndarray:
@@ -811,8 +806,8 @@ def cover_solver(inst: Instance) -> Callable[[np.ndarray, int], np.ndarray]:
         nonempty = np.flatnonzero(np.bincount(row, minlength=rows))
         y = np.zeros((rows, 2 * n))
         if len(nonempty) >= LOCKSTEP_MIN_ROWS:
-            if not ordered:  # the arcs in (row, left vertex, edge index) order
-                row, col = np.divmod(np.sort(row * m + rank[col]), m)
+            # the arcs in (row, left vertex, edge index) order
+            row, col = np.divmod(np.sort(row * m + rank[col]), m)
             y = _lockstep(row, left[col], right[col], wt[col], rows, n)
         elif len(nonempty):
             cuts, col = _sample_cuts(row, rows), col.tolist()

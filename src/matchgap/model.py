@@ -311,11 +311,35 @@ def instance_to_dict(inst: Instance) -> dict:
     }
 
 
-def instance_from_dict(data: dict) -> Instance:
-    edges = tuple(PotentialEdge(int(e["u"]), int(e["v"]), float(e["x"]),
-                                float(e.get("w", 1.0)))
-                  for e in data["edges"])
-    return Instance(str(data["kind"]), int(data["n"]), edges)
+class InstanceFormatError(ValueError):
+    """Instance JSON that does not follow the schema."""
+
+
+def _number(obj: dict, key: str, where: str, integral: bool = False, default=None):
+    """obj[key], a JSON number, as an int if `integral` (a float only when
+    whole) or as a float; a missing key gives `default` if there is one."""
+    value = obj.get(key, default)
+    if value is None:
+        raise InstanceFormatError(f'{where} has no "{key}"')
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or integral and isinstance(value, float) and not value.is_integer()):
+        what = "an integer" if integral else "a number"
+        raise InstanceFormatError(f'{where}: "{key}" must be {what}, got {value!r}')
+    return int(value) if integral else float(value)
+
+
+def instance_from_dict(data) -> Instance:
+    """The instance of a JSON document in the schema above.  A document off
+    the schema raises InstanceFormatError; the Instance checks the values."""
+    edges = data.get("edges") if isinstance(data, dict) and "kind" in data else None
+    if not isinstance(edges, list) or not all(isinstance(e, dict) for e in edges):
+        raise InstanceFormatError('an instance is an object with "kind", "n" and "edges", '
+                                  'a list of edge objects')
+    edges = tuple(PotentialEdge(_number(e, "u", f"edge {j}", True),
+                                _number(e, "v", f"edge {j}", True), _number(e, "x", f"edge {j}"),
+                                _number(e, "w", f"edge {j}", default=1.0))
+                  for j, e in enumerate(edges))
+    return Instance(str(data["kind"]), _number(data, "n", "instance", True), edges)
 
 
 def dump_instance(inst: Instance) -> str:

@@ -85,27 +85,21 @@ class BernoulliBlocks:
 
     ``draw(keys)`` returns the ascending flat positions ``k * len(x) + j``
     at which ``uniform(i, j) < x[j]``, where ``keys[k] == stream_key(seed,
-    i)``, decided on integer thresholds.  `x` may also hold one row of
-    probabilities per row of the draw, ``(max_rows, L)``: row k is then
-    decided on ``x[k]``.  The caller derives the keys (`stream_key` works
-    element by element, so keys derived once for a whole run give the same
-    rows as keys derived per block).  The hashing runs in scratch buffers
-    allocated once for up to `max_rows` rows.
+    i)``, decided on integer thresholds.  The caller derives the keys
+    (`stream_key` works element by element, so keys derived once for a
+    whole run give the same rows as keys derived per block).  The hashing
+    runs in scratch buffers allocated once for up to `max_rows` rows.
     """
 
     def __init__(self, x, max_rows: int):
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        width = x.shape[1]
+        self._thresholds = t = np.ceil(np.multiply(x, 2.0 ** 53)).astype(np.uint64)
         # (j + 1) * GAMMA: the position step and mix64's gamma step in one
-        self._offsets = np.arange(1, width + 1, dtype=np.uint64) * _GAMMA
-        # one row, or one per row of the draw; draw() slices either to its rows
-        t = np.ceil(x * 2.0 ** 53).astype(np.uint64)
-        self._thresholds = t
+        self._offsets = np.arange(1, len(t) + 1, dtype=np.uint64) * _GAMMA
         self._cuts = np.where(t > 0, ((t << np.uint64(11)) - np.uint64(1))
                               | np.uint64((1 << 33) - 1), np.uint64(0))
-        self._z = np.empty((max_rows, width), dtype=np.uint64)
+        self._z = np.empty((max_rows, len(t)), dtype=np.uint64)
         self._tmp = np.empty_like(self._z)
-        self._hit = np.empty((max_rows, width), dtype=bool)
+        self._hit = np.empty(self._z.shape, dtype=bool)
 
     def draw(self, keys: np.ndarray) -> np.ndarray:
         """int64 flat positions of the realized draws of the streams of
@@ -114,9 +108,8 @@ class BernoulliBlocks:
         z = self._z[:rows]
         np.add(keys[:, None], self._offsets, out=z)
         _multiply_rounds(z, self._tmp[:rows])
-        cand = np.flatnonzero(np.less_equal(z, self._cuts[:rows], out=self._hit[:rows]))
+        cand = np.flatnonzero(np.less_equal(z, self._cuts, out=self._hit[:rows]))
         bits = z.reshape(-1)[cand]
         bits ^= bits >> np.uint64(31)
-        t = self._thresholds
-        t = t[:rows].reshape(-1)[cand] if len(t) > 1 else t[0][cand % max(t.shape[1], 1)]
-        return cand[(bits >> np.uint64(11)) < t]
+        # take(mode="wrap") reads position k * len(x) + j's threshold at j
+        return cand[(bits >> np.uint64(11)) < self._thresholds.take(cand, mode="wrap")]

@@ -8,8 +8,9 @@ installs the tracer in a fresh interpreter and runs one small traced
 
 `bench/workloads.py` checks each command's output against library calls
 with the same arguments and against `bench/pinned.json`, so a changed
-signature or output byte fails the benchmark.  The second test runs that
-check on every command of the benchmark at pinned seed 0.
+signature or output byte fails the benchmark.  The other tests run that
+check on every command of the benchmark at pinned seed 0, and on `verify`
+at every pinned seed.
 """
 
 import json
@@ -64,28 +65,44 @@ workloads.import_matchgap(Path(sys.argv[2]))
 from matchgap import cli, model
 pinned = workloads.load_pinned()
 problems = {}
-for workload in json.loads(sys.argv[3]):
-    workloads.setup(cli, model, workload, 0)
-    for name, argv in workloads.commands(workload, 0):
+for seed, workload, only in json.loads(sys.argv[3]):
+    workloads.setup(cli, model, workload, seed)
+    for name, argv in workloads.commands(workload, seed):
+        if only not in (None, name):
+            continue
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             rc = cli.main(argv)
-        problems[workload + "/" + name] = (
-            [f"exit {rc}"] if rc else workloads.check(workload, name, argv, 0, out.getvalue(),
-                                                       pinned))
+        problems[f"{seed}/{workload}/{name}"] = (
+            [f"exit {rc}"] if rc else workloads.check(workload, name, argv, seed,
+                                                       out.getvalue(), pinned))
 print(json.dumps(problems))
 """
 
 BENCH_WORKLOADS = ["mc_uniform", "mc_weighted", "certify"]
+PINNED = json.loads((ROOT / "bench" / "pinned.json").read_text())
+
+
+def pinned_problems(jobs):
+    """The benchmark's check of each (seed, workload, command) of `jobs`,
+    command None for all of the workload's, keyed "seed/workload/command"."""
+    proc = subprocess.run([sys.executable, "-c", PINNED_SCRIPT, str(ROOT / "bench"), str(ROOT),
+                           json.dumps(jobs)], cwd=ROOT, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def test_benchmark_outputs_match_pinned_seed_0():
-    pinned = json.loads((ROOT / "bench" / "pinned.json").read_text())["0"]
-    proc = subprocess.run([sys.executable, "-c", PINNED_SCRIPT, str(ROOT / "bench"), str(ROOT),
-                           json.dumps(BENCH_WORKLOADS)], cwd=ROOT, capture_output=True,
-                          text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    problems = json.loads(proc.stdout.splitlines()[-1])
+    problems = pinned_problems([(0, workload, None) for workload in BENCH_WORKLOADS])
     # every command ran, and each has a pinned output to be compared with
-    assert sorted(problems) == sorted(f"{w}/{n}" for w in BENCH_WORKLOADS for n in pinned[w])
+    assert sorted(problems) == sorted(f"0/{w}/{n}" for w in BENCH_WORKLOADS for n in PINNED["0"][w])
+    assert problems == {key: [] for key in problems}
+
+
+def test_verify_matches_pinned_at_every_seed():
+    seeds = sorted(int(seed) for seed in PINNED if seed.isdigit())
+    assert len(seeds) == 32 and all("verify" in PINNED[str(s)]["certify"] for s in seeds)
+    problems = pinned_problems([(seed, "certify", "verify") for seed in seeds])
+    assert sorted(problems) == sorted(f"{seed}/certify/verify" for seed in seeds)
     assert problems == {key: [] for key in problems}

@@ -82,6 +82,29 @@ class TestExactAndMc:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("doc,message", [
+        ({"kind": "bipartite", "n": 2}, '"edges", a list of edge objects'),
+        ({"kind": "bipartite", "n": 2, "edges": [{"u": 0, "v": 1}]}, 'edge 0 has no "x"'),
+        ({"kind": "bipartite", "n": 2.5, "edges": []},
+         'instance: "n" must be an integer, got 2.5'),
+        ({"kind": "bipartite", "n": 2, "edges": [{"u": 0.7, "v": 1, "x": 0.5}]},
+         'edge 0: "u" must be an integer, got 0.7'),
+        ({"kind": "bipartite", "n": 2, "edges": [{"u": 0, "v": 1, "x": "0.5"}]},
+         'edge 0: "x" must be a number, got \'0.5\''),
+        ({"kind": "bipartite", "n": 2, "edges": {"u": 0}}, '"edges", a list of edge objects'),
+        ({"kind": "bipartite", "n": 2, "edges": [[0, 1, 0.5]]}, '"edges", a list of edge'),
+        ({"n": 2, "edges": []}, 'an instance is an object with "kind", "n" and "edges"'),
+        ({"kind": "general", "edges": []}, 'instance has no "n"'),
+        ([], 'an instance is an object with "kind"'),
+    ])
+    def test_instance_off_the_schema_is_usage_error(self, capsys, tmp_path, doc, message):
+        # a missing key was a KeyError traceback; 2.5 and 0.7 were truncated by int()
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "exact", "--inst", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
     def test_support_cutoff_is_usage_error(self, capsys):
         code, _, err = run(capsys, "exact", "--gen", "karp_sipser", "--n", "5",
                            "--c", "1.0")
@@ -144,6 +167,17 @@ class TestArguments:
         phi = check_phi_differential(gen_random_point(4, 0.5, 6, "general"), grid_points=50,
                                      tolerance=1e-9)
         assert checks["phi_differential"].to_dict() == phi.to_dict()
+
+    @pytest.mark.parametrize("command,option", [
+        ("gen", ["--samples", "10"]), ("gen", ["--format", "csv"]),
+        ("gen", ["--tolerance", "0"]), ("gen", ["--allow-infeasible"]),
+        ("exact", ["--samples", "10"]),
+        ("verify", ["--samples", "10"]), ("verify", ["--allow-infeasible"]),
+        ("report", ["--allow-infeasible"]),
+    ])
+    def test_options_the_command_does_not_read_refused(self, capsys, command, option):
+        err = self.refused(capsys, command, *option)
+        assert f"error: unrecognized arguments: {' '.join(option)}\n" in err
 
     def test_non_integer_seed_refused(self, capsys):
         err = self.refused(capsys, "gen", "--gen", "random_point", "--seed", "1.5")
@@ -261,6 +295,16 @@ class TestVerify:
         lines = out.splitlines()
         assert lines[0] == "check,passed,min_value,argmin,parameters"
         assert len(lines) > 5
+
+    def test_report_skips_points_past_the_support_cutoff(self, capsys):
+        # ratio_floors point 31 at seed 4 is a 5 x 5 bipartite draw with 21
+        # edges; it stopped the report with "support too large" and exit 2
+        assert gen_random_point(5, 0.6, 4 * 7919 + 31, "bipartite").num_edges == 21
+        code, out, err = run(capsys, "report", "--seed", "4", "--instances", "32",
+                             "--karp-n", "4", "--samples", "10")
+        assert (code, err) == (0, "")
+        floors = json.loads(out)["ratio_floors"]
+        assert all(f["passed"] and f["worst_ratio"] is not None for f in floors.values())
 
     def test_report_rejects_csv(self, capsys):
         code, _, err = run(capsys, "report", "--format", "csv")

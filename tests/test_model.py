@@ -14,6 +14,7 @@ from matchgap import (Instance, OddSetCheckInfeasible, PotentialEdge, dump_insta
                       validate_polytope, vertex_loads)
 from matchgap.cli import main
 from matchgap.gallery import gen_karp_sipser, gen_pendant_star, gen_random_point
+from matchgap.model import InstanceFormatError
 
 
 def bip(n, *edges):
@@ -269,6 +270,16 @@ class TestJson:
         data = {"kind": "bipartite", "n": 2, "edges": [{"u": 0, "v": 1, "x": 0.5}]}
         inst = instance_from_dict(data)
         assert inst.edges[0].w == 1.0
+
+    def test_whole_floats_read_as_integers(self):
+        whole = {"kind": "bipartite", "n": 2.0, "edges": [{"u": 1.0, "v": 0, "x": 1}]}
+        exact = {"kind": "bipartite", "n": 2, "edges": [{"u": 1, "v": 0, "x": 1.0}]}
+        assert instance_from_dict(whole) == instance_from_dict(exact)
+
+    @pytest.mark.parametrize("n", [True, float("inf"), float("nan"), "2"])
+    def test_vertex_count_must_be_an_integer(self, n):
+        with pytest.raises(InstanceFormatError, match='"n" must be'):
+            instance_from_dict({"kind": "general", "n": n, "edges": []})
 
     def test_dump_is_deterministic(self):
         inst = gen_random_point(3, 0.5, 7, "general")
