@@ -183,7 +183,7 @@ def _first_invalid_edge(kind: str, n: int, ends: np.ndarray, x: np.ndarray,
     outside = np.flatnonzero(~in_range)
     key[outside] = -1 - outside
     # every repeat of a key after its first, in edge order; numpy's unique(key,
-    # return_index=True) peaked 1 MB higher on 40,000 edges
+    # return_index=True) raised the tracemalloc peak on 40,000 edges 2.66 -> 3.28 MB
     order = np.argsort(key, kind="stable")
     dup = np.zeros(len(x), dtype=bool)
     dup[order[1:]] = key[order[1:]] == key[order[:-1]]
