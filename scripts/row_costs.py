@@ -16,12 +16,13 @@ cover's apart for the cases whose blocks hold at least
 ``matching.LOCKSTEP_MIN_ROWS`` rows, which take the lockstep, and the
 others (the rule of `estimate._scheme_mass_sum`).
 
-Then, per instance and block size from 8 to 256 rows, the cost of the
+Then, per instance and block size from 8 to 512 rows, the cost of the
 lockstep over that of solving one by one, on the instance's own blocks:
 its realization blocks, or its support-mask chunks from the middle of
 the support on (the first chunks hold only the low edges), each cut
-into blocks of that many nonempty rows, ROWS rows in all, and solved on
-each path, the two timed alternately, best of seven each.  A size that
+into blocks of that many nonempty rows, ROWS rows in all (two blocks at
+the largest size), and solved on each path, the two timed alternately,
+best of seven each.  A size that
 none of an instance's blocks reaches prints "-": its covers never meet
 that choice.  ``matching.LOCKSTEP_MIN_ROWS`` is the least size whose
 ratio is below 1 on every instance that reaches it.  It moves with
@@ -44,8 +45,8 @@ from matchgap.gallery import (gen_equal_split_star, gen_karp_sipser, gen_pendant
 from matchgap.sampling import (block_rows, dense_block, realization_blocks, sample_values,
                                support_probabilities)
 
-ROWS = 512  # nonempty rows of an instance timed at every block size
-BLOCKS = (8, 16, 32, 64, 128, 256)
+ROWS = 1024  # nonempty rows of an instance timed at every block size
+BLOCKS = (8, 16, 32, 64, 128, 256, 384, 512)
 
 DRAW_INSTANCE = gen_karp_sipser(200, 1.0, "bipartite")
 

@@ -273,7 +273,9 @@ def _lockstep(row: np.ndarray, left: np.ndarray, right: np.ndarray, wt: np.ndarr
     whose state lives in flat arrays: potentials, mates, tree marks and
     tree parents.  Each step takes, for every row still active, one
     decision of the method as `_run_phase` takes it, in masked array
-    passes over the arcs of the active rows' tree-left vertices:
+    passes over the arcs of the tree-left vertices.  A row's least values
+    are scatter minima (`np.minimum.at`) into per-row arrays allocated
+    once per call, and no step sorts:
 
     - the entering arc is the first tight arc, (y_u + y_v) - w <=
       ``_TIGHT``, in edge order among the arcs to right vertices outside
@@ -288,7 +290,10 @@ def _lockstep(row: np.ndarray, left: np.ndarray, right: np.ndarray, wt: np.ndarr
       tight arc reaches a right vertex that is free and no earlier root's
       of the run, the root is matched there, as `_primal_dual`'s first
       scan does (no potential changes meanwhile); the first other root
-      grows a tree.  A row with no root left is done.
+      grows a tree in the same step.  A right end's earliest root is the
+      scatter minimum of the vertex ids of the roots that reach it, and a
+      row's growing root that of its other roots.  A row with no root
+      left is done.
 
     `_run_phase`'s scan positions and least slacks only skip arcs whose
     slack or tree mark cannot have changed since they were read, so each
@@ -300,84 +305,69 @@ def _lockstep(row: np.ndarray, left: np.ndarray, right: np.ndarray, wt: np.ndarr
     yl, yr = np.zeros(size), np.zeros(size)
     eu, ev = row * n + left, row * n + right
     head = _firsts(eu)                       # each left vertex's first arc
+    pend = eu[head]
     if len(eu):
-        yl[eu[head]] = np.maximum.reduceat(wt, np.flatnonzero(head))
-    mate_l, mate_r = np.full(size, -1), np.full(size, -1)
+        yl[pend] = np.maximum.reduceat(wt, head.nonzero()[0])
+    # per row, the left vertices after its last root that can be roots: no
+    # such vertex is matched or in a tree, so its potential stays as is
+    pend = pend[yl[pend] > _TIGHT]
+    mate_l = np.full(size, -1)
+    mate_r = np.full(size + 1, -1)           # slot `size`: the end of no tight arc, never free
+    mate_r[size] = size
     tree_r = np.zeros(size, dtype=np.int64)  # tree-right v -> the left vertex it entered from
     par_l = np.zeros(size, dtype=np.int64)   # tree-left u -> the matched v it entered from
     in_l = np.zeros(size, dtype=bool)
     in_r = np.zeros(size, dtype=bool)
     entry = np.zeros(len(eu), dtype=bool)    # the arc each tree-right vertex entered by
-
-    new = _firsts(row)
-    k = np.cumsum(new) - 1                   # active-row position of each arc
-    act = row[new]
-    lo = np.flatnonzero(new)                 # active row k's arcs: lo[k]..hi[k]-1
-    hi = np.append(lo[1:], len(eu))
-    root = np.full(len(act), -1)             # -1: between phases, -2: done
-    last = act * n - 1                       # the last root taken
-    finished = 0                             # arcs of done rows still held
-    while len(act):
-        need = np.flatnonzero(root == -1)
-        if len(need):
-            # the arcs of the rows between phases; their left vertices
-            # (`heads`, by first arc) and the roots among them
-            span = hi[need] - lo[need]
-            cut = np.cumsum(span)
-            arcs = np.repeat(lo[need] - cut + span, span)
-            arcs += np.arange(cut[-1])
-            starts = head[arcs]
-            vert = np.cumsum(starts) - 1     # each arc's left vertex, as a position in heads
-            heads = arcs[np.flatnonzero(starts)]
-            cu = eu[heads]
-            yu = yl[cu]
-            ok = (cu > last[k[heads]]) & (mate_l[cu] < 0) & (yu > _TIGHT)
-            mine = np.flatnonzero(ok[vert])
-            a, va = arcs[mine], vert[mine]
-            tight = np.flatnonzero((yu[va] + yr[ev[a]]) - wt[a] <= _TIGHT)
-            a, va = a[tight], va[tight]
-            first = np.flatnonzero(_firsts(va))
-            reach = np.full(len(heads), -1)  # right end of each root's first tight arc
-            reach[va[first]] = ev[a[first]]
-            ok = np.flatnonzero(ok)
-            kc, cu, reach = k[heads[ok]], cu[ok], reach[ok]
+    mark = np.zeros(size, dtype=bool)        # scratch: the roots being picked
+    reach_of = np.zeros(size, dtype=np.int64)
+    earliest = np.zeros(size + 1, dtype=np.int64)
+    root = np.zeros(count, dtype=np.int64)   # `size` once a row is done
+    pick = np.ones(count, dtype=bool)        # rows between phases
+    slack, floor = np.empty(count), np.empty(count)
+    picking = True
+    while True:
+        if picking:
+            # the candidate roots of the rows between phases, in vertex order
+            prow = pend // n
+            cu = pend[pick[prow]]
+            mark[cu] = True
+            a = mark[eu].nonzero()[0]       # their arcs
+            mark[cu] = False
+            au = eu[a]
+            a = a[(yl[au] + yr[ev[a]]) - wt[a] <= _TIGHT]
+            au = eu[a]
+            first = _firsts(au)
+            reach_of[cu] = size
+            reach_of[au[first]] = ev[a[first]]
+            reach = reach_of[cu]             # right end of each root's first tight arc
             # a root is matched at once when that end is free and no earlier
-            # root's: a stable sort puts each end's earliest root first
-            has = np.flatnonzero(reach >= 0)
-            has = has[np.argsort(reach[has], kind="stable")]
-            quick = reach >= 0
-            quick[has[1:][reach[has[1:]] == reach[has[:-1]]]] = False
-            quick &= mate_r[reach] < 0
-            grow = np.flatnonzero(~quick)
-            grow = grow[_firsts(kc[grow])]   # each row's first root that grows a tree
-            stop = np.full(len(act), len(cu))
-            stop[kc[grow]] = grow
-            run = np.flatnonzero(np.arange(len(cu)) < stop[kc])
+            # root's: each end keeps its earliest root
+            earliest[reach] = size
+            np.minimum.at(earliest, reach, cu)
+            quick = (earliest[reach] == cu) & (mate_r[reach] < 0)
+            # each row's first other root grows a tree; a row with none is done
+            kc = cu // n
+            root[pick] = size
+            grow = ~quick
+            np.minimum.at(root, kc[grow], cu[grow])
+            rc = root[kc]
+            run = cu < rc
             mate_l[cu[run]] = reach[run]
             mate_r[reach[run]] = cu[run]
-            kg = kc[grow]
-            root[need] = -2
-            root[kg] = last[kg] = cu[grow]
-            in_l[cu[grow]] = True
-            finished += int((hi[need] - lo[need]).sum() - (hi[kg] - lo[kg]).sum())
-            if 2 * finished > len(eu):
-                live = root != -2
-                keep = np.flatnonzero(live[k])
-                eu, ev, wt, head, entry = eu[keep], ev[keep], wt[keep], head[keep], entry[keep]
-                k = (np.cumsum(live) - 1)[k[keep]]
-                act, root, last = act[live], root[live], last[live]
-                lo = np.flatnonzero(_firsts(k))
-                hi = np.append(lo[1:], len(eu))
-                finished = 0
-                if not len(act):
-                    break
+            in_l[cu[cu == rc]] = True
+            pend = pend[pend > root[prow]]
+            pick[:] = False
 
-        te = np.flatnonzero(in_l[eu])        # arcs of tree-left vertices
-        tu, tv, tk = eu[te], ev[te], k[te]
+        te = in_l[eu].nonzero()[0]           # arcs of tree-left vertices
+        if not len(te):
+            break
+        tu, tv = eu[te], ev[te]
+        tk = tu // n
         yt = yl[tu]
-        out = ~in_r[tv]
         s = (yt + yr[tv]) - wt[te]
-        hit = np.flatnonzero(out & (s <= _TIGHT))
+        s[in_r[tv]] = np.inf                 # arcs into the tree take no part
+        hit = (s <= _TIGHT).nonzero()[0]
         hit = hit[_firsts(tk[hit])]
         kt, u, v = tk[hit], tu[hit], tv[hit]
         in_r[v] = True
@@ -385,50 +375,45 @@ def _lockstep(row: np.ndarray, left: np.ndarray, right: np.ndarray, wt: np.ndarr
         entry[te[hit]] = True
         mate = mate_r[v]
         free = mate < 0
-        ended = np.zeros(len(act), dtype=bool)
-        ended[kt[free]] = True
-        if not free.all():
-            grown = ~free
-            in_l[mate[grown]] = True
-            par_l[mate[grown]] = v[grown]
-        if free.any():
-            _flip_all(u[free], v[free], root[kt[free]], mate_l, mate_r, tree_r)
+        grown = ~free
+        u2 = mate[grown]
+        in_l[u2] = True
+        par_l[u2] = v[grown]
+        kt = kt[free]
+        pick[kt] = True
+        _flip_all(u[free], v[free], root[kt], mate_l, mate_r, tree_r)
 
-        adjust = root >= 0
-        adjust[kt] = False
-        if adjust.any():
-            seg = np.flatnonzero(_firsts(tk))
-            rows = tk[seg]
-            slack = np.full(len(act), np.inf)
-            floor = np.full(len(act), np.inf)
-            slack[rows] = np.minimum.reduceat(np.where(out, s, np.inf), seg)
-            floor[rows] = np.minimum.reduceat(yt, seg)
-            delta = np.minimum(slack, floor)[tk]
-            at = adjust[tk]
-            lu = at & head[te]
-            yt -= delta                      # the new potential of each arc's tree-left end
-            i = np.flatnonzero(lu)
-            yl[tu[i]] = yt[i]
-            i = np.flatnonzero(at & entry[te])
-            yr[tv[i]] += delta[i]
-            release = adjust & (floor <= slack)
-            if release.any():
-                r = np.flatnonzero(lu & release[tk] & (yt <= _TIGHT))
-                r = r[_firsts(tk[r])]
-                kr, ru = tk[r], tu[r]
-                ended[kr] = True
-                moved = ru != root[kr]
-                ru, kr = ru[moved], kr[moved]
-                mate_l[ru] = -1
-                v = par_l[ru]
-                _flip_all(tree_r[v], v, root[kr], mate_l, mate_r, tree_r)
-        if ended.any():
-            e = np.flatnonzero(ended[tk])
+        # rows without a tight arc leaving the tree adjust
+        slack.fill(np.inf)
+        np.minimum.at(slack, tk, s)
+        at = slack[tk] > _TIGHT
+        i = (at & head[te]).nonzero()[0]     # their tree-left vertices
+        if len(i):
+            ki = tk[i]
+            floor.fill(np.inf)
+            np.minimum.at(floor, ki, yt[i])
+            delta = np.minimum(slack, floor)
+            y = yt[i] - delta[ki]
+            yl[tu[i]] = y
+            j = (at & entry[te]).nonzero()[0]
+            yr[tv[j]] += delta[tk[j]]
+            # floor <= slack: the lowest vertex at or below _TIGHT is released
+            r = i[(y <= _TIGHT) & (floor <= slack)[ki]]
+            r = r[_firsts(tk[r])]
+            kr, ru = tk[r], tu[r]
+            pick[kr] = True
+            moved = ru != root[kr]
+            ru, kr = ru[moved], kr[moved]
+            mate_l[ru] = -1
+            v = par_l[ru]
+            _flip_all(tree_r[v], v, root[kr], mate_l, mate_r, tree_r)
+
+        e = pick[tk].nonzero()[0]            # the trees of the rows whose phase ended
+        picking = len(e) > 0
+        if picking:
             in_l[tu[e]] = False
-            e = e[entry[te[e]]]
             in_r[tv[e]] = False
             entry[te[e]] = False
-            root[ended] = -1
     return np.concatenate((yl.reshape(count, n), yr.reshape(count, n)), axis=1)
 
 

@@ -335,11 +335,15 @@ def instance_from_dict(data) -> Instance:
     if not isinstance(edges, list) or not all(isinstance(e, dict) for e in edges):
         raise InstanceFormatError('an instance is an object with "kind", "n" and "edges", '
                                   'a list of edge objects')
+    kind = data["kind"]
+    if kind not in ("bipartite", "general"):
+        raise InstanceFormatError(f'instance: "kind" must be "bipartite" or "general", '
+                                  f'got {kind!r}')
     edges = tuple(PotentialEdge(_number(e, "u", f"edge {j}", True),
                                 _number(e, "v", f"edge {j}", True), _number(e, "x", f"edge {j}"),
                                 _number(e, "w", f"edge {j}", default=1.0))
                   for j, e in enumerate(edges))
-    return Instance(str(data["kind"]), _number(data, "n", "instance", True), edges)
+    return Instance(kind, _number(data, "n", "instance", True), edges)
 
 
 def dump_instance(inst: Instance) -> str:

@@ -53,11 +53,11 @@ BLOCK_BYTES = 512 * 1024
 #: x (edges + F x mean realized edges), F = 280 where the blocks hold at
 #: least ``matching.LOCKSTEP_MIN_ROWS`` rows, which take the lockstep covers,
 #: and 870 where they are solved one by one, and kernel-MC rows count
-#: samples x edges x 9.  In draws of 2.1-2.7e8 hashes/s, a realized edge took
-#: 33-59 draws' time in a value (Karp-Sipser n=200 c=1) and 93-101 (weighted,
-#: random_point n=100 density 0.1), in a cover and its scheme masses 160-476
-#: (medians 220-266) with the lockstep and 536-835 (medians 553-713) without,
-#: and a kernel edge 4.4-5.7 beside its own draw (medians), in three runs of
+#: samples x edges x 9.  In draws of 2.0-3.0e8 hashes/s, a realized edge took
+#: 28-60 draws' time in a value (Karp-Sipser n=200 c=1) and 91-101 (weighted,
+#: random_point n=100 density 0.1), in a cover and its scheme masses 109-473
+#: (medians 153-164) with the lockstep and 529-701 (medians 547-697) without,
+#: and a kernel edge 4.1-5.3 beside its own draw (medians), in three runs of
 #: ``scripts/row_costs.py`` on one CPU.  The factors stay above those costs:
 #: 256 leaves both Monte Carlo benchmark workloads split (factors down to 44
 #: would), and mass and kernel runs that factors at those costs would keep

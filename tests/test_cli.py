@@ -96,9 +96,14 @@ class TestExactAndMc:
         ({"n": 2, "edges": []}, 'an instance is an object with "kind", "n" and "edges"'),
         ({"kind": "general", "edges": []}, 'instance has no "n"'),
         ([], 'an instance is an object with "kind"'),
+        ({"kind": "Bipartite", "n": 2, "edges": []},
+         'instance: "kind" must be "bipartite" or "general", got \'Bipartite\''),
+        ({"kind": 5, "n": 2, "edges": []},
+         'instance: "kind" must be "bipartite" or "general", got 5'),
     ])
     def test_instance_off_the_schema_is_usage_error(self, capsys, tmp_path, doc, message):
-        # a missing key was a KeyError traceback; 2.5 and 0.7 were truncated by int()
+        # a missing key was a KeyError traceback; 2.5 and 0.7 were truncated by int();
+        # a kind outside the two names exited 1, as a mathematical violation does
         path = tmp_path / "inst.json"
         path.write_text(json.dumps(doc))
         code, out, err = run(capsys, "exact", "--inst", str(path))

@@ -495,6 +495,39 @@ class TestCoverSolver:
             assert cover.tobytes() == want.tobytes()
 
 
+class TestLockstepRootPick:
+    # rows of one lockstep block by hand, each a list of (u, v, w) in edge order
+    ROWS = [
+        # roots 0 and 1 are matched at once; 2's first tight arc reaches r1,
+        # 1's end, so 2 grows a tree; after that phase 3 takes the next pick
+        # first and grows (r0 is 0's), while 4's end r4 is free
+        [(0, 0, 1.0), (1, 1, 1.0), (2, 1, 1.0), (3, 0, 1.0), (4, 4, 1.0)],
+        # three roots' first tight arcs reach the free r0 in one pick
+        [(0, 0, 1.0), (1, 0, 1.0), (1, 2, 0.5), (2, 0, 1.0), (2, 3, 0.25)],
+        [],
+        # the same with weights: 0, 1 and 2 first reach r2; 3's end r4 is
+        # free while 1 grows
+        [(0, 2, 2.0), (1, 2, 2.0), (1, 0, 1.5), (2, 2, 2.0), (2, 4, 0.5), (3, 4, 1.0)],
+    ]
+
+    def test_earliest_root_rule_matches_the_primal_dual(self):
+        n = 5
+        arcs = [(k, u, v, w) for k, edges in enumerate(self.ROWS)
+                for u, v, w in sorted(edges, key=lambda e: e[0])]
+        row, left, right = (np.array([a[i] for a in arcs], dtype=np.int64) for i in range(3))
+        wt = np.array([a[3] for a in arcs])
+        y = matching._lockstep(row, left, right, wt, len(self.ROWS), n)
+        covers = np.where(y > 0.0, y, 0.0)
+        for edges, cover in zip(self.ROWS, covers):
+            tails = [u for u, _, _ in edges]
+            lists = [(v, w, j) for j, (_, v, w) in enumerate(edges)]
+            pd = matching._primal_dual(range(len(edges)), tails, lists, n)
+            assert cover.tobytes() == matching._covers([pd[1:]], n)[0].tobytes()
+        # row 0 by hand: each phase drives its tree's potentials to zero
+        # and raises the end it shares, r1 and then r0
+        assert covers[0].tolist() == [0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0]
+
+
 class TestMonotonicity:
     @pytest.mark.parametrize("seed", range(10))
     def test_adding_edge_never_decreases(self, seed):
