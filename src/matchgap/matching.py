@@ -320,9 +320,9 @@ def _lockstep(row: np.ndarray, left: np.ndarray, right: np.ndarray, wt: np.ndarr
     in_r = np.zeros(size, dtype=bool)
     entry = np.zeros(len(eu), dtype=bool)    # the arc each tree-right vertex entered by
     mark = np.zeros(size, dtype=bool)        # scratch: the roots being picked
-    reach_of = np.zeros(size, dtype=np.int64)
-    earliest = np.zeros(size + 1, dtype=np.int64)
-    root = np.zeros(count, dtype=np.int64)   # `size` once a row is done
+    reach_of = np.zeros(size, dtype=np.int64)      # scratch: root -> end of its first tight arc
+    earliest = np.zeros(size + 1, dtype=np.int64)  # scratch: right end -> its earliest root
+    root = np.zeros(count, dtype=np.int64)   # each row's root, `size` once the row is done
     pick = np.ones(count, dtype=bool)        # rows between phases
     slack, floor = np.empty(count), np.empty(count)
     picking = True
@@ -379,9 +379,9 @@ def _lockstep(row: np.ndarray, left: np.ndarray, right: np.ndarray, wt: np.ndarr
         u2 = mate[grown]
         in_l[u2] = True
         par_l[u2] = v[grown]
-        kt = kt[free]
-        pick[kt] = True
-        _flip_all(u[free], v[free], root[kt], mate_l, mate_r, tree_r)
+        ended = kt[free]                     # augmented: these rows pick roots next
+        pick[ended] = True
+        _flip_all(u[free], v[free], root[ended], mate_l, mate_r, tree_r)
 
         # rows without a tight arc leaving the tree adjust
         slack.fill(np.inf)
