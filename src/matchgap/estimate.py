@@ -16,21 +16,18 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .matching import (LOCKSTEP_MIN_ROWS, cover_solver, matching_values_over_subsets,
-                       value_solver)
+from .matching import cover_solver, matching_values_over_subsets, value_solver
 from .model import Instance, fractional_value
-from .sampling import (block_degrees, block_rows, realization_blocks, row_map, sample_values,
+from .sampling import (BLOCK_BYTES, block_degrees, realization_blocks, row_map, sample_values,
                        support_probabilities)
-from .schemes import DEFAULT_TRANSFER, _transfers, block_edge_masses
+from .schemes import block_edge_masses, scheme_transfers
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
-#: Support masks whose covers and scheme masses are computed together:
-#: enough rows for the lockstep covers (``matching.LOCKSTEP_MIN_ROWS``) with
-#: work arrays of a few hundred kilobytes.  On a 13-edge instance exact mass
-#: certify peaked 0.6 MB over import with 256 or 512 masks, 0.9 MB with 768
-#: and 1.7 MB with 1,024; on 19 edges it took 3.0-3.1 s with 512 masks,
-#: 2.5-2.7 s with 768 and 2.4-2.6 s with 1,024.
+#: Support masks whose covers (one lockstep run) and scheme masses are
+#: computed together.  On 13 edges exact mass peaked 0.7 MB (tracemalloc)
+#: with 256 masks, 1.2 with 512, 1.6 with 768 and 2.2 with 1,024; on 19
+#: edges it took 2.0-2.5 s, 1.7-1.9 s and 1.6-2.0 s with 512, 768 and 1,024.
 _MASK_CHUNK = 768
 
 
@@ -109,42 +106,61 @@ def per_edge_masses_exact(inst: Instance, scheme: str = "weighted") -> np.ndarra
     bits = 1 << np.arange(inst.num_edges)
     masks = np.flatnonzero(probs)
 
-    def blocks(first, stop):
+    def groups(first, stop):  # one chunk a group
         for i in range(first, stop, _MASK_CHUNK):
             c = masks[i:min(i + _MASK_CHUNK, stop)]
-            yield np.flatnonzero((c[:, None] & bits) != 0), len(c), probs[c]
+            yield [(np.flatnonzero((c[:, None] & bits) != 0), len(c), probs[c])]
 
     # such a mask holds every edge of x = 1 and half of those of 0 < x < 1
     x = inst.x
     realized = np.count_nonzero(x == 1.0) + 0.5 * np.count_nonzero((x > 0.0) & (x < 1.0))
-    return _scheme_mass_sum(inst, blocks, len(masks), realized, _MASK_CHUNK, scheme)
+    return _scheme_mass_sum(inst, groups, len(masks), realized, scheme)
 
 
-def _scheme_mass_sum(inst: Instance, blocks, count: int, realized: float, rows: int,
+def _scheme_mass_sum(inst: Instance, groups, count: int, realized: float,
                      scheme: str) -> np.ndarray:
-    """Per edge, the sum of p * (scheme mass) over rows 0..count-1,
-    added row by row in order.  `blocks(first, stop)` yields (flat, rows,
-    p) for rows first..stop-1: a realization block as
+    """Per edge, the sum of p * (scheme mass) over rows 0..count-1, added
+    row by row in order.  `groups(first, stop)` yields rows first..stop-1
+    as lists of consecutive blocks (flat, rows, p): a realization block as
     `sampling.realization_blocks` gives it and p per row, None for all
-    ones, in blocks of up to `rows` rows that hold `realized` edges on
-    average.  The rows go through `row_map`."""
+    ones, with `realized` edges a row on average.  A group's covers take
+    one call, its scheme masses one a block.  The rows go through `row_map`."""
     cover = cover_solver(inst)
+    moved = scheme_transfers(inst, scheme)
+    m = inst.num_edges
 
     def fill(first, stop):
-        for flat, rows, p in blocks(first, stop):
-            masses = block_edge_masses(inst, flat, cover(flat, rows), scheme)
-            if p is not None:
-                masses *= p[:, None]
-            yield masses
+        for group in groups(first, stop):
+            # the group as one block, a lone block uncopied
+            at = np.cumsum([0] + [rows for _, rows, _ in group])
+            flat = group[0][0] if len(group) == 1 else np.concatenate(
+                [f + k * m for (f, _, _), k in zip(group, at)])
+            # one view of the covers per block, each dropped once used
+            y = np.split(cover(flat, int(at[-1])), at[1:-1])
+            for flat, _, p in group:
+                masses = block_edge_masses(inst, flat, y.pop(0), moved)
+                if p is not None:
+                    masses *= p[:, None]
+                yield masses
 
-    m = inst.num_edges
     acc = np.zeros(m, dtype=np.float64)
-    # a cover row's cost in draws per realized edge, as measured for
-    # `sampling.SPLIT_MIN_WORK`: lower where the rows go through the lockstep
-    draws = 280 if min(rows, count) >= LOCKSTEP_MIN_ROWS else 870
-    for piece in row_map(fill, count, m, count * (m + draws * realized)):
+    # a cover's cost in draws per realized edge (`sampling.SPLIT_MIN_WORK`)
+    for piece in row_map(fill, count, m, count * (m + 280 * realized)):
         acc = _add_rows(acc, piece)
     return acc
+
+
+def _gathered(blocks, rows: int):
+    """Consecutive `blocks` (flat, rows, p) in lists, each closed once it
+    holds at least `rows` rows; a block is never cut."""
+    group = []
+    for block in blocks:
+        group.append(block)
+        if sum(size for _, size, _ in group) >= rows:
+            yield group
+            group = []
+    if group:
+        yield group
 
 
 def _add_rows(acc: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -214,7 +230,7 @@ def _certificates(inst: Instance, edges: list[int], mode: str, scheme: str, boun
         else:
             raise ValueError(f"unknown mode {mode!r}")
         if scheme == "unweighted":
-            x, moved = inst.x.tolist(), (DEFAULT_TRANSFER * _transfers(inst)).tolist()
+            x, moved = inst.x.tolist(), scheme_transfers(inst, scheme).tolist()
             return {j: base[j] + moved[j] / x[j] for j in edges}
         return base
 
@@ -223,12 +239,14 @@ def _certificates(inst: Instance, edges: list[int], mode: str, scheme: str, boun
     if mode == "exact":
         masses = per_edge_masses_exact(inst, scheme)
     elif mode == "mc":
-        def blocks(first, stop):
-            return ((flat, rows, None)
-                    for flat, rows in realization_blocks(inst, seed, first, stop - first))
+        # realization blocks share one lockstep run until their (rows, 2n)
+        # float64 covers fill a quarter of BLOCK_BYTES
+        def groups(first, stop):
+            blocks = ((flat, rows, None)
+                      for flat, rows in realization_blocks(inst, seed, first, stop - first))
+            return _gathered(blocks, BLOCK_BYTES // max(32 * inst.total_vertices, 1))
 
-        masses = _scheme_mass_sum(inst, blocks, samples, float(inst.x.sum()),
-                                  block_rows(inst, samples), scheme) / samples
+        masses = _scheme_mass_sum(inst, groups, samples, float(inst.x.sum()), scheme) / samples
     else:
         raise ValueError(f"unknown mode {mode!r}")
     w, x = inst.w.tolist(), inst.x.tolist()

@@ -12,10 +12,9 @@ that shifts a leaf's weight onto its centre's other edges, with the
 primal-dual for the samples peeling leaves unsolved or cannot decide
 beyond its tolerance, so the values are the primal-dual's bits.
 The covers of the mass certificates are found a realization block at a
-time (`cover_solver`): a block of at least ``LOCKSTEP_MIN_ROWS``
-nonempty rows runs the primal-dual in lockstep over their disjoint
-union (`_lockstep`), a smaller one goes to `_primal_dual` row by row,
-and every cover is the per-sample core's bits.
+time (`cover_solver`), whatever its size, by the primal-dual run in
+lockstep over the disjoint union of its rows (`_lockstep`), and every
+cover is the per-sample core's bits.
 General graphs get exhaustive search, exact at small sizes only.
 
 `matching_values_over_subsets` evaluates the maximum matching weight of
@@ -89,7 +88,7 @@ def max_weight_matching_bipartite(g: SampledGraph):
     mate_left, y_left, y_right = _primal_dual(range(len(arcs)), tails, arcs, inst.n)
     value = _matched_weight(mate_left, arcs)
     edges = tuple(idx[sorted(k for _, k in mate_left.values())].tolist())
-    cover = _covers([(y_left, y_right)], inst.n)[0]
+    cover = _cover(y_left, y_right, inst.n)
     return Matching(edges, value), value, FractionalVertexCover(cover)
 
 
@@ -153,20 +152,13 @@ def _matched_weight(mate_left, arcs) -> float:
     return value
 
 
-def _covers(potentials: list, n: int) -> np.ndarray:
-    """(rows, 2n) covers from a list of (y_left, y_right) pairs of
-    `_primal_dual`: the potentials of row k laid out by vertex, left
-    vertices without a realized edge at zero, negatives and NaN at 0.0
-    (the values of max(0.0, v), -0.0 included)."""
-    count = len(potentials)
-    flat = [0.0] * (count * 2 * n)
-    base = 0
-    for y_left, y_right in potentials:
-        for u, val in y_left.items():
-            flat[base + u] = val
-        flat[base + n:base + 2 * n] = y_right
-        base += 2 * n
-    y = np.array(flat, dtype=np.float64).reshape(count, 2 * n)
+def _cover(y_left: dict, y_right: list, n: int) -> np.ndarray:
+    """The 2n cover of `_primal_dual`'s potentials laid out by vertex,
+    left vertices without a realized edge at zero, negatives and NaN at
+    0.0 (the values of max(0.0, v), -0.0 included)."""
+    y = np.zeros(2 * n)
+    y[list(y_left)] = list(y_left.values())
+    y[n:] = y_right
     return np.where(y > 0.0, y, 0.0)
 
 
@@ -763,24 +755,12 @@ def value_solver(inst: Instance) -> Callable[[np.ndarray, np.ndarray, int], np.n
     return values
 
 
-#: A cover block's nonempty rows go through `_lockstep` together when
-#: there are at least this many of them, whatever their sizes; fewer get
-#: their own `_primal_dual` each.  A lockstep block takes as many steps as
-#: its slowest row and pays each step's array passes whatever its number
-#: of rows.  Measured on each instance's own blocks by
-#: ``scripts/row_costs.py``.
-LOCKSTEP_MIN_ROWS = 256
-
-
 def cover_solver(inst: Instance) -> Callable[[np.ndarray, int], np.ndarray]:
     """The covers of `max_weight_matching_bipartite` for realizations of a
     bipartite `inst`, as a function of a block (flat, rows) of
     `sampling.realization_blocks`: row k of the (rows, 2n) result is the
-    cover of block row k, bit for bit.  A block's nonempty rows are solved
-    together by `_lockstep` when there are at least ``LOCKSTEP_MIN_ROWS``
-    of them, and otherwise one by one by `_primal_dual` on lists over all
-    edges, built once per instance."""
-    tails, arcs = _bipartite_arcs(inst, np.arange(inst.num_edges))
+    cover of block row k, bit for bit.  All rows of a block, whatever
+    their number, are solved together by `_lockstep`."""
     n, m = inst.n, max(inst.num_edges, 1)
     order = np.argsort(inst.endpoints[:, 0], kind="stable")
     rank = np.argsort(order)  # edge j's position in (left vertex, edge index) order
@@ -788,16 +768,9 @@ def cover_solver(inst: Instance) -> Callable[[np.ndarray, int], np.ndarray]:
 
     def covers(flat: np.ndarray, rows: int) -> np.ndarray:
         row, col = np.divmod(flat, m)
-        nonempty = np.flatnonzero(np.bincount(row, minlength=rows))
-        y = np.zeros((rows, 2 * n))
-        if len(nonempty) >= LOCKSTEP_MIN_ROWS:
-            # the arcs in (row, left vertex, edge index) order
-            row, col = np.divmod(np.sort(row * m + rank[col]), m)
-            y = _lockstep(row, left[col], right[col], wt[col], rows, n)
-        elif len(nonempty):
-            cuts, col = _sample_cuts(row, rows), col.tolist()
-            y[nonempty] = _covers([_primal_dual(col[cuts[k]:cuts[k + 1]], tails, arcs, n)[1:]
-                                   for k in nonempty.tolist()], n)
+        # the arcs in (row, left vertex, edge index) order
+        row, col = np.divmod(np.sort(row * m + rank[col]), m)
+        y = _lockstep(row, left[col], right[col], wt[col], rows, n)
         return np.where(y > 0.0, y, 0.0)
     return covers
 

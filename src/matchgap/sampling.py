@@ -50,18 +50,16 @@ BLOCK_BYTES = 512 * 1024
 #: Least work of a `row_map` that it splits, in edge draws; on a 2-vCPU VM
 #: splits paid off at 2**25, not 2**24.  Monte Carlo values count samples x
 #: (edges + 256 x expected realized edges), mass certificate rows count rows
-#: x (edges + F x mean realized edges), F = 280 where the blocks hold at
-#: least ``matching.LOCKSTEP_MIN_ROWS`` rows, which take the lockstep covers,
-#: and 870 where they are solved one by one, and kernel-MC rows count
-#: samples x edges x 9.  In draws of 2.0-3.0e8 hashes/s, a realized edge took
-#: 28-60 draws' time in a value (Karp-Sipser n=200 c=1) and 91-101 (weighted,
-#: random_point n=100 density 0.1), in a cover and its scheme masses 109-473
-#: (medians 153-164) with the lockstep and 529-701 (medians 547-697) without,
-#: and a kernel edge 4.1-5.3 beside its own draw (medians), in three runs of
-#: ``scripts/row_costs.py`` on one CPU.  The factors stay above those costs:
-#: 256 leaves both Monte Carlo benchmark workloads split (factors down to 44
-#: would), and mass and kernel runs that factors at those costs would keep
-#: serial finished 10-33% sooner on two workers.
+#: x (edges + 280 x mean realized edges) and kernel-MC rows count samples x
+#: edges x 9.  In draws of 2.8-3.0e8 hashes/s, a realized edge took 35-40
+#: draws' time in a value (Karp-Sipser n=200 c=1) and 90-107 (weighted,
+#: random_point n=100 density 0.1), in a cover and its scheme masses 111-552
+#: (medians 211-238), and a kernel edge 5.1-7.7 beside its own draw
+#: (medians), in three runs of ``scripts/row_costs.py`` on one CPU.  The
+#: factors stay above those medians: 256 leaves both Monte Carlo benchmark
+#: workloads split (factors down to 44 would), and mass and kernel runs that
+#: factors at those costs would keep serial finished 10-33% sooner on two
+#: workers.
 SPLIT_MIN_WORK = 1 << 25
 
 

@@ -75,26 +75,31 @@ def unweighted_scheme(g: SampledGraph, cover: FractionalVertexCover) -> MassVect
 
 
 def _one_row(g, cover, scheme):
-    edge_mass = block_edge_masses(g.instance, g.edge_indices, cover.y[None], scheme)[0]
+    moved = scheme_transfers(g.instance, scheme)
+    edge_mass = block_edge_masses(g.instance, g.edge_indices, cover.y[None], moved)[0]
     return MassVector(np.where(g.degrees == 0, cover.y, 0.0), edge_mass)
 
 
+def scheme_transfers(inst: Instance, scheme: str):
+    """What the scheme adds to every realization's edge masses: c *
+    `_transfers` for the unweighted scheme, None for the weighted one."""
+    if scheme not in ("weighted", "unweighted"):
+        raise ValueError(f"unknown scheme {scheme!r}")
+    return DEFAULT_TRANSFER * _transfers(inst) if scheme == "unweighted" else None
+
+
 def block_edge_masses(inst: Instance, flat: np.ndarray, covers: np.ndarray,
-                      scheme: str) -> np.ndarray:
-    """Edge masses of the weighted or unweighted scheme, one row per row
-    of a realization block given by its flat positions (see
-    `sampling.realization_blocks`); ``covers[k]`` is the optimal cover of
-    row k.
+                      moved) -> np.ndarray:
+    """Edge masses of a scheme, one row per row of a realization block
+    given by its flat positions (see `sampling.realization_blocks`);
+    ``covers[k]`` is the optimal cover of row k and `moved` the scheme's
+    `scheme_transfers`.
 
     ``weighted_scheme`` and ``unweighted_scheme`` are its one-row case,
     for that realization and cover.
     """
     masses = _spread(inst, flat, covers, block_degrees(inst, flat, len(covers)))
-    if scheme == "unweighted":
-        return masses + DEFAULT_TRANSFER * _transfers(inst)
-    if scheme != "weighted":
-        raise ValueError(f"unknown scheme {scheme!r}")
-    return masses
+    return masses if moved is None else masses + moved
 
 
 def _spread(inst, flat, y, deg):

@@ -11,9 +11,10 @@ from matchgap import (DEFAULT_TRANSFER, SampledGraph, WEIGHTED_BIPARTITE_FLOOR, 
                       max_weight_matching_bipartite, per_edge_certificates,
                       per_edge_masses_exact, sample, sampling, support_probabilities,
                       unweighted_scheme, weighted_scheme)
-from matchgap import matching
+from matchgap import matching, schemes
 from matchgap.gallery import (gen_equal_split_star, gen_karp_sipser, gen_pendant_star,
                               gen_random_point)
+from matchgap.sampling import block_rows, dense_block
 from matchgap.schemes import _transfers
 
 from conftest import brute_expected_matching
@@ -211,18 +212,51 @@ class TestPerEdgeCertificates:
     @pytest.mark.parametrize("mode", ["exact", "mc"])
     @pytest.mark.parametrize("scheme", ["weighted", "unweighted"])
     def test_mass_does_not_depend_on_the_cover_path(self, monkeypatch, mode, scheme):
-        # every block in lockstep (blocks of any size), every row alone (no
-        # block large enough) and the default rule: equal bytes
+        # covers solved in groups of 1 and of 7 rows against the default
+        # groups: equal bytes.  Exact mass takes one mask chunk a group;
+        # Monte Carlo blocks of 3 rows stay alone, or gather 3 to a group
         inst = (gen_random_point(5, 0.5, 3, "bipartite") if scheme == "weighted"
                 else gen_equal_split_star(6, 0.1))
 
-        def certs(min_rows):
-            monkeypatch.setattr(matching, "LOCKSTEP_MIN_ROWS", min_rows)
+        def certs():
             return repr(per_edge_certificates(inst, mode, scheme, "mass", samples=3000, seed=2))
 
-        default = certs(matching.LOCKSTEP_MIN_ROWS)
-        assert certs(1) == default
-        assert certs(10 ** 6) == default
+        default = certs()
+        real_gathered, real_solver = estimate._gathered, estimate.cover_solver
+        solved = []
+
+        def cover_solver(inst):
+            solve = real_solver(inst)
+            return lambda flat, rows: solved.append(rows) or solve(flat, rows)
+
+        monkeypatch.setattr(estimate, "cover_solver", cover_solver)
+        monkeypatch.setattr(sampling, "BLOCK_BYTES", 3 * 8 * inst.num_edges)
+        for rows, group in ((1, 3), (7, 9)):
+            monkeypatch.setattr(estimate, "_MASK_CHUNK", rows)
+            monkeypatch.setattr(estimate, "_gathered",
+                                lambda blocks, _: real_gathered(blocks, rows))
+            solved.clear()
+            assert certs() == default
+            assert set(solved[:-1]) == {rows if mode == "exact" else group}
+
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    @pytest.mark.parametrize("scheme", ["weighted", "unweighted"])
+    def test_mass_of_an_instance_without_vertices(self, mode, scheme):
+        # the group size divides by the vertex count
+        inst = Instance("bipartite", 0, ())
+        assert per_edge_certificates(inst, mode, scheme, "mass", samples=10) == {}
+
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_transfers_once_per_certificate(self, monkeypatch, mode):
+        # the unweighted scheme's transfer vector is the same in every row:
+        # one `_transfers` call serves a serial run of many blocks
+        inst = gen_equal_split_star(6, 0.1)
+        monkeypatch.setattr(estimate, "_MASK_CHUNK", 7)
+        monkeypatch.setattr(sampling, "BLOCK_BYTES", 3 * 8 * inst.num_edges)
+        calls = []
+        monkeypatch.setattr(schemes, "_transfers", lambda inst: calls.append(1) or _transfers(inst))
+        per_edge_certificates(inst, mode, "unweighted", "mass", samples=300, seed=2)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("bound", ["mass", "kernel"])
     def test_mc_needs_a_sample(self, bound):
@@ -374,3 +408,57 @@ class TestMisc:
         assert row[0] == "edge-instance"
         assert row[1] == "exact"
         assert len(row) == 7
+
+
+class TestPooledCovers:
+    """Mass-MC gathers consecutive realization blocks into groups whose
+    covers one lockstep run solves; the scheme masses stay a block at a
+    time.  Blocks of 26 rows gather 7 to a group on Karp-Sipser n=50, of
+    246 rows 2 to a group on random_point n=30 density 0.3."""
+
+    CASES = [(lambda: gen_karp_sipser(50, 1.0, "bipartite"), 200, 182),
+             (lambda: gen_random_point(30, 0.3, 2), 600, 492)]
+
+    def run(self, monkeypatch, inst, samples):
+        """The (flat, rows, covers) of each cover call and the rows of
+        each scheme-mass call of a mass-MC certificate."""
+        solved, spread = [], []
+        real_solver, real_masses = estimate.cover_solver, estimate.block_edge_masses
+
+        def cover_solver(inst):
+            solve = real_solver(inst)
+
+            def spy(flat, rows):
+                y = solve(flat, rows)
+                solved.append((flat, rows, y))
+                return y
+            return spy
+
+        def block_edge_masses(inst, flat, covers, moved):
+            spread.append(len(covers))
+            return real_masses(inst, flat, covers, moved)
+
+        monkeypatch.setattr(estimate, "cover_solver", cover_solver)
+        monkeypatch.setattr(estimate, "block_edge_masses", block_edge_masses)
+        per_edge_certificates(inst, "mc", "weighted", "mass", samples=samples, seed=3)
+        return solved, spread
+
+    @pytest.mark.parametrize("case", range(2))
+    def test_pooled_covers_equal_the_primal_dual(self, monkeypatch, case):
+        make, samples, group = self.CASES[case]
+        inst = make()
+        solved, _ = self.run(monkeypatch, inst, samples)
+        assert [rows for _, rows, _ in solved] == [group, samples - group]
+        monkeypatch.undo()
+        for flat, rows, covers in solved:
+            for row, cover in zip(dense_block(flat, rows, inst.num_edges), covers):
+                want = max_weight_matching_bipartite(SampledGraph(inst, row))[2].y
+                assert cover.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("case", range(2))
+    def test_scheme_masses_a_block_at_a_time(self, monkeypatch, case):
+        make, samples, group = self.CASES[case]
+        inst = make()
+        solved, spread = self.run(monkeypatch, inst, samples)
+        assert max(spread) == block_rows(inst, samples) < group
+        assert sum(spread) == samples

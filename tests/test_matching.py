@@ -462,15 +462,14 @@ class TestWeightedPeeler:
 
 
 class TestCoverSolver:
-    def test_only_blocks_under_min_rows_reach_the_primal_dual(self, monkeypatch):
-        # LOCKSTEP_MIN_ROWS nonempty rows of any size, some over 48 edges
-        # (the former size crossover), go through the lockstep together and
-        # empty rows need no solve; one nonempty row fewer and every
-        # nonempty row gets its own primal-dual
+    def test_no_block_reaches_the_primal_dual(self, monkeypatch):
+        # nonempty rows of any size, some over 48 edges (the former size
+        # crossover), and empty ones all go through the lockstep, in a
+        # block of 258 rows or in blocks of 64, 7, 2 or 1: every row's
+        # cover has the same bits in each
         inst = gen_random_point(12, 0.6, 5, "bipartite")
         m = inst.num_edges
-        counts = [0, *(1 + k % m for k in range(matching.LOCKSTEP_MIN_ROWS - 3)),
-                  49, 0, m, m - 1]
+        counts = [0, *(1 + k % m for k in range(253)), 49, 0, m, m - 1]
         rng = np.random.default_rng(3)
         block = np.zeros((len(counts), m), dtype=bool)
         for row, c in zip(block, counts):
@@ -483,12 +482,13 @@ class TestCoverSolver:
             return real(idx, tails, arcs, n)
 
         monkeypatch.setattr(matching, "_primal_dual", spy)
-        covers = matching.cover_solver(inst)(*flat_block(block))
+        solve = matching.cover_solver(inst)
+        covers = solve(*flat_block(block))
+        for size in (64, 7, 2, 1):
+            for k in range(0, len(block), size):
+                part = solve(*flat_block(block[k:k + size]))
+                assert part.tobytes() == covers[k:k + size].tobytes()
         assert max(counts) > 48 and seen == []
-        # one nonempty row fewer than LOCKSTEP_MIN_ROWS: every nonempty row alone
-        fewer = matching.cover_solver(inst)(*flat_block(block[2:]))
-        assert fewer.tobytes() == covers[2:].tobytes()
-        assert seen == [c for c in counts[2:] if c > 0]
         monkeypatch.undo()
         for row, cover in zip(block, covers):
             want = max_weight_matching_bipartite(SampledGraph(inst, row))[2].y
@@ -522,7 +522,7 @@ class TestLockstepRootPick:
             tails = [u for u, _, _ in edges]
             lists = [(v, w, j) for j, (_, v, w) in enumerate(edges)]
             pd = matching._primal_dual(range(len(edges)), tails, lists, n)
-            assert cover.tobytes() == matching._covers([pd[1:]], n)[0].tobytes()
+            assert cover.tobytes() == matching._cover(*pd[1:], n).tobytes()
         # row 0 by hand: each phase drives its tree's potentials to zero
         # and raises the end it shares, r1 and then r0
         assert covers[0].tolist() == [0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0]

@@ -10,8 +10,7 @@ the matching and the cover, and tiny ones (random times 2**-40 or
 listed in shuffled order, so edge index order differs from vertex order.
 Larger graphs (up to 40 vertices a side) are checked against
 `_reference`, the same method rescanning the whole tree at every step,
-and so are the block covers of `cover_solver` on both sides of its
-lockstep crossover.
+and so are the block covers of `cover_solver`, in a block and alone.
 
 Re-record with ``PYTHONPATH=src python tests/test_solver_fixture.py``
 only after arguing an intended change of solver output.
@@ -184,9 +183,8 @@ def _signed_zero(rng, k):
 def test_lockstep_block_matches_reference(family, seed, monkeypatch):
     # one block of rows of every size: empty, a lone edge, every edge, and
     # random subsets of many densities, so rows end after different numbers
-    # of steps; every nonempty row takes the lockstep, however few the block
-    # holds, the rows over 48 edges (the former size crossover) too
-    monkeypatch.setattr(matching, "LOCKSTEP_MIN_ROWS", 1)
+    # of steps; every row takes the lockstep, in the block or alone, the
+    # rows over 48 edges (the former size crossover) too
     alone = []
     real = matching._primal_dual
     monkeypatch.setattr(matching, "_primal_dual", lambda *a: alone.append(a) or real(*a))
@@ -205,7 +203,10 @@ def test_lockstep_block_matches_reference(family, seed, monkeypatch):
     counts = np.count_nonzero(block, axis=1)
     assert counts.max() > 48
     assert np.count_nonzero((counts > 1) & (counts <= 48)) >= 5
-    covers = cover_solver(inst)(*flat_block(block))
+    solve = cover_solver(inst)
+    covers = solve(*flat_block(block))
+    for k, cover in enumerate(covers):
+        assert solve(*flat_block(block[k:k + 1]))[0].tobytes() == cover.tobytes()
     assert alone == []
     monkeypatch.undo()
     for row, cover in zip(block, covers):
@@ -220,7 +221,7 @@ def test_lockstep_covers_every_star_mask():
     inst = gen_equal_split_star(7, 0.1)
     m = inst.num_edges
     block = (np.arange(1 << m)[:, None] >> np.arange(m) & 1).astype(bool)
-    assert np.count_nonzero(block.any(axis=1)) >= matching.LOCKSTEP_MIN_ROWS
+    assert len(block) == 8192
     for row, cover in zip(block, cover_solver(inst)(*flat_block(block))):
         assert cover.tobytes() == max_weight_matching_bipartite(SampledGraph(inst, row))[2].y.tobytes()
 
