@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -173,9 +174,9 @@ def run_verify_suite(cfg: KernelConfig = KernelConfig(), c: float = DEFAULT_TRAN
     for m in range(2, min(m_max, 4) + 1):
         reports.append(kernels.verify_uniform_minimizer(m, bern_grid_step, tolerance))
 
-    for x0 in [k / 10.0 for k in range(1, 11)]:
-        for m in (1, 2):
-            reports.append(kernels.verify_equal_split(x0, m, bern_grid_step, c, tolerance))
+    for pair in zip(*(kernels.verify_equal_splits([k / 10.0 for k in range(1, 11)], m,
+                                                  bern_grid_step, c, tolerance) for m in (1, 2))):
+        reports += pair  # x0 by x0, m = 1 then 2
 
     reports += _worst_gain_trial(gain_trials, tolerance, seed)
 
@@ -352,6 +353,7 @@ _SEED = _checked(int, lambda s: 0 <= s < 1 << 64, "an integer in [0, 2**64)")
 _TOLERANCE = _checked(float, lambda t: 0.0 <= t < math.inf, "finite and non-negative")
 
 
+@functools.cache  # one parser per process: parsing never changes it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="matchgap")
     sub = parser.add_subparsers(dest="command", required=True)

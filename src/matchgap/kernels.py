@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .matching import _general_solver, matching_values_over_subsets, value_solver
+from .matching import _general_values, matching_values_over_subsets, value_solver
 from .model import Instance, fractional_value
 from .sampling import SampledGraph, sample_values, support_probabilities
 from .schemes import DEFAULT_TRANSFER
@@ -298,55 +298,63 @@ def verify_uniform_minimizer(m: int, grid_step: float = 0.05,
 
 def verify_equal_split(x0: float, m: int, grid_step: float = 0.05,
                        c: float = DEFAULT_TRANSFER, tolerance: float = 1e-9) -> CheckReport:
-    """Sweep the pair objective
+    """`verify_equal_splits` at one x0."""
+    return verify_equal_splits([x0], m, grid_step, c, tolerance)[0]
+
+
+def verify_equal_splits(x0s: Sequence[float], m: int, grid_step: float = 0.05,
+                        c: float = DEFAULT_TRANSFER,
+                        tolerance: float = 1e-9) -> list[CheckReport]:
+    """At each x0 of `x0s`, sweep the pair objective
         x0 E[1/(1+max(Y,Z))] + c sum_i (x0 y_i^2 - x0^2 y_i) + same in z
     on a grid with sum(y), sum(z) <= 1 - x0 and
     confirm the equal-split point attains the minimum inside every
-    (sum y, sum z) bucket."""
-    if not (0.0 < x0 <= 1.0):
+    (sum y, sum z) bucket.  What does not depend on x0 is computed once, up
+    to the largest sum an x0 needs; each x0 slices it, in a lone x0's float order."""
+    if not all(0.0 < x0 <= 1.0 for x0 in x0s):
         raise ValueError("x0 must lie in (0, 1]")
-    max_units = int(math.floor((1.0 - x0) / grid_step + 1e-9))
-    all_vecs = []
-    starts = []  # per sum s, the first row of all_vecs whose units sum to s
-    for s in range(max_units + 1):
+    tops = [int(math.floor((1.0 - x0) / grid_step + 1e-9)) for x0 in x0s]
+    sums = range(max(tops, default=-1) + 1)
+    all_vecs, starts = [], []  # starts[s]: the first row of all_vecs summing to s units
+    for s in sums:
         starts.append(len(all_vecs))
         all_vecs += _unit_partitions(s, m, s)
-    pmfs = poisson_binomial_pmfs(np.array(all_vecs) * grid_step)
+    starts.append(len(all_vecs))
+    pmfs = poisson_binomial_pmfs(np.array(all_vecs, ndmin=2) * grid_step)
     kernel = _inv_max_kernel(m + 1)
-    table = pmfs @ kernel @ pmfs.T
-    quads = np.array([
-        c * (x0 * sum((u * grid_step) ** 2 for u in vec)
-             - x0 ** 2 * sum(u * grid_step for u in vec))
-        for vec in all_vecs
-    ])
-    # every bucket's objective in one pass, then the minimum of each
-    # (sum y, sum z) block of rows and columns
-    objective = x0 * table + quads[:, None] + quads[None, :]
-    grid_mins = np.minimum.reduceat(np.minimum.reduceat(objective, starts, axis=0), starts, axis=1)
-
-    # per sum s, the equal-split point's pmf, its product with the kernel
-    # and its quadratic term; both pmfs of a pair have m + 1 entries, so
-    # each pair's value is inv_max_expectation_pmf's product, unpadded
-    eqs = [[s * grid_step / m] * m for s in range(max_units + 1)]
-    eq_pmfs = poisson_binomial_pmfs(np.array(eqs))
-    eq_quads = [c * (x0 * sum(v ** 2 for v in eq) - x0 ** 2 * s * grid_step)
-                for s, eq in enumerate(eqs)]
-    eq_rows = [pmf @ kernel for pmf in eq_pmfs]
-    f_eq = np.array([[x0 * float(row @ pmf) + qy + qz for pmf, qz in zip(eq_pmfs, eq_quads)]
-                     for row, qy in zip(eq_rows, eq_quads)])
-    margins = grid_mins - f_eq
-    sy, sz = divmod(int(np.argmin(margins)), max_units + 1)  # the first least, row by row
-    worst_margin = margins[sy, sz]
-    worst_bucket = (sy * grid_step, sz * grid_step)
-    return CheckReport(
-        check="equal_split_minimality",
-        parameters={"x0": x0, "m": m, "grid_step": grid_step, "c": c,
-                    "tolerance": tolerance},
-        min_value=float(worst_margin),
-        argmin=worst_bucket,
-        passed=bool(worst_margin >= -tolerance),
-        details={"buckets": (max_units + 1) ** 2},
-    )
+    squares = np.array([sum((u * grid_step) ** 2 for u in vec) for vec in all_vecs])
+    totals = np.array([sum(u * grid_step for u in vec) for vec in all_vecs])
+    # per sum s, the equal-split point's pmf, sum of squares and products with the
+    # kernel and each such pmf: inv_max_expectation_pmf's, as both have m + 1 entries
+    eqs = [[s * grid_step / m] * m for s in sums]
+    eq_pmfs = poisson_binomial_pmfs(np.array(eqs, ndmin=2))
+    eq_squares = np.array([sum(v ** 2 for v in eq) for eq in eqs])
+    eq_dots = np.array([[float(row @ pmf) for pmf in eq_pmfs]
+                        for row in (pmf @ kernel for pmf in eq_pmfs)])
+    reports = []
+    for x0, top in zip(x0s, tops):
+        rows, bounds = starts[top + 1], starts[:top + 1]
+        quads = c * (x0 * squares[:rows] - x0 ** 2 * totals[:rows])
+        # every bucket's objective in one pass, then the minimum of each
+        # (sum y, sum z) block of rows and columns
+        objective = (x0 * (pmfs[:rows] @ kernel @ pmfs[:rows].T)
+                     + quads[:, None] + quads[None, :])
+        grid_mins = np.minimum.reduceat(np.minimum.reduceat(objective, bounds, axis=0),
+                                        bounds, axis=1)
+        eq_quads = c * (x0 * eq_squares[:top + 1] - x0 ** 2 * np.arange(top + 1) * grid_step)
+        margins = grid_mins - (x0 * eq_dots[:top + 1, :top + 1]
+                               + eq_quads[:, None] + eq_quads[None, :])
+        sy, sz = divmod(int(np.argmin(margins)), top + 1)  # the first least, row by row
+        reports.append(CheckReport(
+            check="equal_split_minimality",
+            parameters={"x0": x0, "m": m, "grid_step": grid_step, "c": c,
+                        "tolerance": tolerance},
+            min_value=float(margins[sy, sz]),
+            argmin=(sy * grid_step, sz * grid_step),
+            passed=bool(margins[sy, sz] >= -tolerance),
+            details={"buckets": (top + 1) ** 2},
+        ))
+    return reports
 
 
 # -- truncated Poisson series and the unweighted envelope --------------------
@@ -369,7 +377,11 @@ def poisson_truncated_series(x, t: int = SERIES_TRUNCATION):
     """
     coeffs = _series_coefficients(t)
     lam = 1.0 - np.asarray(x, dtype=np.float64)
-    val = np.exp(-2.0 * lam) * np.polynomial.polynomial.polyval(lam, coeffs)
+    # numpy.polynomial's polyval, step for step, without importing it
+    poly = coeffs[-1] + lam * 0
+    for coeff in coeffs[-2::-1]:
+        poly = coeff + poly * lam
+    val = np.exp(-2.0 * lam) * poly
     return float(val) if np.isscalar(x) else val
 
 
@@ -453,25 +465,21 @@ def local_derivative_sides(inst: Instance, realized: np.ndarray,
     realized where the bool realized[j] is set, and no two graphs share a
     vertex.
 
-    One of G + e and G - e is G itself, so a graph takes one exact search
-    for G and one per edge of nonzero x.  lhs adds x_e times the gain edge
-    by edge, in edge order; rhs is np.dot of the graph's own w and x, as
-    `fractional_value` forms it.
+    One of G + e and G - e is G itself, so a graph takes one batch of exact
+    values: G, then G with each edge of nonzero x toggled.  lhs adds x_e times
+    the gain edge by edge, in edge order; rhs is np.dot of the graph's own w
+    and x, as `fractional_value` forms it.
     """
-    solve = _general_solver(inst)
-    x = inst.x.tolist()
+    x, marks = inst.x.tolist(), realized.tolist()
     lhs, rhs = np.empty(len(cuts) - 1), np.empty(len(cuts) - 1)
     for k, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
-        row = realized[a:b]
-        base = solve(a + np.flatnonzero(row))
+        flips = np.flatnonzero(inst.x[a:b])
+        present = np.repeat(realized[None, a:b], len(flips) + 1, axis=0)  # G, then toggles
+        present[np.arange(1, len(flips) + 1), flips] ^= True
+        base, *others = _general_values(inst, np.arange(a, b), present).tolist()
         total = 2.0 * base
-        for j in range(b - a):
-            if x[a + j] == 0.0:
-                continue
-            toggled = row.copy()
-            toggled[j] = not row[j]
-            other = solve(a + np.flatnonzero(toggled))
-            total += x[a + j] * (base - other if row[j] else other - base)
+        for j, other in zip((a + flips).tolist(), others):
+            total += x[j] * (base - other if marks[j] else other - base)
         lhs[k] = total
         rhs[k] = np.dot(inst.w[a:b], inst.x[a:b])
     return lhs, rhs

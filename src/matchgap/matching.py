@@ -488,6 +488,44 @@ def _nu_vertex_dp(nv, edges):
     return best((1 << nv) - 1)
 
 
+def _nu_vertex_dp_batch(nv, edges, graphs):
+    """`_nu_vertex_dp` of `graphs` graphs on vertices 0..nv-1, bit for bit:
+    an edge (a, b, w) weighs w[g] in graph g, -inf where g lacks it.  The
+    recursion and sums are the same, with vector memo entries; a vertex
+    without edges changes no sum."""
+    nbrs: list[list[tuple[int, np.ndarray]]] = [[] for _ in range(nv)]
+    for a, b, w in edges:
+        nbrs[a].append((b, w))
+        nbrs[b].append((a, w))
+    memo = {0: np.zeros(graphs)}
+
+    def best(avail: int) -> np.ndarray:
+        cached = memo.get(avail)
+        if cached is not None:
+            return cached
+        v = (avail & -avail).bit_length() - 1
+        rest = avail & ~(1 << v)
+        out = best(rest)
+        for u, w in nbrs[v]:
+            if rest >> u & 1:
+                out = np.maximum(out, w + best(rest & ~(1 << u)))
+        memo[avail] = out
+        return out
+
+    return best((1 << nv) - 1)
+
+
+def _general_values(inst: Instance, idx: np.ndarray, present: np.ndarray) -> np.ndarray:
+    """`_general_solver`'s value of each subgraph of the edges `idx` that a
+    row of the bool `present` selects: one `_nu_vertex_dp_batch`, or past
+    GENERAL_VERTEX_CUTOFF vertices one search each."""
+    nv, edges = _compact(inst.endpoints[idx].tolist(),
+                         np.where(present.T, inst.w[idx, None], -np.inf))
+    if nv > GENERAL_VERTEX_CUTOFF:
+        return np.array([_general_solver(inst)(idx[row]) for row in present])
+    return _nu_vertex_dp_batch(nv, edges, len(present))
+
+
 def _nu_edge_branch(edges):
     edges = sorted(edges, key=lambda e: -e[2])
     suffix = np.concatenate([np.cumsum([w for _, _, w in edges][::-1])[::-1], [0.0]])

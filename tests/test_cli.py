@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -446,3 +450,29 @@ class TestPhi:
         assert code == 1
         assert out == ""
         assert err == "error: need at least one grid point\n"
+
+
+def test_command_paths_import_no_lazy_numpy_modules():
+    # numpy.ma (np.unique's first call) and numpy.polynomial cost several ms
+    # to import; verify, the benchmark's two certify commands and an mc run,
+    # in a fresh interpreter, must leave both unimported
+    script = """
+import contextlib, io, sys
+from matchgap.cli import main
+for argv in (["verify"],
+             ["certify", "--gen", "equal_split_star", "--n", "7", "--eps", "0.1",
+              "--scheme", "unweighted", "--bound", "mass", "--mode", "exact"],
+             ["certify", "--gen", "pendant_star", "--n", "30", "--eps", "0.1",
+              "--bound", "kernel", "--mode", "mc", "--samples", "500"],
+             ["mc", "--gen", "karp_sipser", "--n", "20", "--samples", "200"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print(sorted({"numpy.ma", "numpy.polynomial"} & set(sys.modules)))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from matchgap.cli import main
+from matchgap.cli import build_parser, main
 
 FIXTURE = Path(__file__).with_name("golden_cli.json")
 
@@ -82,6 +82,21 @@ def golden():
 def test_cli_output_matches_golden(capsys, golden, command):
     assert main(command.split()) == golden[command]["rc"]
     assert capsys.readouterr().out == golden[command]["stdout"]
+
+
+def test_back_to_back_commands_share_one_parser(capsys, golden):
+    # one parser per process, reused by every command, also after a usage
+    # error: each command still prints what it printed alone
+    assert build_parser() is build_parser()
+    for command in (COMMANDS[15], COMMANDS[0], COMMANDS[13], COMMANDS[9], COMMANDS[11],
+                    None, COMMANDS[3], COMMANDS[8], COMMANDS[16]):
+        if command is None:
+            with pytest.raises(SystemExit):
+                main(["mc", "--samples", "many"])
+            capsys.readouterr()
+            continue
+        assert main(command.split()) == golden[command]["rc"]
+        assert capsys.readouterr().out == golden[command]["stdout"]
 
 
 if __name__ == "__main__":

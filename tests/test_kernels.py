@@ -16,7 +16,7 @@ from matchgap import (GENERAL_GRAPH_FLOOR, KernelConfig, UNWEIGHTED_BIPARTITE_CE
                       verify_uniform_minimizer, weighted_kernel_constant)
 from matchgap import Instance, PotentialEdge, SampledGraph
 from matchgap.gallery import gen_random_point
-from matchgap.kernels import _gain_table, _mean1_grid
+from matchgap.kernels import _gain_table, _mean1_grid, verify_equal_splits
 
 from conftest import (bits, brute_inv_max_expectation, convolve_pmf, literal_derivative_sides,
                       literal_equal_split, loop_gain_margins, poisson_pair_expectation)
@@ -253,11 +253,15 @@ class TestEqualSplit:
     @pytest.mark.parametrize("grid_step", [0.05, 0.1, 0.025])
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_equals_bucket_loop(self, grid_step, m):
-        for x0 in [k / 10.0 for k in range(1, 11)]:
+        # each x0 alone and all ten x0 in one batch, as verify runs them
+        x0s = [k / 10.0 for k in range(1, 11)]
+        for x0, batched in zip(x0s, verify_equal_splits(x0s, m, grid_step), strict=True):
             report = verify_equal_split(x0, m, grid_step)
             margin, bucket = literal_equal_split(x0, m, grid_step, report.parameters["c"])
             assert bits(report.min_value) == bits(margin)
             assert report.argmin == bucket
+            assert batched.to_dict() == report.to_dict()
+            assert bits(batched.min_value) == bits(margin)
 
 
 class TestTruncatedSeries:

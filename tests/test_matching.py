@@ -14,7 +14,7 @@ from matchgap.gallery import gen_random_point
 from matchgap.matching import value_solver
 from matchgap.sampling import realization_block
 
-from conftest import (batch_of, brute_matching_value, cycle_instance, flat_block,
+from conftest import (batch_of, bits, brute_matching_value, cycle_instance, flat_block,
                       path_instance)
 
 
@@ -157,6 +157,49 @@ class TestGeneral:
         value = max_weight_matching_general(realized_all(inst))
         assert value == pytest.approx(sum(e.w for e in edges), abs=1e-9)
 
+
+
+class TestVertexDpBatch:
+    """The batched vertex DP and `_general_values` against the per-graph
+    search, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(48))
+    def test_twin_equals_the_per_graph_search(self, seed):
+        # 0-7 vertices; zero, repeated and random weights; graphs that miss
+        # some vertices or every edge; every sixth batch is a batch of one
+        rng = np.random.default_rng(3_000 + seed)
+        nv = seed % 8
+        pairs = list(itertools.combinations(range(nv), 2))
+        graphs = 1 if seed % 6 == 0 else int(rng.integers(2, 9))
+        palette = [0.0, 0.1, 0.2, 0.3, 1.0 / 3.0, float(rng.random())]
+        weights = rng.choice(palette, size=(len(pairs), graphs))
+        present = rng.random((len(pairs), graphs)) < rng.random()
+        if graphs > 1:
+            present[:, 0] = False
+        batch = np.where(present, weights, -np.inf)
+        values = matching._nu_vertex_dp_batch(
+            nv, [(a, b, w) for (a, b), w in zip(pairs, batch)], graphs)
+        for g in range(graphs):
+            on = np.flatnonzero(present[:, g])
+            ends = [pairs[i] for i in on]
+            want = matching._general_value(*matching._compact(ends, weights[on, g].tolist()))
+            assert bits(values[g]) == bits(want)
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 7, 22])
+    def test_subgraph_values_equal_the_solver(self, n):
+        # 22 vertices is past GENERAL_VERTEX_CUTOFF: one search a subgraph
+        rng = np.random.default_rng(4_000 + n)
+        ends = ([(2 * i, 2 * i + 1) for i in range(11)] + [(0, 3), (5, 8)] if n == 22 else
+                [p for p in itertools.combinations(range(n), 2) if rng.random() < 0.6])
+        w = rng.choice([0.0, 0.5, float(rng.random())], size=len(ends))
+        inst = Instance.from_arrays("general", n, np.array(ends, dtype=np.int64).reshape(-1, 2),
+                                    np.full(len(ends), 0.25), w)
+        solve = matching._general_solver(inst)
+        idx = np.arange(len(ends))
+        for rows in (1, 6):
+            present = rng.random((rows, len(ends))) < 0.5
+            values = matching._general_values(inst, idx, present)
+            assert bits(values) == bits([solve(idx[row]) for row in present])
 
 class TestCardinality:
     def test_disjoint_edges(self):
