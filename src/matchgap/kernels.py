@@ -314,20 +314,20 @@ def verify_equal_splits(x0s: Sequence[float], m: int, grid_step: float = 0.05,
     if not all(0.0 < x0 <= 1.0 for x0 in x0s):
         raise ValueError("x0 must lie in (0, 1]")
     tops = [int(math.floor((1.0 - x0) / grid_step + 1e-9)) for x0 in x0s]
-    sums = range(max(tops, default=-1) + 1)
+    sums = range(max(tops) + 1)  # an empty x0s has no largest sum: ValueError
     all_vecs, starts = [], []  # starts[s]: the first row of all_vecs summing to s units
     for s in sums:
         starts.append(len(all_vecs))
         all_vecs += _unit_partitions(s, m, s)
     starts.append(len(all_vecs))
-    pmfs = poisson_binomial_pmfs(np.array(all_vecs, ndmin=2) * grid_step)
+    pmfs = poisson_binomial_pmfs(np.array(all_vecs) * grid_step)
     kernel = _inv_max_kernel(m + 1)
     squares = np.array([sum((u * grid_step) ** 2 for u in vec) for vec in all_vecs])
     totals = np.array([sum(u * grid_step for u in vec) for vec in all_vecs])
     # per sum s, the equal-split point's pmf, sum of squares and products with the
     # kernel and each such pmf: inv_max_expectation_pmf's, as both have m + 1 entries
     eqs = [[s * grid_step / m] * m for s in sums]
-    eq_pmfs = poisson_binomial_pmfs(np.array(eqs, ndmin=2))
+    eq_pmfs = poisson_binomial_pmfs(np.array(eqs))
     eq_squares = np.array([sum(v ** 2 for v in eq) for eq in eqs])
     eq_dots = np.array([[float(row @ pmf) for pmf in eq_pmfs]
                         for row in (pmf @ kernel for pmf in eq_pmfs)])

@@ -249,6 +249,9 @@ class TestEqualSplit:
     def test_x0_validation(self):
         with pytest.raises(ValueError):
             verify_equal_split(0.0, 2)
+        for x0s in ([0.5, 0.0], []):
+            with pytest.raises(ValueError):
+                verify_equal_splits(x0s, 2)
 
     @pytest.mark.parametrize("grid_step", [0.05, 0.1, 0.025])
     @pytest.mark.parametrize("m", [1, 2, 3])

@@ -158,7 +158,6 @@ class TestGeneral:
         assert value == pytest.approx(sum(e.w for e in edges), abs=1e-9)
 
 
-
 class TestVertexDpBatch:
     """The batched vertex DP and `_general_values` against the per-graph
     search, bit for bit."""
@@ -200,6 +199,7 @@ class TestVertexDpBatch:
             present = rng.random((rows, len(ends))) < 0.5
             values = matching._general_values(inst, idx, present)
             assert bits(values) == bits([solve(idx[row]) for row in present])
+
 
 class TestCardinality:
     def test_disjoint_edges(self):
