@@ -292,8 +292,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    if args.format == "csv":
-        raise UsageError("the combined report is nested; use --format json")
     reports = run_verify_suite(tolerance=args.tolerance, seed=args.seed,
                                gain_trials=500, derivative_trials=50)
     floors = {}
@@ -358,19 +356,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="matchgap")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help, samples=True, checks=True, instance_input=True):
+    def command(name, func, help, samples=True, rows=True, checks=True, instance_input=True):
         """A subcommand with only the options `func` reads: --seed and --out
-        always, --samples where it draws, --format and --tolerance where it
-        prints rows or checks, and --allow-infeasible where it gates an
-        instance."""
+        always, --samples where it draws, --format where it prints rows,
+        --tolerance where it checks, and --allow-infeasible where it gates
+        an instance."""
         p = sub.add_parser(name, help=help)
         p.set_defaults(func=func)
         p.add_argument("--seed", type=_SEED, default=0)
         if samples:
             p.add_argument("--samples", type=int, default=10000)
         p.add_argument("--out", default=None)
-        if checks:
+        if rows:
             p.add_argument("--format", choices=("json", "csv"), default="json")
+        if checks:
             p.add_argument("--tolerance", type=_TOLERANCE, default=1e-9)
         if instance_input:
             if checks:
@@ -387,7 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--unweighted", action="store_true")
         return p
 
-    command("gen", _cmd_gen, "emit a generated instance as JSON", samples=False, checks=False)
+    command("gen", _cmd_gen, "emit a generated instance as JSON", samples=False, rows=False,
+            checks=False)
     command("exact", _cmd_exact, "exact ratio by support enumeration", samples=False)
     command("mc", _cmd_mc, "Monte Carlo ratio estimate")
 
@@ -402,9 +402,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = command("verify", _cmd_verify, "run the analytic check suite", samples=False,
                        instance_input=False)
-    p_verify.add_argument("--c", type=float, default=DEFAULT_TRANSFER)
-    p_verify.add_argument("--grid-step", type=float, default=0.05)
-    p_verify.add_argument("--envelope-step", type=float, default=1e-3)
+    step = _checked(float, lambda s: 0.0 < s < math.inf, "finite and positive")
+    p_verify.add_argument("--c", type=_checked(float, math.isfinite, "finite"),
+                          default=DEFAULT_TRANSFER)
+    p_verify.add_argument("--grid-step", type=step, default=0.05)
+    p_verify.add_argument("--envelope-step", type=step, default=1e-3)
     p_verify.add_argument("--m-max", type=int, default=4,
                           help="longest Bernoulli vector of the minimizer grid checks "
                                "(0 skips them)")
@@ -413,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--derivative-trials", type=int, default=100,
                           help="random graphs of the local derivative check (0 skips it)")
 
-    p_report = command("report", _cmd_report, "combined verification report",
+    p_report = command("report", _cmd_report, "combined verification report", rows=False,
                        instance_input=False)
     p_report.add_argument("--instances", type=int, default=50)
     p_report.add_argument("--karp-n", type=int, default=60)

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .matching import _general_values, matching_values_over_subsets, value_solver
+from .matching import _subset_values, matching_values_over_subsets, value_solver
 from .model import Instance, fractional_value
 from .sampling import SampledGraph, sample_values, support_probabilities
 from .schemes import DEFAULT_TRANSFER
@@ -443,7 +443,8 @@ def weighted_kernel_constant() -> WeightedKernelConstant:
 def check_local_derivative_bound(g: SampledGraph, tolerance: float = 1e-9) -> CheckReport:
     """For a fixed realized graph G check
     sum_e x_e (nu(G + e) - nu(G - e)) + 2 nu(G) >= sum_e x_e w_e:
-    the batch of one of `local_derivative_sides`."""
+    the batch of one of `local_derivative_sides`, so a graph of more than
+    SUPPORT_CUTOFF (20) potential edges is refused with SupportTooLarge."""
     inst = g.instance
     (lhs,), (rhs,) = local_derivative_sides(inst, g.realized, [0, inst.num_edges])
     return CheckReport(
@@ -463,23 +464,31 @@ def local_derivative_sides(inst: Instance, realized: np.ndarray,
     `check_local_derivative_bound` for every realized graph of a disjoint
     union: graph k is the edges cuts[k]..cuts[k+1]-1 of `inst`, edge j
     realized where the bool realized[j] is set, and no two graphs share a
-    vertex.
+    vertex; a graph of more than SUPPORT_CUTOFF (20) edges is refused with
+    SupportTooLarge.
 
-    One of G + e and G - e is G itself, so a graph takes one batch of exact
-    values: G, then G with each edge of nonzero x toggled.  lhs adds x_e times
-    the gain edge by edge, in edge order; rhs is np.dot of the graph's own w
-    and x, as `fractional_value` forms it.
+    One of G + e and G - e is G itself, so a graph reads G and G with each
+    edge of nonzero x toggled from one `_subset_values` sweep of its edges
+    by descending lower endpoint, which sums a matching's weights as
+    `max_weight_matching_general`'s vertex DP does, to the same bits.
+    lhs adds x_e times the gain edge by edge, in edge order; rhs is np.dot
+    of the graph's own w and x, as `fractional_value` forms it.
     """
     x, marks = inst.x.tolist(), realized.tolist()
     lhs, rhs = np.empty(len(cuts) - 1), np.empty(len(cuts) - 1)
+    start = np.repeat(cuts[:-1], np.diff(cuts))  # each edge's graph's first edge
+    order = np.lexsort((-inst.endpoints.min(axis=1), start))
+    bit = np.empty(len(order), dtype=np.int64)
+    bit[order] = 1 << (np.arange(len(order)) - start)  # each edge's bit in its graph's sweep
+    g = np.concatenate(([0], np.cumsum(bit * realized)))
     for k, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
-        flips = np.flatnonzero(inst.x[a:b])
-        present = np.repeat(realized[None, a:b], len(flips) + 1, axis=0)  # G, then toggles
-        present[np.arange(1, len(flips) + 1), flips] ^= True
-        base, *others = _general_values(inst, np.arange(a, b), present).tolist()
+        nus = _subset_values(inst.endpoints[order[a:b]], inst.w[order[a:b]])
+        base = float(nus[g[b] - g[a]])
         total = 2.0 * base
-        for j, other in zip((a + flips).tolist(), others):
-            total += x[j] * (base - other if marks[j] else other - base)
+        for j, toggled in enumerate(((g[b] - g[a]) ^ bit[a:b]).tolist(), a):
+            if x[j]:
+                other = float(nus[toggled])
+                total += x[j] * (base - other if marks[j] else other - base)
         lhs[k] = total
         rhs[k] = np.dot(inst.w[a:b], inst.x[a:b])
     return lhs, rhs

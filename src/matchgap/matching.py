@@ -19,7 +19,7 @@ General graphs get exhaustive search, exact at small sizes only.
 
 `matching_values_over_subsets` evaluates the maximum matching weight of
 every subset of the potential edges in one vectorized sweep; it is the
-workhorse behind exact expectations.
+workhorse behind exact expectations and the local derivative check.
 """
 
 from __future__ import annotations
@@ -428,14 +428,6 @@ def _flip_all(u, v, root, mate_l, mate_r, tree_r) -> None:
         u = tree_r[v]
 
 
-def _compact(ends, w):
-    """Relabel the vertices touched by the realized edges `ends` (with
-    weights `w`) to 0..k-1 in vertex order."""
-    verts = sorted({v for e in ends for v in e})
-    lookup = {v: i for i, v in enumerate(verts)}
-    return len(verts), [(lookup[a], lookup[b], x) for (a, b), x in zip(ends, w)]
-
-
 def max_weight_matching_general(g: SampledGraph) -> float:
     """Exact maximum matching weight of a realized graph, any kind.
 
@@ -447,20 +439,23 @@ def max_weight_matching_general(g: SampledGraph) -> float:
 
 
 def _general_solver(inst: Instance) -> Callable[[np.ndarray], float]:
-    """Exact search, as a function of the realized edges."""
+    """Exact search, as a function of the realized edges: the vertex DP on
+    the vertices they touch, relabelled 0..k-1 in vertex order, or
+    branch-and-bound past GENERAL_VERTEX_CUTOFF of them."""
     ends, w = inst.endpoints, inst.w
-    return lambda idx: _general_value(*_compact(ends[idx].tolist(), w[idx].tolist()))
 
-
-def _general_value(nv, edges) -> float:
-    if not edges:
-        return 0.0
-    if nv <= GENERAL_VERTEX_CUTOFF:
-        return _nu_vertex_dp(nv, edges)
-    if len(edges) <= GENERAL_EDGE_CUTOFF:
-        return _nu_edge_branch(edges)
-    raise MatchingCutoffExceeded(
-        f"exact search cutoff exceeded: {nv} vertices, {len(edges)} edges")
+    def solve(idx) -> float:
+        pairs = ends[idx].tolist()
+        verts = sorted({v for e in pairs for v in e})
+        lookup = {v: i for i, v in enumerate(verts)}
+        edges = [(lookup[a], lookup[b], x) for (a, b), x in zip(pairs, w[idx].tolist())]
+        if len(verts) <= GENERAL_VERTEX_CUTOFF:
+            return _nu_vertex_dp(len(verts), edges)
+        if len(edges) <= GENERAL_EDGE_CUTOFF:
+            return _nu_edge_branch(edges)
+        raise MatchingCutoffExceeded(
+            f"exact search cutoff exceeded: {len(verts)} vertices, {len(edges)} edges")
+    return solve
 
 
 def _nu_vertex_dp(nv, edges):
@@ -486,44 +481,6 @@ def _nu_vertex_dp(nv, edges):
         return out
 
     return best((1 << nv) - 1)
-
-
-def _nu_vertex_dp_batch(nv, edges, graphs):
-    """`_nu_vertex_dp` of `graphs` graphs on vertices 0..nv-1, bit for bit:
-    an edge (a, b, w) weighs w[g] in graph g, -inf where g lacks it.  The
-    recursion and sums are the same, with vector memo entries; a vertex
-    without edges changes no sum."""
-    nbrs: list[list[tuple[int, np.ndarray]]] = [[] for _ in range(nv)]
-    for a, b, w in edges:
-        nbrs[a].append((b, w))
-        nbrs[b].append((a, w))
-    memo = {0: np.zeros(graphs)}
-
-    def best(avail: int) -> np.ndarray:
-        cached = memo.get(avail)
-        if cached is not None:
-            return cached
-        v = (avail & -avail).bit_length() - 1
-        rest = avail & ~(1 << v)
-        out = best(rest)
-        for u, w in nbrs[v]:
-            if rest >> u & 1:
-                out = np.maximum(out, w + best(rest & ~(1 << u)))
-        memo[avail] = out
-        return out
-
-    return best((1 << nv) - 1)
-
-
-def _general_values(inst: Instance, idx: np.ndarray, present: np.ndarray) -> np.ndarray:
-    """`_general_solver`'s value of each subgraph of the edges `idx` that a
-    row of the bool `present` selects: one `_nu_vertex_dp_batch`, or past
-    GENERAL_VERTEX_CUTOFF vertices one search each."""
-    nv, edges = _compact(inst.endpoints[idx].tolist(),
-                         np.where(present.T, inst.w[idx, None], -np.inf))
-    if nv > GENERAL_VERTEX_CUTOFF:
-        return np.array([_general_solver(inst)(idx[row]) for row in present])
-    return _nu_vertex_dp_batch(nv, edges, len(present))
 
 
 def _nu_edge_branch(edges):
@@ -821,28 +778,29 @@ def matching_value(g: SampledGraph) -> float:
 
 
 def matching_values_over_subsets(inst: Instance) -> np.ndarray:
-    """Maximum matching weight of every potential-edge subset.
+    """Maximum matching weight of every potential-edge subset: entry
+    ``mask`` is the matching weight of the graph whose realized edges are
+    the set bits of ``mask``, as `_subset_values` of the instance's edges."""
+    return _subset_values(inst.endpoints, inst.w)
 
-    Entry ``mask`` is the matching weight of the graph whose realized
-    edges are the set bits of ``mask``.  Computed by the recurrence on the
-    highest edge (drop it, or take it and restrict to disjoint edges),
-    vectorized over all lower masks.
+
+def _subset_values(ends: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Maximum matching weight of every subset of the (m, 2) edges `ends`
+    with weights `w`, indexed by bitmask (bit j = edge j), by the
+    recurrence on the highest edge (drop it, or take it and restrict to the
+    lower edges disjoint from it) vectorized over all lower masks.  Rounding
+    is monotone, so entry ``mask`` is the maximum over its matchings of
+    their weights summed highest edge outermost, w_top + (... + (w_1 + 0.0)).
     """
-    m = inst.num_edges
+    m = len(ends)
     check_support(m)
-    ends = inst.endpoints
-    compat = np.zeros(m, dtype=np.int64)
-    for j in range(m):
-        mask = 0
-        for i in range(j):
-            if len({int(ends[i, 0]), int(ends[i, 1])} &
-                   {int(ends[j, 0]), int(ends[j, 1])}) == 0:
-                mask |= 1 << i
-        compat[j] = mask
-
-    nu = np.zeros(1 << m, dtype=np.float64)
-    w = inst.w
-    for j in range(m):
-        lower = np.arange(1 << j)
-        nu[(1 << j):(1 << (j + 1))] = np.maximum(nu[:1 << j], w[j] + nu[lower & compat[j]])
+    bit = 1 << np.arange(m)
+    a, b = ends[:, :1], ends[:, 1:]
+    apart = (a != a.T) & (a != b.T) & (b != a.T) & (b != b.T)
+    compat = (apart @ bit & bit - 1).tolist()  # bit i: edge i < j disjoint from j
+    nu = np.zeros(1 << m)
+    lower = np.arange(1 << m)
+    for j, wj in enumerate(w.tolist()):
+        h = 1 << j
+        np.maximum(nu[:h], wj + nu[lower[:h] & compat[j]], out=nu[h:2 * h])
     return nu

@@ -182,7 +182,7 @@ class TestArguments:
         ("gen", ["--tolerance", "0"]), ("gen", ["--allow-infeasible"]),
         ("exact", ["--samples", "10"]),
         ("verify", ["--samples", "10"]), ("verify", ["--allow-infeasible"]),
-        ("report", ["--allow-infeasible"]),
+        ("report", ["--allow-infeasible"]), ("report", ["--format", "csv"]),
     ])
     def test_options_the_command_does_not_read_refused(self, capsys, command, option):
         err = self.refused(capsys, command, *option)
@@ -201,6 +201,19 @@ class TestArguments:
                                f"--tolerance={tolerance}")
             assert (f"error: argument --tolerance: must be finite and non-negative, "
                     f"got {tolerance}\n") in err
+
+    @pytest.mark.parametrize("option,value", [
+        ("--grid-step", "0"), ("--grid-step", "-0.05"), ("--grid-step", "nan"),
+        ("--grid-step", "inf"), ("--envelope-step", "0"), ("--envelope-step", "nan"),
+        ("--envelope-step", "inf"), ("--c", "nan"), ("--c", "inf"), ("--c", "-inf"),
+    ])
+    def test_verify_steps_and_c_must_be_finite(self, capsys, option, value):
+        # --grid-step 0 was a ZeroDivisionError traceback; -0.05, nan and the
+        # envelope's nan and inf exited 1 naming no option; --c nan ran
+        err = self.refused(capsys, "verify", "--m-max", "1", "--gain-trials", "0",
+                           "--derivative-trials", "0", f"{option}={value}")
+        what = "finite" if option == "--c" else "finite and positive"
+        assert f"error: argument {option}: must be {what}, got {value}\n" in err
 
     def test_zero_tolerance_gates_as_before(self, capsys):
         argv = ["mc", "--gen", "karp_sipser", "--kind", "bipartite", "--n", "10",
@@ -314,11 +327,6 @@ class TestVerify:
         assert (code, err) == (0, "")
         floors = json.loads(out)["ratio_floors"]
         assert all(f["passed"] and f["worst_ratio"] is not None for f in floors.values())
-
-    def test_report_rejects_csv(self, capsys):
-        code, _, err = run(capsys, "report", "--format", "csv")
-        assert code == 2
-        assert "json" in err
 
 
 def per_trial_worst(seed, trials, rows=None):

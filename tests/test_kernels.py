@@ -17,6 +17,7 @@ from matchgap import (GENERAL_GRAPH_FLOOR, KernelConfig, UNWEIGHTED_BIPARTITE_CE
 from matchgap import Instance, PotentialEdge, SampledGraph
 from matchgap.gallery import gen_random_point
 from matchgap.kernels import _gain_table, _mean1_grid, verify_equal_splits
+from matchgap.sampling import SUPPORT_CUTOFF, SupportTooLarge
 
 from conftest import (bits, brute_inv_max_expectation, convolve_pmf, literal_derivative_sides,
                       literal_equal_split, loop_gain_margins, poisson_pair_expectation)
@@ -336,6 +337,26 @@ class TestConstants:
                 < UNWEIGHTED_BIPARTITE_CERTIFIED < UNWEIGHTED_BIPARTITE_TARGET)
 
 
+def derivative_graph(case):
+    """test_random_sweep's realized graph: a sample of a random point for
+    an integer case, else the first edges of a complete graph, shuffled and
+    each pair in random order, with about 60% of them realized; "ties" has
+    zero, signed-zero and repeated weights and some x = 0, "21-edges" is
+    one edge past the support cutoff."""
+    if isinstance(case, int):
+        return sample(gen_random_point(2 + case % 5, 0.6, 60_000 + case, "general"), 3, case)
+    if case == "bipartite":
+        return sample(gen_random_point(4, 0.8, 61_000, "bipartite"), 3, 0)
+    n, m = {"reversed": (6, 15), "ties": (5, 10), "empty": (3, 0),
+            "20-edges": (7, 20), "21-edges": (7, 21)}[case]
+    rng = np.random.default_rng(61_000 + m)
+    pairs = np.array(list(itertools.combinations(range(n), 2))[:m]).reshape(-1, 2)
+    ends = rng.permuted(pairs, axis=1)[rng.permutation(m)]
+    w = rng.random(m) if case == "reversed" else rng.choice([0.0, -0.0, 0.25, 0.5], m)
+    x = np.where(np.arange(m) % 3 == 1, 0.0, 1.0 / n) if case == "ties" else np.full(m, 1.0 / n)
+    return SampledGraph(Instance.from_arrays("general", n, ends, x, w), rng.random(m) < 0.6)
+
+
 class TestDerivativeBound:
     def test_empty_graph_single_certain_edge(self):
         inst = Instance("general", 2, (PotentialEdge(0, 1, 1.0, 1.0),))
@@ -351,10 +372,14 @@ class TestDerivativeBound:
         assert report.details["lhs"] == pytest.approx(3.0)
         assert report.passed
 
-    @pytest.mark.parametrize("seed", range(40))
-    def test_random_sweep(self, seed):
-        inst = gen_random_point(2 + seed % 5, 0.6, 60_000 + seed, "general")
-        g = sample(inst, 3, seed)
+    @pytest.mark.parametrize("case", [*range(40), "reversed", "bipartite", "ties", "empty",
+                                      "20-edges", "21-edges"])
+    def test_random_sweep(self, case):
+        g = derivative_graph(case)
+        if g.instance.num_edges > SUPPORT_CUTOFF:
+            with pytest.raises(SupportTooLarge, match=r"2\*\*21 subsets"):
+                check_local_derivative_bound(g)
+            return
         report = check_local_derivative_bound(g)
         assert report.passed
         lhs, rhs = literal_derivative_sides(g)

@@ -159,46 +159,57 @@ class TestGeneral:
 
 
 class TestVertexDpBatch:
-    """The batched vertex DP and `_general_values` against the per-graph
-    search, bit for bit."""
+    """The subset sweep as the vertex DP of a batch of subgraphs: with the
+    edges in descending order of their lower endpoint, as
+    `kernels.local_derivative_sides` sweeps them, every entry of
+    `_subset_values` is the bits of the per-graph search."""
+
+    @staticmethod
+    def swept(ends, w):
+        """The sweep order and the subset values of edges `ends`; entry
+        ``mask`` is the subgraph of the edges order[j] for its set bits j."""
+        order = np.argsort(-ends.min(axis=1), kind="stable")
+        return order, matching._subset_values(ends[order], w[order])
+
+    @staticmethod
+    def subgraph(order, mask):
+        return np.sort(order[(mask >> np.arange(len(order))) & 1 == 1])
 
     @pytest.mark.parametrize("seed", range(48))
     def test_twin_equals_the_per_graph_search(self, seed):
-        # 0-7 vertices; zero, repeated and random weights; graphs that miss
-        # some vertices or every edge; every sixth batch is a batch of one
+        # 0-7 vertices and up to 20 edges, in random order and either pair
+        # order; zero, signed zero, repeated and random weights; the whole
+        # graph and up to 8 random subgraphs of it
         rng = np.random.default_rng(3_000 + seed)
         nv = seed % 8
-        pairs = list(itertools.combinations(range(nv), 2))
-        graphs = 1 if seed % 6 == 0 else int(rng.integers(2, 9))
-        palette = [0.0, 0.1, 0.2, 0.3, 1.0 / 3.0, float(rng.random())]
-        weights = rng.choice(palette, size=(len(pairs), graphs))
-        present = rng.random((len(pairs), graphs)) < rng.random()
-        if graphs > 1:
-            present[:, 0] = False
-        batch = np.where(present, weights, -np.inf)
-        values = matching._nu_vertex_dp_batch(
-            nv, [(a, b, w) for (a, b), w in zip(pairs, batch)], graphs)
-        for g in range(graphs):
-            on = np.flatnonzero(present[:, g])
-            ends = [pairs[i] for i in on]
-            want = matching._general_value(*matching._compact(ends, weights[on, g].tolist()))
-            assert bits(values[g]) == bits(want)
+        pairs = [p if rng.random() < 0.5 else p[::-1]
+                 for p in itertools.combinations(range(nv), 2) if rng.random() < 0.8][:20]
+        rng.shuffle(pairs)
+        ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        palette = [0.0, -0.0, 0.1, 0.2, 0.3, 1.0 / 3.0, float(rng.random())]
+        w = rng.choice(palette, size=len(ends))
+        solve = matching._general_solver(
+            Instance.from_arrays("general", nv, ends, np.full(len(ends), 0.1), w))
+        order, values = self.swept(ends, w)
+        graphs = 0 if seed % 6 == 0 else int(rng.integers(1, 9))
+        for mask in [len(values) - 1, *rng.integers(0, len(values), graphs).tolist()]:
+            assert bits(values[mask]) == bits(solve(self.subgraph(order, mask)))
 
     @pytest.mark.parametrize("n", [0, 1, 5, 7, 22])
     def test_subgraph_values_equal_the_solver(self, n):
-        # 22 vertices is past GENERAL_VERTEX_CUTOFF: one search a subgraph
+        # 22 vertices is past GENERAL_VERTEX_CUTOFF, where the solver
+        # branches over edges instead: the sweep keeps the vertex DP's bits
         rng = np.random.default_rng(4_000 + n)
         ends = ([(2 * i, 2 * i + 1) for i in range(11)] + [(0, 3), (5, 8)] if n == 22 else
                 [p for p in itertools.combinations(range(n), 2) if rng.random() < 0.6])
+        ends = np.array(ends, dtype=np.int64).reshape(-1, 2)
         w = rng.choice([0.0, 0.5, float(rng.random())], size=len(ends))
-        inst = Instance.from_arrays("general", n, np.array(ends, dtype=np.int64).reshape(-1, 2),
-                                    np.full(len(ends), 0.25), w)
-        solve = matching._general_solver(inst)
-        idx = np.arange(len(ends))
-        for rows in (1, 6):
-            present = rng.random((rows, len(ends))) < 0.5
-            values = matching._general_values(inst, idx, present)
-            assert bits(values) == bits([solve(idx[row]) for row in present])
+        order, values = self.swept(ends, w)
+        masks = range(len(values)) if len(values) <= 1024 else rng.integers(0, len(values), 256)
+        for mask in masks:
+            sub = self.subgraph(order, int(mask))
+            want = matching._nu_vertex_dp(n, [(*ends[j].tolist(), w[j]) for j in sub.tolist()])
+            assert bits(values[mask]) == bits(want)
 
 
 class TestCardinality:
