@@ -274,6 +274,11 @@ def _derivative_trials(n: int, ks, seed: int):
 
 
 def _cmd_verify(args) -> int:
+    if args.m_max >= 1:  # the minimizer checks' vectors must have mean 1
+        try:
+            kernels.grid_units(args.grid_step)
+        except ValueError as exc:
+            args.refuse(f"argument --grid-step: {exc} when --m-max is at least 1")
     cfg = KernelConfig(grid_step=args.envelope_step)
     reports = run_verify_suite(cfg=cfg, c=args.c, bern_grid_step=args.grid_step,
                                m_max=args.m_max, gain_trials=args.gain_trials,
@@ -355,6 +360,8 @@ _TOLERANCE = _checked(float, lambda t: 0.0 <= t < math.inf, "finite and non-nega
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="matchgap")
     sub = parser.add_subparsers(dest="command", required=True)
+    positive = _checked(int, lambda k: k > 0, "positive")  # samples and grid points
+    count = _checked(int, lambda k: k >= 0, "non-negative")  # 0 skips what it counts
 
     def command(name, func, help, samples=True, rows=True, checks=True, instance_input=True):
         """A subcommand with only the options `func` reads: --seed and --out
@@ -365,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         p.add_argument("--seed", type=_SEED, default=0)
         if samples:
-            p.add_argument("--samples", type=int, default=10000)
+            p.add_argument("--samples", type=positive, default=10000)
         p.add_argument("--out", default=None)
         if rows:
             p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -397,27 +404,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--mode", choices=("exact", "mc"), default="exact")
 
     p_phi = command("phi", _cmd_phi, "expected matching weight under scaled x")
-    p_phi.add_argument("--grid-points", type=int, default=20)
+    p_phi.add_argument("--grid-points", type=positive, default=20)
     p_phi.add_argument("--mode", choices=("exact", "mc"), default="exact")
 
     p_verify = command("verify", _cmd_verify, "run the analytic check suite", samples=False,
                        instance_input=False)
+    p_verify.set_defaults(refuse=p_verify.error)
     step = _checked(float, lambda s: 0.0 < s < math.inf, "finite and positive")
     p_verify.add_argument("--c", type=_checked(float, math.isfinite, "finite"),
                           default=DEFAULT_TRANSFER)
     p_verify.add_argument("--grid-step", type=step, default=0.05)
     p_verify.add_argument("--envelope-step", type=step, default=1e-3)
-    p_verify.add_argument("--m-max", type=int, default=4,
+    p_verify.add_argument("--m-max", type=count, default=4,
                           help="longest Bernoulli vector of the minimizer grid checks "
                                "(0 skips them)")
-    p_verify.add_argument("--gain-trials", type=int, default=2000,
+    p_verify.add_argument("--gain-trials", type=count, default=2000,
                           help="random mean-1 vectors of the gain-ratio check (0 skips it)")
-    p_verify.add_argument("--derivative-trials", type=int, default=100,
+    p_verify.add_argument("--derivative-trials", type=count, default=100,
                           help="random graphs of the local derivative check (0 skips it)")
 
     p_report = command("report", _cmd_report, "combined verification report", rows=False,
                        instance_input=False)
-    p_report.add_argument("--instances", type=int, default=50)
+    p_report.add_argument("--instances", type=count, default=50)
     p_report.add_argument("--karp-n", type=int, default=60)
 
     return parser

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -18,8 +19,8 @@ import numpy as np
 from . import kernels
 from .matching import cover_solver, matching_values_over_subsets, value_solver
 from .model import Instance, fractional_value
-from .sampling import (BLOCK_BYTES, block_degrees, realization_blocks, row_map, sample_values,
-                       support_probabilities)
+from .sampling import (BLOCK_BYTES, block_degrees, block_groups, join_blocks, realization_blocks,
+                       row_map, sample_values, support_probabilities)
 from .schemes import block_edge_masses, scheme_transfers
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -106,41 +107,37 @@ def per_edge_masses_exact(inst: Instance, scheme: str = "weighted") -> np.ndarra
     bits = 1 << np.arange(inst.num_edges)
     masks = np.flatnonzero(probs)
 
-    def groups(first, stop):  # one chunk a group
-        for i in range(first, stop, _MASK_CHUNK):
-            c = masks[i:min(i + _MASK_CHUNK, stop)]
-            yield [(np.flatnonzero((c[:, None] & bits) != 0), len(c), probs[c])]
+    def blocks(first, count):  # one chunk a block and a group
+        for i in range(first, first + count, _MASK_CHUNK):
+            c = masks[i:min(i + _MASK_CHUNK, first + count)]
+            yield np.flatnonzero((c[:, None] & bits) != 0), len(c), probs[c]
 
     # such a mask holds every edge of x = 1 and half of those of 0 < x < 1
     x = inst.x
     realized = np.count_nonzero(x == 1.0) + 0.5 * np.count_nonzero((x > 0.0) & (x < 1.0))
-    return _scheme_mass_sum(inst, groups, len(masks), realized, scheme)
+    return _scheme_mass_sum(inst, blocks, _MASK_CHUNK, len(masks), realized, scheme)
 
 
-def _scheme_mass_sum(inst: Instance, groups, count: int, realized: float,
+def _scheme_mass_sum(inst: Instance, blocks, group: int, count: int, realized: float,
                      scheme: str) -> np.ndarray:
     """Per edge, the sum of p * (scheme mass) over rows 0..count-1, added
-    row by row in order.  `groups(first, stop)` yields rows first..stop-1
-    as lists of consecutive blocks (flat, rows, p): a realization block as
-    `sampling.realization_blocks` gives it and p per row, None for all
-    ones, with `realized` edges a row on average.  A group's covers take
-    one call, its scheme masses one a block.  The rows go through `row_map`."""
+    row by row in order.  `blocks(first, count)` yields those rows as
+    blocks (flat, rows) of `sampling.realization_blocks`, p = 1, or
+    (flat, rows, p), with `realized` edges a row on average.  Each
+    `sampling.block_groups` group of at least `group` rows takes one cover
+    call, its scheme masses one a block.  The rows go through `row_map`."""
     cover = cover_solver(inst)
     moved = scheme_transfers(inst, scheme)
     m = inst.num_edges
 
     def fill(first, stop):
-        for group in groups(first, stop):
-            # the group as one block, a lone block uncopied
-            at = np.cumsum([0] + [rows for _, rows, _ in group])
-            flat = group[0][0] if len(group) == 1 else np.concatenate(
-                [f + k * m for (f, _, _), k in zip(group, at)])
+        for run in block_groups(blocks(first, stop - first), group):
             # one view of the covers per block, each dropped once used
-            y = np.split(cover(flat, int(at[-1])), at[1:-1])
-            for flat, _, p in group:
+            y = np.split(cover(*join_blocks(run, m)), np.cumsum([b[1] for b in run[:-1]]))
+            for flat, _, *p in run:
                 masses = block_edge_masses(inst, flat, y.pop(0), moved)
-                if p is not None:
-                    masses *= p[:, None]
+                if p:
+                    masses *= p[0][:, None]
                 yield masses
 
     acc = np.zeros(m, dtype=np.float64)
@@ -148,19 +145,6 @@ def _scheme_mass_sum(inst: Instance, groups, count: int, realized: float,
     for piece in row_map(fill, count, m, count * (m + 280 * realized)):
         acc = _add_rows(acc, piece)
     return acc
-
-
-def _gathered(blocks, rows: int):
-    """Consecutive `blocks` (flat, rows, p) in lists, each closed once it
-    holds at least `rows` rows; a block is never cut."""
-    group = []
-    for block in blocks:
-        group.append(block)
-        if sum(size for _, size, _ in group) >= rows:
-            yield group
-            group = []
-    if group:
-        yield group
 
 
 def _add_rows(acc: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -241,12 +225,9 @@ def _certificates(inst: Instance, edges: list[int], mode: str, scheme: str, boun
     elif mode == "mc":
         # realization blocks share one lockstep run until their (rows, 2n)
         # float64 covers fill a quarter of BLOCK_BYTES
-        def groups(first, stop):
-            blocks = ((flat, rows, None)
-                      for flat, rows in realization_blocks(inst, seed, first, stop - first))
-            return _gathered(blocks, BLOCK_BYTES // max(32 * inst.total_vertices, 1))
-
-        masses = _scheme_mass_sum(inst, groups, samples, float(inst.x.sum()), scheme) / samples
+        group = BLOCK_BYTES // max(32 * inst.total_vertices, 1)
+        masses = _scheme_mass_sum(inst, partial(realization_blocks, inst, seed), group,
+                                  samples, float(inst.x.sum()), scheme) / samples
     else:
         raise ValueError(f"unknown mode {mode!r}")
     w, x = inst.w.tolist(), inst.x.tolist()

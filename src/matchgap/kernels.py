@@ -216,12 +216,17 @@ def _unit_partitions(total: int, parts: int, cap: int):
     return out
 
 
-def _mean1_grid(m: int, grid_step: float):
-    """Nonincreasing length-m vectors of grid units that sum to 1, refusing
-    a step that does not divide 1 (its vectors would not have mean 1)."""
+def grid_units(grid_step: float) -> int:
+    """The steps of `grid_step` in 1, refusing a step that does not divide 1."""
     units = round(1.0 / grid_step)
     if abs(units * grid_step - 1.0) > 1e-12:
         raise ValueError("grid step must divide 1")
+    return units
+
+
+def _mean1_grid(m: int, grid_step: float):
+    """Nonincreasing length-m vectors of grid units that sum to 1 (mean 1)."""
+    units = grid_units(grid_step)
     return _unit_partitions(units, m, units)
 
 

@@ -512,7 +512,7 @@ _PEEL_MIN_SHARE = 1.0 / 64.0
 def _cardinalities(ends: np.ndarray, nv: int, sid: np.ndarray, edge: np.ndarray,
                    count: int) -> np.ndarray:
     """Maximum matching cardinality of each sample of a batch (`sid`,
-    `edge`, `count`, as `sampling.realized_batches` gives it) of the (m, 2)
+    `edge`, `count`, as `sampling.sample_values` gives it) of the (m, 2)
     bipartite endpoints `ends`, whose graphs have `nv` vertices, as a
     float64 array.
 
@@ -644,7 +644,7 @@ def _peel_margin(inst: Instance) -> float:
 def _weighted_values(inst: Instance, margin: float, sid: np.ndarray, edge: np.ndarray,
                      count: int) -> np.ndarray:
     """Maximum matching weight of each sample of a batch (`sid`, `edge`,
-    `count`, as `sampling.realized_batches` gives it) of the weighted
+    `count`, as `sampling.sample_values` gives it) of the weighted
     bipartite `inst`, as a float64 array, bit for bit the per-sample
     primal-dual's.
 
@@ -728,7 +728,7 @@ def _weighted_values(inst: Instance, margin: float, sid: np.ndarray, edge: np.nd
 def value_solver(inst: Instance) -> Callable[[np.ndarray, np.ndarray, int], np.ndarray]:
     """The solver `matching_value` applies to realizations of `inst`, as a
     function of a batch of samples: it takes a batch (sid, edge, count) of
-    `sampling.realized_batches` and returns the values of its samples as a
+    `sampling.sample_values` and returns the values of its samples as a
     float64 array.
     Bipartite batches are peeled together: unweighted ones by
     `_cardinalities`, weighted ones by `_weighted_values`, which hands

@@ -16,13 +16,14 @@ only the draws under that cut are finished (`rng` has the two ends).  It
 derives the samples' stream keys once per run, or once per
 ``BLOCK_BYTES`` of keys, and hands each block its slice.  A block is the
 ascending flat positions ``row * m + edge`` of its realized draws and its
-row count; the dense views `realization_block` and `sample` are built
-from it.  Monte Carlo solvers read batches of samples whose per-vertex
-arrays fit in ``BLOCK_BYTES``, each as flat arrays of the sample id and
-the edge index of every realized edge, in (sample, edge) order, and the
-sample count (`realized_batches`).  Every per-sample or per-mask loop
-(values, mass certificate rows, kernel rows) runs through one map,
-`row_map`, which splits large ones over forked workers.
+row count; its per-edge and per-vertex 8-byte arrays fit in
+``BLOCK_BYTES`` (`block_rows`), so no consumer cuts one.  Consumers pool
+whole blocks by one rule, `block_groups`, and lay a group out as one
+block by `join_blocks`: Monte Carlo value batches (`sample_values`), mass
+certificate covers, and the dense views `realization_block` and `sample`.
+Every per-sample or per-mask loop (values, mass certificate rows, kernel
+rows) runs through one map, `row_map`, which splits large ones over
+forked workers.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ from .rng import BernoulliBlocks, stream_key
 #: Exact enumeration refuses supports larger than 2**SUPPORT_CUTOFF.
 SUPPORT_CUTOFF = 20
 
-#: Bytes of one block's uint64 work array: a block holds
-#: max(1, BLOCK_BYTES // (8 m)) samples of an m-edge instance.
+#: Bytes of a block's widest 8-byte array: a block holds
+#: max(1, BLOCK_BYTES // (8 max(m, V))) samples of m edges on V vertices.
 BLOCK_BYTES = 512 * 1024
 
 #: Least work of a `row_map` that it splits, in edge draws; on a 2-vCPU VM
@@ -117,38 +118,43 @@ def realization_blocks(inst: Instance, seed: int, start: int,
 
 
 def block_rows(inst: Instance, count: int) -> int:
-    """Rows per block of `realization_blocks` for `count` samples."""
-    return max(1, min(count, BLOCK_BYTES // max(8 * inst.num_edges, 1)))
+    """Rows per block of `realization_blocks` for `count` samples (``BLOCK_BYTES``)."""
+    return max(1, min(count, BLOCK_BYTES // (8 * max(inst.num_edges, inst.total_vertices, 1))))
 
 
-def realized_batches(inst: Instance, seed: int, start: int, count: int,
-                     batch: int) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
-    """Samples start..start+count-1 in order, `batch` at a time (the last
-    batch may hold fewer), each batch as (sid, edge, rows): its `rows`
-    samples' realized edges in (sample, edge) order, edge[i] realized in
-    sample sid[i] of the batch (0..rows-1).  The blocks of
-    `realization_blocks` are cut at batch edges by `np.searchsorted`."""
-    m = max(inst.num_edges, 1)
-    pieces = []        # of the batch from sample `first` on, as positions sample * m + edge
-    first = done = 0   # samples, counted from start
-    for flat, rows in realization_blocks(inst, seed, start, count):
-        flat += done * m
-        done += rows
-        while first < done and (done - first >= batch or done == count):
-            stop = min(first + batch, count)
-            cut = np.searchsorted(flat, stop * m)
-            sid, edge = np.divmod(np.concatenate(pieces + [flat[:cut]]), m)
-            yield sid - first, edge, stop - first
-            pieces, flat, first = [], flat[cut:], stop
-        pieces.append(flat)
+def block_groups(blocks, rows: int):
+    """Consecutive whole `blocks` (flat, rows, ...) in lists, each closed
+    once it holds at least `rows` rows; the last may hold fewer."""
+    group, held = [], 0
+    for block in blocks:
+        group.append(block)
+        held += block[1]
+        if held >= rows:
+            yield group
+            group, held = [], 0
+    if group:
+        yield group
+
+
+def join_blocks(group, m: int) -> tuple[np.ndarray, int]:
+    """Consecutive blocks (flat, rows, ...) of an m-edge instance as one
+    block (flat, rows), each block's rows after those before it; a lone
+    block is not copied."""
+    if len(group) == 1:
+        return group[0][0], group[0][1]
+    at = np.cumsum([0] + [block[1] for block in group])
+    flats = [block[0] + k * m for block, k in zip(group, at)]
+    return np.concatenate([np.empty(0, dtype=np.int64)] + flats), int(at[-1])
 
 
 def sample_values(inst: Instance, solve: Callable[[np.ndarray, np.ndarray, int], np.ndarray],
                   seed: int, start: int, count: int) -> np.ndarray:
     """float64 array of the values of samples start..start+count-1, in order.
 
-    `solve(sid, edge, rows)` takes a batch of `realized_batches` and
-    returns one value per sample; a batch holds as many samples as have
+    `solve(sid, edge, rows)` takes a batch of `rows` samples, edge[i]
+    realized in sample sid[i] of the batch (0..rows-1), in (sample, edge)
+    order, and returns one value per sample.  A batch is a group of whole
+    blocks (`block_groups`) of at least as many samples as have
     ``BLOCK_BYTES`` of int64 per-vertex arrays.  The batches go through
     `row_map`, one row of width 1 per sample.
     """
@@ -162,8 +168,10 @@ def sample_values(inst: Instance, solve: Callable[[np.ndarray, np.ndarray, int],
 
 
 def _solved(inst, solve, seed, start, first, stop) -> Iterator[np.ndarray]:
-    batch = max(1, BLOCK_BYTES // max(8 * inst.total_vertices, 1))
-    for sid, edge, rows in realized_batches(inst, seed, start + first, stop - first, batch):
+    m, batch = max(inst.num_edges, 1), BLOCK_BYTES // max(8 * inst.total_vertices, 1)
+    for group in block_groups(realization_blocks(inst, seed, start + first, stop - first), batch):
+        flat, rows = join_blocks(group, m)
+        sid, edge = np.divmod(flat, m)
         yield np.asarray(solve(sid, edge, rows), dtype=np.float64)[:, None]
 
 
@@ -243,7 +251,7 @@ def block_degrees(inst: Instance, flat: np.ndarray, rows: int) -> np.ndarray:
     base = row * nv
     ends = inst.endpoints
     # one count over both ends: two (rows * nv) counts alive at once cost
-    # 20 times as much on 2,114 rows of pendant_star n=30 (page faults)
+    # 20 times as much on 2,114-row blocks of pendant_star n=30 (page faults)
     deg = np.bincount(np.concatenate([base + ends[col, 0], base + ends[col, 1]]),
                       minlength=rows * nv)
     return deg.reshape(rows, nv)
@@ -260,11 +268,8 @@ def realization_block(inst: Instance, seed: int, start: int, count: int) -> np.n
 
     Row k equals sample(inst, seed, start + k).realized.
     """
-    m, flats, pos = inst.num_edges, [np.empty(0, dtype=np.int64)], 0
-    for flat, rows in realization_blocks(inst, seed, start, count):
-        flats.append(pos * m + flat)
-        pos += rows
-    return dense_block(np.concatenate(flats), count, m)
+    flat, _ = join_blocks(list(realization_blocks(inst, seed, start, count)), inst.num_edges)
+    return dense_block(flat, count, inst.num_edges)
 
 
 def dense_block(flat: np.ndarray, rows: int, m: int) -> np.ndarray:

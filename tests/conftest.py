@@ -97,6 +97,12 @@ def bits(a):
     return np.asarray(a, dtype=np.float64).view(np.uint64).tolist()
 
 
+def block_bytes(inst, rows):
+    """The ``sampling.BLOCK_BYTES`` that gives `inst` blocks of `rows` rows:
+    a block's (rows, m) draws and (rows, V) per-vertex arrays fit in it."""
+    return rows * 8 * max(inst.num_edges, inst.total_vertices, 1)
+
+
 def path_instance(weights, kind="bipartite"):
     """A path with given edge weights, probabilities 1, as an Instance."""
     edges = []
@@ -192,7 +198,8 @@ def literal_equal_split(x0, m, grid_step, c):
 
 def batch_of(lists):
     """The ascending realized edge index arrays `lists`, one per sample, as
-    one batch (sid, edge, count) of `sampling.realized_batches`."""
+    one batch (sid, edge, count) that `sampling.sample_values` hands its
+    solver."""
     sid = np.repeat(np.arange(len(lists)), [len(idx) for idx in lists])
     edge = np.concatenate([np.asarray(idx, dtype=np.int64) for idx in lists] or [[]])
     return sid, edge.astype(np.int64), len(lists)

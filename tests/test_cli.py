@@ -22,6 +22,16 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def refused(capsys, *argv):
+    """stderr of a command line the parser refuses: exit 2, empty stdout."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == ""
+    return out.err
+
+
 class TestGen:
     def test_gen_emits_schema(self, capsys):
         code, out, _ = run(capsys, "gen", "--gen", "pendant_star", "--n", "3",
@@ -131,13 +141,7 @@ class TestExactAndMc:
 class TestArguments:
     """Out-of-range seeds and tolerances are usage errors, refused by the parser."""
 
-    def refused(self, capsys, *argv):
-        with pytest.raises(SystemExit) as exc:
-            main(list(argv))
-        out = capsys.readouterr()
-        assert exc.value.code == 2
-        assert out.out == ""
-        return out.err
+    refused = staticmethod(refused)
 
     @pytest.mark.parametrize("argv", [
         ["mc", "--gen", "karp_sipser", "--kind", "bipartite", "--n", "6", "--samples", "10"],
@@ -214,6 +218,35 @@ class TestArguments:
                            "--derivative-trials", "0", f"{option}={value}")
         what = "finite" if option == "--c" else "finite and positive"
         assert f"error: argument {option}: must be {what}, got {value}\n" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["mc", "--gen", "pendant_star", "--samples", "0"],
+        ["mc", "--gen", "pendant_star", "--samples", "-3"],
+        ["certify", "--gen", "pendant_star", "--mode", "mc", "--samples", "0"],
+        ["certify", "--gen", "pendant_star", "--samples", "-3"],
+        ["phi", "--gen", "pendant_star", "--samples", "0"],
+        ["report", "--samples", "0"],
+        ["report", "--samples", "-3"],
+    ])
+    def test_samples_must_be_positive(self, capsys, argv):
+        # mc, certify --mode mc and report exited 1, the code of a
+        # mathematical violation; certify --mode exact and phi --mode
+        # exact ran with a sample count they never read
+        err = self.refused(capsys, *argv)
+        assert err.startswith(f"usage: matchgap {argv[0]} ")
+        assert f"error: argument --samples: must be positive, got {argv[-1]}\n" in err
+
+    @pytest.mark.parametrize("step", ["0.3", "0.15", "2"])
+    def test_grid_step_must_divide_1_for_the_minimizer_checks(self, capsys, step):
+        # exited 1 with kernels' 'grid step must divide 1'; without the
+        # minimizer checks (--m-max 0) the step need not divide 1
+        err = self.refused(capsys, "verify", "--m-max", "1", "--grid-step", step)
+        assert err.startswith("usage: matchgap verify ")
+        assert ("error: argument --grid-step: grid step must divide 1 when --m-max is "
+                "at least 1\n") in err
+        code, out, _ = run(capsys, "verify", "--m-max", "0", "--gain-trials", "0",
+                           "--derivative-trials", "0", "--grid-step", step)
+        assert code == 0 and json.loads(out)["passed"] is True
 
     def test_zero_tolerance_gates_as_before(self, capsys):
         argv = ["mc", "--gen", "karp_sipser", "--kind", "bipartite", "--n", "10",
@@ -295,12 +328,15 @@ class TestVerify:
         _, out2, _ = run(capsys, "verify", *self.QUICK)
         assert out1 == out2
 
-    @pytest.mark.parametrize("flag", ["--m-max", "--gain-trials", "--derivative-trials"])
+    @pytest.mark.parametrize("flag", ["--m-max", "--gain-trials", "--derivative-trials",
+                                      "--instances"])
     def test_negative_counts_refused(self, capsys, flag):
-        code, out, err = run(capsys, "verify", *self.QUICK, flag, "-3")
-        assert code == 1
-        assert out == ""
-        assert "must be non-negative, got -3" in err
+        # usage errors since the parser checks them; report --instances -1
+        # exited 0 having checked no instance
+        value = "-1" if flag == "--instances" else "-3"
+        argv = ["report"] if flag == "--instances" else ["verify", *self.QUICK]
+        err = refused(capsys, *argv, flag, value)
+        assert f"error: argument {flag}: must be non-negative, got {value}\n" in err
 
     def test_zero_counts_skip_their_checks(self, capsys):
         code, out, _ = run(capsys, "verify", *self.QUICK, "--m-max", "0",
@@ -445,19 +481,15 @@ class TestPhi:
 
     @pytest.mark.parametrize("samples", ["0", "-1"])
     def test_mc_without_samples_fails(self, capsys, samples):
-        code, out, err = run(capsys, "phi", "--gen", "pendant_star", "--n", "3",
-                             "--mode", "mc", "--samples", samples)
-        assert code == 1
-        assert out == ""
-        assert "need at least one sample" in err
+        err = refused(capsys, "phi", "--gen", "pendant_star", "--n", "3",
+                                    "--mode", "mc", "--samples", samples)
+        assert f"error: argument --samples: must be positive, got {samples}\n" in err
 
     @pytest.mark.parametrize("grid_points", ["0", "-1", "-2"])
     def test_no_grid_points_fails(self, capsys, grid_points):
-        code, out, err = run(capsys, "phi", "--gen", "pendant_star", "--n", "3",
-                             "--grid-points", grid_points)
-        assert code == 1
-        assert out == ""
-        assert err == "error: need at least one grid point\n"
+        err = refused(capsys, "phi", "--gen", "pendant_star", "--n", "3",
+                                    "--grid-points", grid_points)
+        assert f"error: argument --grid-points: must be positive, got {grid_points}\n" in err
 
 
 def test_command_paths_import_no_lazy_numpy_modules():

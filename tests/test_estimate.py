@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from matchgap.gallery import (gen_equal_split_star, gen_karp_sipser, gen_pendant
 from matchgap.sampling import block_rows, dense_block
 from matchgap.schemes import _transfers
 
-from conftest import brute_expected_matching
+from conftest import block_bytes, brute_expected_matching
 
 
 class TestExactRatio:
@@ -161,7 +162,7 @@ class TestPerEdgeCertificates:
         # blocks of 7 rows carry the running sums across block edges
         inst = gen_pendant_star(5, 0.2)
         samples, seed = 300, 7
-        monkeypatch.setattr(sampling, "BLOCK_BYTES", 7 * 8 * inst.num_edges)
+        monkeypatch.setattr(sampling, "BLOCK_BYTES", block_bytes(inst, 7))
         for edge in range(inst.num_edges):
             gu, gv = inst.endpoints[edge]
             total = 0.0
@@ -181,7 +182,7 @@ class TestPerEdgeCertificates:
         inst = (gen_random_point(4, 0.6, 12, "bipartite") if scheme == "weighted"
                 else gen_pendant_star(5, 0.2))
         samples, seed = 300, 5
-        monkeypatch.setattr(sampling, "BLOCK_BYTES", 7 * 8 * inst.num_edges)
+        monkeypatch.setattr(sampling, "BLOCK_BYTES", block_bytes(inst, 7))
         run = weighted_scheme if scheme == "weighted" else unweighted_scheme
         total = np.zeros(inst.num_edges)
         for i in range(samples):
@@ -222,7 +223,7 @@ class TestPerEdgeCertificates:
             return repr(per_edge_certificates(inst, mode, scheme, "mass", samples=3000, seed=2))
 
         default = certs()
-        real_gathered, real_solver = estimate._gathered, estimate.cover_solver
+        real_groups, real_solver = estimate.block_groups, estimate.cover_solver
         solved = []
 
         def cover_solver(inst):
@@ -230,11 +231,11 @@ class TestPerEdgeCertificates:
             return lambda flat, rows: solved.append(rows) or solve(flat, rows)
 
         monkeypatch.setattr(estimate, "cover_solver", cover_solver)
-        monkeypatch.setattr(sampling, "BLOCK_BYTES", 3 * 8 * inst.num_edges)
+        monkeypatch.setattr(sampling, "BLOCK_BYTES", block_bytes(inst, 3))
         for rows, group in ((1, 3), (7, 9)):
             monkeypatch.setattr(estimate, "_MASK_CHUNK", rows)
-            monkeypatch.setattr(estimate, "_gathered",
-                                lambda blocks, _: real_gathered(blocks, rows))
+            monkeypatch.setattr(estimate, "block_groups",
+                                lambda blocks, _: real_groups(blocks, rows))
             solved.clear()
             assert certs() == default
             assert set(solved[:-1]) == {rows if mode == "exact" else group}
@@ -252,7 +253,7 @@ class TestPerEdgeCertificates:
         # one `_transfers` call serves a serial run of many blocks
         inst = gen_equal_split_star(6, 0.1)
         monkeypatch.setattr(estimate, "_MASK_CHUNK", 7)
-        monkeypatch.setattr(sampling, "BLOCK_BYTES", 3 * 8 * inst.num_edges)
+        monkeypatch.setattr(sampling, "BLOCK_BYTES", block_bytes(inst, 3))
         calls = []
         monkeypatch.setattr(schemes, "_transfers", lambda inst: calls.append(1) or _transfers(inst))
         per_edge_certificates(inst, mode, "unweighted", "mass", samples=300, seed=2)
@@ -414,10 +415,13 @@ class TestPooledCovers:
     """Mass-MC gathers consecutive realization blocks into groups whose
     covers one lockstep run solves; the scheme masses stay a block at a
     time.  Blocks of 26 rows gather 7 to a group on Karp-Sipser n=50, of
-    246 rows 2 to a group on random_point n=30 density 0.3."""
+    246 rows 2 to a group on random_point n=30 density 0.3.  On
+    pendant_star n=30, whose 60 vertices outnumber its 31 edges, a block
+    of 1,092 rows is a group alone."""
 
     CASES = [(lambda: gen_karp_sipser(50, 1.0, "bipartite"), 200, 182),
-             (lambda: gen_random_point(30, 0.3, 2), 600, 492)]
+             (lambda: gen_random_point(30, 0.3, 2), 600, 492),
+             (lambda: gen_pendant_star(30, 0.1), 1500, 1092)]
 
     def run(self, monkeypatch, inst, samples):
         """The (flat, rows, covers) of each cover call and the rows of
@@ -443,7 +447,7 @@ class TestPooledCovers:
         per_edge_certificates(inst, "mc", "weighted", "mass", samples=samples, seed=3)
         return solved, spread
 
-    @pytest.mark.parametrize("case", range(2))
+    @pytest.mark.parametrize("case", range(3))
     def test_pooled_covers_equal_the_primal_dual(self, monkeypatch, case):
         make, samples, group = self.CASES[case]
         inst = make()
@@ -455,10 +459,31 @@ class TestPooledCovers:
                 want = max_weight_matching_bipartite(SampledGraph(inst, row))[2].y
                 assert cover.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("case", range(2))
+    @pytest.mark.parametrize("case", range(3))
     def test_scheme_masses_a_block_at_a_time(self, monkeypatch, case):
         make, samples, group = self.CASES[case]
         inst = make()
         solved, spread = self.run(monkeypatch, inst, samples)
-        assert max(spread) == block_rows(inst, samples) < group
+        assert max(spread) == block_rows(inst, samples) <= group
+        assert (block_rows(inst, samples) < group) == (inst.num_edges > inst.total_vertices)
         assert sum(spread) == samples
+
+
+@pytest.mark.parametrize("bound", ["kernel", "mass"])
+def test_wide_instance_certificates_stay_within_blocks(bound):
+    # one edge on 200 vertices: a block's rows are bounded by its (rows, V)
+    # degrees and covers, not by its one-edge draws, so 16,000 samples take
+    # 327-row blocks.  A block's working set is a few such arrays of at
+    # most BLOCK_BYTES each (degrees, maxima and 1 / max for kernel rows;
+    # covers, the lockstep's per-vertex state, degrees and masses for
+    # mass rows); 16 BLOCK_BYTES holds them with room to spare.  Blocks
+    # sized by the edge count alone held all 16,000 rows: 26.5 MB (kernel)
+    # and 134.6 MB (mass).
+    inst = Instance("bipartite", 100, (PotentialEdge(0, 0, 0.5, 1.0),))
+    tracemalloc.start()
+    try:
+        per_edge_certificates(inst, "mc", "weighted", bound, samples=16_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * sampling.BLOCK_BYTES

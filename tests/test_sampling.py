@@ -16,10 +16,9 @@ from matchgap import estimate, matching_value, sampling
 from matchgap.gallery import gen_random_point
 from matchgap.matching import value_solver
 from matchgap.rng import uniform_block
-from matchgap.sampling import (block_degrees, dense_block, realization_block, realization_blocks,
-                               realized_batches)
+from matchgap.sampling import block_degrees, dense_block, realization_block, realization_blocks
 
-from conftest import bits
+from conftest import bits, block_bytes
 
 
 def single_edge(x):
@@ -82,7 +81,8 @@ class TestRealizationBlocks:
 
     @pytest.mark.parametrize("x", X_VALUES)
     def test_one_edge_rows_across_blocks(self, x):
-        # a block holds 65,536 one-edge rows; start is not a multiple of that
+        # a block holds 32,768 rows of one edge on two vertices; start is
+        # not a multiple of that
         inst = single_edge(x)
         start, count = 70_001, 140_000
         want = uniform_block(5, np.arange(start, start + count), 1) < x
@@ -105,18 +105,20 @@ class TestRealizationBlocks:
     @pytest.mark.parametrize("rows", [1, 7])
     def test_keys_derived_once_per_chunk(self, monkeypatch, rows, start):
         # stream keys come from one stream_key call per BLOCK_BYTES // 8
-        # samples, here rows x m of them; 150 samples cross block and
-        # key-chunk edges, and neither divides 150
+        # samples, here rows x V of them (8 vertices, more than the 4
+        # edges); 150 samples cross block and key-chunk edges, and neither
+        # divides 150
         inst = gen_random_point(4, 0.6, 8, "bipartite")
-        m = inst.num_edges
-        monkeypatch.setattr(sampling, "BLOCK_BYTES", rows * 8 * m)
+        m, nv = inst.num_edges, inst.total_vertices
+        assert nv > m
+        monkeypatch.setattr(sampling, "BLOCK_BYTES", block_bytes(inst, rows))
         calls = []
         real = sampling.stream_key
         monkeypatch.setattr(sampling, "stream_key",
                             lambda seed, streams: calls.append(len(streams)) or real(seed, streams))
         got = self.rows(inst, 9, start, 150)
-        assert calls[:-1] == [rows * m] * (len(calls) - 1) and sum(calls) == 150
-        assert 150 % (rows * m) != 0
+        assert calls[:-1] == [rows * nv] * (len(calls) - 1) and sum(calls) == 150
+        assert 150 % (rows * nv) != 0
         for k in range(150):
             assert np.array_equal(got[k], uniform_block(9, [start + k], m)[0] < inst.x)
 
@@ -125,38 +127,44 @@ class TestRealizationBlocks:
 
     @pytest.mark.parametrize("rows", [1, 7])
     def test_realized_batches_across_blocks(self, monkeypatch, rows):
-        # batches of 1 to 64 samples cut from blocks of `rows`: each
-        # sample's realized edges, in (sample, edge) order, equal to that
-        # sample's edge indices, also for samples with no realized edge and
-        # across block and batch edges
+        # the batches `sample_values` hands its solver pool whole blocks of
+        # `rows`: each closes at the first block edge at or past `batch`
+        # samples (1 to 64), and each sample's realized edges, in (sample,
+        # edge) order, equal that sample's edge indices, also for samples
+        # with no realized edge and across block and batch edges
         inst = gen_random_point(4, 0.6, 8, "bipartite")
-        monkeypatch.setattr(sampling, "BLOCK_BYTES", rows * 8 * inst.num_edges)
+        monkeypatch.setattr(sampling, "block_rows", lambda inst, count: max(1, min(count, rows)))
         for batch in (1, 3, 7, 16, 64):
+            monkeypatch.setattr(sampling, "BLOCK_BYTES", batch * 8 * inst.total_vertices)
             lists = []
-            for sid, edge, count in realized_batches(inst, 3, 11, 40, batch):
-                assert count == min(batch, 40 - len(lists))
+
+            def solve(sid, edge, count):
+                assert count == min(-(-batch // rows) * rows, 40 - len(lists))
                 assert np.all(np.diff(sid) >= 0) and np.all((0 <= sid) & (sid < count))
-                lists += [edge[sid == k].tolist() for k in range(count)]
+                lists.extend(edge[sid == k].tolist() for k in range(count))
+                return np.zeros(count)
+
+            sampling.sample_values(inst, solve, 3, 11, 40)
             assert len(lists) == 40 and [] in lists
             for k, idx in enumerate(lists):
                 assert idx == sample(inst, 3, 11 + k).edge_indices.tolist()
 
     @pytest.mark.parametrize("kind, weighted", [("bipartite", False), ("bipartite", True),
                                                 ("general", True)])
-    @pytest.mark.parametrize("n, density", [(5, 0.5), (8, 0.15)])
+    @pytest.mark.parametrize("n, density", [(5, 0.5), (8, 0.15), (30, 0.02)])
     def test_values_across_blocks_and_batches(self, monkeypatch, kind, weighted, n, density):
-        # blocks and batches that straddle each other's edges give each
+        # blocks and batches whose edges fall inside the run give each
         # sample matching_value's bits; the dense instances have more edges
-        # than vertices, so blocks hold fewer samples than batches, and the
-        # sparse ones the other way round
+        # than vertices, so a batch pools several blocks, and on the sparse
+        # ones (n = 30: 5 to 7.5 vertices an edge) a block is a batch
         inst = gen_random_point(n, density, 3, kind, weighted=weighted)
         m, nv = inst.num_edges, inst.total_vertices
         assert (m > nv) == (density > 0.2)
         want = [matching_value(sample(inst, 6, 5 + k)) for k in range(90)]
-        for block_bytes in (5 * 8 * m, 7 * 8 * nv, 13 * 8 * m, 3 * 8 * nv, 1 << 19):
-            rows, batch = block_bytes // (8 * m), block_bytes // (8 * nv)
-            assert rows != batch
-            monkeypatch.setattr(sampling, "BLOCK_BYTES", block_bytes)
+        for size in (5 * 8 * m, 7 * 8 * nv, 13 * 8 * m, 3 * 8 * nv, 1 << 19):
+            monkeypatch.setattr(sampling, "BLOCK_BYTES", size)
+            rows, batch = sampling.block_rows(inst, 90), size // (8 * nv)
+            assert rows <= max(batch, 1)  # a batch holds at least one whole block
             got = sampling.sample_values(inst, value_solver(inst), 6, 5, 90)
             assert bits(got) == bits(want)
 
