@@ -414,7 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--c", type=_checked(float, math.isfinite, "finite"),
                           default=DEFAULT_TRANSFER)
     p_verify.add_argument("--grid-step", type=step, default=0.05)
-    p_verify.add_argument("--envelope-step", type=step, default=1e-3)
+    p_verify.add_argument("--envelope-step", default=1e-3,  # past 1: x = 0 alone, or x > 1
+                          type=_checked(float, lambda s: 0.0 < s <= 1.0, "in (0, 1]"))
     p_verify.add_argument("--m-max", type=count, default=4,
                           help="longest Bernoulli vector of the minimizer grid checks "
                                "(0 skips them)")

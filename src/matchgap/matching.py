@@ -1,20 +1,19 @@
 """Exact matching solvers and fractional vertex covers.
 
-Bipartite graphs get a primal-dual solver that returns the maximum
-matching weight together with an optimal fractional vertex cover: vertex
+Bipartite graphs get Kuhn's primal-dual method, which returns the
+maximum matching weight with an optimal fractional vertex cover: vertex
 potentials y >= 0 with y_u + y_v >= w_e on every realized edge and
-||y||_1 equal to the matching weight (Koenig-Egervary duality).  Its
-per-sample core is `_primal_dual`.
+||y||_1 equal to the matching weight (Koenig-Egervary duality).  Its one
+implementation, `_lockstep`, runs many realized graphs at once:
+`max_weight_matching_bipartite` is a run of one, and the mass
+certificates' covers one run a group of blocks (`cover_solver`).
 Monte Carlo values of bipartite samples are found a whole batch at a
 time by degree-1 peeling in numpy: unweighted by Karp-Sipser's rule,
 with augmenting paths for what peeling leaves; weighted by the rule
 that shifts a leaf's weight onto its centre's other edges, with the
-primal-dual for the samples peeling leaves unsolved or cannot decide
-beyond its tolerance, so the values are the primal-dual's bits.
-The covers of the mass certificates are found a realization block at a
-time (`cover_solver`), whatever its size, by the primal-dual run in
-lockstep over the disjoint union of its rows (`_lockstep`), and every
-cover is the per-sample core's bits.
+samples peeling leaves unsolved or cannot decide beyond its tolerance
+pooled across batches into lockstep runs, so the values are the
+primal-dual's bits.
 General graphs get exhaustive search, exact at small sizes only.
 
 `matching_values_over_subsets` evaluates the maximum matching weight of
@@ -24,16 +23,15 @@ workhorse behind exact expectations and the local derivative check.
 
 from __future__ import annotations
 
-import math
-from bisect import insort
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from itertools import starmap
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .model import Instance
-from .sampling import SampledGraph, check_support
+from .sampling import SampledGraph, batch_rows, block_groups, check_support, join_blocks
 
 #: Exact general search accepts graphs within either cutoff.
 GENERAL_VERTEX_CUTOFF = 20
@@ -73,201 +71,77 @@ class FractionalVertexCover:
 def max_weight_matching_bipartite(g: SampledGraph):
     """Maximum-weight matching of a realized bipartite graph with its dual.
 
-    Returns (Matching, value, FractionalVertexCover).  The cover is the
-    final potential vector of the primal-dual phases: feasible on realized
-    edges, zero on isolated and exposed vertices, total equal to the
-    matching weight.  Ties between optimal matchings and between optimal
-    covers are broken deterministically by vertex and edge order.
+    Returns (Matching, value, FractionalVertexCover) of a one-row lockstep
+    run.  The cover is the final potential vector of the primal-dual
+    phases: feasible on realized edges, zero on isolated and exposed
+    vertices, total equal to the matching weight.  Ties between optimal
+    matchings and covers are broken deterministically by vertex and edge
+    order.
     """
     inst = g.instance
     if inst.kind != "bipartite":
         raise TypeError("bipartite solver requires a bipartite instance")
-    idx = g.edge_indices
-    # lists over the realized edges only; position k stands for edge idx[k]
-    tails, arcs = _bipartite_arcs(inst, idx)
-    mate_left, y_left, y_right = _primal_dual(range(len(arcs)), tails, arcs, inst.n)
-    value = _matched_weight(mate_left, arcs)
-    edges = tuple(idx[sorted(k for _, k in mate_left.values())].tolist())
-    cover = _cover(y_left, y_right, inst.n)
-    return Matching(edges, value), value, FractionalVertexCover(cover)
+    y, values, edges = _lockstep_values(_arc_order(inst), inst.n, g.edge_indices, 1)
+    value, cover = float(values[0]), np.where(y[0] > 0.0, y[0], 0.0)
+    return Matching(tuple(np.sort(edges).tolist()), value), value, FractionalVertexCover(cover)
 
 
-def _bipartite_arcs(inst: Instance, idx: np.ndarray):
-    """Lists for `_primal_dual` over the edges `idx`: the left vertex of
-    each, and its arc (right vertex, weight, position in `idx`)."""
-    ends = inst.endpoints[idx]
-    arcs = zip((ends[:, 1] - inst.n).tolist(), inst.w[idx].tolist(), range(len(idx)))
-    return ends[:, 0].tolist(), list(arcs)
+def _arc_order(inst: Instance):
+    """The bipartite `inst`'s edges in (left vertex, edge index) order, a
+    lockstep row's: (order, rank, left, right, w), edge j at position
+    rank[j], and per position its left, right vertex (0..n-1) and weight."""
+    order = np.argsort(inst.endpoints[:, 0], kind="stable")
+    ends = inst.endpoints[order]
+    return order, np.argsort(order), ends[:, 0], ends[:, 1] - inst.n, inst.w[order]
 
 
-def _primal_dual(idx, tails, arcs, n):
-    """Kuhn's primal-dual method on the edges at positions `idx`
-    (ascending) of `tails` and `arcs`; an arc's last entry is its position.
-
-    Left vertices start at their largest incident weight, right vertices
-    at zero; roots are taken in vertex order.  Returns (mate_left,
-    y_left, y_right): mate_left maps each matched left vertex to its
-    (right vertex, edge position), y_left holds the potential of every
-    left vertex with a realized edge and y_right that of every right
-    vertex.
-    """
-    adj: dict[int, list[tuple[int, float, int]]] = {}
-    y_left: dict[int, float] = {}
-    for j in idx:
-        u = tails[j]
-        arc = arcs[j]
-        if u in adj:
-            adj[u].append(arc)
-            if arc[1] > y_left[u]:
-                y_left[u] = arc[1]
-        else:
-            adj[u] = [arc]
-            y_left[u] = arc[1]
-    y_right = [0.0] * n
-    mate_left: dict[int, tuple[int, int]] = {}   # u -> (v, edge)
-    mate_right: list = [None] * n                # v -> (u, edge), or None
-
-    for root in sorted(adj):
-        yu = y_left[root]
-        if root in mate_left or yu <= _TIGHT:
-            continue
-        # The first scan of the phase: when the root's first tight edge
-        # reaches a free right vertex, the phase matches it and ends.
-        for v, w, j in adj[root]:
-            if yu + y_right[v] - w <= _TIGHT:
-                if mate_right[v] is None:
-                    mate_left[root] = (v, j)
-                    mate_right[v] = (root, j)
-                break
-        if root not in mate_left:
-            _run_phase(root, adj, y_left, y_right, mate_left, mate_right)
-    return mate_left, y_left, y_right
+def _lockstep_block(arcs, n: int, flat: np.ndarray, rows: int):
+    """`_lockstep` on a block (flat, rows) of `sampling.realization_blocks`
+    with `_arc_order`'s `arcs`: its potentials and mates, then each
+    realized arc's row and position in `arcs`, in the lockstep's order."""
+    _, rank, left, right, w = arcs
+    m = max(len(rank), 1)
+    row, col = np.divmod(flat, m)
+    # the arcs in (row, left vertex, edge index) order
+    row, col = np.divmod(np.sort(row * m + rank[col]), m)
+    return (*_lockstep(row, left[col], right[col], w[col], rows, n), row, col)
 
 
-def _matched_weight(mate_left, arcs) -> float:
-    # one edge at a time in left-vertex order, which fixes the last bits
-    value = 0.0
-    for u in sorted(mate_left):
-        value += arcs[mate_left[u][1]][1]
-    return value
+def _lockstep_values(arcs, n: int, flat: np.ndarray, rows: int):
+    """(potentials, values, matched edge indices) of a block by
+    `_lockstep_block`, each row's matched weights summed by `_left_sums`."""
+    y, mate, row, col = _lockstep_block(arcs, n, flat, rows)
+    order, _, left, right, w = arcs
+    u, base = left[col], row * n
+    hit = mate[base + u] == base + right[col]
+    col = col[hit]
+    return y, _left_sums(row[hit], u[hit], w[col], rows, n), order[col]
 
 
-def _cover(y_left: dict, y_right: list, n: int) -> np.ndarray:
-    """The 2n cover of `_primal_dual`'s potentials laid out by vertex,
-    left vertices without a realized edge at zero, negatives and NaN at
-    0.0 (the values of max(0.0, v), -0.0 included)."""
-    y = np.zeros(2 * n)
-    y[list(y_left)] = list(y_left.values())
-    y[n:] = y_right
-    return np.where(y > 0.0, y, 0.0)
-
-
-def _run_phase(root, adj, y_left, y_right, mate_left, mate_right):
-    """Grow one alternating tree from `root` in the tight subgraph.
-
-    The edge entering the tree is the first tight edge in (sorted
-    tree-left vertex, adjacency order).  Potentials change only at dual
-    adjustments, and the tree only grows, so an edge once found slack or
-    leading into the tree stays so until the next adjustment: every
-    tree-left vertex keeps a scan position that rewinds only there, and
-    the least slack seen per right vertex gives the adjustment without a
-    second pass over the tree's edges.
-
-    Ends by matching the root (augment), or by driving some tree vertex's
-    potential to zero, at which point that vertex can be left exposed
-    without violating complementary slackness (release).
-    """
-    tree_left = [root]                           # sorted
-    scan = {root: 0}                             # u -> next adjacency position
-    tree_right: dict[int, tuple[int, int]] = {}  # v -> (parent u, edge)
-    parent_left: dict[int, int] = {}             # u -> matched v it entered from
-    least: dict[int, float] = {}                 # v -> least slack since the adjustment
-
-    while True:
-        entered = None
-        for u in tree_left:
-            lst = adj[u]
-            yu = y_left[u]
-            for k in range(scan[u], len(lst)):
-                v, w, j = lst[k]
-                if v not in tree_right:
-                    s = yu + y_right[v] - w
-                    if s <= _TIGHT:
-                        entered = u, v, j
-                        scan[u] = k
-                        break
-                    t = least.get(v)
-                    if t is None or s < t:
-                        least[v] = s
-            else:
-                scan[u] = len(lst)
-                continue
-            break
-
-        if entered is not None:
-            u, v, j = entered
-            tree_right[v] = (u, j)
-            if mate_right[v] is None:
-                _flip_to_root(root, v, u, j, tree_right, mate_left, mate_right)
-                return
-            u2 = mate_right[v][0]
-            insort(tree_left, u2)
-            scan[u2] = 0
-            parent_left[u2] = v
-            continue
-
-        # No tight edge leaves the tree: lower left / raise right potentials.
-        slack = math.inf
-        for v, s in least.items():
-            if s < slack and v not in tree_right:
-                slack = s
-        floor = min([y_left[u] for u in tree_left])
-        delta = min(slack, floor)
-        for u in tree_left:
-            y_left[u] -= delta
-        for v in tree_right:
-            y_right[v] += delta
-
-        if floor <= slack:
-            # Some potential hit zero: that vertex may stay exposed.
-            released = next(u for u in tree_left if y_left[u] <= _TIGHT)
-            if released == root:
-                return
-            v = parent_left[released]
-            del mate_left[released]
-            u, j = tree_right[v]
-            _flip_to_root(root, v, u, j, tree_right, mate_left, mate_right)
-            return
-        least.clear()
-        scan = dict.fromkeys(tree_left, 0)
-
-
-def _flip_to_root(root, v, u, j, tree_right, mate_left, mate_right):
-    # Make (u, v) matched, then re-match the freed vertices up the tree.
-    while True:
-        prev = mate_left.get(u)
-        mate_left[u] = (v, j)
-        mate_right[v] = (u, j)
-        if u == root:
-            return
-        v = prev[0]
-        u, j = tree_right[v]
+def _left_sums(row, left, w, rows: int, n: int) -> np.ndarray:
+    """Per row, the matched weights `w` laid out by left vertex and added to
+    0.0 in left-vertex order, which fixes every bipartite value's last bits."""
+    table = np.zeros((rows, n + 1))
+    table[row, left + 1] = w
+    return np.cumsum(table, axis=1)[:, -1]
 
 
 def _lockstep(row: np.ndarray, left: np.ndarray, right: np.ndarray, wt: np.ndarray,
-              count: int, n: int) -> np.ndarray:
-    """Unclipped (count, 2n) potentials of `_primal_dual` on `count` rows
-    at once: the realized edges of row k are those with ``row == k``, with
-    left vertex `left`, right vertex `right` (both 0..n-1) and weight `wt`,
-    listed in (row, left vertex, edge index) order.
+              count: int, n: int):
+    """Kuhn's primal-dual method on `count` rows at once: the realized
+    edges of row k are those with ``row == k``, with left vertex `left`,
+    right vertex `right` (both 0..n-1) and weight `wt`, listed in (row,
+    left vertex, edge index) order.  Returns the unclipped (count, 2n)
+    potentials and the flat mates: entry k * n + u is the mate k * n + v
+    of row k's left vertex u, or -1.
 
-    The rows form one disjoint union, row k's vertices offset by k * n,
-    whose state lives in flat arrays: potentials, mates, tree marks and
-    tree parents.  Each step takes, for every row still active, one
-    decision of the method as `_run_phase` takes it, in masked array
-    passes over the arcs of the tree-left vertices.  A row's least values
-    are scatter minima (`np.minimum.at`) into per-row arrays allocated
-    once per call, and no step sorts:
+    Left vertices start at their largest incident weight, right ones at
+    zero.  The rows form one disjoint union, row k's vertices offset by
+    k * n, whose state lives in flat arrays: potentials, mates, tree
+    marks and tree parents.  Each step takes, for every active row, one
+    decision of the method in masked array passes over the tree-left
+    vertices' arcs.  Per-row least values are scatter minima
+    (`np.minimum.at`) into arrays allocated once per call; no step sorts:
 
     - the entering arc is the first tight arc, (y_u + y_v) - w <=
       ``_TIGHT``, in edge order among the arcs to right vertices outside
@@ -276,22 +150,22 @@ def _lockstep(row: np.ndarray, left: np.ndarray, right: np.ndarray, wt: np.ndarr
     - a row without one adjusts by delta = min(slack, floor), the least
       (y_u + y_v) - w over those arcs and the least tree-left potential,
       and releases the lowest tree-left vertex at or below ``_TIGHT``
-      when floor <= slack;
+      when floor <= slack: that vertex may stay exposed without violating
+      complementary slackness;
     - a row whose phase ended takes its next roots in vertex order that
       are unmatched with potential above ``_TIGHT``: while a root's first
       tight arc reaches a right vertex that is free and no earlier root's
-      of the run, the root is matched there, as `_primal_dual`'s first
-      scan does (no potential changes meanwhile); the first other root
-      grows a tree in the same step.  A right end's earliest root is the
-      scatter minimum of the vertex ids of the roots that reach it, and a
-      row's growing root that of its other roots.  A row with no root
-      left is done.
+      of the run, the root is matched there, with no potential change
+      meanwhile; the first other root grows a tree in the same step.  A
+      right end's earliest root is the scatter minimum of the vertex ids
+      of the roots that reach it, and a row's growing root that of its
+      other roots.  A row with no root left is done.
 
-    `_run_phase`'s scan positions and least slacks only skip arcs whose
-    slack or tree mark cannot have changed since they were read, so each
-    row takes the same decisions through the same floating operations:
-    its potentials are `_primal_dual`'s bits (signed zeros aside, which
-    no comparison, nonzero result or clipped cover tells apart).
+    The per-row method, the tests' reference (``tests/conftest.py``),
+    skips only arcs whose slack or tree mark cannot have changed since it
+    read them, so each row takes its decisions through the same floating
+    operations: its potentials and mates are that method's bits (signed
+    zeros aside, which no comparison, nonzero result or cover tells apart).
     """
     size = count * n
     yl, yr = np.zeros(size), np.zeros(size)
@@ -406,7 +280,7 @@ def _lockstep(row: np.ndarray, left: np.ndarray, right: np.ndarray, wt: np.ndarr
             in_l[tu[e]] = False
             in_r[tv[e]] = False
             entry[te[e]] = False
-    return np.concatenate((yl.reshape(count, n), yr.reshape(count, n)), axis=1)
+    return np.concatenate((yl.reshape(count, n), yr.reshape(count, n)), axis=1), mate_l
 
 
 def _firsts(keys: np.ndarray) -> np.ndarray:
@@ -418,7 +292,8 @@ def _firsts(keys: np.ndarray) -> np.ndarray:
 
 
 def _flip_all(u, v, root, mate_l, mate_r, tree_r) -> None:
-    # `_flip_to_root` for many rows at once, one link of every path a pass
+    # flip the augmenting paths ending in (u, v) back to their roots, one
+    # link of every path a pass
     while len(u):
         prev = mate_l[u]
         mate_l[u] = v
@@ -556,12 +431,6 @@ def _cardinalities(ends: np.ndarray, nv: int, sid: np.ndarray, edge: np.ndarray,
     return values.astype(np.float64)
 
 
-def _sample_cuts(sid: np.ndarray, count: int) -> list:
-    """Sample k of a batch holds entries cuts[k]..cuts[k+1]-1 of its
-    ascending `sid`."""
-    return np.searchsorted(sid, np.arange(count + 1)).tolist()
-
-
 def _kuhn_matching(pairs) -> dict[int, int]:
     """A maximum matching of the bipartite graph on the (left, right) vertex
     `pairs`, as a map from each matched right vertex to its left mate."""
@@ -630,23 +499,52 @@ def _peel_margin(inst: Instance) -> float:
     by e <= V^3 2^-54 W (at most V rounds, as each removes a leaf for
     good, of at most V^2 / 2 subtractions, each within 2^-53 W), so in
     exact arithmetic every other matching weighs less than nu - (d - 2e).
-    The primal-dual ends with each left vertex matched through an edge of
-    slack <= _TIGHT or exposed at potential <= _TIGHT, so its matching
-    weighs at least nu - n _TIGHT - r, where r <= V^3 2^-55 W is the
-    rounding of at most V^2 / 4 dual adjustments to each of V
-    potentials.  As d - 2e > n _TIGHT + r, the primal-dual's matching is
-    the peeler's and, summed in left-vertex order, has the same bits.
+    The primal-dual (`_lockstep`) ends with each left vertex matched
+    through an edge of slack <= _TIGHT or exposed at potential <= _TIGHT,
+    so its matching weighs at least nu - n _TIGHT - r, where r <= V^3
+    2^-55 W is the rounding of at most V^2 / 4 dual adjustments to each
+    of V potentials.  As d - 2e > n _TIGHT + r, the primal-dual's
+    matching is the peeler's and, summed by `_left_sums`, has the same
+    bits.
     """
     nv = inst.total_vertices
     return nv * (_TIGHT + nv * nv * 2.0 ** -50 * float(inst.w.max()))
 
 
-def _weighted_values(inst: Instance, margin: float, sid: np.ndarray, edge: np.ndarray,
-                     count: int) -> np.ndarray:
-    """Maximum matching weight of each sample of a batch (`sid`, `edge`,
-    `count`, as `sampling.sample_values` gives it) of the weighted
-    bipartite `inst`, as a float64 array, bit for bit the per-sample
-    primal-dual's.
+def _weighted_values(inst: Instance, margin: float, arcs, batches) -> Iterator[np.ndarray]:
+    """Maximum matching weight of each sample of each batch (sid, edge,
+    count) of `sampling.sample_values` of the weighted bipartite `inst`,
+    as one float64 array a batch, in order, bit for bit the primal-dual's.
+
+    Each batch is peeled (`_peel`); its undecided samples form a block,
+    pooled (`sampling.block_groups`) into lockstep runs on `arcs`
+    (`_arc_order`) of at least `sampling.batch_rows` rows.
+    """
+    n, m = inst.n, max(inst.num_edges, 1)
+    peeled = []  # (values, undecided samples) of the batches in the open pool
+
+    def undecided():
+        for sid, edge, count in batches:
+            values, fallback = _peel(inst, margin, sid, edge, count)
+            ks = np.flatnonzero(fallback)
+            peeled.append((values, ks))
+            # the undecided samples' edges, each sample renumbered by its rank
+            on = fallback[sid]
+            yield (np.cumsum(fallback) - 1)[sid[on]] * m + edge[on], len(ks)
+
+    for pool in block_groups(undecided(), batch_rows(inst)):
+        flat, rows = join_blocks(pool, m)
+        solved = _lockstep_values(arcs, n, flat, rows)[1] if rows else np.empty(0)
+        for values, ks in peeled:
+            values[ks], solved = solved[:len(ks)], solved[len(ks):]
+            yield values
+        peeled.clear()
+
+
+def _peel(inst: Instance, margin: float, sid: np.ndarray, edge: np.ndarray, count: int):
+    """The values of a batch (`sid`, `edge`, `count`) of the weighted
+    bipartite `inst` that weighted degree-1 peeling decides, as a float64
+    array, and the mask of the samples it leaves undecided (value 0.0).
 
     The samples form one disjoint union, sample k's vertices offset by
     k * 2n, peeled in rounds of the weighted degree-1 rule: with leaf l on
@@ -655,16 +553,15 @@ def _weighted_values(inst: Instance, margin: float, sid: np.ndarray, edge: np.nd
     keeps each centre's heaviest leaf edge (the lowest position on a tie;
     a lone edge's centre is its right end) and shifts the edges at a
     centre by the left end's leaf, then the right end's.  Unwinding the
-    rounds in reverse, a centre still free takes its leaf edge.  The
-    matched weights, laid out by left vertex and summed left to right
-    (adding 0.0 is exact), give `_matched_weight`'s bits.
+    rounds in reverse, a centre still free takes its leaf edge, and the
+    matched weights are summed by `_left_sums`, as the primal-dual's are.
 
-    A sample goes whole to `_primal_dual` on its realized edges when any
-    edge survives the rounds (a cycle, or peeling stopped below
-    ``_PEEL_MIN_SHARE``), or when a realized weight, a shifted weight or a
-    best leaf's lead over the runner-up is within `margin` (see
-    `_peel_margin`) of 0: there the primal-dual may pick another matching
-    of near-equal weight, or add the same one to other last bits.
+    A sample is left undecided when any edge survives the rounds (a
+    cycle, or peeling stopped below ``_PEEL_MIN_SHARE``), or when a
+    realized weight, a shifted weight or a best leaf's lead over the
+    runner-up is within `margin` (see `_peel_margin`) of 0: there the
+    primal-dual may pick another matching of near-equal weight, or add
+    the same one to other last bits.
     """
     n, nv = inst.n, inst.total_vertices
     left = inst.endpoints[edge, 0]
@@ -715,57 +612,43 @@ def _weighted_values(inst: Instance, margin: float, sid: np.ndarray, edge: np.nd
         matched[leaf[free]] = True
         taken.append(at[free])
     at = np.concatenate(taken) if taken else np.empty(0, dtype=np.int64)
-    table = np.zeros((count, n))
-    table[sid[at], left[at]] = inst.w[edge[at]]
-    values = np.cumsum(table, axis=1)[:, -1]
-    cuts = _sample_cuts(sid, count)
-    for k in np.flatnonzero(fallback).tolist():
-        tails, arcs = _bipartite_arcs(inst, edge[cuts[k]:cuts[k + 1]])
-        values[k] = _matched_weight(_primal_dual(range(len(arcs)), tails, arcs, n)[0], arcs)
-    return values
+    return _left_sums(sid[at], left[at], inst.w[edge[at]], count, n), fallback
 
 
-def value_solver(inst: Instance) -> Callable[[np.ndarray, np.ndarray, int], np.ndarray]:
-    """The solver `matching_value` applies to realizations of `inst`, as a
-    function of a batch of samples: it takes a batch (sid, edge, count) of
-    `sampling.sample_values` and returns the values of its samples as a
-    float64 array.
-    Bipartite batches are peeled together: unweighted ones by
-    `_cardinalities`, weighted ones by `_weighted_values`, which hands
-    the samples it cannot decide to the primal-dual.  General samples
-    get exact search one at a time.  The solver reads the instance's
-    endpoints and weights, never its probabilities."""
+def value_solver(inst: Instance) -> Callable[[Iterable], Iterator[np.ndarray]]:
+    """The solver `matching_value` applies to realizations of `inst`: it
+    takes an iterable of batches (sid, edge, count) of
+    `sampling.sample_values` and yields each batch's values as a float64
+    array, in order.  Bipartite batches are peeled together: unweighted
+    ones by `_cardinalities`, weighted ones by `_weighted_values`, which
+    pools the samples it cannot decide into lockstep runs.  General
+    samples get exact search one at a time.  The solver reads the
+    instance's endpoints and weights, never its probabilities."""
     # the peelers and exact search gather the realized edges per batch or
     # sample: per-instance lists of a 10^6-edge instance cost seconds and
     # several times the instance's memory
     if inst.kind == "bipartite":
         if inst.is_unweighted:
-            return partial(_cardinalities, inst.endpoints, inst.total_vertices)
-        return partial(_weighted_values, inst, _peel_margin(inst))
+            return partial(starmap, partial(_cardinalities, inst.endpoints, inst.total_vertices))
+        return partial(_weighted_values, inst, _peel_margin(inst), _arc_order(inst))
     solve = _general_solver(inst)
 
     def values(sid, edge, count):
-        cuts = _sample_cuts(sid, count)
+        # sample k holds entries cuts[k]..cuts[k + 1] - 1 of the batch
+        cuts = np.searchsorted(sid, np.arange(count + 1)).tolist()
         return np.fromiter((solve(edge[a:b]) for a, b in zip(cuts, cuts[1:])), np.float64, count)
-    return values
+    return partial(starmap, values)
 
 
 def cover_solver(inst: Instance) -> Callable[[np.ndarray, int], np.ndarray]:
     """The covers of `max_weight_matching_bipartite` for realizations of a
     bipartite `inst`, as a function of a block (flat, rows) of
     `sampling.realization_blocks`: row k of the (rows, 2n) result is the
-    cover of block row k, bit for bit.  All rows of a block, whatever
-    their number, are solved together by `_lockstep`."""
-    n, m = inst.n, max(inst.num_edges, 1)
-    order = np.argsort(inst.endpoints[:, 0], kind="stable")
-    rank = np.argsort(order)  # edge j's position in (left vertex, edge index) order
-    left, right, wt = inst.endpoints[order, 0], inst.endpoints[order, 1] - n, inst.w[order]
+    cover of block row k, from one lockstep run that reads no mate."""
+    arcs, n = _arc_order(inst), inst.n
 
     def covers(flat: np.ndarray, rows: int) -> np.ndarray:
-        row, col = np.divmod(flat, m)
-        # the arcs in (row, left vertex, edge index) order
-        row, col = np.divmod(np.sort(row * m + rank[col]), m)
-        y = _lockstep(row, left[col], right[col], wt[col], rows, n)
+        y = _lockstep_block(arcs, n, flat, rows)[0]
         return np.where(y > 0.0, y, 0.0)
     return covers
 
@@ -774,7 +657,7 @@ def matching_value(g: SampledGraph) -> float:
     """Maximum matching weight via the solver appropriate to the kind: a
     batch of one for `value_solver`."""
     idx = g.edge_indices
-    return float(value_solver(g.instance)(np.zeros(len(idx), dtype=np.int64), idx, 1)[0])
+    return float(next(value_solver(g.instance)([(np.zeros_like(idx), idx, 1)]))[0])
 
 
 def matching_values_over_subsets(inst: Instance) -> np.ndarray:

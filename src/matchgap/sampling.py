@@ -19,8 +19,9 @@ ascending flat positions ``row * m + edge`` of its realized draws and its
 row count; its per-edge and per-vertex 8-byte arrays fit in
 ``BLOCK_BYTES`` (`block_rows`), so no consumer cuts one.  Consumers pool
 whole blocks by one rule, `block_groups`, and lay a group out as one
-block by `join_blocks`: Monte Carlo value batches (`sample_values`), mass
-certificate covers, and the dense views `realization_block` and `sample`.
+block by `join_blocks`: Monte Carlo value batches (`sample_values`) and
+the weighted peeler's lockstep runs, mass certificate covers, and the
+dense views `realization_block` and `sample`.
 Every per-sample or per-mask loop (values, mass certificate rows, kernel
 rows) runs through one map, `row_map`, which splits large ones over
 forked workers.
@@ -34,7 +35,7 @@ import tempfile
 import threading
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -147,16 +148,16 @@ def join_blocks(group, m: int) -> tuple[np.ndarray, int]:
     return np.concatenate([np.empty(0, dtype=np.int64)] + flats), int(at[-1])
 
 
-def sample_values(inst: Instance, solve: Callable[[np.ndarray, np.ndarray, int], np.ndarray],
+def sample_values(inst: Instance, solve: Callable[[Iterable], Iterator[np.ndarray]],
                   seed: int, start: int, count: int) -> np.ndarray:
     """float64 array of the values of samples start..start+count-1, in order.
 
-    `solve(sid, edge, rows)` takes a batch of `rows` samples, edge[i]
-    realized in sample sid[i] of the batch (0..rows-1), in (sample, edge)
-    order, and returns one value per sample.  A batch is a group of whole
-    blocks (`block_groups`) of at least as many samples as have
-    ``BLOCK_BYTES`` of int64 per-vertex arrays.  The batches go through
-    `row_map`, one row of width 1 per sample.
+    `solve(batches)` yields one array of values per batch, in order.  A
+    batch (sid, edge, rows) holds `rows` samples, edge[i] realized in
+    sample sid[i] of the batch (0..rows-1), in (sample, edge) order: a
+    group of whole blocks (`block_groups`) of at least `batch_rows`
+    samples.  Each `row_map` range (a row of width 1 a sample) hands all
+    its batches to one `solve` call, which may pool work across them.
     """
     out = np.empty(count, dtype=np.float64)
     pos = 0
@@ -167,12 +168,19 @@ def sample_values(inst: Instance, solve: Callable[[np.ndarray, np.ndarray, int],
     return out
 
 
+def batch_rows(inst: Instance) -> int:
+    """Least samples of a Monte Carlo value batch, and of a pooled solver
+    run: as many as have ``BLOCK_BYTES`` of 8-byte per-vertex arrays."""
+    return BLOCK_BYTES // max(8 * inst.total_vertices, 1)
+
+
 def _solved(inst, solve, seed, start, first, stop) -> Iterator[np.ndarray]:
-    m, batch = max(inst.num_edges, 1), BLOCK_BYTES // max(8 * inst.total_vertices, 1)
-    for group in block_groups(realization_blocks(inst, seed, start + first, stop - first), batch):
-        flat, rows = join_blocks(group, m)
-        sid, edge = np.divmod(flat, m)
-        yield np.asarray(solve(sid, edge, rows), dtype=np.float64)[:, None]
+    m = max(inst.num_edges, 1)
+    groups = block_groups(realization_blocks(inst, seed, start + first, stop - first),
+                          batch_rows(inst))
+    blocks = (join_blocks(group, m) for group in groups)
+    for values in solve((*np.divmod(flat, m), rows) for flat, rows in blocks):
+        yield np.asarray(values, dtype=np.float64)[:, None]
 
 
 def row_map(fill: Callable[[int, int], Iterator[np.ndarray]], count: int, width: int,

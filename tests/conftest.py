@@ -5,11 +5,15 @@ matchings are enumerated subset by subset and expectations are summed
 outcome by outcome, so agreement is meaningful evidence.  The `literal_*`
 references are the one-at-a-time loops that batched library paths
 replaced, with the same arithmetic, so the batched results must equal
-them bit for bit.
+them bit for bit.  `reference_primal_dual` is Kuhn's primal-dual method
+on one realized bipartite graph at a time, the decisions and floating
+operations the library's lockstep takes for many rows at once, so every
+bipartite value, matching and cover must equal its bits.
 """
 
 import itertools
 import math
+from bisect import insort
 
 import numpy as np
 
@@ -17,7 +21,8 @@ from matchgap import Instance, PotentialEdge, SampledGraph, fractional_value
 from matchgap.gallery import _STREAM_KEEP, _STREAM_PROB, _STREAM_WEIGHT, _all_pairs
 from matchgap.kernels import (_inv_max_kernel, _unit_partitions, poisson_binomial_pmf,
                               poisson_binomial_pmfs)
-from matchgap.matching import max_weight_matching_general
+from matchgap.matching import (_TIGHT, FractionalVertexCover, max_weight_matching_general,
+                               value_solver)
 from matchgap.rng import uniforms
 
 
@@ -210,3 +215,155 @@ def flat_block(block):
     `sampling.realization_blocks`."""
     block = np.asarray(block, dtype=bool)
     return np.flatnonzero(block), len(block)
+
+
+def reference_cover(g):
+    """`reference_primal_dual`'s cover of the realized graph `g`."""
+    return FractionalVertexCover(reference_primal_dual(g.instance, g.edge_indices)[2])
+
+
+def solve_batches(inst, batches):
+    """The value arrays `value_solver(inst)` yields for `batches`, one a
+    batch, as a list."""
+    return list(value_solver(inst)(batches))
+
+
+def reference_primal_dual(inst, idx):
+    """Kuhn's primal-dual method on the realized edges `idx` (ascending) of
+    the bipartite `inst`: (matched edges, value, 2n cover).
+
+    Left vertices start at their largest incident weight, right vertices
+    at zero; roots are taken in vertex order.  The value is the matched
+    weights added to 0.0 in left-vertex order; the cover is the potentials
+    laid out by vertex, left vertices without a realized edge at zero,
+    negatives and NaN at 0.0 (the values of max(0.0, v), -0.0 included).
+    """
+    n = inst.n
+    idx = np.asarray(idx, dtype=np.int64)
+    ends, weights = inst.endpoints[idx], inst.w[idx].tolist()
+    adj, y_left = {}, {}
+    for u, arc in zip(ends[:, 0].tolist(),
+                      zip((ends[:, 1] - n).tolist(), weights, range(len(idx)))):
+        if u in adj:
+            adj[u].append(arc)
+            if arc[1] > y_left[u]:
+                y_left[u] = arc[1]
+        else:
+            adj[u] = [arc]
+            y_left[u] = arc[1]
+    y_right = [0.0] * n
+    mate_left = {}           # u -> (v, edge position)
+    mate_right = [None] * n  # v -> (u, edge position), or None
+    for root in sorted(adj):
+        yu = y_left[root]
+        if root in mate_left or yu <= _TIGHT:
+            continue
+        # The first scan of the phase: when the root's first tight edge
+        # reaches a free right vertex, the phase matches it and ends.
+        for v, w, j in adj[root]:
+            if yu + y_right[v] - w <= _TIGHT:
+                if mate_right[v] is None:
+                    mate_left[root] = (v, j)
+                    mate_right[v] = (root, j)
+                break
+        if root not in mate_left:
+            _reference_phase(root, adj, y_left, y_right, mate_left, mate_right)
+    value = 0.0
+    for u in sorted(mate_left):
+        value += weights[mate_left[u][1]]
+    y = np.zeros(2 * n)
+    y[list(y_left)] = list(y_left.values())
+    y[n:] = y_right
+    edges = tuple(sorted(int(idx[j]) for _, j in mate_left.values()))
+    return edges, value, np.where(y > 0.0, y, 0.0)
+
+
+def _reference_phase(root, adj, y_left, y_right, mate_left, mate_right):
+    """Grow one alternating tree from `root` in the tight subgraph.
+
+    The edge entering the tree is the first tight edge in (sorted
+    tree-left vertex, adjacency order).  Potentials change only at dual
+    adjustments, and the tree only grows, so an edge once found slack or
+    leading into the tree stays so until the next adjustment: every
+    tree-left vertex keeps a scan position that rewinds only there, and
+    the least slack seen per right vertex gives the adjustment without a
+    second pass over the tree's edges.
+
+    Ends by matching the root (augment), or by driving some tree vertex's
+    potential to zero, at which point that vertex can be left exposed
+    without violating complementary slackness (release).
+    """
+    tree_left = [root]   # sorted
+    scan = {root: 0}     # u -> next adjacency position
+    tree_right = {}      # v -> (parent u, edge)
+    parent_left = {}     # u -> matched v it entered from
+    least = {}           # v -> least slack since the adjustment
+    while True:
+        entered = None
+        for u in tree_left:
+            lst = adj[u]
+            yu = y_left[u]
+            for k in range(scan[u], len(lst)):
+                v, w, j = lst[k]
+                if v not in tree_right:
+                    s = yu + y_right[v] - w
+                    if s <= _TIGHT:
+                        entered = u, v, j
+                        scan[u] = k
+                        break
+                    t = least.get(v)
+                    if t is None or s < t:
+                        least[v] = s
+            else:
+                scan[u] = len(lst)
+                continue
+            break
+
+        if entered is not None:
+            u, v, j = entered
+            tree_right[v] = (u, j)
+            if mate_right[v] is None:
+                _reference_flip(root, v, u, j, tree_right, mate_left, mate_right)
+                return
+            u2 = mate_right[v][0]
+            insort(tree_left, u2)
+            scan[u2] = 0
+            parent_left[u2] = v
+            continue
+
+        # No tight edge leaves the tree: lower left / raise right potentials.
+        slack = math.inf
+        for v, s in least.items():
+            if s < slack and v not in tree_right:
+                slack = s
+        floor = min([y_left[u] for u in tree_left])
+        delta = min(slack, floor)
+        for u in tree_left:
+            y_left[u] -= delta
+        for v in tree_right:
+            y_right[v] += delta
+
+        if floor <= slack:
+            # Some potential hit zero: that vertex may stay exposed.
+            released = next(u for u in tree_left if y_left[u] <= _TIGHT)
+            if released == root:
+                return
+            v = parent_left[released]
+            del mate_left[released]
+            u, j = tree_right[v]
+            _reference_flip(root, v, u, j, tree_right, mate_left, mate_right)
+            return
+        least.clear()
+        scan = dict.fromkeys(tree_left, 0)
+
+
+def _reference_flip(root, v, u, j, tree_right, mate_left, mate_right):
+    # Make (u, v) matched, then re-match the freed vertices up the tree.
+    while True:
+        prev = mate_left.get(u)
+        mate_left[u] = (v, j)
+        mate_right[v] = (u, j)
+        if u == root:
+            return
+        v = prev[0]
+        u, j = tree_right[v]

@@ -210,13 +210,16 @@ class TestArguments:
         ("--grid-step", "0"), ("--grid-step", "-0.05"), ("--grid-step", "nan"),
         ("--grid-step", "inf"), ("--envelope-step", "0"), ("--envelope-step", "nan"),
         ("--envelope-step", "inf"), ("--c", "nan"), ("--c", "inf"), ("--c", "-inf"),
+        ("--envelope-step", "1.5"), ("--envelope-step", "5"), ("--envelope-step", "-0.5"),
     ])
     def test_verify_steps_and_c_must_be_finite(self, capsys, option, value):
         # --grid-step 0 was a ZeroDivisionError traceback; -0.05, nan and the
-        # envelope's nan and inf exited 1 naming no option; --c nan ran
+        # envelope's nan and inf exited 1 naming no option; --c nan ran.
+        # --envelope-step 5 passed the envelope from x = 0 alone, and 1.5
+        # also checked x = 1.5, outside [0, 1]
         err = self.refused(capsys, "verify", "--m-max", "1", "--gain-trials", "0",
                            "--derivative-trials", "0", f"{option}={value}")
-        what = "finite" if option == "--c" else "finite and positive"
+        what = {"--c": "finite", "--envelope-step": "in (0, 1]"}.get(option, "finite and positive")
         assert f"error: argument {option}: must be {what}, got {value}\n" in err
 
     @pytest.mark.parametrize("argv", [

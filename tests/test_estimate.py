@@ -9,7 +9,7 @@ from matchgap import (Instance, PotentialEdge, SupportTooLarge, ZeroDenominator,
                       per_edge_certificate, per_edge_masses_exact, ratio_floor,
                       weighted_kernel_constant)
 from matchgap import (DEFAULT_TRANSFER, SampledGraph, WEIGHTED_BIPARTITE_FLOOR, estimate,
-                      max_weight_matching_bipartite, per_edge_certificates,
+                      per_edge_certificates,
                       per_edge_masses_exact, sample, sampling, support_probabilities,
                       unweighted_scheme, weighted_scheme)
 from matchgap import matching, schemes
@@ -18,7 +18,7 @@ from matchgap.gallery import (gen_equal_split_star, gen_karp_sipser, gen_pendant
 from matchgap.sampling import block_rows, dense_block
 from matchgap.schemes import _transfers
 
-from conftest import block_bytes, brute_expected_matching
+from conftest import block_bytes, brute_expected_matching, reference_cover, reference_primal_dual
 
 
 class TestExactRatio:
@@ -187,7 +187,7 @@ class TestPerEdgeCertificates:
         total = np.zeros(inst.num_edges)
         for i in range(samples):
             g = sample(inst, seed, i)
-            total += run(g, max_weight_matching_bipartite(g)[2]).edge_mass
+            total += run(g, reference_cover(g)).edge_mass
         for edge, e in enumerate(inst.edges):
             got = per_edge_certificate(inst, edge, "mc", scheme, "mass",
                                        samples=samples, seed=seed)
@@ -207,7 +207,7 @@ class TestPerEdgeCertificates:
         for mask in range(1 << inst.num_edges):
             if probs[mask] != 0.0:
                 g = SampledGraph(inst, (mask & bits) != 0)
-                total += probs[mask] * run(g, max_weight_matching_bipartite(g)[2]).edge_mass
+                total += probs[mask] * run(g, reference_cover(g)).edge_mass
         assert per_edge_masses_exact(inst, scheme).tobytes() == total.tobytes()
 
     @pytest.mark.parametrize("mode", ["exact", "mc"])
@@ -456,7 +456,7 @@ class TestPooledCovers:
         monkeypatch.undo()
         for flat, rows, covers in solved:
             for row, cover in zip(dense_block(flat, rows, inst.num_edges), covers):
-                want = max_weight_matching_bipartite(SampledGraph(inst, row))[2].y
+                want = reference_primal_dual(inst, np.flatnonzero(row))[2]
                 assert cover.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("case", range(3))

@@ -9,13 +9,13 @@ import pytest
 from matchgap import (Instance, MatchingCutoffExceeded, PotentialEdge, SampledGraph,
                       matching_value, matching_values_over_subsets,
                       max_weight_matching_bipartite, max_weight_matching_general, sample)
-from matchgap import matching, phi_curve
+from matchgap import matching, phi_curve, sampling
 from matchgap.gallery import gen_random_point
 from matchgap.matching import value_solver
-from matchgap.sampling import realization_block
+from matchgap.sampling import dense_block, realization_block
 
 from conftest import (batch_of, bits, brute_matching_value, cycle_instance, flat_block,
-                      path_instance)
+                      path_instance, reference_primal_dual, solve_batches)
 
 
 def realized_all(inst):
@@ -272,9 +272,26 @@ def hopcroft_karp_value(inst, idx):
 
 
 def solve_in_batches(inst, lists, batch):
-    solve = value_solver(inst)
-    return np.concatenate([solve(*batch_of(lists[k:k + batch]))
-                           for k in range(0, len(lists), batch)])
+    """The values of `lists` in batches of `batch` samples, all handed to
+    one solver call (so weighted fallbacks pool across them)."""
+    return np.concatenate(solve_batches(inst, [batch_of(lists[k:k + batch])
+                                               for k in range(0, len(lists), batch)]))
+
+
+def pooled_runs(monkeypatch):
+    """The blocks (flat, rows) of the weighted fallback's lockstep runs."""
+    runs = []
+    real = matching._lockstep_values
+    monkeypatch.setattr(matching, "_lockstep_values",
+                        lambda arcs, n, flat, rows: runs.append((flat, rows))
+                        or real(arcs, n, flat, rows))
+    return runs
+
+
+def run_lists(inst, runs):
+    """The realized edge lists of the rows of `runs`, in order."""
+    return [np.flatnonzero(row).tolist() for flat, rows in runs
+            for row in dense_block(flat, rows, max(inst.num_edges, 1))]
 
 
 def sample_lists(inst, seed, start, count):
@@ -365,13 +382,13 @@ class TestPeeler:
         lists = [empty if k % 3 else np.flatnonzero(rng.random(inst.num_edges) < 0.5)
                  for k in range(20)] + [empty] * 3
         self.check(inst, lists)
-        assert value_solver(inst)(*batch_of([])).tolist() == []
-        assert value_solver(inst)(*batch_of([empty, empty])).tolist() == [0.0, 0.0]
+        assert solve_batches(inst, [batch_of([])])[0].tolist() == []
+        assert solve_batches(inst, [batch_of([empty, empty])])[0].tolist() == [0.0, 0.0]
 
     def test_no_vertices(self):
         inst = Instance("bipartite", 0, ())
         empty = batch_of([np.zeros(0, dtype=np.int64)] * 2)
-        assert value_solver(inst)(*empty).tolist() == [0.0, 0.0]
+        assert solve_batches(inst, [empty])[0].tolist() == [0.0, 0.0]
         assert phi_curve(inst, 2, "mc", samples=3)[:, 1].tolist() == [0.0, 0.0, 0.0]
 
     def test_path_of_20000_a_side_in_time(self):
@@ -389,19 +406,17 @@ class TestPeeler:
 
 
 def primal_dual_value(inst, idx):
-    """The per-sample reference: `_primal_dual` over the realized edges
-    `idx` only, summed by `_matched_weight`."""
-    tails, arcs = matching._bipartite_arcs(inst, idx)
-    return matching._matched_weight(matching._primal_dual(range(len(arcs)), tails, arcs,
-                                                          inst.n)[0], arcs)
+    """The per-sample reference's value on the realized edges `idx`."""
+    return reference_primal_dual(inst, idx)[1]
 
 
 class TestWeightedPeeler:
     """The batched weighted degree-1 peeler behind weighted bipartite
-    values, bit for bit against the per-sample primal-dual: 70,000
-    random_point samples, 32,000 with tie-heavy weights, 6,800 subsets of
-    the 2^-40 / 2^-38 fixture graphs and a 1,500-a-side path.  The first
-    1,000 samples of each case are also solved in batches of 1 and 7."""
+    values, with its fallback pooled into lockstep runs, bit for bit
+    against the per-sample reference primal-dual: 70,000 random_point
+    samples, 32,000 with tie-heavy weights, 6,800 subsets of the 2^-40 /
+    2^-38 fixture graphs and a 1,500-a-side path.  The first 1,000
+    samples of each case are also solved in batches of 1 and 7."""
 
     def check(self, inst, lists):
         want = np.array([primal_dual_value(inst, idx) for idx in lists])
@@ -445,21 +460,18 @@ class TestWeightedPeeler:
 
     def test_path_of_1500_a_side(self, monkeypatch):
         # peeling takes one edge per end a round, so the share stop hands
-        # the path to the primal-dual after one round.  Bound fixed at 1 s
+        # the path to the lockstep after one round.  Bound fixed at 1 s
         # before measuring.
         n = 1500
         i = np.arange(n)
         ends = np.concatenate([np.stack([i, n + i], 1), np.stack([i[1:], n + i[:-1]], 1)])
         w = np.random.default_rng(3).random(len(ends))
         inst = Instance.from_arrays("bipartite", n, ends, np.ones(len(ends)), w)
-        calls = []
-        real = matching._bipartite_arcs
-        monkeypatch.setattr(matching, "_bipartite_arcs",
-                            lambda inst, idx: calls.append(len(idx)) or real(inst, idx))
+        runs = pooled_runs(monkeypatch)
         t = time.perf_counter()
-        value_solver(inst)(*batch_of([np.arange(len(ends))]))
+        solve_batches(inst, [batch_of([np.arange(len(ends))])])
         assert time.perf_counter() - t < 1.0
-        assert calls == [len(ends)]
+        assert [(len(flat), rows) for flat, rows in runs] == [(len(ends), 1)]
         monkeypatch.undo()
         self.check(inst, [np.arange(len(ends))])
 
@@ -474,16 +486,10 @@ class TestWeightedPeeler:
                                          np.arange(8, 10), np.arange(10, 14))
         lists = [path, cycle, zero, path, tie, shift, np.concatenate([path, cycle]),
                  np.zeros(0, dtype=np.int64), np.concatenate([path, shift[-1:]])]
-        seen = []
-        real = matching._bipartite_arcs
-
-        def spy(inst, idx):
-            seen.append(idx.tolist())
-            return real(inst, idx)
-
-        monkeypatch.setattr(matching, "_bipartite_arcs", spy)
-        got = value_solver(inst)(*batch_of(lists))
-        assert seen == [lists[k].tolist() for k in (1, 2, 4, 5, 6)]
+        runs = pooled_runs(monkeypatch)
+        got, = solve_batches(inst, [batch_of(lists)])
+        assert len(runs) == 1
+        assert run_lists(inst, runs) == [lists[k].tolist() for k in (1, 2, 4, 5, 6)]
         monkeypatch.undo()
         assert got.tolist() == [primal_dual_value(inst, idx) for idx in lists]
         assert got[[0, 3, 8]].tolist() == [0.9 + 0.7, 0.9 + 0.7, 0.9 + 0.7 + 0.3]
@@ -492,12 +498,9 @@ class TestWeightedPeeler:
         # the speed-up rests on peeling deciding most samples; 2.5% fell
         # back when this was written
         inst = gen_random_point(100, 0.1, 3, "bipartite")
-        calls = []
-        real = matching._bipartite_arcs
-        monkeypatch.setattr(matching, "_bipartite_arcs",
-                            lambda inst, idx: calls.append(1) or real(inst, idx))
+        runs = pooled_runs(monkeypatch)
         solve_in_batches(inst, sample_lists(inst, 3, 0, 2_000), 327)
-        assert len(calls) < 200
+        assert sum(rows for _, rows in runs) < 200
 
     def test_phi_curve_mc_matches_per_sample_values(self):
         # the solver is built from inst and applied to scaled copies, so it
@@ -514,13 +517,59 @@ class TestWeightedPeeler:
             want[i, 1] = float(np.array([primal_dual_value(scaled, idx) for idx in lists]).mean())
         assert got.tobytes() == want.tobytes()
 
+    def test_fallback_pools_across_batch_edges(self, monkeypatch):
+        # two fifths of the weights tie at 0.5, so in batches of 6 samples
+        # (blocks of 1) a few samples fall back, and a lockstep run pools
+        # the fallbacks of consecutive batches until it holds at least 6.
+        # Over samples 0..59 the first runs close mid-range; over 60..71
+        # one run holds every fallback of the range.  Values are the
+        # reference's bits either way.
+        base = gen_random_point(12, 0.5, 3, "bipartite")
+        rng = np.random.default_rng(1)
+        w = rng.random(base.num_edges)
+        w[rng.random(base.num_edges) < 0.4] = 0.5
+        inst = Instance.from_arrays("bipartite", base.n, base.endpoints, base.x, w)
+        monkeypatch.setattr(sampling, "BLOCK_BYTES", 6 * 8 * inst.total_vertices)
+        assert sampling.batch_rows(inst) == 6 and sampling.block_rows(inst, 72) == 1
+        runs = pooled_runs(monkeypatch)
+        fell = []  # per batch, its fallback mask
+        real = matching._peel
+        monkeypatch.setattr(matching, "_peel",
+                            lambda *a: (lambda out: fell.append(out[1]) or out)(real(*a)))
+        solve = value_solver(inst)
+        for first, stop in ((0, 60), (60, 72)):
+            runs.clear()
+            fell.clear()
+            got = np.concatenate(list(sampling._solved(inst, solve, 11, 0, first, stop)))[:, 0]
+            lists = sample_lists(inst, 11, first, stop - first)
+            want = np.array([primal_dual_value(inst, idx) for idx in lists])
+            assert got.tobytes() == want.tobytes()
+            counts = [int(f.sum()) for f in fell]
+            assert [len(f) for f in fell] == [6] * ((stop - first) // 6) and max(counts) < 6
+            pools, held = [], 0  # `block_groups` over the batches' fallback counts
+            for c in counts:
+                held += c
+                if held >= 6:
+                    pools.append(held)
+                    held = 0
+            pools += [held] if held else []
+            assert [rows for _, rows in runs] == pools
+            fallback = np.flatnonzero(np.concatenate(fell))
+            assert run_lists(inst, runs) == [lists[k].tolist() for k in fallback]
+            if first == 0:
+                assert len(runs) > 2
+            else:
+                assert len(runs) == 1 and 0 < runs[0][1] < 6
+        assert bits(sampling.sample_values(inst, solve, 11, 0, 72)) == bits(
+            [primal_dual_value(inst, idx) for idx in sample_lists(inst, 11, 0, 72)])
+
 
 class TestCoverSolver:
-    def test_no_block_reaches_the_primal_dual(self, monkeypatch):
+    def test_each_block_is_one_lockstep_run(self, monkeypatch):
         # nonempty rows of any size, some over 48 edges (the former size
-        # crossover), and empty ones all go through the lockstep, in a
-        # block of 258 rows or in blocks of 64, 7, 2 or 1: every row's
-        # cover has the same bits in each
+        # crossover), and empty ones go through one lockstep run a block,
+        # in a block of 258 rows or in blocks of 64, 7, 2 or 1: every
+        # row's cover has the same bits in each, the reference's
         inst = gen_random_point(12, 0.6, 5, "bipartite")
         m = inst.num_edges
         counts = [0, *(1 + k % m for k in range(253)), 49, 0, m, m - 1]
@@ -528,25 +577,21 @@ class TestCoverSolver:
         block = np.zeros((len(counts), m), dtype=bool)
         for row, c in zip(block, counts):
             row[rng.choice(m, c, replace=False)] = True
-        seen = []
-        real = matching._primal_dual
-
-        def spy(idx, tails, arcs, n):
-            seen.append(len(idx))
-            return real(idx, tails, arcs, n)
-
-        monkeypatch.setattr(matching, "_primal_dual", spy)
+        runs = []
+        real = matching._lockstep
+        monkeypatch.setattr(matching, "_lockstep",
+                            lambda *a: runs.append(a[4]) or real(*a))
         solve = matching.cover_solver(inst)
         covers = solve(*flat_block(block))
+        sizes = [len(block)]
         for size in (64, 7, 2, 1):
             for k in range(0, len(block), size):
                 part = solve(*flat_block(block[k:k + size]))
                 assert part.tobytes() == covers[k:k + size].tobytes()
-        assert max(counts) > 48 and seen == []
-        monkeypatch.undo()
+                sizes.append(len(part))
+        assert max(counts) > 48 and runs == sizes
         for row, cover in zip(block, covers):
-            want = max_weight_matching_bipartite(SampledGraph(inst, row))[2].y
-            assert cover.tobytes() == want.tobytes()
+            assert cover.tobytes() == reference_primal_dual(inst, np.flatnonzero(row))[2].tobytes()
 
 
 class TestLockstepRootPick:
@@ -570,13 +615,15 @@ class TestLockstepRootPick:
                 for u, v, w in sorted(edges, key=lambda e: e[0])]
         row, left, right = (np.array([a[i] for a in arcs], dtype=np.int64) for i in range(3))
         wt = np.array([a[3] for a in arcs])
-        y = matching._lockstep(row, left, right, wt, len(self.ROWS), n)
+        y, mate = matching._lockstep(row, left, right, wt, len(self.ROWS), n)
         covers = np.where(y > 0.0, y, 0.0)
-        for edges, cover in zip(self.ROWS, covers):
-            tails = [u for u, _, _ in edges]
-            lists = [(v, w, j) for j, (_, v, w) in enumerate(edges)]
-            pd = matching._primal_dual(range(len(edges)), tails, lists, n)
-            assert cover.tobytes() == matching._cover(*pd[1:], n).tobytes()
+        for k, (edges, cover) in enumerate(zip(self.ROWS, covers)):
+            inst = Instance("bipartite", n, tuple(PotentialEdge(u, v, 1.0, w)
+                                                  for u, v, w in edges))
+            matched, _, want = reference_primal_dual(inst, np.arange(len(edges)))
+            assert cover.tobytes() == want.tobytes()
+            pairs = {(u, int(mate[k * n + u]) - k * n) for u in range(n) if mate[k * n + u] >= 0}
+            assert pairs == {tuple(edges[j][:2]) for j in matched}
         # row 0 by hand: each phase drives its tree's potentials to zero
         # and raises the end it shares, r1 and then r0
         assert covers[0].tolist() == [0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0]

@@ -5,6 +5,8 @@ import re
 import threading
 import time
 import tracemalloc
+from functools import partial
+from itertools import starmap
 
 import numpy as np
 import pytest
@@ -144,7 +146,7 @@ class TestRealizationBlocks:
                 lists.extend(edge[sid == k].tolist() for k in range(count))
                 return np.zeros(count)
 
-            sampling.sample_values(inst, solve, 3, 11, 40)
+            sampling.sample_values(inst, partial(starmap, solve), 3, 11, 40)
             assert len(lists) == 40 and [] in lists
             for k, idx in enumerate(lists):
                 assert idx == sample(inst, 3, 11 + k).edge_indices.tolist()
@@ -163,7 +165,7 @@ class TestRealizationBlocks:
         want = [matching_value(sample(inst, 6, 5 + k)) for k in range(90)]
         for size in (5 * 8 * m, 7 * 8 * nv, 13 * 8 * m, 3 * 8 * nv, 1 << 19):
             monkeypatch.setattr(sampling, "BLOCK_BYTES", size)
-            rows, batch = sampling.block_rows(inst, 90), size // (8 * nv)
+            rows, batch = sampling.block_rows(inst, 90), sampling.batch_rows(inst)
             assert rows <= max(batch, 1)  # a batch holds at least one whole block
             got = sampling.sample_values(inst, value_solver(inst), 6, 5, 90)
             assert bits(got) == bits(want)
@@ -266,7 +268,7 @@ class TestSampleValuesSplit:
         monkeypatch.setattr(sampling, "SPLIT_MIN_WORK", 0)
         self.cpus(monkeypatch, 2)
         with pytest.raises(ValueError, match=re.escape(f"sample {first.tolist()}")):
-            sampling.sample_values(inst, solve, 4, 0, 2)
+            sampling.sample_values(inst, partial(starmap, solve), 4, 0, 2)
         assert len(forks) == 2
 
     def test_dead_worker_is_reported(self, monkeypatch):
@@ -276,8 +278,9 @@ class TestSampleValuesSplit:
         monkeypatch.setattr(sampling, "SPLIT_MIN_WORK", 0)
         self.cpus(monkeypatch, 2)
         with pytest.raises(RuntimeError, match="a sample worker died"):
-            sampling.sample_values(inst, lambda sid, edge, count: [0.0] * count
-                                   if os.getpid() == here else os._exit(3), 0, 0, 4)
+            sampling.sample_values(inst, partial(starmap, lambda sid, edge, count: [0.0] * count
+                                                 if os.getpid() == here else os._exit(3)),
+                                   0, 0, 4)
 
     def test_serial_path(self, monkeypatch, forks):
         inst = gen_random_point(4, 0.7, 4, "bipartite")

@@ -8,9 +8,11 @@ recorded.  Weight families include tie-heavy ones ({0.1, 0.2, 0.3},
 the matching and the cover, and tiny ones (random times 2**-40 or
 2**-38), where the absolute tightness threshold decides.  Edges are
 listed in shuffled order, so edge index order differs from vertex order.
-Larger graphs (up to 40 vertices a side) are checked against
-`_reference`, the same method rescanning the whole tree at every step,
-and so are the block covers of `cover_solver`, in a block and alone.
+The fixture is also the per-row reference's output
+(`conftest.reference_primal_dual`).  Larger graphs (up to 40 vertices a
+side) are checked against `_reference`, the same method rescanning the
+whole tree at every step, and so are the block covers of `cover_solver`,
+in a block and alone.
 
 Re-record with ``PYTHONPATH=src python tests/test_solver_fixture.py``
 only after arguing an intended change of solver output.
@@ -25,9 +27,9 @@ import pytest
 
 from matchgap import Instance, PotentialEdge, SampledGraph, matching, max_weight_matching_bipartite
 from matchgap.gallery import gen_equal_split_star
-from matchgap.matching import cover_solver, value_solver
+from matchgap.matching import cover_solver
 
-from conftest import batch_of, flat_block
+from conftest import batch_of, flat_block, reference_primal_dual, solve_batches
 
 FIXTURE = Path(__file__).with_name("solver_fixture.json")
 
@@ -67,7 +69,10 @@ def test_solver_reproduces_fixture(case):
     got = _record(g)
     assert got == {k: case[k] for k in got}
     idx = g.edge_indices
-    assert repr(float(value_solver(g.instance)(*batch_of([idx]))[0])) == got["value"]
+    edges, value, cover = reference_primal_dual(g.instance, idx)
+    assert {"value": repr(value), "matched": list(edges),
+            "cover": [repr(float(c)) for c in cover]} == got
+    assert repr(float(solve_batches(g.instance, [batch_of([idx])])[0][0])) == got["value"]
     assert [repr(float(c)) for c in cover_solver(g.instance)(idx, 1)[0]] == got["cover"]
 
 
@@ -76,7 +81,7 @@ def test_block_covers_match_wrapper(case):
     # one block per graph: the recorded realization, every edge, none,
     # the complement and a lone edge, so rows have isolated and exposed
     # vertices and row offsets must hold; each row's cover is, bit for
-    # bit, the wrapper's on that realization
+    # bit, the per-row reference's on that realization
     g = _graph(case)
     inst = g.instance
     lone = np.zeros(inst.num_edges, dtype=bool)
@@ -86,8 +91,7 @@ def test_block_covers_match_wrapper(case):
     assert covers.shape == (len(block), inst.total_vertices)
     assert [repr(float(c)) for c in covers[0]] == case["cover"]
     for row, cover in zip(block, covers):
-        want = max_weight_matching_bipartite(SampledGraph(inst, row))[2].y
-        assert cover.tobytes() == want.tobytes()
+        assert cover.tobytes() == reference_primal_dual(inst, np.flatnonzero(row))[2].tobytes()
 
 
 def _reference(g):
@@ -170,7 +174,8 @@ def test_larger_graphs_match_full_rescan_reference(seed):
     assert repr(got) == repr(value)
     assert cover.y.tobytes() == y.tobytes()
     idx = g.edge_indices
-    assert repr(float(value_solver(inst)(*batch_of([idx]))[0])) == repr(value)
+    assert reference_primal_dual(inst, idx)[2].tobytes() == y.tobytes()
+    assert repr(float(solve_batches(inst, [batch_of([idx])])[0][0])) == repr(value)
     assert cover_solver(inst)(idx, 1)[0].tobytes() == y.tobytes()
 
 
@@ -184,10 +189,10 @@ def test_lockstep_block_matches_reference(family, seed, monkeypatch):
     # one block of rows of every size: empty, a lone edge, every edge, and
     # random subsets of many densities, so rows end after different numbers
     # of steps; every row takes the lockstep, in the block or alone, the
-    # rows over 48 edges (the former size crossover) too
-    alone = []
-    real = matching._primal_dual
-    monkeypatch.setattr(matching, "_primal_dual", lambda *a: alone.append(a) or real(*a))
+    # rows over 48 edges (the former size crossover) too: one run a call
+    runs = []
+    real = matching._lockstep
+    monkeypatch.setattr(matching, "_lockstep", lambda *a: runs.append(a[4]) or real(*a))
     rng = np.random.default_rng(7000 + seed)
     draw = WEIGHT_FAMILIES.get(family, _signed_zero)
     n = int(rng.integers(10, 15))
@@ -207,23 +212,23 @@ def test_lockstep_block_matches_reference(family, seed, monkeypatch):
     covers = solve(*flat_block(block))
     for k, cover in enumerate(covers):
         assert solve(*flat_block(block[k:k + 1]))[0].tobytes() == cover.tobytes()
-    assert alone == []
+    assert runs == [32] + [1] * 32
     monkeypatch.undo()
     for row, cover in zip(block, covers):
         g = SampledGraph(inst, row)
         assert cover.tobytes() == _reference(g)[2].tobytes()
-        assert cover.tobytes() == max_weight_matching_bipartite(g)[2].y.tobytes()
+        assert cover.tobytes() == reference_primal_dual(inst, g.edge_indices)[2].tobytes()
 
 
 def test_lockstep_covers_every_star_mask():
     # all 8,192 support masks of the benchmark's exact mass instance, in
-    # one block, as the wrapper covers each
+    # one block, as the per-row reference covers each
     inst = gen_equal_split_star(7, 0.1)
     m = inst.num_edges
     block = (np.arange(1 << m)[:, None] >> np.arange(m) & 1).astype(bool)
     assert len(block) == 8192
     for row, cover in zip(block, cover_solver(inst)(*flat_block(block))):
-        assert cover.tobytes() == max_weight_matching_bipartite(SampledGraph(inst, row))[2].y.tobytes()
+        assert cover.tobytes() == reference_primal_dual(inst, np.flatnonzero(row))[2].tobytes()
 
 
 def test_fixture_covers_every_family():
