@@ -304,18 +304,18 @@ def _cmd_report(args) -> int:
             ("bipartite", True, kernels.UNWEIGHTED_BIPARTITE_TARGET, "bipartite_unweighted"),
             ("bipartite", False, kernels.WEIGHTED_BIPARTITE_FLOOR, "bipartite_weighted"),
             ("general", False, kernels.GENERAL_GRAPH_FLOOR, "general_weighted")):
-        worst = None
+        ratios = []
         for k in range(args.instances):
             inst = gallery.gen_random_point(2 + k % 4, 0.6, (args.seed * 7919 + k) % (1 << 64),
                                             kind, weighted=not unweighted)
-            if inst.num_edges == 0 or fractional_value(inst) <= 0:
+            if (inst.num_edges == 0 or fractional_value(inst) <= 0  # or outside the polytope
+                    or kind == "general" and not validate_polytope(inst, check_odd_sets=True).ok):
                 continue
             try:
-                ratio = estimate.exact_ratio(inst).value
+                ratios.append(estimate.exact_ratio(inst).value)
             except SupportTooLarge:  # past the exact cutoff, skipped as empty points are
                 continue
-            if worst is None or ratio < worst:
-                worst = ratio
+        worst = min(ratios, default=None)
         floors[label] = {"floor": floor, "worst_ratio": worst,
                          "passed": worst is None or worst >= floor - args.tolerance}
 
@@ -415,7 +415,9 @@ def build_parser() -> argparse.ArgumentParser:
                           default=DEFAULT_TRANSFER)
     p_verify.add_argument("--grid-step", type=step, default=0.05)
     p_verify.add_argument("--envelope-step", default=1e-3,  # past 1: x = 0 alone, or x > 1
-                          type=_checked(float, lambda s: 0.0 < s <= 1.0, "in (0, 1]"))
+                          type=_checked(_checked(float, lambda s: 0.0 < s <= 1.0, "in (0, 1]"),
+                                        kernels.envelope_step_ok, "coarse enough for at most "
+                                        f"{BLOCK_BYTES // 8} grid points"))
     p_verify.add_argument("--m-max", type=count, default=4,
                           help="longest Bernoulli vector of the minimizer grid checks "
                                "(0 skips them)")

@@ -140,18 +140,18 @@ def _scheme_mass_sum(inst: Instance, blocks, group: int, count: int, realized: f
                     masses *= p[0][:, None]
                 yield masses
 
-    acc = np.zeros(m, dtype=np.float64)
     # a cover's cost in draws per realized edge (`sampling.SPLIT_MIN_WORK`)
-    for piece in row_map(fill, count, m, count * (m + 280 * realized)):
-        acc = _add_rows(acc, piece)
+    return _row_sums(fill, count, m, count * (m + 280 * realized))
+
+
+def _row_sums(fill, count: int, m: int, work: float) -> np.ndarray:
+    """Column sums of the rows of `row_map(fill, count, m, work)`, added one
+    row at a time in order (the summation order every per-edge sum keeps)."""
+    acc = np.zeros(m, dtype=np.float64)
+    for rows in row_map(fill, count, m, work):
+        rows[0] += acc
+        acc = np.cumsum(rows, axis=0)[-1]
     return acc
-
-
-def _add_rows(acc: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """acc plus the rows of `rows`, added one row at a time in order (the
-    summation order every per-edge sum keeps); overwrites rows[0]."""
-    rows[0] += acc
-    return np.cumsum(rows, axis=0)[-1]
 
 
 def _incident_edges(inst: Instance) -> list[list[int]]:
@@ -182,12 +182,8 @@ def _kernel_means_mc(inst: Instance, samples: int, seed: int) -> np.ndarray:
             top[np.divmod(flat, max(len(ends), 1))] -= 1
             yield 1.0 / top
 
-    m = inst.num_edges
-    total = np.zeros(m, dtype=np.float64)
     # a kernel row's cost in draws, as measured for `sampling.SPLIT_MIN_WORK`
-    for rows in row_map(fill, samples, m, samples * m * 9):
-        total = _add_rows(total, rows)
-    return total / samples
+    return _row_sums(fill, samples, len(ends), samples * len(ends) * 9) / samples
 
 
 def _certificates(inst: Instance, edges: list[int], mode: str, scheme: str, bound: str,

@@ -30,7 +30,7 @@ import numpy as np
 
 from .matching import _subset_values, matching_values_over_subsets, value_solver
 from .model import Instance, fractional_value
-from .sampling import SampledGraph, sample_values, support_probabilities
+from .sampling import BLOCK_BYTES, SampledGraph, sample_values, support_probabilities
 from .schemes import DEFAULT_TRANSFER
 
 #: Floors certified by the three main bounds.  The advertised unweighted
@@ -54,8 +54,13 @@ class KernelConfig:
     grid_step: float = 1e-3
 
     def __post_init__(self):
-        if self.grid_step <= 0:
-            raise ValueError("kernel configuration values must be positive")
+        if not envelope_step_ok(self.grid_step):
+            raise ValueError(f"grid step must give 1 to {BLOCK_BYTES // 8} points in [0, 1]")
+
+
+def envelope_step_ok(grid_step: float) -> bool:
+    """Whether the envelope grid's ceil((1 + step / 2) / step) points are 1 to BLOCK_BYTES // 8."""
+    return grid_step > 0.0 and (1.0 + grid_step / 2) / grid_step <= BLOCK_BYTES // 8
 
 
 @dataclass

@@ -149,9 +149,9 @@ def _lockstep(row: np.ndarray, left: np.ndarray, right: np.ndarray, wt: np.ndarr
       the augmenting path flipped back to the root;
     - a row without one adjusts by delta = min(slack, floor), the least
       (y_u + y_v) - w over those arcs and the least tree-left potential,
-      and releases the lowest tree-left vertex at or below ``_TIGHT``
-      when floor <= slack: that vertex may stay exposed without violating
-      complementary slackness;
+      and releases the first tree-left vertex in vertex order at or
+      below ``_TIGHT`` when floor <= slack: that vertex may stay exposed
+      without violating complementary slackness;
     - a row whose phase ended takes its next roots in vertex order that
       are unmatched with potential above ``_TIGHT``: while a root's first
       tight arc reaches a right vertex that is free and no earlier root's
@@ -263,7 +263,7 @@ def _lockstep(row: np.ndarray, left: np.ndarray, right: np.ndarray, wt: np.ndarr
             yl[tu[i]] = y
             j = (at & entry[te]).nonzero()[0]
             yr[tv[j]] += delta[tk[j]]
-            # floor <= slack: the lowest vertex at or below _TIGHT is released
+            # floor <= slack: the first vertex at or below _TIGHT is released
             r = i[(y <= _TIGHT) & (floor <= slack)[ki]]
             r = r[_firsts(tk[r])]
             kr, ru = tk[r], tu[r]
@@ -392,7 +392,7 @@ def _cardinalities(ends: np.ndarray, nv: int, sid: np.ndarray, edge: np.ndarray,
     float64 array.
 
     The samples form one disjoint union, sample k's vertices offset by
-    k * nv, peeled in rounds by Karp and Sipser's degree-1 rule: every
+    k * nv, pruned in rounds by Karp and Sipser's degree-1 rule: every
     degree-1 vertex is matched to its neighbour, one leaf per neighbour
     (any one: a value is a count).  A round's pendant edges share no
     vertex, and each stays pendant while the others are matched, so the
@@ -490,11 +490,11 @@ def _peel_margin(inst: Instance) -> float:
     and W the largest weight.
 
     Why it suffices.  Let every realized weight, every kept leaf weight,
-    every best-leaf lead over its runner-up and every shifted weight
-    exceed the margin d as computed.  By induction over the reductions,
-    a matching either matches each centre as the peeler does or loses
-    that reduction's margin: matching the centre to a lighter leaf,
-    through an edge whose shifted weight is below 0, or not at all
+    every kept leaf's lead over its centre's others and every shifted
+    weight exceed the margin d as computed.  By induction over the
+    reductions, a matching either matches each centre as the peeler does
+    or loses that reduction's margin: matching the centre to a lighter
+    leaf, through an edge whose shifted weight is below 0, or not at all
     (which loses the kept leaf weight).  A computed shifted weight is off
     by e <= V^3 2^-54 W (at most V rounds, as each removes a leaf for
     good, of at most V^2 / 2 subtractions, each within 2^-53 W), so in
@@ -516,50 +516,47 @@ def _weighted_values(inst: Instance, margin: float, arcs, batches) -> Iterator[n
     count) of `sampling.sample_values` of the weighted bipartite `inst`,
     as one float64 array a batch, in order, bit for bit the primal-dual's.
 
-    Each batch is peeled (`_peel`); its undecided samples form a block,
-    pooled (`sampling.block_groups`) into lockstep runs on `arcs`
-    (`_arc_order`) of at least `sampling.batch_rows` rows.
+    Each batch goes through `_peel`; its undecided samples form a block,
+    carrying the batch's values and fallback mask, pooled
+    (`sampling.block_groups`) into lockstep runs on `arcs` (`_arc_order`)
+    of at least `sampling.batch_rows` rows, whose values fill the masks.
     """
     n, m = inst.n, max(inst.num_edges, 1)
-    peeled = []  # (values, undecided samples) of the batches in the open pool
 
     def undecided():
         for sid, edge, count in batches:
-            values, fallback = _peel(inst, margin, sid, edge, count)
-            ks = np.flatnonzero(fallback)
-            peeled.append((values, ks))
+            values, fell = _peel(inst, margin, sid, edge, count)
             # the undecided samples' edges, each sample renumbered by its rank
-            on = fallback[sid]
-            yield (np.cumsum(fallback) - 1)[sid[on]] * m + edge[on], len(ks)
+            on = fell[sid]
+            yield (np.cumsum(fell) - 1)[sid[on]] * m + edge[on], fell.sum(), values, fell
 
     for pool in block_groups(undecided(), batch_rows(inst)):
-        flat, rows = join_blocks(pool, m)
-        solved = _lockstep_values(arcs, n, flat, rows)[1] if rows else np.empty(0)
-        for values, ks in peeled:
-            values[ks], solved = solved[:len(ks)], solved[len(ks):]
+        solved = _lockstep_values(arcs, n, *join_blocks(pool, m))[1]
+        for _, rows, values, fell in pool:
+            values[fell], solved = solved[:rows], solved[rows:]
             yield values
-        peeled.clear()
 
 
 def _peel(inst: Instance, margin: float, sid: np.ndarray, edge: np.ndarray, count: int):
     """The values of a batch (`sid`, `edge`, `count`) of the weighted
     bipartite `inst` that weighted degree-1 peeling decides, as a float64
-    array, and the mask of the samples it leaves undecided (value 0.0).
+    array, and the mask of the samples it leaves undecided (any value).
 
     The samples form one disjoint union, sample k's vertices offset by
-    k * 2n, peeled in rounds of the weighted degree-1 rule: with leaf l on
+    k * 2n, pruned in rounds of the weighted degree-1 rule: with leaf l on
     centre c, nu(G) = w(l, c) + nu(G'), where G' drops c's leaves and
     lowers c's other edges by w(l, c), dropping those left <= 0.  A round
-    keeps each centre's heaviest leaf edge (the lowest position on a tie;
-    a lone edge's centre is its right end) and shifts the edges at a
+    keeps one heaviest leaf edge per centre, the one whose write stands
+    (a lone edge's centre is its right end), and shifts the edges at a
     centre by the left end's leaf, then the right end's.  Unwinding the
     rounds in reverse, a centre still free takes its leaf edge, and the
     matched weights are summed by `_left_sums`, as the primal-dual's are.
 
     A sample is left undecided when any edge survives the rounds (a
-    cycle, or peeling stopped below ``_PEEL_MIN_SHARE``), or when a
-    realized weight, a shifted weight or a best leaf's lead over the
-    runner-up is within `margin` (see `_peel_margin`) of 0: there the
+    cycle, or peeling stopped below ``_PEEL_MIN_SHARE``), when a realized
+    or shifted weight is within `margin` (see `_peel_margin`) of 0, or
+    when another leaf of a centre is within `margin` of its heaviest (a
+    tie always is, so which tied leaf is kept never matters): there the
     primal-dual may pick another matching of near-equal weight, or add
     the same one to other last bits.
     """
@@ -573,8 +570,7 @@ def _peel(inst: Instance, margin: float, sid: np.ndarray, edge: np.ndarray, coun
     u, v, wt, s = u[pos], v[pos], wt[pos], sid[pos]
     size = count * nv
     rounds = []  # per round: centres, their leaves, kept edges' positions in the batch
-    # per-vertex scratch, set at a round's centres and reset there after it
-    top, runner_up, lowest = np.zeros(size), np.zeros(size), np.full(size, len(edge))
+    top, owner = np.zeros(size), np.empty(size, np.int64)  # a centre's heaviest leaf, its edge
     while len(u):
         deg = np.bincount(np.concatenate((u, v)), minlength=size)
         leaf_u = deg[u] == 1
@@ -586,16 +582,16 @@ def _peel(inst: Instance, margin: float, sid: np.ndarray, edge: np.ndarray, coun
         # every weight left exceeds the margin, so 0.0 stands for "no leaf"
         np.maximum.at(top, centre, leaf_w)
         heaviest = leaf_w == top[centre]
-        np.minimum.at(lowest, centre[heaviest], pendant[heaviest])
-        kept = lowest[centre] == pendant
-        np.maximum.at(runner_up, centre[~kept], leaf_w[~kept])
+        # one heaviest leaf per centre, the one whose write stands (a tie falls back)
+        owner[centre[heaviest]] = pendant[heaviest]
+        kept = owner[centre] == pendant
+        fallback[s[pendant[~kept & (top[centre] - leaf_w <= margin)]]] = True
         best, centre = pendant[kept], centre[kept]
-        fallback[s[best][top[centre] - runner_up[centre] <= margin]] = True
         rounds.append((centre, u[best] + v[best] - centre, pos[best]))
         rest = np.ones(len(u), dtype=bool)
         rest[pendant] = False
         wt = wt - top[u] - top[v]
-        top[centre], runner_up[centre], lowest[centre] = 0.0, 0.0, len(edge)
+        top[centre] = 0.0
         fallback[s[rest & (np.abs(wt) <= margin)]] = True
         few = len(best) < _PEEL_MIN_SHARE * len(u)
         keep = np.flatnonzero(rest & (wt > 0.0) & ~fallback[s])
@@ -619,7 +615,7 @@ def value_solver(inst: Instance) -> Callable[[Iterable], Iterator[np.ndarray]]:
     """The solver `matching_value` applies to realizations of `inst`: it
     takes an iterable of batches (sid, edge, count) of
     `sampling.sample_values` and yields each batch's values as a float64
-    array, in order.  Bipartite batches are peeled together: unweighted
+    array, in order.  Bipartite batches peel together: unweighted
     ones by `_cardinalities`, weighted ones by `_weighted_values`, which
     pools the samples it cannot decide into lockstep runs.  General
     samples get exact search one at a time.  The solver reads the

@@ -196,7 +196,7 @@ def row_map(fill: Callable[[int, int], Iterator[np.ndarray]], count: int, width:
     and a caller folding the pieces in order gets the bytes of the serial
     map.  On one CPU, without ``os.fork`` or beside other threads (unsafe
     to fork) `fill` runs serially.  Either way a failure raises as in the
-    serial map: the lowest failing range's exception.
+    serial map: the first failing range's exception.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, count)
@@ -233,7 +233,7 @@ def _forked_rows(fill, width, cuts) -> Iterator[np.ndarray]:
         # higher with 512 KiB pieces (a piece and a fold's cumsum of it)
         rows = max(1, BLOCK_BYTES // 8 // max(8 * width, 1))
         for (_, fh, spool), first, stop in zip(workers, cuts, cuts[1:]):
-            data = fh.read()  # in range order: the lowest failing range raises
+            data = fh.read()  # in range order: the first failing range raises
             out = pickle.loads(data) if data else RuntimeError("a sample worker died")
             if out is not None:
                 raise out

@@ -7,9 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from matchgap import estimate
 from matchgap.cli import _derivative_trials, _worst_gain_trial, main, run_verify_suite
 from matchgap.gallery import gen_random_point
 from matchgap.kernels import check_phi_differential, local_derivative_sides
+from matchgap.model import validate_polytope
 from matchgap.rng import uniform_block
 from matchgap.sampling import sample
 
@@ -211,15 +213,19 @@ class TestArguments:
         ("--grid-step", "inf"), ("--envelope-step", "0"), ("--envelope-step", "nan"),
         ("--envelope-step", "inf"), ("--c", "nan"), ("--c", "inf"), ("--c", "-inf"),
         ("--envelope-step", "1.5"), ("--envelope-step", "5"), ("--envelope-step", "-0.5"),
+        ("--envelope-step", "1e-300"), ("--envelope-step", "1e-9"),
     ])
     def test_verify_steps_and_c_must_be_finite(self, capsys, option, value):
         # --grid-step 0 was a ZeroDivisionError traceback; -0.05, nan and the
         # envelope's nan and inf exited 1 naming no option; --c nan ran.
         # --envelope-step 5 passed the envelope from x = 0 alone, and 1.5
-        # also checked x = 1.5, outside [0, 1]
+        # also checked x = 1.5, outside [0, 1]; 1e-300 exited 1 with numpy's
+        # "Maximum allowed size exceeded", and 1e-9 asks for 10^9 grid points
         err = self.refused(capsys, "verify", "--m-max", "1", "--gain-trials", "0",
                            "--derivative-trials", "0", f"{option}={value}")
         what = {"--c": "finite", "--envelope-step": "in (0, 1]"}.get(option, "finite and positive")
+        if value in ("1e-300", "1e-9"):
+            what = "coarse enough for at most 65536 grid points"
         assert f"error: argument {option}: must be {what}, got {value}\n" in err
 
     @pytest.mark.parametrize("argv", [
@@ -366,6 +372,22 @@ class TestVerify:
         assert (code, err) == (0, "")
         floors = json.loads(out)["ratio_floors"]
         assert all(f["passed"] and f["worst_ratio"] is not None for f in floors.values())
+
+    def test_report_scores_only_general_points_inside_the_matching_polytope(self, capsys,
+                                                                           monkeypatch):
+        # at seed 1, 11 of the 44 general points scored failed an odd-set
+        # constraint (n <= 5) and set the worst ratio: 0.71448 against
+        # 0.74950 over the points inside
+        scored = []
+        real = estimate.exact_ratio
+        monkeypatch.setattr(estimate, "exact_ratio", lambda inst: scored.append(inst) or real(inst))
+        code, out, err = run(capsys, "report", "--seed", "1", "--karp-n", "4", "--samples", "10")
+        assert (code, err) == (0, "")
+        general = [inst for inst in scored if inst.kind == "general"]
+        assert len(general) == 33 and len(scored) > 100
+        assert all(validate_polytope(inst, check_odd_sets=True).ok for inst in general)
+        worst = json.loads(out)["ratio_floors"]["general_weighted"]["worst_ratio"]
+        assert worst == min(real(inst).value for inst in general) == 0.749495931284723
 
 
 def per_trial_worst(seed, trials, rows=None):

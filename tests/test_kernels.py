@@ -304,6 +304,28 @@ class TestEnvelope:
         assert not report.details["target_floor_met"]
         assert report.details["endpoint_value"] >= UNWEIGHTED_BIPARTITE_TARGET
 
+    @pytest.mark.parametrize("step", [0.0, -1e-3, math.nan, math.inf, 1e-300, 1e-9, 1.5e-5])
+    def test_config_refuses_a_step_without_a_bounded_grid(self, step):
+        # 1e-300 stopped on numpy's "Maximum allowed size exceeded", and a
+        # step of 1e-9 would allocate a grid of 10^9 points
+        with pytest.raises(ValueError, match=r"grid step must give 1 to 65536 points in \[0, 1\]"):
+            KernelConfig(grid_step=step)
+
+    def test_config_step_bound_is_the_grid_point_count(self):
+        # accepted exactly when check_unweighted_envelope's grid has at most
+        # sampling.BLOCK_BYTES // 8 points, on both sides of the finest step
+        finest = 1.0 / 65535.5
+        steps = [finest * (1.0 + k * 2.0 ** -50) for k in range(-8, 9)]
+        for step in steps + [2e-5, 1e-3, 0.3, 1.0, 5.0]:
+            points = len(np.arange(0.0, 1.0 + step / 2, step))
+            try:
+                KernelConfig(grid_step=step)
+            except ValueError:
+                assert points > 65536
+            else:
+                assert points <= 65536
+        assert {len(np.arange(0.0, 1.0 + s / 2, s)) for s in steps} == {65536, 65537}
+
     def test_ratio_consistent_with_envelope(self):
         for x in (0.1, 0.5, 0.9):
             envelope = x * poisson_truncated_series(x) - x ** 2 / 3.0

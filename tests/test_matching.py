@@ -494,6 +494,54 @@ class TestWeightedPeeler:
         assert got.tolist() == [primal_dual_value(inst, idx) for idx in lists]
         assert got[[0, 3, 8]].tolist() == [0.9 + 0.7, 0.9 + 0.7, 0.9 + 0.7 + 0.3]
 
+    def test_exact_ties_fall_back(self):
+        # two and three equal heaviest leaves at a left centre (u0, u1) and at
+        # a right centre (v6, v7): whichever is kept, the sample is undecided
+        edges = [(0, 0, 0.5), (0, 1, 0.5), (0, 2, 0.2),                   # two, and a lighter
+                 (1, 3, 0.7), (1, 4, 0.7), (1, 5, 0.7),                   # three
+                 (2, 6, 0.3), (3, 6, 0.3),                                # two at v6
+                 (4, 7, 0.9), (5, 7, 0.9), (6, 7, 0.9),                   # three at v7
+                 (7, 0, 0.4),                                             # a lone edge
+                 (8, 8, 0.9), (9, 8, 0.5), (9, 9, 0.7)]                   # a path
+        inst = Instance("bipartite", 10, tuple(PotentialEdge(u, v, 0.5, w) for u, v, w in edges))
+        lists = [[0, 1], [0, 1, 2], [3, 4, 5], [6, 7], [8, 9, 10], [12, 13, 14],
+                 [0, 1, 12, 13, 14], [11], [8, 9, 10, 11]]
+        lists = [np.array(idx, dtype=np.int64) for idx in lists]
+        _, fallback = matching._peel(inst, matching._peel_margin(inst), *batch_of(lists))
+        assert fallback.tolist() == [True] * 5 + [False, True, False, True]
+        self.check(inst, lists)
+
+    def test_leaf_just_inside_the_margin_falls_back(self):
+        # a second leaf d / 2 below the heaviest is undecided, one 2 d below
+        # is not (d = _peel_margin), at a left centre (u0) and a right one (v3)
+        d = matching._peel_margin(Instance("bipartite", 4, (PotentialEdge(0, 0, 0.5, 0.5),)))
+        inside, outside = 0.5 - d / 2, 0.5 - 2 * d
+        edges = [(0, 0, 0.5), (0, 1, inside), (0, 2, outside),
+                 (1, 3, 0.5), (2, 3, inside), (3, 3, outside)]
+        inst = Instance("bipartite", 4, tuple(PotentialEdge(u, v, 0.5, w) for u, v, w in edges))
+        margin = matching._peel_margin(inst)
+        assert margin == d and 0.5 - inside <= d < 0.5 - outside
+        lists = [[0, 1], [0, 2], [3, 4], [3, 5], [0, 1, 2], [0, 3, 5], [1, 3, 4], [2, 5]]
+        lists = [np.array(idx, dtype=np.int64) for idx in lists]
+        _, fallback = matching._peel(inst, margin, *batch_of(lists))
+        assert fallback.tolist() == [True, False, True, False, True, False, True, False]
+        self.check(inst, lists)
+
+    def test_batches_without_fallback_run_one_empty_lockstep(self, monkeypatch):
+        # no sample of any batch falls back: the one pool holds no row, and
+        # its lockstep run of 0 rows fills nothing
+        edges = [(0, 0, 0.9), (0, 1, 0.5), (1, 1, 0.7), (2, 2, 0.6), (3, 2, 0.2), (3, 3, 0.8)]
+        inst = Instance("bipartite", 4, tuple(PotentialEdge(u, v, 0.5, w) for u, v, w in edges))
+        lists = [np.array(idx, dtype=np.int64) for idx in
+                 ([0, 1, 2], [3, 4, 5], [0, 2, 3, 5], [], [1, 4], [0, 1, 2, 3, 4, 5], [2])]
+        runs = pooled_runs(monkeypatch)
+        got = solve_batches(inst, [batch_of(lists[:3]), batch_of(lists[3:4]), batch_of(lists[4:])])
+        assert [(len(flat), rows) for flat, rows in runs] == [(0, 0)]
+        monkeypatch.undo()
+        want = [primal_dual_value(inst, idx) for idx in lists]
+        assert bits(np.concatenate(got)) == bits(want)
+        assert np.concatenate(got).tolist() == [1.6, 1.4, 3.0, 0.0, 0.7, 3.0, 0.7]
+
     def test_few_samples_fall_back(self, monkeypatch):
         # the speed-up rests on peeling deciding most samples; 2.5% fell
         # back when this was written
