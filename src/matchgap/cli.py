@@ -153,6 +153,10 @@ def _cmd_phi(args, inst: Instance) -> int:
     return 0
 
 
+#: The x0 of the suite's equal-split sweeps, at m = 1 and 2.
+_EQUAL_SPLIT_X0S = [k / 10.0 for k in range(1, 11)]
+
+
 def run_verify_suite(cfg: KernelConfig = KernelConfig(), c: float = DEFAULT_TRANSFER,
                      bern_grid_step: float = 0.05, m_max: int = 4,
                      gain_trials: int = 2000, derivative_trials: int = 100,
@@ -174,8 +178,8 @@ def run_verify_suite(cfg: KernelConfig = KernelConfig(), c: float = DEFAULT_TRAN
     for m in range(2, min(m_max, 4) + 1):
         reports.append(kernels.verify_uniform_minimizer(m, bern_grid_step, tolerance))
 
-    for pair in zip(*(kernels.verify_equal_splits([k / 10.0 for k in range(1, 11)], m,
-                                                  bern_grid_step, c, tolerance) for m in (1, 2))):
+    for pair in zip(*(kernels.verify_equal_splits(_EQUAL_SPLIT_X0S, m, bern_grid_step, c,
+                                                  tolerance) for m in (1, 2))):
         reports += pair  # x0 by x0, m = 1 then 2
 
     reports += _worst_gain_trial(gain_trials, tolerance, seed)
@@ -279,6 +283,13 @@ def _cmd_verify(args) -> int:
             kernels.grid_units(args.grid_step)
         except ValueError as exc:
             args.refuse(f"argument --grid-step: {exc} when --m-max is at least 1")
+        if not kernels.minimizer_grid_ok(args.m_max, args.grid_step):
+            args.refuse(f"arguments --grid-step {args.grid_step} and --m-max {args.m_max}: "
+                        f"the minimizer sweeps pair at most {kernels.GRID_VECTOR_CUTOFF} "
+                        f"mean-1 vectors, of length below {kernels.GRID_VECTOR_CUTOFF}")
+    if not kernels.equal_split_grid_ok(2, args.grid_step, min(_EQUAL_SPLIT_X0S)):
+        args.refuse(f"argument --grid-step: {args.grid_step} is too fine: the equal-split "
+                    f"sweeps pair at most {kernels.GRID_VECTOR_CUTOFF} vectors")
     cfg = KernelConfig(grid_step=args.envelope_step)
     reports = run_verify_suite(cfg=cfg, c=args.c, bern_grid_step=args.grid_step,
                                m_max=args.m_max, gain_trials=args.gain_trials,

@@ -20,7 +20,7 @@ from . import kernels
 from .matching import cover_solver, matching_values_over_subsets, value_solver
 from .model import Instance, fractional_value
 from .sampling import (BLOCK_BYTES, block_degrees, block_groups, join_blocks, realization_blocks,
-                       row_map, sample_values, support_probabilities)
+                       row_map, sample_values, split_flat, support_probabilities)
 from .schemes import block_edge_masses, scheme_transfers
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -179,7 +179,7 @@ def _kernel_means_mc(inst: Instance, samples: int, seed: int) -> np.ndarray:
         for flat, rows in realization_blocks(inst, seed, first, stop - first):
             deg = block_degrees(inst, flat, rows)
             top = np.maximum(deg[:, ends[:, 0]], deg[:, ends[:, 1]]) + 1
-            top[np.divmod(flat, max(len(ends), 1))] -= 1
+            top[split_flat(flat, len(ends))] -= 1
             yield 1.0 / top
 
     # a kernel row's cost in draws, as measured for `sampling.SPLIT_MIN_WORK`

@@ -63,6 +63,51 @@ def envelope_step_ok(grid_step: float) -> bool:
     return grid_step > 0.0 and (1.0 + grid_step / 2) / grid_step <= BLOCK_BYTES // 8
 
 
+#: Most vectors a grid sweep pairs, and the longest vector of a minimizer
+#: sweep: its pair table and its (m + 1)^2 kernel then hold at most 2**22
+#: float64 entries, 32 MB each.  At m = 4, step 0.01 would pair 8,037
+#: mean-1 vectors in a 517 MB table.
+GRID_VECTOR_CUTOFF = 1 << 11
+
+
+def minimizer_grid_ok(m: int, grid_step: float) -> bool:
+    """Whether the minimizer sweeps of length-m vectors on `grid_step` (a
+    step that divides 1, see `grid_units`) stay within GRID_VECTOR_CUTOFF."""
+    return m < GRID_VECTOR_CUTOFF and _grid_vectors(m, grid_units(grid_step)) <= GRID_VECTOR_CUTOFF
+
+
+def equal_split_grid_ok(m: int, grid_step: float, x0: float) -> bool:
+    """Whether the equal-split sweep of length-m vectors on `grid_step` at
+    `x0` pairs at most GRID_VECTOR_CUTOFF vectors."""
+    top = int(math.floor((1.0 - x0) / grid_step + 1e-9))
+    return _grid_vectors(m, top, cumulative=True) <= GRID_VECTOR_CUTOFF
+
+
+def _grid_vectors(m: int, units: int, cumulative: bool = False) -> int:
+    """How many nonincreasing length-m vectors of nonnegative integers sum
+    to `units` (a minimizer sweep's), or with `cumulative` to 0..`units` (an
+    equal-split sweep's): exact up to GRID_VECTOR_CUTOFF, and some larger
+    count past it.  The vectors are the partitions into at most m parts,
+    counted as their conjugates, the partitions into parts of at most m, by
+    a DP that adds one part size at a time.  As the count only grows, the
+    DP stops once it passes the cutoff; it does not start when the least
+    count (each sum once; units // 2 + 1 splits in two parts) passes it."""
+    if m < 1:
+        return int(cumulative or units == 0)  # the empty vector, of sum 0
+    if m == 1 and not cumulative:
+        return 1
+    least = units + 1 if cumulative else units // 2 + 1
+    if least > GRID_VECTOR_CUTOFF:
+        return least
+    ways = [1] + [0] * units  # ways[s]: the sums s with the part sizes so far
+    for part in range(1, min(m, units) + 1):
+        for s in range(part, units + 1):
+            ways[s] += ways[s - part]
+        if (sum(ways) if cumulative else ways[-1]) > GRID_VECTOR_CUTOFF:
+            break
+    return sum(ways) if cumulative else ways[-1]
+
+
 @dataclass
 class CheckReport:
     """One certification result: what was checked, where the minimum sits."""
@@ -230,7 +275,12 @@ def grid_units(grid_step: float) -> int:
 
 
 def _mean1_grid(m: int, grid_step: float):
-    """Nonincreasing length-m vectors of grid units that sum to 1 (mean 1)."""
+    """Nonincreasing length-m vectors of grid units that sum to 1 (mean 1),
+    refusing a grid past `minimizer_grid_ok`."""
+    if not minimizer_grid_ok(m, grid_step):
+        raise ValueError(f"grid step {grid_step} at m = {m} is too fine: a minimizer sweep "
+                         f"pairs at most {GRID_VECTOR_CUTOFF} vectors of length below "
+                         f"{GRID_VECTOR_CUTOFF}")
     units = grid_units(grid_step)
     return _unit_partitions(units, m, units)
 
@@ -325,6 +375,9 @@ def verify_equal_splits(x0s: Sequence[float], m: int, grid_step: float = 0.05,
         raise ValueError("x0 must lie in (0, 1]")
     tops = [int(math.floor((1.0 - x0) / grid_step + 1e-9)) for x0 in x0s]
     sums = range(max(tops) + 1)  # an empty x0s has no largest sum: ValueError
+    if not equal_split_grid_ok(m, grid_step, min(x0s)):
+        raise ValueError(f"grid step {grid_step} at m = {m} is too fine: an equal-split "
+                         f"sweep pairs at most {GRID_VECTOR_CUTOFF} vectors")
     all_vecs, starts = [], []  # starts[s]: the first row of all_vecs summing to s units
     for s in sums:
         starts.append(len(all_vecs))

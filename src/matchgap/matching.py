@@ -31,7 +31,8 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .model import Instance
-from .sampling import SampledGraph, batch_rows, block_groups, check_support, join_blocks
+from .sampling import (SampledGraph, batch_rows, block_groups, check_support, join_blocks,
+                       split_flat)
 
 #: Exact general search accepts graphs within either cutoff.
 GENERAL_VERTEX_CUTOFF = 20
@@ -101,9 +102,9 @@ def _lockstep_block(arcs, n: int, flat: np.ndarray, rows: int):
     realized arc's row and position in `arcs`, in the lockstep's order."""
     _, rank, left, right, w = arcs
     m = max(len(rank), 1)
-    row, col = np.divmod(flat, m)
+    row, col = split_flat(flat, m)
     # the arcs in (row, left vertex, edge index) order
-    row, col = np.divmod(np.sort(row * m + rank[col]), m)
+    row, col = split_flat(np.sort(row * m + rank[col]), m)
     return (*_lockstep(row, left[col], right[col], w[col], rows, n), row, col)
 
 
@@ -120,10 +121,12 @@ def _lockstep_values(arcs, n: int, flat: np.ndarray, rows: int):
 
 def _left_sums(row, left, w, rows: int, n: int) -> np.ndarray:
     """Per row, the matched weights `w` laid out by left vertex and added to
-    0.0 in left-vertex order, which fixes every bipartite value's last bits."""
-    table = np.zeros((rows, n + 1))
-    table[row, left + 1] = w
-    return np.cumsum(table, axis=1)[:, -1]
+    0.0 in left-vertex order, which fixes every bipartite value's last bits.
+    A row's weights fill a column of the table, so the sequential sum runs
+    down axis 0, adding contiguous table rows, not along a short row each."""
+    table = np.zeros((n + 1, rows))
+    table.reshape(-1)[(left + 1) * rows + row] = w  # one flat index: half a 2-d scatter's time
+    return np.cumsum(table, axis=0)[-1]
 
 
 def _lockstep(row: np.ndarray, left: np.ndarray, right: np.ndarray, wt: np.ndarray,
@@ -561,41 +564,56 @@ def _peel(inst: Instance, margin: float, sid: np.ndarray, edge: np.ndarray, coun
     the same one to other last bits.
     """
     n, nv = inst.n, inst.total_vertices
-    left = inst.endpoints[edge, 0]
-    u, v = left + sid * nv, inst.endpoints[edge, 1] + sid * nv
+    first, second = inst.end_columns
+    left, base = first[edge], sid * nv
+    u, v = left + base, second[edge] + base
     wt = inst.w[edge]
     fallback = np.zeros(count, dtype=bool)
+    # a sample with a realized weight within the margin falls back, yet peels
+    # in round 1 beside the others, on vertices of its own, rather than cost
+    # a pass over every edge to drop it first: its value is overwritten, and
+    # its edges count in round 1's share for the ``_PEEL_MIN_SHARE`` stop
     fallback[sid[wt <= margin]] = True
-    pos = np.flatnonzero(~fallback[sid])  # each edge's sample id rides along as s
-    u, v, wt, s = u[pos], v[pos], wt[pos], sid[pos]
+    pos, s = np.arange(len(edge)), sid  # each edge's position and sample id ride along
     size = count * nv
     rounds = []  # per round: centres, their leaves, kept edges' positions in the batch
-    top, owner = np.zeros(size), np.empty(size, np.int64)  # a centre's heaviest leaf, its edge
+    top = np.zeros(size)  # a centre's heaviest leaf
+    # allocated once, as a fresh per-vertex array costs its pages' faults:
+    # the live vertices' degrees, counted from 0 each round, then each
+    # centre's kept edge
+    deg = np.zeros(size, np.int64)
     while len(u):
-        deg = np.bincount(np.concatenate((u, v)), minlength=size)
+        np.add.at(deg, u, 1)
+        np.add.at(deg, v, 1)
         leaf_u = deg[u] == 1
-        pendant = np.flatnonzero(leaf_u | (deg[v] == 1))
+        rest = ~(leaf_u | (deg[v] == 1))
+        pendant = np.flatnonzero(~rest)
         if not len(pendant):
             break
         centre = np.where(leaf_u[pendant], v[pendant], u[pendant])
         leaf_w = wt[pendant]
-        # every weight left exceeds the margin, so 0.0 stands for "no leaf"
+        # a weight within the margin only peels in a sample falling back, so
+        # 0.0 stands for "no leaf"
         np.maximum.at(top, centre, leaf_w)
-        heaviest = leaf_w == top[centre]
+        lead = top[centre]
+        heaviest = leaf_w == lead
         # one heaviest leaf per centre, the one whose write stands (a tie falls back)
-        owner[centre[heaviest]] = pendant[heaviest]
-        kept = owner[centre] == pendant
-        fallback[s[pendant[~kept & (top[centre] - leaf_w <= margin)]]] = True
+        deg[centre[heaviest]] = pendant[heaviest]
+        kept = deg[centre] == pendant
+        fallback[s[pendant[~kept & (lead - leaf_w <= margin)]]] = True
         best, centre = pendant[kept], centre[kept]
         rounds.append((centre, u[best] + v[best] - centre, pos[best]))
-        rest = np.ones(len(u), dtype=bool)
-        rest[pendant] = False
+        few = len(best) < _PEEL_MIN_SHARE * len(u)
+        # the edges that are not pendant take the shifts, and keep those left > 0
+        r = np.flatnonzero(rest)
+        u, v, wt, pos, s = u[r], v[r], wt[r], pos[r], s[r]
         wt = wt - top[u] - top[v]
         top[centre] = 0.0
-        fallback[s[rest & (np.abs(wt) <= margin)]] = True
-        few = len(best) < _PEEL_MIN_SHARE * len(u)
-        keep = np.flatnonzero(rest & (wt > 0.0) & ~fallback[s])
+        fallback[s[np.abs(wt) <= margin]] = True
+        keep = np.flatnonzero((wt > 0.0) & ~fallback[s])
         u, v, wt, pos, s = u[keep], v[keep], wt[keep], pos[keep], s[keep]
+        deg[u] = 0
+        deg[v] = 0
         if few:
             break
     fallback[s] = True

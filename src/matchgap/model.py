@@ -150,6 +150,15 @@ class Instance:
         return tuple(map(PotentialEdge, *self.columns()))
 
     @cached_property
+    def end_columns(self) -> np.ndarray:
+        """``endpoints`` as a read-only contiguous (2, m) array, built on
+        first read: a per-edge gather reads a row of it contiguously, where
+        it reads a column of ``endpoints`` with a stride."""
+        cols = np.ascontiguousarray(self.endpoints.T)
+        cols.flags.writeable = False
+        return cols
+
+    @cached_property
     def is_unweighted(self) -> bool:
         return bool(np.all(self.w == 1.0))
 

@@ -111,5 +111,7 @@ class BernoulliBlocks:
         cand = np.flatnonzero(np.less_equal(z, self._cuts, out=self._hit[:rows]))
         bits = z.reshape(-1)[cand]
         bits ^= bits >> np.uint64(31)
-        # take(mode="wrap") reads position k * len(x) + j's threshold at j
-        return cand[(bits >> np.uint64(11)) < self._thresholds.take(cand, mode="wrap")]
+        # position k * m + j's threshold is at j: a floor divide by the scalar
+        # m is cheap where a modulo (or take(mode="wrap")) is not
+        m = len(self._thresholds)
+        return cand[(bits >> np.uint64(11)) < self._thresholds[cand - cand // m * m]]

@@ -148,6 +148,15 @@ def join_blocks(group, m: int) -> tuple[np.ndarray, int]:
     return np.concatenate([np.empty(0, dtype=np.int64)] + flats), int(at[-1])
 
 
+def split_flat(flat: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows and edges of a block's flat positions ``row * m + edge``,
+    as ``np.divmod(flat, max(m, 1))`` gives them, from one floor divide:
+    numpy divides by a scalar cheaply but takes a remainder slowly."""
+    m = max(m, 1)
+    row = flat // m
+    return row, flat - row * m
+
+
 def sample_values(inst: Instance, solve: Callable[[Iterable], Iterator[np.ndarray]],
                   seed: int, start: int, count: int) -> np.ndarray:
     """float64 array of the values of samples start..start+count-1, in order.
@@ -179,7 +188,7 @@ def _solved(inst, solve, seed, start, first, stop) -> Iterator[np.ndarray]:
     groups = block_groups(realization_blocks(inst, seed, start + first, stop - first),
                           batch_rows(inst))
     blocks = (join_blocks(group, m) for group in groups)
-    for values in solve((*np.divmod(flat, m), rows) for flat, rows in blocks):
+    for values in solve((*split_flat(flat, m), rows) for flat, rows in blocks):
         yield np.asarray(values, dtype=np.float64)[:, None]
 
 
@@ -254,7 +263,7 @@ def _forked_rows(fill, width, cuts) -> Iterator[np.ndarray]:
 def block_degrees(inst: Instance, flat: np.ndarray, rows: int) -> np.ndarray:
     """(rows, total_vertices) realized degrees of the rows of a block given
     by its flat positions (see `realization_blocks`)."""
-    row, col = np.divmod(flat, max(inst.num_edges, 1))
+    row, col = split_flat(flat, inst.num_edges)
     nv = inst.total_vertices
     base = row * nv
     ends = inst.endpoints

@@ -18,7 +18,7 @@ import numpy as np
 
 from .matching import FractionalVertexCover
 from .model import Instance, _vertex_sums
-from .sampling import SampledGraph, block_degrees
+from .sampling import SampledGraph, block_degrees, split_flat
 
 #: The constant c of the quadratic edge-to-edge payments.
 DEFAULT_TRANSFER = 1.0 / 6.0
@@ -106,7 +106,7 @@ def _spread(inst, flat, y, deg):
     # y_u / deg_u + y_v / deg_v on realized edges (where both degrees are
     # at least 1), zero elsewhere
     m = inst.num_edges
-    row, col = np.divmod(flat, max(m, 1))
+    row, col = split_flat(flat, m)
     a, b = inst.endpoints[col, 0], inst.endpoints[col, 1]
     out = np.zeros(len(y) * m)
     out[flat] = y[row, a] / deg[row, a] + y[row, b] / deg[row, b]

@@ -257,6 +257,27 @@ class TestArguments:
                            "--derivative-trials", "0", "--grid-step", step)
         assert code == 0 and json.loads(out)["passed"] is True
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--grid-step", "0.01"],
+         "arguments --grid-step 0.01 and --m-max 4: the minimizer sweeps pair at most 2048 "
+         "mean-1 vectors, of length below 2048"),
+        (["--grid-step", "0.5", "--m-max", "2048"],
+         "arguments --grid-step 0.5 and --m-max 2048: the minimizer sweeps pair at most 2048 "
+         "mean-1 vectors, of length below 2048"),
+        (["--grid-step", "0.01", "--m-max", "2"],
+         "argument --grid-step: 0.01 is too fine: the equal-split sweeps pair at most 2048 "
+         "vectors"),
+        (["--grid-step", "1e-12", "--m-max", "0"],
+         "argument --grid-step: 1e-12 is too fine: the equal-split sweeps pair at most 2048 "
+         "vectors"),
+    ])
+    def test_grids_past_the_cutoff_refused(self, capsys, argv, message):
+        # step 0.01 at the default --m-max 4 would build a 517 MB table of
+        # 8,037^2 vector pairs; refused before any check runs
+        err = self.refused(capsys, "verify", *argv)
+        assert err.startswith("usage: matchgap verify ")
+        assert f"error: {message}\n" in err
+
     def test_zero_tolerance_gates_as_before(self, capsys):
         argv = ["mc", "--gen", "karp_sipser", "--kind", "bipartite", "--n", "10",
                 "--samples", "10", "--tolerance", "0"]

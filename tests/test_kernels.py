@@ -14,7 +14,7 @@ from matchgap import (GENERAL_GRAPH_FLOOR, KernelConfig, UNWEIGHTED_BIPARTITE_CE
                       poisson_binomial_pmfs, poisson_truncated_series, sample,
                       verify_equal_split, verify_kernel_minimizer,
                       verify_uniform_minimizer, weighted_kernel_constant)
-from matchgap import Instance, PotentialEdge, SampledGraph
+from matchgap import Instance, PotentialEdge, SampledGraph, kernels
 from matchgap.gallery import gen_random_point
 from matchgap.kernels import _gain_table, _mean1_grid, verify_equal_splits
 from matchgap.sampling import SUPPORT_CUTOFF, SupportTooLarge
@@ -234,6 +234,48 @@ class TestKernelMinimizer:
         assert report.passed
         assert report.argmin == (0.5, 0.5)
         assert report.min_value == pytest.approx(11 / 24, abs=1e-12)
+
+
+class TestGridBound:
+    """The grid sweeps refuse grids past GRID_VECTOR_CUTOFF vectors before
+    building any, counting them without enumerating."""
+
+    CUTOFF = kernels.GRID_VECTOR_CUTOFF
+
+    @pytest.mark.parametrize("m", range(8))
+    def test_counts_equal_the_enumeration(self, m):
+        for units in range(45):
+            sums = [len(kernels._unit_partitions(s, m, s)) for s in range(units + 1)]
+            for got, want in ((kernels._grid_vectors(m, units), sums[-1]),
+                              (kernels._grid_vectors(m, units, cumulative=True), sum(sums))):
+                assert got == want if want <= self.CUTOFF else got > self.CUTOFF
+
+    def test_counts_at_fine_grids_stay_cheap(self):
+        # 8,037 mean-1 vectors at m = 4, step 0.01; far finer grids are
+        # refused from a lower bound, without a table of their sums
+        assert kernels._grid_vectors(4, 100) == 8037
+        assert kernels._grid_vectors(2, 10 ** 12) > self.CUTOFF
+        assert kernels._grid_vectors(2, 10 ** 12, cumulative=True) > self.CUTOFF
+        assert kernels._grid_vectors(1, 10 ** 12) == 1
+
+    def test_defaults_and_tested_grids_pass(self):
+        for m, step in ((4, 0.05), (5, 0.05), (1200, 0.5), (6, 0.05), (3, 0.1)):
+            assert kernels.minimizer_grid_ok(m, step)
+        for m, step in ((2, 0.05), (2, 0.025), (3, 0.025), (3, 0.05)):
+            assert kernels.equal_split_grid_ok(m, step, 0.1)
+
+    @pytest.mark.parametrize("sweep", [verify_kernel_minimizer, verify_uniform_minimizer])
+    def test_fine_minimizer_grids_refused(self, sweep):
+        with pytest.raises(ValueError, match="too fine"):
+            sweep(4, 0.01)  # a 517 MB table
+        with pytest.raises(ValueError, match="too fine"):
+            sweep(self.CUTOFF, 0.5)  # a kernel of CUTOFF + 1 squared entries
+        assert sweep(4, 0.02).passed
+
+    def test_fine_equal_split_grids_refused(self):
+        with pytest.raises(ValueError, match="too fine"):
+            verify_equal_splits([0.5, 0.1], 2, 0.01)
+        assert len(verify_equal_splits([0.5, 0.2], 2, 0.01)) == 2
 
 
 class TestEqualSplit:

@@ -527,6 +527,29 @@ class TestWeightedPeeler:
         assert fallback.tolist() == [True, False, True, False, True, False, True, False]
         self.check(inst, lists)
 
+    def test_sample_within_the_margin_among_decided_ones(self):
+        # a sample with a weight-0 edge, within the margin, falls back though
+        # its other edges peel in round 1 beside the decided samples', and
+        # the others keep the mask and values they have alone
+        edges = [(0, 0, 0.9), (0, 1, 0.5), (1, 1, 0.7),                    # a path
+                 (2, 2, 0.6), (3, 2, 0.2), (3, 3, 0.8),                    # a shift
+                 (4, 4, 0.0), (5, 4, 0.3), (5, 5, 0.4), (6, 6, 0.5),       # weight 0
+                 (7, 7, 0.25)]                                             # a lone edge
+        inst = Instance("bipartite", 8, tuple(PotentialEdge(u, v, 0.5, w) for u, v, w in edges))
+        margin = matching._peel_margin(inst)
+        decided = [[0, 1, 2], [3, 4, 5], [0, 1, 2, 3, 4, 5, 10], [10], [1, 3, 5, 9]]
+        lists = [np.array(idx, dtype=np.int64) for idx in decided]
+        zero = np.array([6, 7, 8, 9, 10], dtype=np.int64)
+        alone, alone_fell = matching._peel(inst, margin, *batch_of(lists))
+        assert not alone_fell.any()
+        for at in (0, 2, 5):
+            mixed = lists[:at] + [zero] + lists[at:]
+            values, fell = matching._peel(inst, margin, *batch_of(mixed))
+            assert fell.tolist() == [k == at for k in range(len(mixed))]
+            assert bits(np.delete(values, at)) == bits(alone)
+            assert bits(alone) == bits([primal_dual_value(inst, idx) for idx in lists])
+        self.check(inst, lists[:2] + [zero] + lists[2:])
+
     def test_batches_without_fallback_run_one_empty_lockstep(self, monkeypatch):
         # no sample of any batch falls back: the one pool holds no row, and
         # its lockstep run of 0 rows fills nothing
@@ -610,6 +633,38 @@ class TestWeightedPeeler:
                 assert len(runs) == 1 and 0 < runs[0][1] < 6
         assert bits(sampling.sample_values(inst, solve, 11, 0, 72)) == bits(
             [primal_dual_value(inst, idx) for idx in sample_lists(inst, 11, 0, 72)])
+
+
+class TestLeftSums:
+    """`matching._left_sums` against 0.0 + w + ... added in Python in
+    left-vertex order, row by row."""
+
+    @pytest.mark.parametrize("rows, n", [(1, 1), (1, 9), (2, 5), (7, 3), (330, 100)])
+    def test_sequential_left_order(self, rows, n):
+        gen = np.random.default_rng(rows * 1000 + n)
+        row, left = [], []
+        for k in range(rows):
+            # row 0 matches every left vertex, row 1 none, the rest some
+            take = (np.arange(n) if k == 0 else np.empty(0, dtype=np.int64) if k == 1
+                    else np.flatnonzero(gen.random(n) < 0.6))
+            row += [k] * len(take)
+            left += gen.permutation(take).tolist()  # in no particular order
+        w = gen.random(len(row)) * 10.0 ** gen.integers(-20, 20, len(row))
+        w[gen.random(len(w)) < 0.2] = -0.0
+        by_row = [[] for _ in range(rows)]
+        for r, u, x in zip(row, left, w.tolist()):
+            by_row[r].append((u, x))
+        want = []
+        for pairs in by_row:
+            acc = 0.0
+            for _, x in sorted(pairs):
+                acc = acc + x
+            want.append(acc)
+        got = matching._left_sums(np.array(row, dtype=np.int64), np.array(left, dtype=np.int64),
+                                  w, rows, n)
+        assert got.shape == (rows,) and bits(got) == bits(want)
+        if rows > 1:
+            assert bits(got[1]) == bits(0.0)
 
 
 class TestCoverSolver:

@@ -60,6 +60,14 @@ class TestConstruction:
         assert inst.is_unweighted is expected  # the cached value, same type
         assert type(inst.is_unweighted) is bool
 
+    @pytest.mark.parametrize("edges", [(), ((1, 1, 0.5, 1.0), (0, 1, 0.5, 2.0), (1, 0, 0.5, 1.0))])
+    def test_end_columns_are_the_endpoints_by_column(self, edges):
+        inst = bip(2, *edges)
+        cols = inst.end_columns
+        assert cols.shape == (2, len(edges)) and cols.flags.c_contiguous
+        assert not cols.flags.writeable and cols.dtype == np.int64
+        assert np.array_equal(cols, inst.endpoints.T) and inst.end_columns is cols
+
 
 NAN, INF = math.nan, math.inf
 

@@ -100,6 +100,25 @@ def test_draw_at_the_cut_boundary():
     assert np.count_nonzero(crafted & (t > 0) & (z3 > cut31)) > 1000
 
 
+def test_draw_reads_each_rows_thresholds():
+    # a row k > 0 of a block reads edge j's threshold at flat position
+    # k * m + j; blocks of 16 rows, then a last block of 5 in the same
+    # scratch, against mix64 on every (row, edge), x = 0 and 1 included
+    x = np.concatenate([BOUNDARY_X, np.random.default_rng(4).random(28)])
+    m, rows = len(x), 16
+    draws = BernoulliBlocks(x, rows)
+    keys = stream_key(21, np.arange(3 * rows + 5, dtype=np.uint64))
+    with np.errstate(over="ignore"):
+        bits = mix64(keys[:, None] + np.arange(m, dtype=np.uint64) * rng._GAMMA)
+    want = (bits >> np.uint64(11)) < np.ceil(x * 2.0 ** 53).astype(np.uint64)
+    got = [dense_block(draws.draw(keys[k:k + rows]), len(keys[k:k + rows]), m)
+           for k in range(0, len(keys), rows)]
+    assert [len(block) for block in got] == [rows] * 3 + [5]
+    assert np.array_equal(np.concatenate(got), want)
+    assert not want[:, 0].any() and want[:, -29].all()  # x = 0 and x = 1
+    assert want[rows:].any(axis=0).sum() > m // 2
+
+
 def test_streams_and_seeds_differ():
     assert not np.array_equal(uniforms(1, 0, 64), uniforms(1, 1, 64))
     assert not np.array_equal(uniforms(1, 0, 64), uniforms(2, 0, 64))

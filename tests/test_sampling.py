@@ -180,6 +180,20 @@ class TestRealizationBlocks:
                 want[inst.endpoints[j]] += 1
             assert np.array_equal(deg[k], want)
 
+    @pytest.mark.parametrize("m", [0, 1, 7, 984, 40_000])
+    def test_split_flat_is_divmod(self, m):
+        # an empty block, single rows and many rows; m = 0 splits as m = 1
+        gen = np.random.default_rng(m)
+        for rows in (0, 1, 3, 300):
+            size = rows * max(m, 1)
+            flat = np.sort(gen.choice(size, min(size, 5_000), replace=False)).astype(np.int64)
+            if rows == 3:
+                flat = np.arange(size, dtype=np.int64)
+            row, col = sampling.split_flat(flat, m)
+            want_row, want_col = np.divmod(flat, max(m, 1))
+            assert row.dtype == col.dtype == np.int64
+            assert np.array_equal(row, want_row) and np.array_equal(col, want_col)
+
 
 class TestSampleValuesSplit:
     """`sampling.sample_values` splits a run by sample range over forked
