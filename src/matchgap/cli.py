@@ -440,7 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_report = command("report", _cmd_report, "combined verification report", rows=False,
                        instance_input=False)
     p_report.add_argument("--instances", type=count, default=50)
-    p_report.add_argument("--karp-n", type=int, default=60)
+    p_report.add_argument("--karp-n", type=_checked(int, lambda k: k >= 2, "at least 2"),
+                          default=60)
 
     return parser
 

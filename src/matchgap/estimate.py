@@ -173,17 +173,17 @@ def _kernel_means_mc(inst: Instance, samples: int, seed: int) -> np.ndarray:
     max(deg u, deg v) + 1, less 1 where e is realized.  Sums run sample by
     sample in index order.
     """
-    ends = inst.endpoints
+    u, v = inst.endpoints.T
 
     def fill(first, stop):
         for flat, rows in realization_blocks(inst, seed, first, stop - first):
             deg = block_degrees(inst, flat, rows)
-            top = np.maximum(deg[:, ends[:, 0]], deg[:, ends[:, 1]]) + 1
-            top[split_flat(flat, len(ends))] -= 1
+            top = np.maximum(deg[:, u], deg[:, v]) + 1
+            top[split_flat(flat, len(u))] -= 1
             yield 1.0 / top
 
     # a kernel row's cost in draws, as measured for `sampling.SPLIT_MIN_WORK`
-    return _row_sums(fill, samples, len(ends), samples * len(ends) * 9) / samples
+    return _row_sums(fill, samples, len(u), samples * len(u) * 9) / samples
 
 
 def _certificates(inst: Instance, edges: list[int], mode: str, scheme: str, bound: str,

@@ -26,17 +26,14 @@ _STREAM_WEIGHT = (1 << 62) + 2
 
 
 def _all_pairs(n: int, kind: str) -> np.ndarray:
-    """(m, 2) global ids of every potential edge: left-right pairs in
-    itertools.product order (bipartite) or unordered pairs in
-    itertools.combinations order (general); none for n <= 0."""
+    """(2, m) endpoint columns, global ids, of every potential edge:
+    left-right pairs in itertools.product order (bipartite) or unordered
+    pairs in itertools.combinations order (general); none for n <= 0."""
     n = max(n, 0)
     if kind == "bipartite":
-        ends = np.empty((n, n, 2), dtype=np.int64)
-        ends[:, :, 0] = np.arange(n)[:, None]
-        ends[:, :, 1] = np.arange(n, 2 * n)
-        return ends.reshape(-1, 2)
+        return np.stack([np.repeat(np.arange(n), n), np.tile(np.arange(n, 2 * n), n)])
     if kind == "general":
-        return np.stack(np.triu_indices(n, 1), axis=1)
+        return np.stack(np.triu_indices(n, 1))
     raise ValueError(f"unknown kind {kind!r}")
 
 
@@ -52,7 +49,7 @@ def gen_karp_sipser(n: int, c: float, kind: str = "general") -> Instance:
     x = c / (n - 1) if kind == "general" else c / n
     if x > 1.0:
         raise ValueError(f"c={c} makes probabilities exceed 1 at n={n}")
-    ends = _all_pairs(n, kind)
+    ends = _all_pairs(n, kind).T
     return Instance.from_arrays(kind, n, ends, np.full(len(ends), x), np.ones(len(ends)))
 
 
@@ -65,13 +62,13 @@ def gen_pendant_star(n: int, eps: float) -> Instance:
         raise ValueError("need n >= 2")
     if not (0.0 < eps <= 1.0):
         raise ValueError("eps must lie in (0, 1]")
-    ends = np.empty((n + 1, 2), dtype=np.int64)
-    ends[:2] = [[0, n], [0, n + 1]]
-    ends[2:, 0] = np.arange(1, n)
-    ends[2:, 1] = n
+    cols = np.empty((2, n + 1), dtype=np.int64)
+    cols[:, :2] = [[0, 0], [n, n + 1]]
+    cols[0, 2:] = np.arange(1, n)
+    cols[1, 2:] = n
     x = np.full(n + 1, (1.0 - eps) / (n - 1))
     x[:2] = [eps, 1.0 - eps]
-    return Instance.from_arrays("bipartite", n, ends, x, np.ones(n + 1))
+    return Instance.from_arrays("bipartite", n, cols.T, x, np.ones(n + 1))
 
 
 def gen_equal_split_star(n: int, eps: float) -> Instance:
@@ -82,15 +79,15 @@ def gen_equal_split_star(n: int, eps: float) -> Instance:
         raise ValueError("need n >= 2")
     if not (0.0 < eps <= 1.0):
         raise ValueError("eps must lie in (0, 1]")
-    ends = np.empty((2 * n - 1, 2), dtype=np.int64)
-    ends[0] = [0, n]
-    ends[1:n, 0] = 0
-    ends[1:n, 1] = np.arange(n + 1, 2 * n)
-    ends[n:, 0] = np.arange(1, n)
-    ends[n:, 1] = n
+    cols = np.empty((2, 2 * n - 1), dtype=np.int64)
+    cols[:, 0] = [0, n]
+    cols[0, 1:n] = 0
+    cols[1, 1:n] = np.arange(n + 1, 2 * n)
+    cols[0, n:] = np.arange(1, n)
+    cols[1, n:] = n
     x = np.full(2 * n - 1, (1.0 - eps) / (n - 1))
     x[0] = eps
-    return Instance.from_arrays("bipartite", n, ends, x, np.ones(2 * n - 1))
+    return Instance.from_arrays("bipartite", n, cols.T, x, np.ones(2 * n - 1))
 
 
 def gen_random_point(n: int, density: float, seed: int, kind: str = "bipartite",
@@ -116,24 +113,24 @@ def gen_random_points(n: int, density: float, seeds, kind: str = "bipartite",
     seeds = np.array(seeds, dtype=np.uint64)
     count = len(seeds)
     # row k, column s: position j of stream s under seeds[k]
-    u = uniform_block(seeds[:, None], [_STREAM_KEEP, _STREAM_PROB, _STREAM_WEIGHT], len(pairs))
+    u = uniform_block(seeds[:, None], [_STREAM_KEEP, _STREAM_PROB, _STREAM_WEIGHT], len(pairs[0]))
     keep = u[:, 0] < density
     trial, col = np.nonzero(keep)  # row-major: each instance's edges in pair order
     cuts = np.concatenate([[0], np.cumsum(np.count_nonzero(keep, axis=1))])
-    ends = pairs[col] + (trial * n)[:, None]
+    cols = pairs.take(col, axis=1) + trial * n  # C order, as pairs[:, col] is not
     if kind == "bipartite":
-        ends[:, 1] += (count - 1) * n  # right ids start after every left side
+        cols[1] += (count - 1) * n  # right ids start after every left side
     x = u[:, 1][keep]
     w = u[:, 2][keep] if weighted else np.ones(len(x))
     if len(x):
         # loads add each edge's x at u then at v, edge by edge (one add.at
         # over the interleaved ids keeps every vertex's summation order);
         # an instance whose loads are all at most 1 divides by exactly 1.0
-        ids = ends.ravel()
+        ids = cols.T.ravel()
         for _ in range(64):
             loads = np.zeros(2 * n * count if kind == "bipartite" else n * count)
             np.add.at(loads, ids, np.repeat(x, 2))
             if loads.max() <= 1.0:
                 break
-            x /= np.maximum(1.0, np.maximum(loads[ends[:, 0]], loads[ends[:, 1]]))
-    return Instance.from_arrays(kind, n * count, ends, x, w), cuts
+            x /= np.maximum(1.0, np.maximum(loads[cols[0]], loads[cols[1]]))
+    return Instance.from_arrays(kind, n * count, cols.T, x, w), cuts

@@ -540,7 +540,7 @@ def local_derivative_sides(inst: Instance, realized: np.ndarray,
     x, marks = inst.x.tolist(), realized.tolist()
     lhs, rhs = np.empty(len(cuts) - 1), np.empty(len(cuts) - 1)
     start = np.repeat(cuts[:-1], np.diff(cuts))  # each edge's graph's first edge
-    order = np.lexsort((-inst.endpoints.min(axis=1), start))
+    order = np.lexsort((-np.minimum(*inst.endpoints.T), start))
     bit = np.empty(len(order), dtype=np.int64)
     bit[order] = 1 << (np.arange(len(order)) - start)  # each edge's bit in its graph's sweep
     g = np.concatenate(([0], np.cumsum(bit * realized)))

@@ -91,9 +91,9 @@ def _arc_order(inst: Instance):
     """The bipartite `inst`'s edges in (left vertex, edge index) order, a
     lockstep row's: (order, rank, left, right, w), edge j at position
     rank[j], and per position its left, right vertex (0..n-1) and weight."""
-    order = np.argsort(inst.endpoints[:, 0], kind="stable")
-    ends = inst.endpoints[order]
-    return order, np.argsort(order), ends[:, 0], ends[:, 1] - inst.n, inst.w[order]
+    left, right = inst.endpoints.T
+    order = np.argsort(left, kind="stable")
+    return order, np.argsort(order), left[order], right[order] - inst.n, inst.w[order]
 
 
 def _lockstep_block(arcs, n: int, flat: np.ndarray, rows: int):
@@ -387,12 +387,12 @@ def _nu_edge_branch(edges):
 _PEEL_MIN_SHARE = 1.0 / 64.0
 
 
-def _cardinalities(ends: np.ndarray, nv: int, sid: np.ndarray, edge: np.ndarray,
+def _cardinalities(cols: np.ndarray, nv: int, sid: np.ndarray, edge: np.ndarray,
                    count: int) -> np.ndarray:
     """Maximum matching cardinality of each sample of a batch (`sid`,
-    `edge`, `count`, as `sampling.sample_values` gives it) of the (m, 2)
-    bipartite endpoints `ends`, whose graphs have `nv` vertices, as a
-    float64 array.
+    `edge`, `count`, as `sampling.sample_values` gives it) of the (2, m)
+    bipartite endpoint columns `cols`, whose graphs have `nv` vertices, as
+    a float64 array.
 
     The samples form one disjoint union, sample k's vertices offset by
     k * nv, pruned in rounds by Karp and Sipser's degree-1 rule: every
@@ -405,7 +405,7 @@ def _cardinalities(ends: np.ndarray, nv: int, sid: np.ndarray, edge: np.ndarray,
     """
     size = count * nv
     base = sid * nv
-    u, v = ends[edge, 0] + base, ends[edge, 1] + base
+    u, v = cols[0][edge] + base, cols[1][edge] + base
     values = np.zeros(count, dtype=np.int64)
     matched = np.zeros(size, dtype=bool)
     owner = np.empty(size, dtype=np.int64)
@@ -564,7 +564,7 @@ def _peel(inst: Instance, margin: float, sid: np.ndarray, edge: np.ndarray, coun
     the same one to other last bits.
     """
     n, nv = inst.n, inst.total_vertices
-    first, second = inst.end_columns
+    first, second = inst.endpoints.T
     left, base = first[edge], sid * nv
     u, v = left + base, second[edge] + base
     wt = inst.w[edge]
@@ -643,7 +643,7 @@ def value_solver(inst: Instance) -> Callable[[Iterable], Iterator[np.ndarray]]:
     # several times the instance's memory
     if inst.kind == "bipartite":
         if inst.is_unweighted:
-            return partial(starmap, partial(_cardinalities, inst.endpoints, inst.total_vertices))
+            return partial(starmap, partial(_cardinalities, inst.endpoints.T, inst.total_vertices))
         return partial(_weighted_values, inst, _peel_margin(inst), _arc_order(inst))
     solve = _general_solver(inst)
 

@@ -8,7 +8,10 @@ have ``n`` vertices with global ids ``0..n-1``.
 
 Instances are columnar: three read-only arrays, ``endpoints`` ((m, 2)
 global ids), ``x`` and ``w``, about 32 bytes per potential edge, checked
-once and vectorized by :meth:`Instance.from_arrays`.  Per-edge
+once and vectorized by :meth:`Instance.from_arrays`.  The endpoints are
+stored once, as a C-contiguous (2, m) array of which ``endpoints`` is the
+transposed view: ``u, v = inst.endpoints.T`` gives contiguous columns,
+whose per-edge gathers ``u[idx]`` read no stride.  Per-edge
 :class:`PotentialEdge` records are accepted by the constructor and offered
 as the derived view ``Instance.edges``, built only when read.
 
@@ -71,14 +74,17 @@ class Instance:
         except OverflowError:
             raise ValueError("edge endpoint outside the 64-bit integer range") from None
         right = cols["v"] + n if kind == "bipartite" else cols["v"]
-        self._set(kind, n, np.stack([cols["u"], right], axis=1), cols["x"], cols["w"])
+        self._set(kind, n, np.stack([cols["u"], right]).T, cols["x"], cols["w"])
 
     @classmethod
     def from_arrays(cls, kind: str, n: int, endpoints, x, w) -> "Instance":
         """The validating constructor: ``endpoints`` holds (m, 2) global
         vertex ids, ``x`` and ``w`` the m probabilities and weights.
-        Contiguous int64 / float64 arrays are adopted without a copy and
-        made read-only.
+        Contiguous int64 / float64 arrays ``x`` and ``w``, and endpoints
+        that are the transpose ``cols.T`` of a contiguous (2, m) int64
+        array, are adopted without a copy and made read-only; endpoints in
+        any other layout, a C-contiguous (m, 2) array among them, are
+        copied once into that store.
 
         Raises ValueError for the first invalid edge in edge order; each
         edge is checked for its probability, weight, endpoint range,
@@ -94,15 +100,16 @@ class Instance:
             raise ValueError(f"unknown instance kind {kind!r}")
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        ends = np.ascontiguousarray(endpoints, dtype=np.int64)
+        cols = np.ascontiguousarray(np.asarray(endpoints, np.int64).T)
         x = np.ascontiguousarray(x, dtype=np.float64)
         w = np.ascontiguousarray(w, dtype=np.float64)
-        if x.ndim != 1 or w.shape != x.shape or ends.shape != (len(x), 2):
+        if x.ndim != 1 or w.shape != x.shape or cols.shape != (2, len(x)):
             raise ValueError("need (m, 2) endpoints and m probabilities and weights")
-        error = _first_invalid_edge(kind, n, ends, x, w)
+        error = _first_invalid_edge(kind, n, cols, x, w)
         if error is not None:
             raise ValueError(error)
-        for name, value in (("kind", kind), ("n", n), ("endpoints", ends), ("x", x), ("w", w)):
+        cols.flags.writeable = False  # and so its transposed view
+        for name, value in (("kind", kind), ("n", n), ("endpoints", cols.T), ("x", x), ("w", w)):
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
             object.__setattr__(self, name, value)
@@ -139,7 +146,7 @@ class Instance:
     def columns(self) -> tuple[list, list, list, list]:
         """u, v, x and w as lists of Python scalars, with v indexing the
         right side of a bipartite instance."""
-        a, b = self.endpoints[:, 0], self.endpoints[:, 1]
+        a, b = self.endpoints.T
         if self.kind == "bipartite":
             b = b - self.n
         return a.tolist(), b.tolist(), self.x.tolist(), self.w.tolist()
@@ -148,15 +155,6 @@ class Instance:
     def edges(self) -> tuple[PotentialEdge, ...]:
         """The edges as records of Python scalars, built on first read."""
         return tuple(map(PotentialEdge, *self.columns()))
-
-    @cached_property
-    def end_columns(self) -> np.ndarray:
-        """``endpoints`` as a read-only contiguous (2, m) array, built on
-        first read: a per-edge gather reads a row of it contiguously, where
-        it reads a column of ``endpoints`` with a stride."""
-        cols = np.ascontiguousarray(self.endpoints.T)
-        cols.flags.writeable = False
-        return cols
 
     @cached_property
     def is_unweighted(self) -> bool:
@@ -174,12 +172,13 @@ class Instance:
         return Instance.from_arrays(self.kind, self.n, self.endpoints, t * self.x, self.w)
 
 
-def _first_invalid_edge(kind: str, n: int, ends: np.ndarray, x: np.ndarray,
+def _first_invalid_edge(kind: str, n: int, cols: np.ndarray, x: np.ndarray,
                         w: np.ndarray) -> Optional[str]:
-    """The error message for the first invalid edge, or None.  Duplicates
-    are found by one sort of a pair key: (u, v) for bipartite edges,
-    (min, max) for general ones; out-of-range edges get keys of their own."""
-    a, b = ends[:, 0], ends[:, 1]
+    """The error message for the first invalid edge of the (2, m) endpoint
+    columns `cols`, or None.  Duplicates are found by one sort of a pair
+    key: (u, v) for bipartite edges, (min, max) for general ones;
+    out-of-range edges get keys of their own."""
+    a, b = cols
     if kind == "bipartite":
         in_range = (0 <= a) & (a < n) & (n <= b) & (b < 2 * n)
         loop = np.zeros(len(x), dtype=bool)
@@ -246,8 +245,8 @@ def _vertex_sums(inst: Instance, values: np.ndarray) -> np.ndarray:
     """Per global vertex id, the sum of `values` (one per edge) over its
     incident edges, added at the first endpoints and then at the second."""
     sums = np.zeros(inst.total_vertices, dtype=np.float64)
-    np.add.at(sums, inst.endpoints[:, 0], values)
-    np.add.at(sums, inst.endpoints[:, 1], values)
+    for ends in inst.endpoints.T:
+        np.add.at(sums, ends, values)
     return sums
 
 

@@ -266,10 +266,10 @@ def block_degrees(inst: Instance, flat: np.ndarray, rows: int) -> np.ndarray:
     row, col = split_flat(flat, inst.num_edges)
     nv = inst.total_vertices
     base = row * nv
-    ends = inst.endpoints
+    first, second = inst.endpoints.T
     # one count over both ends: two (rows * nv) counts alive at once cost
     # 20 times as much on 2,114-row blocks of pendant_star n=30 (page faults)
-    deg = np.bincount(np.concatenate([base + ends[col, 0], base + ends[col, 1]]),
+    deg = np.bincount(np.concatenate([base + first[col], base + second[col]]),
                       minlength=rows * nv)
     return deg.reshape(rows, nv)
 

@@ -107,7 +107,7 @@ def _spread(inst, flat, y, deg):
     # at least 1), zero elsewhere
     m = inst.num_edges
     row, col = split_flat(flat, m)
-    a, b = inst.endpoints[col, 0], inst.endpoints[col, 1]
+    a, b = (ends[col] for ends in inst.endpoints.T)
     out = np.zeros(len(y) * m)
     out[flat] = y[row, a] / deg[row, a] + y[row, b] / deg[row, b]
     return out.reshape(len(y), m)
@@ -121,7 +121,7 @@ def _transfers(inst: Instance) -> np.ndarray:
     s1 = _vertex_sums(inst, x)
     s2 = _vertex_sums(inst, x ** 2)
     # income minus outgo against the neighborhood sums, both endpoints
-    a, b = inst.endpoints[:, 0], inst.endpoints[:, 1]
+    a, b = inst.endpoints.T
     return (x * (s2[a] - x ** 2) - x ** 2 * (s1[a] - x)
             + x * (s2[b] - x ** 2) - x ** 2 * (s1[b] - x))
 

@@ -134,7 +134,7 @@ def cycle_instance(k, x=1.0, w=1.0):
 def literal_random_point(n, density, seed, kind="bipartite", weighted=True):
     """gen_random_point one seed at a time: one stream draw per column,
     the per-vertex rescaling on the instance's own vertices."""
-    pairs = _all_pairs(n, kind)
+    pairs = _all_pairs(n, kind).T
     m = len(pairs)
     keep = uniforms(seed, _STREAM_KEEP, m) < density
     ends = pairs[keep]

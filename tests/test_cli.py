@@ -368,6 +368,14 @@ class TestVerify:
         err = refused(capsys, *argv, flag, value)
         assert f"error: argument {flag}: must be non-negative, got {value}\n" in err
 
+    @pytest.mark.parametrize("value", ["1", "0", "-2"])
+    def test_karp_n_below_two_refused(self, capsys, value):
+        # ran the whole verify suite and the floor draws, then exited 1 with
+        # gen_karp_sipser's 'need at least two vertices'
+        err = refused(capsys, "report", "--karp-n", value)
+        assert err.startswith("usage: matchgap report ")
+        assert f"error: argument --karp-n: must be at least 2, got {value}\n" in err
+
     def test_zero_counts_skip_their_checks(self, capsys):
         code, out, _ = run(capsys, "verify", *self.QUICK, "--m-max", "0",
                            "--gain-trials", "0", "--derivative-trials", "0")

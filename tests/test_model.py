@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import math
 import pickle
@@ -13,7 +14,8 @@ from matchgap import (Instance, OddSetCheckInfeasible, PotentialEdge, dump_insta
                       fractional_value, instance_from_dict, mc_ratio,
                       validate_polytope, vertex_loads)
 from matchgap.cli import main
-from matchgap.gallery import gen_karp_sipser, gen_pendant_star, gen_random_point
+from matchgap.gallery import (gen_equal_split_star, gen_karp_sipser, gen_pendant_star,
+                              gen_random_point, gen_random_points)
 from matchgap.model import InstanceFormatError
 
 
@@ -60,13 +62,71 @@ class TestConstruction:
         assert inst.is_unweighted is expected  # the cached value, same type
         assert type(inst.is_unweighted) is bool
 
+
+class TestEndpointLayout:
+    """One endpoint store per instance: a read-only, C-contiguous (2, m)
+    int64 array, of which ``endpoints`` is the (m, 2) transposed view."""
+
+    @staticmethod
+    def check(inst, ends):
+        cols = inst.endpoints.T
+        assert cols.flags.c_contiguous and cols.dtype == np.int64
+        assert inst.endpoints.shape == (inst.num_edges, 2)
+        assert inst.endpoints.tolist() == np.asarray(ends).reshape(-1, 2).tolist()
+        for arr in (cols, inst.endpoints):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+
     @pytest.mark.parametrize("edges", [(), ((1, 1, 0.5, 1.0), (0, 1, 0.5, 2.0), (1, 0, 0.5, 1.0))])
-    def test_end_columns_are_the_endpoints_by_column(self, edges):
-        inst = bip(2, *edges)
-        cols = inst.end_columns
-        assert cols.shape == (2, len(edges)) and cols.flags.c_contiguous
-        assert not cols.flags.writeable and cols.dtype == np.int64
-        assert np.array_equal(cols, inst.endpoints.T) and inst.end_columns is cols
+    def test_from_records(self, edges):
+        ends = [(u, v + 2) for u, v, _, _ in edges]
+        self.check(bip(2, *edges), ends)
+        self.check(gen(4, *((u, v + 2, x, w) for u, v, x, w in edges)), ends)
+
+    @pytest.mark.parametrize("m", [0, 2, 3])  # one row is also a column: adopted
+    def test_from_arrays_copies_rows_once_and_adopts_columns(self, m):
+        cols = np.array([[0, 1, 2], [3, 5, 4]], dtype=np.int64)[:, :m].copy()
+        rows = np.ascontiguousarray(cols.T)
+        x, w = np.full(m, 0.5), np.ones(m)
+        inst = Instance.from_arrays("bipartite", 3, rows, x, w)
+        self.check(inst, rows)
+        assert rows.flags.writeable and not np.shares_memory(inst.endpoints, rows)
+        inst = Instance.from_arrays("bipartite", 3, cols.T, x, w)
+        self.check(inst, rows)
+        assert m == 0 or np.shares_memory(inst.endpoints, cols)
+        if m:  # a list of pairs too; an empty list has no second axis
+            self.check(Instance.from_arrays("bipartite", 3, rows.tolist(), x, w), rows)
+
+    def test_pickle_and_scaling_keep_the_layout(self):
+        inst = bip(3, (0, 1, 0.25, 2.0), (1, 0, 0.5, 1.0), (2, 2, 0.125, 0.5))
+        for again in (pickle.loads(pickle.dumps(inst)), copy.deepcopy(inst)):
+            self.check(again, inst.endpoints)
+        scaled = inst.scale_probabilities(0.5)
+        self.check(scaled, inst.endpoints)
+        assert np.shares_memory(scaled.endpoints, inst.endpoints)
+
+    @pytest.mark.parametrize("make, ends", [
+        (lambda: gen_karp_sipser(3, 1.0, "bipartite"),
+         [(u, 3 + v) for u, v in itertools.product(range(3), repeat=2)]),
+        (lambda: gen_karp_sipser(4, 1.0, "general"), list(itertools.combinations(range(4), 2))),
+        (lambda: gen_pendant_star(4, 0.25), [(0, 4), (0, 5), (1, 4), (2, 4), (3, 4)]),
+        (lambda: gen_equal_split_star(3, 0.25), [(0, 3), (0, 4), (0, 5), (1, 3), (2, 3)]),
+        (lambda: gen_random_points(3, 1.0, [1, 2], "bipartite")[0],
+         [(u + 3 * k, 6 + v + 3 * k) for k in range(2)
+          for u, v in itertools.product(range(3), repeat=2)]),
+        (lambda: gen_random_point(4, 1.0, 5, "general"), list(itertools.combinations(range(4), 2))),
+    ])
+    def test_generators_pass_their_columns_uncopied(self, monkeypatch, make, ends):
+        passed = []
+        build = Instance.from_arrays
+
+        def spy(kind, n, endpoints, x, w):
+            passed.append(endpoints)
+            return build(kind, n, endpoints, x, w)
+        monkeypatch.setattr(Instance, "from_arrays", spy)
+        inst = make()
+        self.check(inst, ends)
+        assert np.shares_memory(inst.endpoints, passed[-1])
 
 
 NAN, INF = math.nan, math.inf
