@@ -11,7 +11,10 @@ end-to-end metrics are read from the JSON line ``bench/run.py`` prints
 last.  The output file holds, per workload and metric, both sides' runs,
 their medians and quartiles (linear interpolation, as numpy's default
 percentile) and the number of pairs in which the change was better, in
-the direction that the change checkout's ``BENCHMARK.json`` gives.
+the direction that the change checkout's ``BENCHMARK.json`` gives.  Per
+workload it also records each command's raw seconds (``command_raw_s``:
+a run's median over its worker runs, unscaled by the calibration loop),
+to show which command a change to ``wall_s`` sits in.
 Under ``machine`` it records the effective parallelism: the wall time of
 one fixed pure-Python loop in a fresh interpreter, times two, over the
 wall time of two concurrent copies (median of three tries).  It reads
@@ -62,7 +65,9 @@ def quartiles(vals: list[float]) -> dict:
 
 
 def run_bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The final JSON line of one end-to-end benchmark run in `root`."""
+    """The final JSON line of one end-to-end benchmark run in `root`, with
+    ``command_raw_s``: per command, the median over the run's worker runs
+    of its plain seconds, read from the record the run writes."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
@@ -70,7 +75,14 @@ def run_bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{' '.join(cmd)} in {root} exited {proc.returncode}:\n"
                            f"{proc.stderr[-2000:]}")
-    return json.loads(lines[-1])
+    record = json.loads((root / ".bench_results" / f"{workload}-seed{seed}-trace0.json")
+                        .read_text())
+    seconds_by_command: dict[str, list[float]] = {}
+    for run in record["runs"]:
+        for command in run["commands"]:
+            seconds_by_command.setdefault(command["name"], []).append(command["seconds"])
+    return json.loads(lines[-1]) | {
+        "command_raw_s": {name: statistics.median(v) for name, v in seconds_by_command.items()}}
 
 
 def src_lines(root: Path) -> int:
@@ -100,9 +112,14 @@ def compare(workload: str, roots: dict, directions: dict, seed: int, seconds: fl
         wins = sum((c < p) if better == "lower" else (c > p) for p, c in zip(par, chg))
         metrics[name] = {"parent": quartiles(par), "change": quartiles(chg),
                          "change_better_pairs": wins, "runs_parent": par, "runs_change": chg}
+    commands = {name: {side: [r["command_raw_s"][name] for r in runs[side]] for side in runs}
+                for name in runs["parent"][0]["command_raw_s"]}
     return {"pairs": PAIRS,
             "correct_all_runs": all(r["correct"] for side in runs.values() for r in side),
-            "metrics": metrics}
+            "metrics": metrics,
+            "command_raw_s": {name: {side: {"median": statistics.median(v), "runs": v}
+                                     for side, v in by_side.items()}
+                              for name, by_side in commands.items()}}
 
 
 def main() -> int:

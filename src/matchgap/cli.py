@@ -25,7 +25,7 @@ from .matching import MatchingCutoffExceeded
 from .model import (Instance, InstanceFormatError, dump_instance, fractional_value,
                     instance_from_dict, validate_polytope)
 from .rng import uniform_block
-from .sampling import BLOCK_BYTES, SampledGraph, SupportTooLarge
+from .sampling import BLOCK_BYTES, SupportTooLarge
 from .schemes import DEFAULT_TRANSFER
 
 
@@ -241,21 +241,23 @@ def _worst_gain_trial(trials: int, tolerance: float, seed: int) -> list[CheckRep
 
 
 def _worst_derivative_trial(trials: int, tolerance: float, seed: int) -> list[CheckReport]:
-    """check_local_derivative_bound on the first of `trials` random
+    """The local derivative check's report on the first of `trials` random
     realized graphs with the least margin, tagged with the trial count and
     seed; none for no trials.  The trials of each vertex count are solved
-    as one disjoint union by kernels.local_derivative_sides."""
+    as one disjoint union by kernels.local_derivative_sides, and the report
+    is made from the worst trial's sides, edge count and realized count,
+    as check_local_derivative_bound makes it."""
     if not trials:
         return []
-    margins = np.empty(trials)
+    lhs, rhs, counts = np.empty(trials), np.empty(trials), np.empty((trials, 2), dtype=np.int64)
     for n in range(2, 2 + min(trials, 5)):
         ks = np.arange(n - 2, trials, 5)
         union, cuts, realized = _derivative_trials(n, ks, seed)
-        lhs, rhs = kernels.local_derivative_sides(union, realized, cuts)
-        margins[ks] = lhs - rhs
-    k = int(np.argmin(margins))  # the first least, in trial order
-    union, _, realized = _derivative_trials(2 + k % 5, [k], seed)
-    worst = kernels.check_local_derivative_bound(SampledGraph(union, realized), tolerance)
+        lhs[ks], rhs[ks] = kernels.local_derivative_sides(union, realized, cuts)
+        hits = np.concatenate(([0], np.cumsum(realized)))
+        counts[ks] = np.column_stack((np.diff(cuts), np.diff(hits[cuts])))
+    k = int(np.argmin(lhs - rhs))  # the first least, in trial order
+    worst = kernels.derivative_report(lhs[k], rhs[k], *counts[k].tolist(), tolerance)
     worst.parameters.update(trials=trials, seed=seed)
     return [worst]
 

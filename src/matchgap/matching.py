@@ -677,27 +677,32 @@ def matching_value(g: SampledGraph) -> float:
 def matching_values_over_subsets(inst: Instance) -> np.ndarray:
     """Maximum matching weight of every potential-edge subset: entry
     ``mask`` is the matching weight of the graph whose realized edges are
-    the set bits of ``mask``, as `_subset_values` of the instance's edges."""
-    return _subset_values(inst.endpoints, inst.w)
+    the set bits of ``mask``, as `_subset_values` of the instance's edges,
+    a batch of one."""
+    return _subset_values(inst.endpoints[None], inst.w[None])[0]
 
 
 def _subset_values(ends: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Maximum matching weight of every subset of the (m, 2) edges `ends`
-    with weights `w`, indexed by bitmask (bit j = edge j), by the
-    recurrence on the highest edge (drop it, or take it and restrict to the
-    lower edges disjoint from it) vectorized over all lower masks.  Rounding
-    is monotone, so entry ``mask`` is the maximum over its matchings of
-    their weights summed highest edge outermost, w_top + (... + (w_1 + 0.0)).
+    """Maximum matching weight of every subset of the edges of each graph
+    of a batch: row k of the result is graph k's, with edges ends[k]
+    ((m, 2) endpoints) and weights w[k], indexed by bitmask (bit j = edge
+    j), by the recurrence on the highest edge (drop it, or take it and
+    restrict to the lower edges disjoint from it) vectorized over all
+    lower masks and graphs.  Rounding is monotone, so entry ``mask`` is the
+    maximum over its matchings of their weights summed highest edge
+    outermost, w_top + (... + (w_1 + 0.0)), whatever the batch.
     """
-    m = len(ends)
+    rows, m = w.shape
     check_support(m)
     bit = 1 << np.arange(m)
-    a, b = ends[:, :1], ends[:, 1:]
-    apart = (a != a.T) & (a != b.T) & (b != a.T) & (b != b.T)
-    compat = (apart @ bit & bit - 1).tolist()  # bit i: edge i < j disjoint from j
-    nu = np.zeros(1 << m)
-    lower = np.arange(1 << m)
-    for j, wj in enumerate(w.tolist()):
+    a, b = ends[..., :1], ends[..., 1:]
+    at, bt = np.swapaxes(a, 1, 2), np.swapaxes(b, 1, 2)
+    apart = (a != at) & (a != bt) & (b != at) & (b != bt)
+    compat = apart @ bit & bit - 1  # bit i of [k, j]: edge i < j of graph k disjoint from j
+    nu = np.zeros((rows, 1 << m))
+    lower, first = np.arange(1 << m), (np.arange(rows) << m)[:, None]  # nu.ravel()[first + mask]
+    for j in range(m):
         h = 1 << j
-        np.maximum(nu[:h], wj + nu[lower[:h] & compat[j]], out=nu[h:2 * h])
+        np.maximum(nu[:, :h], w[:, j:j + 1] + nu.ravel()[first + (lower[:h] & compat[:, j:j + 1])],
+                   out=nu[:, h:2 * h])
     return nu

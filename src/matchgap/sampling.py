@@ -299,8 +299,14 @@ def dense_block(flat: np.ndarray, rows: int, m: int) -> np.ndarray:
 def support_probabilities(inst: Instance) -> np.ndarray:
     """Probability of every edge subset, indexed by bitmask (bit j = edge j)."""
     check_support(inst.num_edges)
+    return _subset_probabilities(inst.x)
+
+
+def _subset_probabilities(x: np.ndarray) -> np.ndarray:
+    """Probability of every subset of independent edges of probabilities
+    `x`, indexed by bitmask, from one product per edge; unchecked."""
     probs = np.ones(1, dtype=np.float64)
-    for xj in inst.x:
+    for xj in x:
         probs = np.concatenate([(1.0 - xj) * probs, xj * probs])
     return probs
 

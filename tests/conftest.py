@@ -5,10 +5,12 @@ matchings are enumerated subset by subset and expectations are summed
 outcome by outcome, so agreement is meaningful evidence.  The `literal_*`
 references are the one-at-a-time loops that batched library paths
 replaced, with the same arithmetic, so the batched results must equal
-them bit for bit.  `reference_primal_dual` is Kuhn's primal-dual method
-on one realized bipartite graph at a time, the decisions and floating
-operations the library's lockstep takes for many rows at once, so every
-bipartite value, matching and cover must equal its bits.
+them bit for bit; `reference_derivative_sides` is such a loop, one graph
+at a time, for the local derivative sides.  `reference_primal_dual` is
+Kuhn's primal-dual method on one realized bipartite graph at a time, the
+decisions and floating operations the library's lockstep takes for many
+rows at once, so every bipartite value, matching and cover must equal its
+bits.
 """
 
 import itertools
@@ -21,8 +23,8 @@ from matchgap import Instance, PotentialEdge, SampledGraph, fractional_value
 from matchgap.gallery import _STREAM_KEEP, _STREAM_PROB, _STREAM_WEIGHT, _all_pairs
 from matchgap.kernels import (_inv_max_kernel, _unit_partitions, poisson_binomial_pmf,
                               poisson_binomial_pmfs)
-from matchgap.matching import (_TIGHT, FractionalVertexCover, max_weight_matching_general,
-                               value_solver)
+from matchgap.matching import (_TIGHT, FractionalVertexCover, _subset_values,
+                               max_weight_matching_general, value_solver)
 from matchgap.rng import uniforms
 
 
@@ -168,6 +170,31 @@ def literal_derivative_sides(g):
                 - max_weight_matching_general(SampledGraph(inst, without_e)))
         lhs += xj * gain
     return lhs, fractional_value(inst)
+
+
+def reference_derivative_sides(inst, realized, cuts):
+    """`kernels.local_derivative_sides` one graph at a time: each graph's
+    own subset sweep of its edges by descending lower endpoint (a batch of
+    one), and lhs summed edge by edge in Python floats, skipping edges of
+    zero x; the per-graph loop the batched sweep replaced."""
+    x, marks = inst.x.tolist(), realized.tolist()
+    lhs, rhs = np.empty(len(cuts) - 1), np.empty(len(cuts) - 1)
+    start = np.repeat(cuts[:-1], np.diff(cuts))
+    order = np.lexsort((-np.minimum(*inst.endpoints.T), start))
+    bit = np.empty(len(order), dtype=np.int64)
+    bit[order] = 1 << (np.arange(len(order)) - start)
+    g = np.concatenate(([0], np.cumsum(bit * realized)))
+    for k, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
+        nus = _subset_values(inst.endpoints[order[a:b]][None], inst.w[order[a:b]][None])[0]
+        base = float(nus[g[b] - g[a]])
+        total = 2.0 * base
+        for j, toggled in enumerate(((g[b] - g[a]) ^ bit[a:b]).tolist(), a):
+            if x[j]:
+                other = float(nus[toggled])
+                total += x[j] * (base - other if marks[j] else other - base)
+        lhs[k] = total
+        rhs[k] = np.dot(inst.w[a:b], inst.x[a:b])
+    return lhs, rhs
 
 
 def literal_equal_split(x0, m, grid_step, c):

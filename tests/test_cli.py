@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from matchgap import estimate
-from matchgap.cli import _derivative_trials, _worst_gain_trial, main, run_verify_suite
+from matchgap.cli import (_derivative_trials, _worst_derivative_trial, _worst_gain_trial, main,
+                          run_verify_suite)
 from matchgap.gallery import gen_random_point
-from matchgap.kernels import check_phi_differential, local_derivative_sides
+from matchgap.kernels import (check_local_derivative_bound, check_phi_differential,
+                              local_derivative_sides)
 from matchgap.model import validate_polytope
 from matchgap.rng import uniform_block
-from matchgap.sampling import sample
+from matchgap.sampling import SampledGraph, sample
 
 from conftest import bits, literal_derivative_sides, literal_random_point, loop_gain_margins
 
@@ -519,6 +521,26 @@ class TestDerivativeTrials:
         assert bits([report.details["lhs"], report.details["rhs"]]) == bits([lhs, rhs])
         assert report.parameters == {"edges": edges, "realized": count, "tolerance": 1e-9,
                                      "trials": trials, "seed": seed}
+
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 64 - 1])
+    @pytest.mark.parametrize("trials", [1, 2, 5, 7, 100])
+    def test_worst_report_equals_the_rebuilt_check(self, seed, trials):
+        # the report read from the batch is the one check_local_derivative_bound
+        # makes on the worst trial regenerated, drawn and swept on its own
+        margins = [lhs - rhs for lhs, rhs, _, _ in
+                   (per_graph_trial(seed, k) for k in range(trials))]
+        k = int(np.argmin(margins))
+        union, _, realized = _derivative_trials(2 + k % 5, [k], seed)
+        want = check_local_derivative_bound(SampledGraph(union, realized), 1e-9)
+        want.parameters.update(trials=trials, seed=seed)
+        got, = _worst_derivative_trial(trials, 1e-9, seed)
+        for name in ("check", "parameters", "argmin", "passed"):
+            assert getattr(got, name) == getattr(want, name)
+        assert bits(got.min_value) == bits(want.min_value)
+        assert got.details.keys() == want.details.keys()
+        assert bits(list(got.details.values())) == bits(list(want.details.values()))
+        assert got.to_dict() == want.to_dict()
 
 
 class TestPhi:

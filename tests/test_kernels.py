@@ -16,11 +16,15 @@ from matchgap import (GENERAL_GRAPH_FLOOR, KernelConfig, UNWEIGHTED_BIPARTITE_CE
                       verify_uniform_minimizer, weighted_kernel_constant)
 from matchgap import Instance, PotentialEdge, SampledGraph, kernels
 from matchgap.gallery import gen_random_point
-from matchgap.kernels import _gain_table, _mean1_grid, verify_equal_splits
-from matchgap.sampling import SUPPORT_CUTOFF, SupportTooLarge
+from matchgap.cli import _derivative_trials
+from matchgap.kernels import (_gain_table, _mean1_grid, local_derivative_sides,
+                              verify_equal_splits)
+from matchgap.matching import matching_values_over_subsets
+from matchgap.sampling import SUPPORT_CUTOFF, SupportTooLarge, support_probabilities
 
 from conftest import (bits, brute_inv_max_expectation, convolve_pmf, literal_derivative_sides,
-                      literal_equal_split, loop_gain_margins, poisson_pair_expectation)
+                      literal_equal_split, loop_gain_margins, poisson_pair_expectation,
+                      reference_derivative_sides)
 
 
 def gain_coefficients(probs, j_max):
@@ -451,7 +455,98 @@ class TestDerivativeBound:
         assert bits(report.min_value) == bits(lhs - rhs)
 
 
+def derivative_union(sizes, seed):
+    """A disjoint union of general graphs with `sizes` edges: graph k is the
+    first sizes[k] pairs of a complete graph on its own vertices (twenty
+    disjoint pairs for 20 or more edges), shuffled and each pair in random
+    order, weights from a palette with 0.0, -0.0 and ties, every third x
+    zero, about 60% realized.  Returns the union, its cuts and the mask."""
+    rng = np.random.default_rng(seed)
+    ends, nv = [], 0
+    for m in sizes:
+        k = next(k for k in range(2, 8) if k * (k - 1) // 2 >= m) if m < 20 else 2 * m
+        pairs = (list(itertools.combinations(range(k), 2))[:m] if m < 20
+                 else [(2 * i, 2 * i + 1) for i in range(m)])
+        own = rng.permuted(np.array(pairs, dtype=np.int64).reshape(-1, 2), axis=1)
+        ends.append(own[rng.permutation(m)] + nv)
+        nv += k
+    ends = np.concatenate([np.empty((0, 2), dtype=np.int64)] + ends)
+    m = len(ends)
+    w = rng.choice([0.0, -0.0, 0.25, 0.5, 1.0 / 3.0, float(rng.random())], m)
+    x = np.where(np.arange(m) % 3 == 2, 0.0, rng.uniform(0.05, 0.3, m))
+    union = Instance.from_arrays("general", nv, ends, x, w)
+    return union, np.concatenate(([0], np.cumsum(sizes))), rng.random(m) < 0.6
+
+
+class TestDerivativeSides:
+    """The batched sweep against the per-graph loop, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 64 - 1])
+    @pytest.mark.parametrize("trials", [1, 2, 5, 7, 100, 1000])
+    def test_verify_trials_equal_the_reference(self, seed, trials):
+        for n in range(2, 2 + min(trials, 5)):
+            union, cuts, realized = _derivative_trials(n, np.arange(n - 2, trials, 5), seed)
+            got = local_derivative_sides(union, realized, cuts)
+            assert bits(got) == bits(reference_derivative_sides(union, realized, cuts))
+
+    @pytest.mark.parametrize("block", [None, 64, 4096])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mixed_union_equals_the_reference(self, monkeypatch, block, seed):
+        # edge counts 0 to 12 in random order, some repeated; a small
+        # BLOCK_BYTES cuts the batches down to one graph or a few
+        if block:
+            monkeypatch.setattr("matchgap.kernels.BLOCK_BYTES", block)
+        sizes = np.random.default_rng(seed).permutation([*range(13), 0, 3, 3, 12, 7])
+        union, cuts, realized = derivative_union(sizes, 70_000 + seed)
+        got = local_derivative_sides(union, realized, cuts)
+        assert bits(got) == bits(reference_derivative_sides(union, realized, cuts))
+
+    @pytest.mark.parametrize("sizes", [[20], [2, 20, 0, 5]])
+    def test_twenty_edge_matching_runs(self, sizes):
+        # twenty disjoint edges on 40 vertices: a table of 2**20 entries
+        union, cuts, realized = derivative_union(sizes, 71_000)
+        got = local_derivative_sides(union, realized, cuts)
+        assert bits(got) == bits(reference_derivative_sides(union, realized, cuts))
+
+    @pytest.mark.parametrize("sizes", [[21], [3, 21, 1]])
+    def test_twenty_one_edges_refused(self, sizes):
+        union, cuts, realized = derivative_union(sizes, 72_000)
+        with pytest.raises(SupportTooLarge, match=r"2\*\*21 subsets"):
+            local_derivative_sides(union, realized, cuts)
+
+    def test_no_graphs(self):
+        lhs, rhs = local_derivative_sides(derivative_union([], 0)[0], np.zeros(0, bool), [0])
+        assert lhs.shape == rhs.shape == (0,)
+
+
+def phi_instances():
+    """Bipartite and general instances of 0 to 10 edges for the phi oracle."""
+    insts = [gen_random_point(n, d, 90_000 + n, kind) for kind in ("bipartite", "general")
+             for n, d in ((2, 1.0), (3, 0.7), (4, 0.6), (5, 0.5))]
+    return insts + [Instance("general", 2, (PotentialEdge(0, 1, 1.0, 1.0),)),
+                    Instance("bipartite", 1, ())]
+
+
 class TestPhi:
+    @pytest.mark.parametrize("grid_points", [1, 20, 100])
+    def test_exact_curve_is_the_scaled_instance_formula(self, grid_points):
+        for inst in phi_instances():
+            curve = phi_curve(inst, grid_points)
+            assert curve[0, 0] == 0.0 and curve[-1, 0] == 1.0
+            nus = matching_values_over_subsets(inst)
+            want = [support_probabilities(inst.scale_probabilities(float(t))) @ nus
+                    for t in curve[:, 0]]
+            assert bits(curve[:, 1]) == bits(want)
+
+    def test_exact_refuses_past_the_support_cutoff(self):
+        ends = np.arange(2 * (SUPPORT_CUTOFF + 1)).reshape(-1, 2)
+        inst = Instance.from_arrays("general", len(ends) * 2, ends, np.full(len(ends), 0.5),
+                                    np.ones(len(ends)))
+        with pytest.raises(SupportTooLarge, match=r"2\*\*21 subsets"):
+            phi_curve(inst, 4)
+        with pytest.raises(SupportTooLarge, match=r"2\*\*21 subsets"):
+            check_phi_differential(inst, 4)
+
     def test_zero_at_origin(self):
         inst = gen_random_point(3, 0.7, 5, "general")
         curve = phi_curve(inst, 4)

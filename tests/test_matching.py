@@ -169,7 +169,7 @@ class TestVertexDpBatch:
         """The sweep order and the subset values of edges `ends`; entry
         ``mask`` is the subgraph of the edges order[j] for its set bits j."""
         order = np.argsort(-ends.min(axis=1), kind="stable")
-        return order, matching._subset_values(ends[order], w[order])
+        return order, matching._subset_values(ends[order][None], w[order][None])[0]
 
     @staticmethod
     def subgraph(order, mask):
