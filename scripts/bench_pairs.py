@@ -14,7 +14,9 @@ percentile) and the number of pairs in which the change was better, in
 the direction that the change checkout's ``BENCHMARK.json`` gives.  Per
 workload it also records each command's raw seconds (``command_raw_s``:
 a run's median over its worker runs, unscaled by the calibration loop),
-to show which command a change to ``wall_s`` sits in.
+to show which command a change to ``wall_s`` sits in, and the set-up's raw
+seconds (``setup_raw_s``, likewise a run's median over its worker runs),
+which ``setup_s`` divides by a calibration loop that can move on its own.
 Under ``machine`` it records the effective parallelism: the wall time of
 one fixed pure-Python loop in a fresh interpreter, times two, over the
 wall time of two concurrent copies (median of three tries).  It reads
@@ -82,7 +84,8 @@ def run_bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
         for command in run["commands"]:
             seconds_by_command.setdefault(command["name"], []).append(command["seconds"])
     return json.loads(lines[-1]) | {
-        "command_raw_s": {name: statistics.median(v) for name, v in seconds_by_command.items()}}
+        "command_raw_s": {name: statistics.median(v) for name, v in seconds_by_command.items()},
+        "setup_raw_s": statistics.median(run["setup_raw_s"] for run in record["runs"])}
 
 
 def src_lines(root: Path) -> int:
@@ -114,9 +117,12 @@ def compare(workload: str, roots: dict, directions: dict, seed: int, seconds: fl
                          "change_better_pairs": wins, "runs_parent": par, "runs_change": chg}
     commands = {name: {side: [r["command_raw_s"][name] for r in runs[side]] for side in runs}
                 for name in runs["parent"][0]["command_raw_s"]}
+    setup_raw = {side: [r["setup_raw_s"] for r in runs[side]] for side in runs}
     return {"pairs": PAIRS,
             "correct_all_runs": all(r["correct"] for side in runs.values() for r in side),
             "metrics": metrics,
+            "setup_raw_s": {side: {"median": statistics.median(v), "runs": v}
+                            for side, v in setup_raw.items()},
             "command_raw_s": {name: {side: {"median": statistics.median(v), "runs": v}
                                      for side, v in by_side.items()}
                               for name, by_side in commands.items()}}

@@ -10,9 +10,8 @@ scheme routes to one edge, relative to w_e x_e.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -36,8 +35,7 @@ class ZeroDenominator(ValueError):
     """The fractional objective vanishes, the ratio is undefined."""
 
 
-@dataclass(frozen=True)
-class RatioEstimate:
+class RatioEstimate(NamedTuple):
     """Point estimate of E[nu_w(G)] / sum w_e x_e with a 95% interval."""
 
     value: float

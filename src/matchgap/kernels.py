@@ -23,13 +23,12 @@ depend on the batch it was computed in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .matching import _subset_values, matching_values_over_subsets, value_solver
-from .model import Instance, fractional_value
+from .model import FrozenRecord, Instance, Record, fractional_value
 from .sampling import BLOCK_BYTES, SampledGraph, _subset_probabilities, sample_values
 from .schemes import DEFAULT_TRANSFER
 
@@ -47,15 +46,21 @@ SERIES_TRUNCATION = 15
 POISSON_TAIL_CUTOFF = 60
 
 
-@dataclass(frozen=True)
-class KernelConfig:
+class KernelConfig(FrozenRecord):
     """Resolution of the envelope check: the step of its grid over [0, 1]."""
 
-    grid_step: float = 1e-3
+    _fields = ("grid_step",)
 
-    def __post_init__(self):
-        if not envelope_step_ok(self.grid_step):
+    def __init__(self, grid_step: float = 1e-3):
+        if not envelope_step_ok(grid_step):
             raise ValueError(f"grid step must give 1 to {BLOCK_BYTES // 8} points in [0, 1]")
+        vars(self)["grid_step"] = grid_step
+
+    def __eq__(self, other):
+        return self.grid_step == other.grid_step if type(other) is KernelConfig else NotImplemented
+
+    def __hash__(self):
+        return hash(self.grid_step)
 
 
 def envelope_step_ok(grid_step: float) -> bool:
@@ -108,16 +113,18 @@ def _grid_vectors(m: int, units: int, cumulative: bool = False) -> int:
     return sum(ways) if cumulative else ways[-1]
 
 
-@dataclass
-class CheckReport:
+class CheckReport(Record):
     """One certification result: what was checked, where the minimum sits."""
 
-    check: str
-    parameters: dict
-    min_value: float
-    argmin: object
-    passed: bool
-    details: dict = field(default_factory=dict)
+    _fields = ("check", "parameters", "min_value", "argmin", "passed", "details")
+
+    def __init__(self, check: str, parameters: dict, min_value: float, argmin: object,
+                 passed: bool, details: dict | None = None):
+        vars(self).update(check=check, parameters=parameters, min_value=min_value, argmin=argmin,
+                          passed=passed, details={} if details is None else details)
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is CheckReport else NotImplemented
 
     def to_dict(self) -> dict:
         return {
@@ -137,12 +144,12 @@ def _jsonify(obj):
         return [_jsonify(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_jsonify(v) for v in obj.tolist()]
+    if isinstance(obj, (np.bool_, bool)):  # before int: bool is a subclass of int
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
     return obj
 
 
@@ -486,8 +493,7 @@ def check_unweighted_envelope(cfg: KernelConfig = KernelConfig(),
     )
 
 
-@dataclass(frozen=True)
-class WeightedKernelConstant:
+class WeightedKernelConstant(NamedTuple):
     closed_form: float
     series_value: float
 

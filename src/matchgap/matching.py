@@ -23,14 +23,13 @@ workhorse behind exact expectations and the local derivative check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import starmap
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .model import Instance
+from .model import FrozenRecord, Instance
 from .sampling import (SampledGraph, batch_rows, block_groups, check_support, join_blocks,
                        split_flat)
 
@@ -45,24 +44,22 @@ class MatchingCutoffExceeded(RuntimeError):
     """Exact search was requested beyond the documented cutoffs."""
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(NamedTuple):
     """A matching as a tuple of realized edge indices plus its weight."""
 
     edges: tuple[int, ...]
     value: float
 
 
-@dataclass(frozen=True, eq=False)
-class FractionalVertexCover:
+class FractionalVertexCover(FrozenRecord):
     """Nonnegative vertex values, indexed by global vertex id."""
 
-    y: np.ndarray
+    _fields = ("y",)
 
-    def __post_init__(self):
-        arr = np.asarray(self.y, dtype=np.float64)
+    def __init__(self, y: np.ndarray):
+        arr = np.asarray(y, dtype=np.float64)
         arr.setflags(write=False)
-        object.__setattr__(self, "y", arr)
+        vars(self)["y"] = arr
 
     @property
     def norm(self) -> float:

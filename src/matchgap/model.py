@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -40,8 +40,30 @@ class OddSetCheckInfeasible(RuntimeError):
     """Odd-set enumeration was requested beyond the exhaustive cutoff."""
 
 
-@dataclass(frozen=True)
-class PotentialEdge:
+class Record:
+    """Base of the records kept as plain classes (value records are
+    NamedTuples): the repr lists the attributes named in `_fields` as a
+    dataclass's does, and equality is identity unless a record defines its
+    own."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A Record whose attributes are set once, through ``vars(self)``."""
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class PotentialEdge(NamedTuple):
     """One potential edge: endpoints, appearance probability, weight."""
 
     u: int
@@ -53,7 +75,7 @@ class PotentialEdge:
 _RECORD = np.dtype([("u", np.int64), ("v", np.int64), ("x", np.float64), ("w", np.float64)])
 
 
-class Instance:
+class Instance(FrozenRecord):
     """Immutable random-graph model: every edge appears independently.
 
     ``kind`` is ``"bipartite"`` or ``"general"``.  For bipartite instances
@@ -108,14 +130,8 @@ class Instance:
         error = _first_invalid_edge(kind, n, cols, x, w)
         if error is not None:
             raise ValueError(error)
-        cols.flags.writeable = False  # and so its transposed view
-        for name, value in (("kind", kind), ("n", n), ("endpoints", cols.T), ("x", x), ("w", w)):
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        cols.flags.writeable = x.flags.writeable = w.flags.writeable = False  # and so cols.T
+        vars(self).update(kind=kind, n=n, endpoints=cols.T, x=x, w=w)
 
     def __eq__(self, other):
         if not isinstance(other, Instance):
@@ -209,8 +225,7 @@ def _first_invalid_edge(kind: str, n: int, cols: np.ndarray, x: np.ndarray,
     return next(msg for msg, failed in zip(messages, checks) if failed[j])
 
 
-@dataclass(frozen=True)
-class PolytopeReport:
+class PolytopeReport(NamedTuple):
     """Outcome of a matching-polytope membership check.
 
     ``violating_vertex`` / ``violating_odd_set`` hold the lexicographically
@@ -260,29 +275,17 @@ def validate_polytope(inst: Instance, check_odd_sets: bool = False,
     refused above ``ODD_SET_CUTOFF`` vertices rather than silently skipped.
     """
     loads = vertex_loads(inst)
-    bad = np.nonzero(loads > 1.0 + tolerance)[0]
-    degree_ok = bad.size == 0
-    violating_vertex = int(bad[0]) if bad.size else None
-    violating_load = float(loads[bad[0]]) if bad.size else None
-
-    odd_checked = False
-    odd_set = None
-    odd_load = None
+    bad = np.flatnonzero(loads > 1.0 + tolerance)
+    first = (int(bad[0]), float(loads[bad[0]])) if bad.size else (None, None)
+    odd_set = odd_load = None
     if check_odd_sets:
         if inst.kind != "general":
             raise ValueError("odd-set constraints only apply to general instances")
         if inst.n > ODD_SET_CUTOFF:
             raise OddSetCheckInfeasible(
                 f"odd-set check infeasible: n={inst.n} exceeds cutoff {ODD_SET_CUTOFF}")
-        odd_checked = True
         odd_set, odd_load = _first_violating_odd_set(inst, tolerance)
-
-    return PolytopeReport(degree_ok=degree_ok,
-                          violating_vertex=violating_vertex,
-                          violating_vertex_load=violating_load,
-                          odd_set_checked=odd_checked,
-                          violating_odd_set=odd_set,
-                          violating_odd_set_load=odd_load)
+    return PolytopeReport(bad.size == 0, *first, bool(check_odd_sets), odd_set, odd_load)
 
 
 def _first_violating_odd_set(inst, tolerance):

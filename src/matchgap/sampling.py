@@ -33,13 +33,12 @@ import os
 import pickle
 import tempfile
 import threading
-from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .model import Instance
+from .model import FrozenRecord, Instance
 from .rng import BernoulliBlocks, stream_key
 
 #: Exact enumeration refuses supports larger than 2**SUPPORT_CUTOFF.
@@ -69,19 +68,17 @@ class SupportTooLarge(RuntimeError):
     """Raised when exact enumeration is requested beyond the cutoff."""
 
 
-@dataclass(frozen=True, eq=False)
-class SampledGraph:
+class SampledGraph(FrozenRecord):
     """One realized graph: a boolean indicator over the instance's edges."""
 
-    instance: Instance
-    realized: np.ndarray
+    _fields = ("instance", "realized")
 
-    def __post_init__(self):
-        r = np.asarray(self.realized, dtype=bool)
-        if r.shape != (self.instance.num_edges,):
+    def __init__(self, instance: Instance, realized: np.ndarray):
+        r = np.asarray(realized, dtype=bool)
+        if r.shape != (instance.num_edges,):
             raise ValueError("realization mask must have one entry per potential edge")
         r.setflags(write=False)
-        object.__setattr__(self, "realized", r)
+        vars(self).update(instance=instance, realized=r)
 
     @cached_property
     def edge_indices(self) -> np.ndarray:

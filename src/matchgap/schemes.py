@@ -11,46 +11,45 @@ Both schemes conserve total mass and never drive a vertex negative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .matching import FractionalVertexCover
-from .model import Instance, _vertex_sums
+from .model import FrozenRecord, Instance, _vertex_sums
 from .sampling import SampledGraph, block_degrees, split_flat
 
 #: The constant c of the quadratic edge-to-edge payments.
 DEFAULT_TRANSFER = 1.0 / 6.0
 
 
-@dataclass(frozen=True, eq=False)
-class MassVector:
+class MassVector(FrozenRecord):
     """Post-distribution mass on every vertex and every potential edge."""
 
-    vertex_mass: np.ndarray
-    edge_mass: np.ndarray
+    _fields = ("vertex_mass", "edge_mass")
+
+    def __init__(self, vertex_mass: np.ndarray, edge_mass: np.ndarray):
+        vars(self).update(vertex_mass=vertex_mass, edge_mass=edge_mass)
 
     @cached_property
     def total(self) -> float:
         return float(self.vertex_mass.sum() + self.edge_mass.sum())
 
 
-@dataclass(frozen=True)
-class AuditViolation:
+class AuditViolation(NamedTuple):
     check: str
     location: str
     value: float
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     ok: bool
     total_mass: float
     cover_norm: float
     matching_value: float
     edge_mass_sum: float
-    violations: tuple[AuditViolation, ...] = field(default_factory=tuple)
+    violations: tuple[AuditViolation, ...] = ()
 
 
 def weighted_scheme(g: SampledGraph, cover: FractionalVertexCover) -> MassVector:
@@ -135,11 +134,9 @@ def audit_masses(t: MassVector, cover: FractionalVertexCover, nu: float,
     value within tol, (iii) the edge masses alone sum to at most the
     matching value plus tol.
     """
-    violations = []
-    bad = np.nonzero(t.vertex_mass < -tolerance)[0]
-    for v in bad:
-        violations.append(AuditViolation("vertex_mass_nonnegative", f"vertex {int(v)}",
-                                         float(t.vertex_mass[v])))
+    violations = [AuditViolation("vertex_mass_nonnegative", f"vertex {int(v)}",
+                                 float(t.vertex_mass[v]))
+                  for v in np.flatnonzero(t.vertex_mass < -tolerance)]
     total = t.total
     norm = cover.norm
     if abs(total - norm) > tolerance:

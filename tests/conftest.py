@@ -10,14 +10,16 @@ at a time, for the local derivative sides.  `reference_primal_dual` is
 Kuhn's primal-dual method on one realized bipartite graph at a time, the
 decisions and floating operations the library's lockstep takes for many
 rows at once, so every bipartite value, matching and cover must equal its
-bits.
+bits.  `check_record` holds the checks every record class shares.
 """
 
 import itertools
 import math
+import pickle
 from bisect import insort
 
 import numpy as np
+import pytest
 
 from matchgap import Instance, PotentialEdge, SampledGraph, fractional_value
 from matchgap.gallery import _STREAM_KEEP, _STREAM_PROB, _STREAM_WEIGHT, _all_pairs
@@ -394,3 +396,34 @@ def _reference_flip(root, v, u, j, tree_right, mate_left, mate_right):
             return
         v = prev[0]
         u, j = tree_right[v]
+
+
+def check_record(make, text, by_value, frozen, invalid=None, cached=()):
+    """The shared checks of a record class on two records built by `make()`:
+    the repr is `text`; with `by_value` the two are equal, hash alike when
+    hashable and survive a pickle round trip, else each equals only itself;
+    assigning to or deleting the first field raises `frozen`, and assigning
+    succeeds when `frozen` is None; `invalid`, a (build, message) pair,
+    raises ValueError; and each name in `cached` is computed once and then
+    kept."""
+    a, b = make(), make()
+    assert repr(a) == text
+    assert a == a and (a == b) is by_value and (a != b) is not by_value
+    if by_value:
+        assert type(a).__hash__ is None or hash(a) == hash(b)
+        assert pickle.loads(pickle.dumps(a)) == a
+    field = text[text.index("(") + 1:text.index("=")]  # the first field, as the repr names it
+    if frozen is None:
+        setattr(a, field, getattr(b, field))
+    else:
+        with pytest.raises(frozen):
+            setattr(a, field, getattr(b, field))
+        with pytest.raises(frozen):
+            delattr(a, field)
+    if invalid is not None:
+        build, message = invalid
+        with pytest.raises(ValueError, match=message):
+            build()
+    for name in cached:
+        first = getattr(a, name)
+        assert getattr(a, name) is first and vars(a)[name] is first

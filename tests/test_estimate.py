@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from matchgap import (Instance, PotentialEdge, SupportTooLarge, ZeroDenominator,
+from matchgap import (Instance, PotentialEdge, RatioEstimate, SupportTooLarge, ZeroDenominator,
                       exact_ratio, expected_matching_value, mc_ratio,
                       per_edge_certificate, per_edge_masses_exact, ratio_floor,
                       weighted_kernel_constant)
@@ -18,7 +18,8 @@ from matchgap.gallery import (gen_equal_split_star, gen_karp_sipser, gen_pendant
 from matchgap.sampling import block_rows, dense_block
 from matchgap.schemes import _transfers
 
-from conftest import block_bytes, brute_expected_matching, reference_cover, reference_primal_dual
+from conftest import (block_bytes, brute_expected_matching, check_record, reference_cover,
+                      reference_primal_dual)
 
 
 class TestExactRatio:
@@ -487,3 +488,9 @@ def test_wide_instance_certificates_stay_within_blocks(bound):
     finally:
         tracemalloc.stop()
     assert peak < 16 * sampling.BLOCK_BYTES
+
+
+def test_ratio_estimate_record():
+    check_record(lambda: RatioEstimate(0.5, 0.4, 0.6, "monte_carlo", 100, 3),
+                 "RatioEstimate(value=0.5, ci_low=0.4, ci_high=0.6, method='monte_carlo', "
+                 "samples=100, seed=3)", by_value=True, frozen=AttributeError)

@@ -11,7 +11,9 @@ the fixed CLI prints, with the same digits.
 The first twelve command lines were recorded from the per-sample
 sampler; the next three from the dict-based primal-dual solver that
 preceded the list-based one; the ``gen`` lines from the per-edge record
-instances that preceded the columnar ones.  ``PYTHONPATH=src python
+instances that preceded the columnar ones.  The ``report`` line was
+re-recorded once, when booleans in check details began to print as
+``true``/``false`` instead of ``1``/``0``.  ``PYTHONPATH=src python
 tests/test_golden.py`` records command lines missing from the fixture
 and keeps every recorded entry; delete an entry to re-record it, and
 only after arguing an intended output change.

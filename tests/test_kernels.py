@@ -1,12 +1,15 @@
 import itertools
+import json
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matchgap import (GENERAL_GRAPH_FLOOR, KernelConfig, UNWEIGHTED_BIPARTITE_CERTIFIED,
-                      UNWEIGHTED_BIPARTITE_TARGET, WEIGHTED_BIPARTITE_FLOOR,
+from matchgap import (GENERAL_GRAPH_FLOOR, CheckReport, KernelConfig,
+                      UNWEIGHTED_BIPARTITE_CERTIFIED, UNWEIGHTED_BIPARTITE_TARGET,
+                      WEIGHTED_BIPARTITE_FLOOR, WeightedKernelConstant,
                       binomial_max1_kernel, check_gain_ratios,
                       check_local_derivative_bound, check_phi_differential,
                       check_unweighted_envelope, envelope_ratio, gain_margins,
@@ -22,9 +25,9 @@ from matchgap.kernels import (_gain_table, _mean1_grid, local_derivative_sides,
 from matchgap.matching import matching_values_over_subsets
 from matchgap.sampling import SUPPORT_CUTOFF, SupportTooLarge, support_probabilities
 
-from conftest import (bits, brute_inv_max_expectation, convolve_pmf, literal_derivative_sides,
-                      literal_equal_split, loop_gain_margins, poisson_pair_expectation,
-                      reference_derivative_sides)
+from conftest import (bits, brute_inv_max_expectation, check_record, convolve_pmf,
+                      literal_derivative_sides, literal_equal_split, loop_gain_margins,
+                      poisson_pair_expectation, reference_derivative_sides)
 
 
 def gain_coefficients(probs, j_max):
@@ -590,3 +593,31 @@ class TestPhi:
         inst = gen_random_point(3, 0.8, 9, "bipartite")
         with pytest.raises(ValueError, match="need at least one grid point"):
             phi_curve(inst, grid_points, mode=mode)
+
+
+class TestRecords:
+    @pytest.mark.parametrize("make, text, by_value, frozen, invalid", [
+        pytest.param(lambda: KernelConfig(0.05), "KernelConfig(grid_step=0.05)", True,
+                     FrozenInstanceError, (lambda: KernelConfig(0.0), "grid step must give"),
+                     id="KernelConfig"),
+        pytest.param(lambda: CheckReport("c", {"m": 1}, 0.5, None, True),
+                     "CheckReport(check='c', parameters={'m': 1}, min_value=0.5, argmin=None, "
+                     "passed=True, details={})", True, None, None, id="CheckReport"),
+        pytest.param(lambda: WeightedKernelConstant(0.25, 0.5),
+                     "WeightedKernelConstant(closed_form=0.25, series_value=0.5)", True,
+                     AttributeError, None, id="WeightedKernelConstant"),
+    ])
+    def test_record(self, make, text, by_value, frozen, invalid):
+        check_record(make, text, by_value, frozen, invalid)
+
+    def test_check_report_details_default_to_a_fresh_dict(self):
+        a, b = CheckReport("c", {}, 0.5, None, True), CheckReport("c", {}, 0.5, None, True)
+        a.details["k"] = 1
+        assert b.details == {} and a != b
+
+    def test_booleans_print_as_booleans(self):
+        report = CheckReport("c", {}, 0.5, None, np.True_,
+                             details={"a": True, "b": np.True_, "c": 3, "d": np.False_,
+                                      "e": np.int64(4), "f": [False, 2.5]})
+        line = json.dumps(report.to_dict()["details"], sort_keys=True)
+        assert line == '{"a": true, "b": true, "c": 3, "d": false, "e": 4, "f": [false, 2.5]}'

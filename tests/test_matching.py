@@ -1,21 +1,22 @@
 import itertools
 import json
 import time
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from matchgap import (Instance, MatchingCutoffExceeded, PotentialEdge, SampledGraph,
-                      matching_value, matching_values_over_subsets,
+from matchgap import (FractionalVertexCover, Instance, Matching, MatchingCutoffExceeded,
+                      PotentialEdge, SampledGraph, matching_value, matching_values_over_subsets,
                       max_weight_matching_bipartite, max_weight_matching_general, sample)
 from matchgap import matching, phi_curve, sampling
 from matchgap.gallery import gen_random_point
 from matchgap.matching import value_solver
 from matchgap.sampling import dense_block, realization_block
 
-from conftest import (batch_of, bits, brute_matching_value, cycle_instance, flat_block,
-                      path_instance, reference_primal_dual, solve_batches)
+from conftest import (batch_of, bits, brute_matching_value, check_record, cycle_instance,
+                      flat_block, path_instance, reference_primal_dual, solve_batches)
 
 
 def realized_all(inst):
@@ -771,3 +772,14 @@ class TestSubsetSweep:
         g = sample(inst, 2, 0)
         _, value, _ = max_weight_matching_bipartite(g)
         assert matching_value(g) == pytest.approx(value, abs=1e-12)
+
+
+@pytest.mark.parametrize("make, text, by_value, frozen", [
+    pytest.param(lambda: Matching((0, 2), 1.5), "Matching(edges=(0, 2), value=1.5)", True,
+                 AttributeError, id="Matching"),
+    pytest.param(lambda: FractionalVertexCover([0.5, 0]),
+                 "FractionalVertexCover(y=array([0.5, 0. ]))", False, FrozenInstanceError,
+                 id="FractionalVertexCover"),
+])
+def test_record(make, text, by_value, frozen):
+    check_record(make, text, by_value, frozen)

@@ -1,8 +1,11 @@
 import copy
+import dataclasses
+import importlib
 import itertools
 import json
 import math
 import pickle
+import pkgutil
 import tracemalloc
 from dataclasses import FrozenInstanceError
 
@@ -10,13 +13,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matchgap import (Instance, OddSetCheckInfeasible, PotentialEdge, dump_instance,
-                      fractional_value, instance_from_dict, mc_ratio,
+import matchgap
+from matchgap import (Instance, OddSetCheckInfeasible, PolytopeReport, PotentialEdge,
+                      dump_instance, fractional_value, instance_from_dict, mc_ratio,
                       validate_polytope, vertex_loads)
 from matchgap.cli import main
 from matchgap.gallery import (gen_equal_split_star, gen_karp_sipser, gen_pendant_star,
                               gen_random_point, gen_random_points)
 from matchgap.model import InstanceFormatError
+
+from conftest import check_record
 
 
 def bip(n, *edges):
@@ -255,6 +261,37 @@ class TestColumnar:
         assert inst.num_edges == 10 ** 6 and own == 32 * 10 ** 6
         assert report.degree_ok
         assert peak <= 3 * own
+
+
+class TestRecords:
+    @pytest.mark.parametrize("make, text", [
+        pytest.param(lambda: PotentialEdge(0, 1, 0.5), "PotentialEdge(u=0, v=1, x=0.5, w=1.0)",
+                     id="PotentialEdge"),
+        pytest.param(lambda: PolytopeReport(False, 3, 1.25),
+                     "PolytopeReport(degree_ok=False, violating_vertex=3, "
+                     "violating_vertex_load=1.25, odd_set_checked=False, violating_odd_set=None, "
+                     "violating_odd_set_load=None)", id="PolytopeReport"),
+    ])
+    def test_value_record(self, make, text):
+        check_record(make, text, by_value=True, frozen=AttributeError)
+
+    def test_edges_cached_and_pickled(self):
+        inst = bip(2, (0, 1, 0.5, 1.0), (1, 0, 0.25, 2.0))
+        edges = inst.edges
+        assert inst.edges is edges and vars(inst)["edges"] is edges
+        again = pickle.loads(pickle.dumps(edges))
+        assert again == edges and [type(e) for e in again] == [PotentialEdge] * 2
+        with pytest.raises(FrozenInstanceError):
+            del inst.x
+
+    def test_no_module_defines_a_dataclass(self):
+        # a dataclass compiles its generated methods at every import
+        modules = [importlib.import_module(f"matchgap.{info.name}")
+                   for info in pkgutil.iter_modules(matchgap.__path__)]
+        classes = [obj for module in modules for obj in vars(module).values()
+                   if isinstance(obj, type) and obj.__module__ == module.__name__]
+        assert PotentialEdge in classes
+        assert [c for c in classes if dataclasses.is_dataclass(c)] == []
 
 
 class TestFractionalValue:

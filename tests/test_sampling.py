@@ -5,22 +5,23 @@ import re
 import threading
 import time
 import tracemalloc
+from dataclasses import FrozenInstanceError
 from functools import partial
 from itertools import starmap
 
 import numpy as np
 import pytest
 
-from matchgap import (Instance, MatchingCutoffExceeded, PotentialEdge, SupportTooLarge,
-                      mc_ratio, per_edge_certificates, per_edge_masses_exact, phi_curve,
-                      sample, support_probabilities)
+from matchgap import (Instance, MatchingCutoffExceeded, PotentialEdge, SampledGraph,
+                      SupportTooLarge, mc_ratio, per_edge_certificates, per_edge_masses_exact,
+                      phi_curve, sample, support_probabilities)
 from matchgap import estimate, matching_value, sampling
 from matchgap.gallery import gen_random_point
 from matchgap.matching import value_solver
 from matchgap.rng import uniform_block
 from matchgap.sampling import block_degrees, dense_block, realization_block, realization_blocks
 
-from conftest import bits, block_bytes
+from conftest import bits, block_bytes, check_record
 
 
 def single_edge(x):
@@ -465,3 +466,12 @@ class TestSupport:
         assert inst.num_edges == 21
         with pytest.raises(SupportTooLarge, match="support too large"):
             support_probabilities(inst)
+
+
+def test_sampled_graph_record():
+    inst = Instance("bipartite", 2, (PotentialEdge(0, 1, 0.5), PotentialEdge(1, 0, 0.25, 2.0)))
+    check_record(lambda: SampledGraph(inst, [True, False]),
+                 "SampledGraph(instance=Instance(kind='bipartite', n=2, num_edges=2), "
+                 "realized=array([ True, False]))", by_value=False, frozen=FrozenInstanceError,
+                 invalid=(lambda: SampledGraph(inst, [True]), "one entry per potential edge"),
+                 cached=("edge_indices", "degrees"))

@@ -1,10 +1,14 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
-from matchgap import (DEFAULT_TRANSFER, FractionalVertexCover, Instance, PotentialEdge,
-                      SampledGraph, audit_masses, max_weight_matching_bipartite,
-                      sample, unweighted_scheme, weighted_scheme)
+from matchgap import (DEFAULT_TRANSFER, AuditReport, AuditViolation, FractionalVertexCover,
+                      Instance, MassVector, PotentialEdge, SampledGraph, audit_masses,
+                      max_weight_matching_bipartite, sample, unweighted_scheme, weighted_scheme)
 from matchgap.gallery import gen_random_point
+
+from conftest import check_record
 
 
 def realized_all(inst):
@@ -131,3 +135,18 @@ class TestAudit:
         t = unweighted_scheme(g, cover)
         assert t.total == pytest.approx(cover.norm, abs=1e-9)
         assert t.total == pytest.approx(nu, abs=1e-9)
+
+
+@pytest.mark.parametrize("make, text, by_value, frozen, cached", [
+    pytest.param(lambda: MassVector(np.array([0.5, 0.0]), np.array([0.25])),
+                 "MassVector(vertex_mass=array([0.5, 0. ]), edge_mass=array([0.25]))", False,
+                 FrozenInstanceError, ("total",), id="MassVector"),
+    pytest.param(lambda: AuditViolation("edge_mass_bound", "sum of edge masses", 0.5),
+                 "AuditViolation(check='edge_mass_bound', location='sum of edge masses', "
+                 "value=0.5)", True, AttributeError, (), id="AuditViolation"),
+    pytest.param(lambda: AuditReport(True, 1.0, 1.0, 1.0, 0.5),
+                 "AuditReport(ok=True, total_mass=1.0, cover_norm=1.0, matching_value=1.0, "
+                 "edge_mass_sum=0.5, violations=())", True, AttributeError, (), id="AuditReport"),
+])
+def test_record(make, text, by_value, frozen, cached):
+    check_record(make, text, by_value, frozen, cached=cached)
