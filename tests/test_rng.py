@@ -1,4 +1,7 @@
+import itertools
+
 import numpy as np
+import pytest
 
 from matchgap import rng
 from matchgap.rng import BernoulliBlocks, mix64, stream_key, uniform_block, uniforms
@@ -117,6 +120,63 @@ def test_draw_reads_each_rows_thresholds():
     assert np.array_equal(np.concatenate(got), want)
     assert not want[:, 0].any() and want[:, -29].all()  # x = 0 and x = 1
     assert want[rows:].any(axis=0).sum() > m // 2
+
+
+SCRATCH = ("_z", "_tmp", "_hit", "_offsets", "_cuts", "_thresholds")
+
+
+def page_offsets(draws):
+    return [getattr(draws, name).__array_interface__["data"][0] % 4096 for name in SCRATCH]
+
+
+@pytest.mark.parametrize("m, rows", [(1019, 3), (40_000, 1), (991, 66), (7, 64)])
+def test_scratch_arena_layout(m, rows):
+    # every array on a 64-byte boundary, _z and _tmp 2 KiB apart modulo
+    # 4 KiB, and no two arrays overlapping
+    draws = BernoulliBlocks(np.full(m, 0.5), rows)
+    assert all(off % 64 == 0 for off in page_offsets(draws))
+    z, tmp = (getattr(draws, name).__array_interface__["data"][0] for name in ("_z", "_tmp"))
+    assert (tmp - z) % 4096 == 2048
+    for a, b in itertools.combinations(SCRATCH, 2):
+        assert not np.shares_memory(getattr(draws, a), getattr(draws, b)), (a, b)
+
+
+def test_scratch_arena_page_offsets_do_not_depend_on_the_heap():
+    # arrays allocated first move where the allocator puts the arena, not
+    # where its arrays sit in their pages
+    x = np.full(1019, 0.5)
+    want = page_offsets(BernoulliBlocks(x, 3))
+    for size in (5_000, 150_000, 300_000):
+        first = np.ones(size, dtype=np.uint8)
+        assert page_offsets(BernoulliBlocks(x, 3)) == want, size
+        del first
+
+
+@pytest.mark.parametrize("x_at", ["zero", "one", "inside"])
+@pytest.mark.parametrize("rows", [1, 3, 64])
+@pytest.mark.parametrize("m", [0, 1, 7, 1019])
+def test_draw_matches_uniform_block(m, rows, x_at):
+    # blocks of `rows` keys and a last one-row block, against uniform < x
+    x = {"zero": np.zeros(m), "one": np.ones(m),
+         "inside": np.random.default_rng(m + rows).random(m)}[x_at]
+    streams = np.arange(2 * rows + 1, dtype=np.uint64)
+    draws = BernoulliBlocks(x, rows)
+    keys = stream_key(31, streams)
+    got = [dense_block(draws.draw(keys[k:k + rows]), len(keys[k:k + rows]), m)
+           for k in range(0, len(keys), rows)]
+    assert len(got[-1]) == 1
+    assert np.array_equal(np.concatenate(got), uniform_block(31, streams, m) < x)
+
+
+def test_draw_refuses_more_keys_than_max_rows():
+    # past max_rows the scratch slices would come up short; a full block
+    # still draws after the refusal
+    x, streams = np.full(5, 0.5), np.arange(6, dtype=np.uint64)
+    draws = BernoulliBlocks(x, 4)
+    with pytest.raises(ValueError, match="max_rows"):
+        draws.draw(stream_key(0, streams))
+    got = dense_block(draws.draw(stream_key(0, streams[:4])), 4, 5)
+    assert np.array_equal(got, uniform_block(0, streams[:4], 5) < x)
 
 
 def test_streams_and_seeds_differ():
