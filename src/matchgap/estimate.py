@@ -18,8 +18,9 @@ import numpy as np
 from . import kernels
 from .matching import cover_solver, matching_values_over_subsets, value_solver
 from .model import Instance, fractional_value
-from .sampling import (BLOCK_BYTES, block_degrees, block_groups, join_blocks, realization_blocks,
-                       row_map, sample_values, split_flat, support_probabilities)
+from .sampling import (BLOCK_BYTES, block_degrees, block_groups, column_sums, join_blocks,
+                       realization_blocks, row_map, sample_values, split_flat,
+                       support_probabilities)
 from .schemes import block_edge_masses, scheme_transfers
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -148,7 +149,7 @@ def _row_sums(fill, count: int, m: int, work: float) -> np.ndarray:
     acc = np.zeros(m, dtype=np.float64)
     for rows in row_map(fill, count, m, work):
         rows[0] += acc
-        acc = np.cumsum(rows, axis=0)[-1]
+        acc = column_sums(rows)
     return acc
 
 

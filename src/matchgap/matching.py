@@ -30,8 +30,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .model import FrozenRecord, Instance
-from .sampling import (SampledGraph, batch_rows, block_groups, check_support, join_blocks,
-                       split_flat)
+from .sampling import (SampledGraph, batch_rows, block_groups, check_support, column_sums,
+                       join_blocks, split_flat)
 
 #: Exact general search accepts graphs within either cutoff.
 GENERAL_VERTEX_CUTOFF = 20
@@ -123,7 +123,7 @@ def _left_sums(row, left, w, rows: int, n: int) -> np.ndarray:
     down axis 0, adding contiguous table rows, not along a short row each."""
     table = np.zeros((n + 1, rows))
     table.reshape(-1)[(left + 1) * rows + row] = w  # one flat index: half a 2-d scatter's time
-    return np.cumsum(table, axis=0)[-1]
+    return column_sums(table)
 
 
 def _lockstep(row: np.ndarray, left: np.ndarray, right: np.ndarray, wt: np.ndarray,

@@ -202,13 +202,16 @@ def row_map(fill: Callable[[int, int], Iterator[np.ndarray]], count: int, width:
     and a caller folding the pieces in order gets the bytes of the serial
     map.  On one CPU, without ``os.fork`` or beside other threads (unsafe
     to fork) `fill` runs serially.  Either way a failure raises as in the
-    serial map: the first failing range's exception.
+    serial map: the first failing range's exception.  Each worker, or the
+    process that runs such a map serially, first calls `steady_heap`.
     """
+    if work < SPLIT_MIN_WORK:
+        return fill(0, count)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, count)
-    if (workers > 1 and hasattr(os, "fork") and threading.active_count() == 1
-            and work >= SPLIT_MIN_WORK):
+    if workers > 1 and hasattr(os, "fork") and threading.active_count() == 1:
         return _forked_rows(fill, width, [count * k // workers for k in range(workers + 1)])
+    steady_heap()
     return fill(0, count)
 
 
@@ -221,6 +224,7 @@ def _forked_rows(fill, width, cuts) -> Iterator[np.ndarray]:
             pid = os.fork()
             if pid == 0:  # spool the rows, pipe back None or what fill raised; no exit handlers
                 try:
+                    steady_heap()
                     try:
                         for piece in fill(first, stop):
                             spool.write(np.ascontiguousarray(piece, dtype=np.float64))
@@ -255,6 +259,24 @@ def _forked_rows(fill, width, cuts) -> Iterator[np.ndarray]:
             spool.close()
             os.kill(pid, 9)
             os.waitpid(pid, 0)
+
+
+def steady_heap() -> None:
+    """Allocate and free one untouched 8 MiB buffer: freeing it raises glibc's
+    mmap threshold to 8 MiB and its trim threshold to 16 MiB (mallopt(3)),
+    so a large map's per-batch arrays come from a heap that is not trimmed
+    and faulted in again at every batch.  Other allocators ignore it."""
+    np.empty(16 * BLOCK_BYTES, dtype=np.uint8)
+
+
+def column_sums(a: np.ndarray) -> np.ndarray:
+    """Column sums of 2-d `a`, each added to 0.0 row after row in order.
+    `np.add.reduce` adds so, without the cumsum's temporary, on a C-ordered
+    `a` of at least 2 columns; on one column, or down a contiguous axis 0,
+    it sums pairwise.  (The cumsum keeps a column of -0.0 at -0.0.)"""
+    if a.flags.c_contiguous and a.shape[1] >= 2:
+        return np.add.reduce(a, axis=0)
+    return np.cumsum(a, axis=0)[-1] + 0.0
 
 
 def block_degrees(inst: Instance, flat: np.ndarray, rows: int) -> np.ndarray:

@@ -18,8 +18,8 @@ from matchgap.gallery import (gen_equal_split_star, gen_karp_sipser, gen_pendant
 from matchgap.sampling import block_rows, dense_block
 from matchgap.schemes import _transfers
 
-from conftest import (block_bytes, brute_expected_matching, check_record, reference_cover,
-                      reference_primal_dual)
+from conftest import (bits, block_bytes, brute_expected_matching, check_record,
+                      reference_cover, reference_primal_dual)
 
 
 class TestExactRatio:
@@ -410,6 +410,56 @@ class TestMisc:
         assert row[0] == "edge-instance"
         assert row[1] == "exact"
         assert len(row) == 7
+
+
+def summands(shape, seed):
+    """float64 `shape` of both signs over 40 decades, a tenth -0.0, so
+    that the order of addition shows in the bits."""
+    gen = np.random.default_rng(seed)
+    a = (gen.random(shape) - 0.3) * 10.0 ** gen.integers(-20, 20, shape)
+    a[gen.random(shape) < 0.1] = -0.0
+    return a
+
+
+def added_in_order(rows):
+    """Column sums of `rows` added to 0.0 in Python floats, row after row."""
+    acc = [0.0] * rows.shape[1]
+    for row in rows.tolist():
+        acc = [s + v for s, v in zip(acc, row)]
+    return acc
+
+
+class TestColumnSums:
+    """`sampling.column_sums` and the fold that uses it, `estimate._row_sums`,
+    against rows added one at a time in order, bit for bit."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 40_000), (2, 1), (3, 1), (330, 1),
+                                       (2, 31), (3, 31), (330, 31), (500, 31)])
+    def test_rows_added_in_order(self, shape, order):
+        a = np.array(summands(shape, shape[0] * 31 + shape[1]), order=order)
+        if shape[1] > 1:
+            a[:, -1] = -0.0  # sums to 0.0 by either path
+        got = sampling.column_sums(a)
+        assert got.shape == (shape[1],) and bits(got) == bits(added_in_order(a))
+        if shape[0] >= 330:  # a pairwise sum, as np.add.reduce takes down a contiguous axis
+            assert bits(np.add.reduce(np.asfortranarray(a), axis=0)) != bits(got)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("m", [1, 31])
+    def test_fold_adds_row_by_row(self, m, order):
+        # pieces of 1, 3, 2 and 330 rows, in C or Fortran order (as
+        # kernel-MC pieces come), folded from 0.0
+        heights = [1, 3, 2, 330]
+        pieces = [np.array(summands((h, m), k), order=order) for k, h in enumerate(heights)]
+        want = added_in_order(np.concatenate(pieces))
+
+        def fill(first, stop):
+            assert (first, stop) == (0, sum(heights))
+            return (p.copy(order=order) for p in pieces)
+
+        got = estimate._row_sums(fill, sum(heights), m, 0)
+        assert bits(got) == bits(want)
 
 
 class TestPooledCovers:

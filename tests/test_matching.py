@@ -640,7 +640,7 @@ class TestLeftSums:
     """`matching._left_sums` against 0.0 + w + ... added in Python in
     left-vertex order, row by row."""
 
-    @pytest.mark.parametrize("rows, n", [(1, 1), (1, 9), (2, 5), (7, 3), (330, 100)])
+    @pytest.mark.parametrize("rows, n", [(1, 1), (1, 9), (2, 5), (3, 6), (7, 3), (330, 100)])
     def test_sequential_left_order(self, rows, n):
         gen = np.random.default_rng(rows * 1000 + n)
         row, left = [], []
@@ -666,6 +666,19 @@ class TestLeftSums:
         assert got.shape == (rows,) and bits(got) == bits(want)
         if rows > 1:
             assert bits(got[1]) == bits(0.0)
+
+    def test_one_row_values_as_recorded(self):
+        # a one-row table's single column sums by `sampling.column_sums`' cumsum
+        fixture = Path(__file__).with_name("solver_fixture.json")
+        cases = [json.loads(line) for line in fixture.read_text().splitlines()]
+        assert len(cases) == 204
+        for case in cases:
+            inst = Instance("bipartite", case["n"],
+                            tuple(PotentialEdge(u, v, 0.5, w) for u, v, w in case["edges"]))
+            realized = np.zeros(inst.num_edges, dtype=bool)
+            realized[case["realized"]] = True
+            _, value, _ = max_weight_matching_bipartite(SampledGraph(inst, realized))
+            assert repr(value) == case["value"], case["id"]
 
 
 class TestCoverSolver:

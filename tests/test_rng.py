@@ -168,6 +168,33 @@ def test_draw_matches_uniform_block(m, rows, x_at):
     assert np.array_equal(np.concatenate(got), uniform_block(31, streams, m) < x)
 
 
+SHARES = {"0.005": 0.005, "0.03": 0.03, "0.083": 0.083, "0.3": 0.3, "mixed": (0.0, 0.01, 0.2)}
+
+
+@pytest.mark.parametrize("rows", [1, 3, 66])
+@pytest.mark.parametrize("m", [0, 1, 7, 984, 1019])
+@pytest.mark.parametrize("share", list(SHARES))
+def test_draw_scans(share, m, rows):
+    # x at one share, or cycling 0, 0.01, 0.2 (mean 0.07); rows x m is not
+    # always a multiple of 8, so the packed scan's last byte is padded
+    x = np.resize(SHARES[share], m).astype(np.float64)
+    draws = BernoulliBlocks(x, rows)
+    assert draws._packed == (m > 0 and 1 / 64 < x.mean() <= 1 / 10)
+    streams = np.arange(2 * rows + 1, dtype=np.uint64)
+    keys = stream_key(17, streams)
+    for k in range(0, len(keys), rows):
+        want = np.flatnonzero(uniform_block(17, streams[k:k + rows], m) < x)
+        got = draws.draw(keys[k:k + rows])
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("size", [0, 1, 7, 8, 9, 64, 1001])
+def test_packed_nonzero(size):
+    gen = np.random.default_rng(size)
+    for mask in (np.zeros(size, bool), np.ones(size, bool), gen.random(size) < 0.08):
+        assert np.array_equal(rng._packed_nonzero(mask), mask.nonzero()[0])
+
+
 def test_draw_refuses_more_keys_than_max_rows():
     # past max_rows the scratch slices would come up short; a full block
     # still draws after the refusal

@@ -1,13 +1,18 @@
+import hashlib
 import itertools
 import math
 import os
+import platform
 import re
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
 from dataclasses import FrozenInstanceError
 from functools import partial
 from itertools import starmap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +20,7 @@ import pytest
 from matchgap import (Instance, MatchingCutoffExceeded, PotentialEdge, SampledGraph,
                       SupportTooLarge, mc_ratio, per_edge_certificates, per_edge_masses_exact,
                       phi_curve, sample, support_probabilities)
-from matchgap import estimate, matching_value, sampling
+from matchgap import cli, estimate, matching_value, sampling
 from matchgap.gallery import gen_random_point
 from matchgap.matching import value_solver
 from matchgap.rng import uniform_block
@@ -318,6 +323,99 @@ class TestSampleValuesSplit:
         monkeypatch.delattr(os, "fork")
         assert repr(mc_ratio(inst, 200, seed=2)) == ref  # no fork
         assert forks == []
+
+    def test_large_maps_warm_the_heap_where_they_run(self, monkeypatch, forks, tmp_path):
+        # each worker of a split map calls steady_heap, the parent not; a
+        # large map run serially calls it here; a small map nowhere
+        log = tmp_path / "warm"
+
+        def note():
+            with log.open("a") as fh:
+                fh.write(f"{os.getpid()}\n")
+
+        monkeypatch.setattr(sampling, "steady_heap", note)
+        inst = gen_random_point(4, 0.7, 4, "bipartite")
+
+        def pids():
+            sampling.sample_values(inst, value_solver(inst), 0, 0, 50)
+            got = log.read_text().split() if log.exists() else []
+            log.unlink(missing_ok=True)
+            return got
+
+        self.cpus(monkeypatch, 2)
+        assert pids() == []
+        monkeypatch.setattr(sampling, "SPLIT_MIN_WORK", 0)
+        workers = pids()
+        assert len(workers) == 2 and str(os.getpid()) not in workers and len(forks) == 2
+        self.cpus(monkeypatch, 1)
+        assert pids() == [str(os.getpid())]
+
+    #: sha1 of the value bytes of the benchmark's two `mc` commands
+    MC_VALUES = {
+        ("karp_sipser", 0): "12319f2a88861f2c17956f636f78840abe056123",
+        ("karp_sipser", 3): "492ee241bfa2d074b44df412dcbafdda55a92f79",
+        ("karp_sipser", 7): "1dda3be57a005ff5ed373dc82bb09ca63097b689",
+        ("random_point", 0): "01ea92302620570accb3759e9983ee0612bdc364",
+        ("random_point", 3): "2f4cf9d0041609b8281e1aaa5a19df1499fecfdd",
+        ("random_point", 7): "33ec9e6dbd994a7ec5432666e62dde5de4c0e009",
+    }
+
+    @pytest.mark.parametrize("gen, seed", list(MC_VALUES))
+    def test_benchmark_mc_values_forked_and_serial(self, monkeypatch, forks, gen, seed):
+        # the warmed-up workers' values, the serial map's and the recorded
+        # ones, on Karp-Sipser n=200 and the weighted random point n=100
+        argv = {"karp_sipser": ["--n", "200", "--c", "1.0", "--samples", "2000"],
+                "random_point": ["--n", "100", "--density", "0.1", "--samples", "8000"]}[gen]
+        args = cli.build_parser().parse_args(["mc", "--gen", gen, "--kind", "bipartite",
+                                              "--seed", str(seed)] + argv)
+        inst = cli._build_instance(args)
+        digests = []
+        for workers in (2, 1):
+            self.cpus(monkeypatch, workers)
+            values = sampling.sample_values(inst, value_solver(inst), seed, 0, args.samples)
+            digests.append(hashlib.sha1(values.tobytes()).hexdigest())
+        assert len(forks) == 2
+        assert digests == [self.MC_VALUES[gen, seed]] * 2
+
+
+def test_steady_heap_touches_no_page_and_keeps_the_heap():
+    # in a fresh process, under glibc's default (dynamic) thresholds: the
+    # warm-up faults in fewer than 64 pages and under 1 MiB of RSS, and
+    # afterwards three 3 MiB arrays made and dropped five times are
+    # faulted in once, not at every round, as they are without it
+    script = """
+import resource, sys
+import numpy as np
+from matchgap import sampling
+
+def used():
+    r = resource.getrusage(resource.RUSAGE_SELF)
+    return r.ru_minflt, r.ru_maxrss
+
+before = used()
+if sys.argv[1] == "warm":
+    sampling.steady_heap()
+after = used()
+for _ in range(5):
+    arrays = [np.ones(3 << 20, dtype=np.uint8) for _ in range(3)]
+    del arrays
+print(after[0] - before[0], after[1] - before[1], used()[0] - after[0])
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = {}
+    for mode in ("warm", "cold"):
+        proc = subprocess.run([sys.executable, "-c", script, mode], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        out[mode] = [int(v) for v in proc.stdout.split()]
+    faults, rss_kib, batches = out["warm"]
+    assert faults < 64 and rss_kib < 1024
+    if platform.libc_ver()[0] == "glibc":
+        one_round = 3 * (3 << 20) // os.sysconf("SC_PAGE_SIZE")
+        assert batches < 1.5 * one_round
+        assert out["cold"][2] > 3 * one_round
 
 
 def grid_instance(n, count, x, weighted):
